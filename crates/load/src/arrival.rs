@@ -98,6 +98,16 @@ impl ArrivalProcess {
         }
     }
 
+    /// Closed loop only: back to the state [`ArrivalProcess::new`] built.
+    /// A closed loop hands out indices and never draws from its RNG, so
+    /// the counters are all there is to rewind (an open-loop process has
+    /// consumed part of its stream and must be rebuilt from its seed).
+    pub fn rewind(&mut self) {
+        debug_assert!(matches!(self.kind, Arrival::ClosedLoop { .. }));
+        self.next_at = SimTime::ZERO;
+        self.issued = 0;
+    }
+
     /// Closed loop only: the session replacing a completed one, arriving
     /// at the completion time. Returns `None` when exhausted or open-loop.
     pub fn completion_arrival(&mut self, at: SimTime) -> Option<(u64, SimTime)> {

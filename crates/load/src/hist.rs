@@ -3,20 +3,24 @@
 //! HDR-histogram-style layout: values are bucketed by order of magnitude
 //! (position of the highest set bit) with a fixed number of linear
 //! sub-buckets per octave, giving a bounded relative error (≤ 1/32 ≈ 3.1%
-//! here) at every scale from nanoseconds to hours while using a few KiB.
-//! Recording is O(1); quantiles are a cumulative scan, so reported
-//! percentiles are monotone in the quantile by construction.
+//! here) at every scale from nanoseconds to hours while using a few KiB:
+//! buckets are allocated only up to the highest one ever recorded (8 bytes
+//! × 32 per octave of the largest value), so an empty histogram owns no
+//! memory and a retained one costs what its range needs, not the 16 KiB of
+//! the full 64-octave table. Recording is O(1); quantiles are a cumulative
+//! scan, so reported percentiles are monotone in the quantile by
+//! construction.
 
 /// Linear sub-buckets per power-of-two octave. 32 bounds the relative
 /// quantile error at 1/32.
 const SUB_BUCKETS: u64 = 32;
 const SUB_BITS: u32 = 5;
-/// Octaves covered: values up to 2^63 - 1.
-const OCTAVES: usize = 64;
 
 /// A log-bucketed histogram over `u64` values.
 #[derive(Clone)]
 pub struct Histogram {
+    /// Bucket counts up to the highest bucket recorded so far; every
+    /// bucket past the end is zero.
     counts: Vec<u64>,
     count: u64,
     sum: u128,
@@ -34,7 +38,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; OCTAVES * SUB_BUCKETS as usize],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -67,9 +71,18 @@ impl Histogram {
         upper.min(u64::MAX as u128) as u64
     }
 
+    /// The count of `value`'s bucket, growing the table to reach it.
+    fn bucket_mut(&mut self, value: u64) -> &mut u64 {
+        let idx = Self::bucket_index(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        &mut self.counts[idx]
+    }
+
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        *self.bucket_mut(value) += 1;
         self.count += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
@@ -81,7 +94,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[Self::bucket_index(value)] += n;
+        *self.bucket_mut(value) += n;
         self.count += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -138,6 +151,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }

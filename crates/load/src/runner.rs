@@ -48,8 +48,9 @@
 //! fire, so lazy insertion never reorders the heap.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::Bytes;
 use teenet_crypto::SecureRng;
@@ -266,11 +267,11 @@ pub struct EngineStats {
     pub slots_allocated: u64,
 }
 
-/// One live session's storage: its global identity, protocol state, and
-/// the scratch buffer every frame it sends is built in. Recycled (with
-/// the scratch capacity) when the slot is reused by a later session.
+/// One live session's storage: its protocol state and the scratch buffer
+/// every frame it sends is built in (its global identity is the key the
+/// [`SlotIndex`] finds it by). Recycled, with the scratch capacity, when
+/// the slot is reused by a later session.
 struct Slot {
-    id: u64,
     sess: Session,
     scratch: Vec<u8>,
 }
@@ -283,10 +284,36 @@ enum SessionTable {
     Slab {
         slots: Vec<Slot>,
         free: Vec<u32>,
-        /// Session id → slot. Deterministic lookups (no hashing RNG);
-        /// holds only live sessions, so O(live) nodes.
-        index: BTreeMap<u64, u32>,
+        /// Session id → slot; holds only live sessions.
+        index: SlotIndex,
     },
+}
+
+/// Session id → slot number: std's flat open-addressed table behind a
+/// one-multiply hasher instead of a tree walk or SipHash — every handler
+/// resolves its session several times per packet. Deterministic (no
+/// `RandomState`; iteration order is never used) and O(peak live sessions).
+type SlotIndex = HashMap<u64, u32, BuildHasherDefault<IdHasher>>;
+
+/// Fibonacci hashing of a session id. Only ids the engine itself issued
+/// (dense, increasing) are ever inserted, so there is no crafted-collision
+/// exposure to defend with a keyed hash; ids decoded off the wire are only
+/// looked up.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("session ids hash through write_u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 impl SessionTable {
@@ -301,15 +328,12 @@ impl SessionTable {
             SessionTable::Slab { slots, free, index } => {
                 let slot = match free.pop() {
                     Some(i) => {
-                        let s = &mut slots[i as usize];
-                        s.id = id;
-                        s.sess = sess;
+                        slots[i as usize].sess = sess;
                         i
                     }
                     None => {
                         *allocated += 1;
                         slots.push(Slot {
-                            id,
                             sess,
                             scratch: Vec::with_capacity(frame_cap),
                         });
@@ -362,9 +386,7 @@ impl SessionTable {
     fn retire(&mut self, id: u64) {
         if let SessionTable::Slab { slots, free, index } = self {
             if let Some(slot) = index.remove(&id) {
-                let s = &mut slots[slot as usize];
-                s.id = u64::MAX;
-                s.scratch.clear();
+                slots[slot as usize].scratch.clear();
                 free.push(slot);
             }
         }
@@ -484,7 +506,7 @@ impl<'a> Engine<'a> {
         let table = SessionTable::Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            index: BTreeMap::new(),
+            index: SlotIndex::default(),
         };
         Engine::build(cfg, cal, model, table)
     }
@@ -555,19 +577,6 @@ impl<'a> Engine<'a> {
             )
         });
 
-        let rate = effective_rate(cfg, cal, model);
-        let kind = match cfg.mode {
-            LoadMode::Open { .. } => Arrival::OpenLoop { rate_per_sec: rate },
-            LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
-                concurrency: concurrency.max(1),
-            },
-        };
-        let arrivals = ArrivalProcess::new(
-            kind,
-            cfg.sessions,
-            SecureRng::seed_from_u64(cfg.seed).fork(b"arrivals"),
-        );
-
         let lazy_arrivals = matches!(cfg.mode, LoadMode::Open { .. });
         Engine {
             cfg,
@@ -584,7 +593,7 @@ impl<'a> Engine<'a> {
             table,
             lazy_arrivals,
             frame_cap: cal.max_frame_bytes(),
-            arrivals,
+            arrivals: arrival_process(cfg, cal, model, cfg.seed),
             workers: vec![SimTime::ZERO; cfg.workers.max(1) as usize],
             timeout,
             metrics: RunMetrics::new(),
@@ -650,7 +659,7 @@ impl<'a> Engine<'a> {
         self.net.run_until(until);
         while let Some((at, packet)) = self.net.recv_timed(self.server) {
             match decode(&packet.payload) {
-                Some((s, op, attempt)) => self.on_request(at, s, op, attempt),
+                Some((s, op, _)) => self.on_request(at, s, op),
                 None => self.metrics.corrupt_rx += 1,
             }
         }
@@ -672,7 +681,7 @@ impl<'a> Engine<'a> {
         };
         match event.ev {
             Ev::Arrive { session } => self.on_arrive(at, session),
-            Ev::ServiceDone { session, op } => self.on_service_done(at, session, op),
+            Ev::ServiceDone { session, op } => self.on_service_done(session, op),
             Ev::Timeout {
                 session,
                 op,
@@ -702,12 +711,12 @@ impl<'a> Engine<'a> {
             &mut self.stats.slots_allocated,
         );
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
-        self.send_request(at, session);
+        self.send_request(session);
     }
 
     /// Transmits the current op's request for `session` and arms its
     /// retransmission timeout.
-    fn send_request(&mut self, at: SimTime, session: u64) {
+    fn send_request(&mut self, session: u64) {
         let Some(sess) = self.table.get(session).copied() else {
             return;
         };
@@ -723,7 +732,6 @@ impl<'a> Engine<'a> {
             return;
         };
         self.net.send(sess.client, self.server, payload);
-        let _ = at;
         self.push(
             self.net.now() + self.timeout,
             Ev::Timeout {
@@ -734,7 +742,7 @@ impl<'a> Engine<'a> {
         );
     }
 
-    fn on_request(&mut self, at: SimTime, session: u64, op: u32, _attempt: u32) {
+    fn on_request(&mut self, at: SimTime, session: u64, op: u32) {
         // A miss is a session not yet arrived (stray bytes) or already
         // retired — either way the datagram is stale and dropped, exactly
         // as the retained path's done/failed guards drop it.
@@ -772,7 +780,7 @@ impl<'a> Engine<'a> {
         self.push(done_at, Ev::ServiceDone { session, op });
     }
 
-    fn on_service_done(&mut self, _at: SimTime, session: u64, op: u32) {
+    fn on_service_done(&mut self, session: u64, op: u32) {
         let Some(sess) = self.table.get_mut(session) else {
             return; // session retired while the op was in service
         };
@@ -819,7 +827,7 @@ impl<'a> Engine<'a> {
             self.next_closed_loop_arrival(at);
             self.table.retire(session);
         } else {
-            self.send_request(at, session);
+            self.send_request(session);
         }
     }
 
@@ -844,7 +852,7 @@ impl<'a> Engine<'a> {
         if let Some(sess) = self.table.get_mut(session) {
             sess.attempt = attempt + 1;
         }
-        self.send_request(at, session);
+        self.send_request(session);
     }
 
     /// Closed loop replaces each finished session with a new arrival.
@@ -854,32 +862,34 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Finishes the run: folds the network's fault totals and queue
-    /// high-watermark into the accumulated metrics and returns them.
-    pub(crate) fn into_metrics(mut self) -> RunMetrics {
-        self.take_metrics()
-    }
-
-    /// [`Engine::into_metrics`] without consuming the engine: hands out
-    /// the finished run's metrics (network totals folded in) and leaves
-    /// a zeroed accumulator behind, so a pooled engine can be
-    /// [`Engine::reset_for_session`]-rewound and driven again.
-    pub(crate) fn take_metrics(&mut self) -> RunMetrics {
+    /// Ends a drained run — the serial engine's whole run, or one session
+    /// of a pooled shard engine: folds the network's fault totals and
+    /// queue high-watermark into the accumulated metrics and returns the
+    /// virtual time the last session resolved at, zeroing it so a
+    /// [`Engine::reset_for_session`]-rewound engine keeps accumulating
+    /// into the same metrics with a per-session end time.
+    pub(crate) fn finish_session(&mut self) -> u64 {
         self.metrics.net.merge(&self.net.fault_totals());
         self.metrics.max_server_queue = self
             .metrics
             .max_server_queue
             .max(self.net.max_queue_depth(self.server) as u64);
-        std::mem::take(&mut self.metrics)
+        std::mem::take(&mut self.metrics.last_done_ns)
+    }
+
+    /// Everything accumulated up to the last [`Engine::finish_session`].
+    pub(crate) fn into_metrics(self) -> RunMetrics {
+        self.metrics
     }
 
     /// Rewinds the engine to the state [`Engine::new`] would produce for
     /// this config with its seed replaced by `seed`, reusing every
     /// allocation: the network topology (and its cleared per-node
     /// inboxes), the session slab with its scratch capacities, and the
-    /// event heap's backing storage. The per-session seed is a parameter
-    /// because the sharded replay derives it per index while the borrowed
-    /// config's own seed stays the run seed.
+    /// event heap's backing storage. The metrics are *not* rewound: they
+    /// keep accumulating across sessions. The per-session seed is a
+    /// parameter because the sharded replay derives it per index while
+    /// the borrowed config's own seed stays the run seed.
     pub(crate) fn reset_for_session(&mut self, seed: u64) {
         self.net.reset(seed ^ 0x6e65_7473_696d); // "netsim", as in build()
         self.heap.clear();
@@ -895,33 +905,26 @@ impl<'a> Engine<'a> {
             index.clear();
             free.clear();
             for (i, slot) in slots.iter_mut().enumerate() {
-                slot.id = u64::MAX;
                 slot.scratch.clear();
                 free.push(i as u32);
             }
         }
-        let rate = effective_rate(self.cfg, self.cal, self.model);
-        let kind = match self.cfg.mode {
-            LoadMode::Open { .. } => Arrival::OpenLoop { rate_per_sec: rate },
-            LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
-                concurrency: concurrency.max(1),
-            },
-        };
-        self.arrivals = ArrivalProcess::new(
-            kind,
-            self.cfg.sessions,
-            SecureRng::seed_from_u64(seed).fork(b"arrivals"),
-        );
+        match self.cfg.mode {
+            // A closed loop hands out indices only; it never drew from
+            // its RNG, so rewinding the counters is the whole reset.
+            LoadMode::Closed { .. } => self.arrivals.rewind(),
+            LoadMode::Open { .. } => {
+                self.arrivals = arrival_process(self.cfg, self.cal, self.model, seed);
+            }
+        }
         for w in &mut self.workers {
             *w = SimTime::ZERO;
         }
-        self.metrics = RunMetrics::new();
     }
 
-    fn into_report(self, scenario: &str, cfg: &LoadConfig) -> RunReport {
-        let cal = self.cal;
-        let model = self.model;
-        report_from_metrics(scenario, cfg, cal, model, self.into_metrics())
+    fn into_report(mut self, scenario: &str, cfg: &LoadConfig) -> RunReport {
+        self.metrics.last_done_ns = self.finish_session();
+        report_from_metrics(scenario, cfg, self.cal, self.model, self.metrics)
     }
 }
 
@@ -994,6 +997,26 @@ pub(crate) fn effective_rate(cfg: &LoadConfig, cal: &Calibration, model: &CostMo
         }
         LoadMode::Closed { .. } => 0.0,
     }
+}
+
+/// The arrival process of a run of `cfg` whose seed is `seed` (the
+/// sharded replay substitutes a per-session seed).
+pub(crate) fn arrival_process(
+    cfg: &LoadConfig,
+    cal: &Calibration,
+    model: &CostModel,
+    seed: u64,
+) -> ArrivalProcess {
+    let kind = match cfg.mode {
+        LoadMode::Open { .. } => Arrival::OpenLoop {
+            rate_per_sec: effective_rate(cfg, cal, model),
+        },
+        LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
+            concurrency: concurrency.max(1),
+        },
+    };
+    let rng = SecureRng::seed_from_u64(seed).fork(b"arrivals");
+    ArrivalProcess::new(kind, cfg.sessions, rng)
 }
 
 #[cfg(test)]
@@ -1281,6 +1304,54 @@ mod tests {
             "sessions retire as they complete: {} live peak",
             stream.peak_live_sessions
         );
+    }
+
+    /// A rewound engine replays exactly what a fresh engine seeded with
+    /// the substituted seed replays, in both loop disciplines (open loop
+    /// re-derives its Poisson stream, closed loop only rewinds counters),
+    /// while its metrics keep accumulating across the rewind.
+    #[test]
+    fn reset_for_session_matches_a_fresh_engine_in_both_modes() {
+        let cal = toy_calibration();
+        let model = CostModel::paper();
+        for mode in [
+            LoadMode::Open { rate_per_sec: None },
+            LoadMode::Closed { concurrency: 4 },
+        ] {
+            let mut first = LoadConfig::new(40, 5, mode);
+            first.faults = FaultConfig {
+                drop_chance: 0.1,
+                corrupt_chance: 0.05,
+                duplicate_chance: 0.05,
+                ..Default::default()
+            };
+            let second = LoadConfig {
+                seed: 9,
+                ..first.clone()
+            };
+            let fresh = |cfg: &LoadConfig| {
+                let mut engine = Engine::new(cfg, &cal, &model);
+                engine.prime();
+                engine.drain();
+                (engine.finish_session(), engine.into_metrics())
+            };
+            let (end_a, mut expect) = fresh(&first);
+            let (end_b, b) = fresh(&second);
+            expect.merge(&b);
+
+            let mut pooled = Engine::new(&first, &cal, &model);
+            pooled.prime();
+            pooled.drain();
+            assert_eq!(pooled.finish_session(), end_a);
+            pooled.reset_for_session(second.seed);
+            pooled.prime();
+            pooled.drain();
+            assert_eq!(pooled.finish_session(), end_b);
+            assert_ne!(end_a, end_b, "the substituted seed drives the second run");
+
+            let json = |m| report_from_metrics("toy", &first, &cal, &model, m).json();
+            assert_eq!(json(pooled.into_metrics()), json(expect));
+        }
     }
 
     #[test]

@@ -44,14 +44,12 @@
 use std::ops::Range;
 use std::thread;
 
-use teenet_crypto::SecureRng;
 use teenet_sgx::cost::CostModel;
 
-use crate::arrival::{Arrival, ArrivalProcess};
 use crate::metrics::RunMetrics;
 use crate::report::RunReport;
 use crate::runner::{
-    effective_rate, fnv1a, report_from_metrics, Engine, LoadConfig, LoadMode, LoadRunner,
+    arrival_process, fnv1a, report_from_metrics, Engine, LoadConfig, LoadMode, LoadRunner,
 };
 use crate::scenario::Calibration;
 
@@ -115,6 +113,19 @@ struct ShardResult {
     last_completion: u64,
 }
 
+/// `cfg` narrowed to the shape one session replays under: one session on
+/// one closed lane, one worker, one client (links, faults, clock and
+/// retry policy as configured; the seed is substituted per session).
+fn session_config(cfg: &LoadConfig) -> LoadConfig {
+    LoadConfig {
+        sessions: 1,
+        mode: LoadMode::Closed { concurrency: 1 },
+        workers: 1,
+        clients: 1,
+        ..cfg.clone()
+    }
+}
+
 /// Replays every session in `range`, each on a private single-worker,
 /// single-client engine whose virtual clock starts at zero, reducing
 /// scheduling state on the fly.
@@ -124,44 +135,32 @@ fn run_shard(
     model: &CostModel,
     range: Range<u64>,
 ) -> ShardResult {
-    let mut metrics = RunMetrics::new();
     let (mut lane_busy, mut arrivals) = match cfg.mode {
         LoadMode::Closed { concurrency } => (vec![0u64; concurrency.max(1) as usize], None),
         LoadMode::Open { .. } => {
-            // Re-derive the global Poisson schedule (same fork the serial
-            // engine uses) and position it at this shard's first index.
-            let rate = effective_rate(cfg, cal, model);
-            let mut a = ArrivalProcess::new(
-                Arrival::OpenLoop { rate_per_sec: rate },
-                cfg.sessions,
-                SecureRng::seed_from_u64(cfg.seed).fork(b"arrivals"),
-            );
+            // Re-derive the global Poisson schedule (the serial engine's
+            // own arrival process) and position it at this shard's first
+            // index.
+            let mut a = arrival_process(cfg, cal, model, cfg.seed);
             a.skip(range.start);
             (Vec::new(), Some(a))
         }
     };
     let mut last_completion = 0u64;
     // One engine per shard, rewound per session: the private two-node
-    // network, the session slab (and its scratch buffer) and the event
-    // heap are allocated once and reused across the whole range instead
-    // of being rebuilt per session. Only the derived seed changes, so
-    // `reset_for_session` takes it as a parameter while the hoisted
-    // config keeps the session-replay shape (one session, one closed
-    // lane, one worker, one client).
-    let mut session_cfg = cfg.clone();
-    session_cfg.sessions = 1;
-    session_cfg.mode = LoadMode::Closed { concurrency: 1 };
-    session_cfg.workers = 1;
-    session_cfg.clients = 1;
+    // network, the session slab (and its scratch buffer), the event heap
+    // and the metrics every session of the range accumulates into are
+    // allocated once for the whole range. Only the derived seed changes,
+    // so `reset_for_session` takes it as a parameter.
+    let session_cfg = session_config(cfg);
     let mut engine = Engine::new(&session_cfg, cal, model);
     for index in range {
         engine.reset_for_session(ShardPlan::session_seed(cfg.seed, index));
         engine.prime();
         engine.drain();
-        let m = engine.take_metrics();
         // One session from t=0: its local last-done time IS its duration
         // (completion or abandonment).
-        let duration = m.last_done_ns;
+        let duration = engine.finish_session();
         match arrivals.as_mut() {
             Some(a) => {
                 let (idx, at) = a.next_arrival().expect("stream covers the shard's range");
@@ -173,10 +172,9 @@ fn run_shard(
                 lane_busy[(index % lanes) as usize] += duration;
             }
         }
-        metrics.merge(&m);
     }
     ShardResult {
-        metrics,
+        metrics: engine.into_metrics(),
         lane_busy,
         last_completion,
     }
@@ -357,49 +355,133 @@ mod tests {
         }
     }
 
-    /// The pooled per-shard engine (one engine rewound per session) must
-    /// be byte-identical to the pre-pooling model (a fresh engine built
-    /// per session) — `reset_for_session` is an optimisation, not a
-    /// different replay.
-    #[test]
-    fn pooled_reset_matches_fresh_engines() {
-        let cal = toy_calibration();
-        let mut cfg = LoadConfig::new(5, 17, LoadMode::Closed { concurrency: 2 });
+    /// The pre-pooling model of one session: an engine built for session
+    /// `index` alone, driven once. Returns its duration and its metrics.
+    fn fresh_session(
+        cfg: &LoadConfig,
+        cal: &Calibration,
+        model: &CostModel,
+        index: u64,
+    ) -> (u64, RunMetrics) {
+        let mut session_cfg = session_config(cfg);
+        session_cfg.seed = ShardPlan::session_seed(cfg.seed, index);
+        let mut engine = Engine::new(&session_cfg, cal, model);
+        engine.prime();
+        engine.drain();
+        let duration = engine.finish_session();
+        (duration, engine.into_metrics())
+    }
+
+    /// `range` replayed on fresh engines, reduced the way `run_shard`
+    /// reduces it.
+    fn fresh_shard(
+        cfg: &LoadConfig,
+        cal: &Calibration,
+        model: &CostModel,
+        range: Range<u64>,
+    ) -> ShardResult {
+        let mut fresh = ShardResult {
+            metrics: RunMetrics::new(),
+            lane_busy: match cfg.mode {
+                LoadMode::Closed { concurrency } => vec![0; concurrency as usize],
+                LoadMode::Open { .. } => Vec::new(),
+            },
+            last_completion: 0,
+        };
+        let mut arrivals = matches!(cfg.mode, LoadMode::Open { .. }).then(|| {
+            let mut a = arrival_process(cfg, cal, model, cfg.seed);
+            a.skip(range.start);
+            a
+        });
+        for index in range {
+            let (duration, m) = fresh_session(cfg, cal, model, index);
+            match arrivals.as_mut() {
+                Some(a) => {
+                    let at = a.next_arrival().unwrap().1.as_nanos();
+                    fresh.last_completion = fresh.last_completion.max(at + duration);
+                }
+                None => {
+                    let lanes = fresh.lane_busy.len() as u64;
+                    fresh.lane_busy[(index % lanes) as usize] += duration;
+                }
+            }
+            fresh.metrics.merge(&m);
+        }
+        fresh
+    }
+
+    fn faulty(mut cfg: LoadConfig) -> LoadConfig {
         cfg.faults = FaultConfig {
             drop_chance: 0.2,
             corrupt_chance: 0.1,
+            duplicate_chance: 0.1,
             ..Default::default()
         };
+        cfg
+    }
+
+    /// The pooled per-shard engine (one engine rewound per session, one
+    /// set of metrics accumulated in place) must be byte-identical to the
+    /// pre-pooling model (a fresh engine built per session, per-session
+    /// metrics merged) — pooling is an optimisation, not a different
+    /// replay. Closed and open loop, under a drop + corrupt + duplicate
+    /// mix, over a mid-run range.
+    #[test]
+    fn pooled_reset_matches_fresh_engines() {
+        let cal = toy_calibration();
         let model = CostModel::paper();
+        for mode in [
+            LoadMode::Closed { concurrency: 2 },
+            LoadMode::Open { rate_per_sec: None },
+        ] {
+            let cfg = faulty(LoadConfig::new(30, 17, mode));
+            let pooled = run_shard(&cfg, &cal, &model, 7..30);
+            let fresh = fresh_shard(&cfg, &cal, &model, 7..30);
+            assert_eq!(pooled.lane_busy, fresh.lane_busy);
+            assert_eq!(pooled.last_completion, fresh.last_completion);
+            assert!(pooled.metrics.retries > 0, "faults actually fired");
 
-        let pooled = run_shard(&cfg, &cal, &model, 0..5);
+            let a = report_from_metrics("toy", &cfg, &cal, &model, merge_shards(&cfg, &[pooled]));
+            let b = report_from_metrics("toy", &cfg, &cal, &model, merge_shards(&cfg, &[fresh]));
+            assert_eq!(a.json(), b.json());
+            assert_eq!(a.text(), b.text());
+        }
+    }
 
-        let mut metrics = RunMetrics::new();
-        let mut lane_busy = vec![0u64; 2];
-        for index in 0..5u64 {
-            let mut session_cfg = cfg.clone();
-            session_cfg.sessions = 1;
-            session_cfg.seed = ShardPlan::session_seed(cfg.seed, index);
-            session_cfg.mode = LoadMode::Closed { concurrency: 1 };
-            session_cfg.workers = 1;
-            session_cfg.clients = 1;
-            let mut engine = Engine::new(&session_cfg, &cal, &model);
+    /// `finish_session` hands out each session's own duration — what a
+    /// fresh engine's `last_done_ns` was — and leaves nothing of it behind
+    /// in the accumulating metrics: session by session over a faulty
+    /// 50-session range, and summed per lane against `run_shard`.
+    #[test]
+    fn finish_session_durations_match_fresh_engines_per_lane() {
+        let cal = toy_calibration();
+        let model = CostModel::paper();
+        let lanes = 4u64;
+        let cfg = faulty(LoadConfig::new(
+            50,
+            23,
+            LoadMode::Closed {
+                concurrency: lanes as u32,
+            },
+        ));
+        let session_cfg = session_config(&cfg);
+        let mut engine = Engine::new(&session_cfg, &cal, &model);
+        let mut lane_busy = vec![0u64; lanes as usize];
+        let mut distinct = std::collections::BTreeSet::new();
+        for index in 0..50u64 {
+            engine.reset_for_session(ShardPlan::session_seed(cfg.seed, index));
             engine.prime();
             engine.drain();
-            let m = engine.into_metrics();
-            lane_busy[(index % 2) as usize] += m.last_done_ns;
-            metrics.merge(&m);
+            let duration = engine.finish_session();
+            assert_eq!(duration, fresh_session(&cfg, &cal, &model, index).0);
+            lane_busy[(index % lanes) as usize] += duration;
+            distinct.insert(duration);
         }
-        let fresh = ShardResult {
-            metrics,
-            lane_busy,
-            last_completion: 0,
-        };
-
-        let a = report_from_metrics("toy", &cfg, &cal, &model, merge_shards(&cfg, &[pooled]));
-        let b = report_from_metrics("toy", &cfg, &cal, &model, merge_shards(&cfg, &[fresh]));
-        assert_eq!(a.json(), b.json());
-        assert_eq!(a.text(), b.text());
+        assert!(distinct.len() > 1, "faults must vary the durations");
+        let metrics = engine.into_metrics();
+        assert_eq!(metrics.last_done_ns, 0, "handed out, not accumulated");
+        assert_eq!(metrics.completed + metrics.failed, 50);
+        assert_eq!(lane_busy, run_shard(&cfg, &cal, &model, 0..50).lane_busy);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! fault injection.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use teenet_crypto::SecureRng;
@@ -106,15 +106,57 @@ impl PartialOrd for Delivery {
     }
 }
 
+/// The fault injector of link `src → dst` in a network seeded `seed`:
+/// `None` for a clean link, else an RNG forked from the seed's root RNG
+/// under a label of the endpoints. [`SecureRng::fork`] never perturbs its
+/// parent, so the stream depends on nothing but `(seed, src, dst)` — not
+/// on how many links were added before, nor on whether the network was
+/// built or reset. `root` caches the root RNG, hashed from the seed by the
+/// first faulty link that needs it: clean links never hash.
+fn injector_for(
+    seed: u64,
+    root: &mut Option<SecureRng>,
+    src: NodeId,
+    dst: NodeId,
+    faults: &FaultConfig,
+) -> Option<FaultInjector> {
+    if faults.is_clean() {
+        return None;
+    }
+    let label = [
+        b"link".as_slice(),
+        &src.0.to_le_bytes(),
+        &dst.0.to_le_bytes(),
+    ]
+    .concat();
+    let root = root.get_or_insert_with(|| SecureRng::seed_from_u64(seed));
+    Some(FaultInjector::new(faults.clone(), root.fork(&label)))
+}
+
+/// The link `src → dst` in the per-source table, if configured. A free
+/// function over the table alone so callers can keep using the network's
+/// other fields (trace, queue) while they hold the link.
+fn find_link(links: &mut [Vec<(NodeId, Link)>], src: NodeId, dst: NodeId) -> Option<&mut Link> {
+    let out = links.get_mut(src.0 as usize)?;
+    out.iter_mut().find(|(d, _)| *d == dst).map(|(_, l)| l)
+}
+
 /// The simulated network.
 pub struct Network {
     now: SimTime,
     nodes: Vec<Node>,
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// Outgoing links per source node: `links[src]` holds `(dst, link)`
+    /// pairs. A node has a handful of neighbours, so the per-packet
+    /// lookup is an index plus a short scan — no hashing.
+    links: Vec<Vec<(NodeId, Link)>>,
     queue: BinaryHeap<Reverse<Delivery>>,
     next_packet_id: u64,
     next_seq: u64,
-    rng: SecureRng,
+    /// Every link's fault injector is derived from this seed and the
+    /// link's endpoints alone (see [`injector_for`]).
+    seed: u64,
+    /// `SecureRng::seed_from_u64(seed)`, once a faulty link has needed it.
+    root: Option<SecureRng>,
     /// Packet trace (on by default; disable via [`Network::set_tracing`],
     /// payload capture opt-in via [`Network::enable_pcap`]).
     pub trace: Trace,
@@ -126,11 +168,12 @@ impl Network {
         Network {
             now: SimTime::ZERO,
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
             queue: BinaryHeap::new(),
             next_packet_id: 0,
             next_seq: 0,
-            rng: SecureRng::seed_from_u64(seed),
+            seed,
+            root: None,
             trace: Trace::new(),
         }
     }
@@ -157,38 +200,29 @@ impl Network {
     /// many sessions reuses one network this way instead of rebuilding
     /// it per session.
     ///
-    /// Determinism: injector RNGs are forked per-link from a label of the
-    /// link's endpoints, and [`SecureRng::fork`] never perturbs the
-    /// parent, so re-forking here (in any map order) reproduces exactly
-    /// what [`Network::add_link`] derived at construction.
+    /// Determinism: an injector's RNG is a pure function of the seed and
+    /// the link's endpoints ([`injector_for`]), so re-deriving here
+    /// reproduces exactly what [`Network::add_link`] derives on a fresh
+    /// network — and a reset over clean links hashes nothing.
     pub fn reset(&mut self, seed: u64) {
         self.now = SimTime::ZERO;
         self.queue.clear();
         self.next_packet_id = 0;
         self.next_seq = 0;
-        self.rng = SecureRng::seed_from_u64(seed);
+        self.seed = seed;
+        self.root = None;
         self.trace.clear();
         for node in &mut self.nodes {
             node.inbox.clear();
             node.max_depth = 0;
         }
-        for (&(src, dst), link) in &mut self.links {
-            link.next_free = SimTime::ZERO;
-            link.stats = LinkStats::default();
-            link.injector = if link.config.faults.is_clean() {
-                None
-            } else {
-                let label = [
-                    b"link".as_slice(),
-                    &src.0.to_le_bytes(),
-                    &dst.0.to_le_bytes(),
-                ]
-                .concat();
-                Some(FaultInjector::new(
-                    link.config.faults.clone(),
-                    self.rng.fork(&label),
-                ))
-            };
+        for (src, out) in self.links.iter_mut().enumerate() {
+            let src = NodeId(src as u32);
+            for (dst, link) in out {
+                link.next_free = SimTime::ZERO;
+                link.stats = LinkStats::default();
+                link.injector = injector_for(seed, &mut self.root, src, *dst, &link.config.faults);
+            }
         }
     }
 
@@ -204,31 +238,23 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Configures the unidirectional link `src → dst`.
+    /// Configures the unidirectional link `src → dst`, replacing any
+    /// link already configured between the two.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
-        let injector = if config.faults.is_clean() {
-            None
-        } else {
-            let label = [
-                b"link".as_slice(),
-                &src.0.to_le_bytes(),
-                &dst.0.to_le_bytes(),
-            ]
-            .concat();
-            Some(FaultInjector::new(
-                config.faults.clone(),
-                self.rng.fork(&label),
-            ))
+        let link = Link {
+            injector: injector_for(self.seed, &mut self.root, src, dst, &config.faults),
+            config,
+            next_free: SimTime::ZERO,
+            stats: LinkStats::default(),
         };
-        self.links.insert(
-            (src, dst),
-            Link {
-                config,
-                injector,
-                next_free: SimTime::ZERO,
-                stats: LinkStats::default(),
-            },
-        );
+        let from = src.0 as usize;
+        if self.links.len() <= from {
+            self.links.resize_with(from + 1, Vec::new);
+        }
+        match find_link(&mut self.links, src, dst) {
+            Some(existing) => *existing = link,
+            None => self.links[from].push((dst, link)),
+        }
     }
 
     /// Configures a symmetric (bidirectional) link.
@@ -262,7 +288,7 @@ impl Network {
         self.next_packet_id += 1;
         let now = self.now;
 
-        let Some(link) = self.links.get_mut(&(src, dst)) else {
+        let Some(link) = find_link(&mut self.links, src, dst) else {
             self.trace.record(
                 TraceRecord {
                     time: now,
@@ -355,26 +381,27 @@ impl Network {
             dst,
             payload,
         };
+        // Deliveries pop in `(at, seq)` order whatever order they were
+        // pushed in, so the duplicate (the only case that needs a second
+        // `Packet`) can go first and the original be moved, not cloned.
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Delivery {
-            at: arrival,
-            seq,
-            packet: packet.clone(),
-            corrupted,
-            duplicated: false,
-        }));
         if duplicated {
-            let seq = self.next_seq;
-            self.next_seq += 1;
             self.queue.push(Reverse(Delivery {
                 at: arrival + SimDuration::from_micros(1),
-                seq,
-                packet,
+                seq: seq + 1,
+                packet: packet.clone(),
                 corrupted: false,
                 duplicated: true,
             }));
         }
+        self.queue.push(Reverse(Delivery {
+            at: arrival,
+            seq,
+            packet,
+            corrupted,
+            duplicated: false,
+        }));
+        self.next_seq += 1 + u64::from(duplicated);
         Some(id)
     }
 
@@ -404,9 +431,7 @@ impl Network {
                 },
                 Some(&delivery.packet),
             );
-            if let Some(link) = self
-                .links
-                .get_mut(&(delivery.packet.src, delivery.packet.dst))
+            if let Some(link) = find_link(&mut self.links, delivery.packet.src, delivery.packet.dst)
             {
                 link.stats.delivered += 1;
             }
@@ -463,13 +488,14 @@ impl Network {
 
     /// Delivery/fault counters of the link `src → dst`, if configured.
     pub fn link_stats(&self, src: NodeId, dst: NodeId) -> Option<LinkStats> {
-        self.links.get(&(src, dst)).map(|l| l.stats)
+        let out = self.links.get(src.0 as usize)?;
+        out.iter().find(|(d, _)| *d == dst).map(|(_, l)| l.stats)
     }
 
     /// Fault outcomes summed over every link in the network.
     pub fn fault_totals(&self) -> LinkStats {
         let mut total = LinkStats::default();
-        for link in self.links.values() {
+        for (_, link) in self.links.iter().flatten() {
             total.merge(&link.stats);
         }
         total
@@ -496,12 +522,8 @@ mod tests {
         (net, a, b)
     }
 
-    /// `reset(seed)` on a used network must reproduce exactly what a
-    /// fresh `Network::new(seed)` with the same topology produces: same
-    /// deliveries, same fault outcomes, same clock, same trace volume.
-    #[test]
-    fn reset_reproduces_a_fresh_network() {
-        let config = LinkConfig {
+    fn faulty_link() -> LinkConfig {
+        LinkConfig {
             faults: FaultConfig {
                 drop_chance: 0.3,
                 corrupt_chance: 0.2,
@@ -509,30 +531,95 @@ mod tests {
                 ..Default::default()
             },
             ..Default::default()
-        };
-        let drive = |net: &mut Network, a: NodeId, b: NodeId| {
-            for i in 0..50u8 {
-                net.send(a, b, vec![i; 16]);
-                net.run_to_idle();
-            }
-            (
-                net.recv_all(b).len(),
-                net.fault_totals(),
-                net.max_queue_depth(b),
-                net.now(),
-                net.trace.records().len(),
-            )
-        };
-        let (mut fresh, a, b) = two_node_net(config.clone());
+        }
+    }
+
+    /// Sends 50 datagrams `a → b` and returns everything observable:
+    /// delivered payloads (fault outcomes included), link totals, queue
+    /// watermark, clock, trace volume.
+    fn drive(net: &mut Network, a: NodeId, b: NodeId) -> impl PartialEq + std::fmt::Debug {
+        for i in 0..50u8 {
+            net.send(a, b, vec![i; 16]);
+            net.run_to_idle();
+        }
+        let payloads: Vec<Vec<u8>> = net.recv_all(b).iter().map(|p| p.payload.to_vec()).collect();
+        (
+            payloads,
+            net.fault_totals(),
+            net.max_queue_depth(b),
+            net.now(),
+            net.trace.records().len(),
+        )
+    }
+
+    /// `reset(seed)` on a used network must reproduce exactly what a
+    /// fresh `Network::new(seed)` with the same topology produces: same
+    /// deliveries, same fault outcomes, same clock, same trace volume —
+    /// over faulty links (injectors re-derived) and over clean ones
+    /// (nothing to derive).
+    #[test]
+    fn reset_reproduces_a_fresh_network() {
+        for config in [faulty_link(), LinkConfig::default()] {
+            let (mut fresh, a, b) = two_node_net(config.clone());
+            let baseline = drive(&mut fresh, a, b);
+
+            // Dirty a second identical network under another seed, then
+            // rewind it to seed 1 — it must match the fresh run exactly.
+            let (mut reused, a2, b2) = two_node_net(config);
+            reused.reset(999);
+            drive(&mut reused, a2, b2);
+            reused.reset(1);
+            assert_eq!(drive(&mut reused, a2, b2), baseline);
+        }
+    }
+
+    /// An injector's stream comes from the network's *seed*, not from RNG
+    /// state the network carries: a faulty link added after `reset(seed)`
+    /// behaves exactly like the same link on a fresh `Network::new(seed)`.
+    #[test]
+    fn link_added_after_reset_matches_a_fresh_network() {
+        let (mut fresh, a, b) = two_node_net(faulty_link());
         let baseline = drive(&mut fresh, a, b);
 
-        // Dirty a second identical network under another seed, then
-        // rewind it to seed 1 — it must match the fresh run exactly.
-        let (mut reused, a2, b2) = two_node_net(config);
-        reused.reset(999);
-        drive(&mut reused, a2, b2);
+        let mut reused = Network::new(999);
+        let (a2, b2) = (reused.add_node(), reused.add_node());
         reused.reset(1);
+        reused.add_duplex_link(a2, b2, faulty_link());
         assert_eq!(drive(&mut reused, a2, b2), baseline);
+    }
+
+    #[test]
+    fn add_link_replaces_an_existing_link() {
+        let (mut net, a, b) = two_node_net(LinkConfig {
+            faults: FaultConfig {
+                drop_chance: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        net.send(a, b, &b"lost"[..]);
+        net.add_link(
+            a,
+            b,
+            LinkConfig {
+                latency: SimDuration::from_millis(7),
+                ..Default::default()
+            },
+        );
+        // One link a → b, with the new config and fresh counters; the
+        // reverse direction is untouched.
+        assert_eq!(net.link_stats(a, b), Some(LinkStats::default()));
+        net.send(a, b, &b"kept"[..]);
+        net.run_to_idle();
+        assert_eq!(net.now(), SimTime::ZERO + SimDuration::from_millis(7));
+        assert_eq!(&net.recv(b).unwrap().payload[..], b"kept");
+        let expect = LinkStats {
+            sent: 1,
+            delivered: 1,
+            ..Default::default()
+        };
+        assert_eq!(net.link_stats(a, b), Some(expect));
+        assert_eq!(net.fault_totals(), expect, "the replaced link is gone");
     }
 
     /// Compile-time regression: a whole simulated network — virtual

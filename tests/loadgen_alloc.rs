@@ -9,6 +9,11 @@
 //! call, and the streaming run must allocate measurably less than the
 //! retained reference run on identical work.
 //!
+//! The same test differences two sharded runs to pin the pooled shard
+//! engine's per-session cost: what one more session allocates is its
+//! packets and (almost) nothing else — in particular no histogram-sized
+//! block, which is what rebuilding the metrics per session used to cost.
+//!
 //! One `#[test]` only: a `#[global_allocator]` is process-wide state, and
 //! Rust runs tests in one process — a single test keeps the counting
 //! windows race-free without cross-test ordering assumptions.
@@ -24,10 +29,12 @@ use teenet_sgx::{TeeBackend, TransitionStats};
 struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -37,6 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -111,7 +119,7 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
     // The reference path allocates a fresh framing Vec per message on top
     // of the shared per-message Bytes copy; the streaming path reuses the
     // slot scratch but pays a small bounded bookkeeping overhead (slab
-    // growth, BTreeMap index nodes, heap amortisation). Require the gap
+    // growth, index growth, heap amortisation). Require the gap
     // to stay within that slack of one-allocation-per-message.
     assert!(
         ref_allocs > stream_allocs + (messages * 3) / 4,
@@ -125,5 +133,41 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
     assert!(
         stream_allocs <= messages * 2,
         "streaming hot path regressed: {stream_allocs} allocs for {messages} messages"
+    );
+
+    // Sharded arm. Thread start-up, the per-shard engine and its one set
+    // of metrics are the same in a 200- and a 400-session run, so their
+    // difference is what 200 more sessions cost: one `Bytes` copy per
+    // packet plus a small constant — and fewer bytes than the latency
+    // histogram (kilobytes of buckets) a per-session `RunMetrics` would
+    // bring.
+    let sharded = |sessions: u64| {
+        let cfg = LoadConfig::new(sessions, 7, LoadMode::Closed { concurrency: 16 });
+        let runner = LoadRunner::new(cfg);
+        let before = BYTES.load(Ordering::Relaxed);
+        let (report, allocs) = allocs_during(|| runner.run_sharded("toy", &cal, 2));
+        assert_eq!(report.completed, sessions);
+        (allocs, BYTES.load(Ordering::Relaxed) - before)
+    };
+    sharded(200); // warm, as above
+    let (allocs_200, bytes_200) = sharded(200);
+    let (allocs_400, bytes_400) = sharded(400);
+    let packets = ops * 2;
+    let per_session_allocs = (allocs_400 - allocs_200) as f64 / 200.0;
+    let per_session_bytes = (bytes_400 - bytes_200) / 200;
+    assert!(
+        per_session_allocs <= (packets + 1) as f64,
+        "a sharded session allocates beyond its {packets} packets: \
+         {per_session_allocs} allocs/session ({allocs_200} → {allocs_400})"
+    );
+    let wire_bytes: u64 = cal
+        .ops
+        .iter()
+        .map(|op| (op.request_bytes + op.response_bytes) as u64)
+        .sum();
+    assert!(
+        per_session_bytes <= 2 * wire_bytes,
+        "a sharded session allocates a histogram-sized block: \
+         {per_session_bytes} bytes/session for {wire_bytes} wire bytes"
     );
 }
