@@ -2,11 +2,27 @@
 //!
 //! This is the arithmetic substrate under [`crate::dh`] and
 //! [`crate::schnorr`]. Numbers are stored as little-endian `u64` limbs with
-//! no leading zero limbs (canonical form). The two performance-critical
-//! paths are schoolbook multiplication and modular exponentiation; the
-//! latter uses Montgomery multiplication (CIOS) for odd moduli, which keeps
-//! 1024-bit DH usable even in debug builds, and falls back to
-//! divide-and-reduce square-and-multiply for even moduli.
+//! no leading zero limbs (canonical form). General arithmetic is the
+//! schoolbook kind (operand-scanning multiplication, Knuth's Algorithm D);
+//! the one performance-critical path is modular exponentiation, where
+//! nearly all of an attestation's host time goes.
+//!
+//! For an odd modulus [`BigUint::modexp`] and [`BigUint::modexp2`] are the
+//! one- and two-term cases of one left-to-right multi-exponentiation in
+//! Montgomery form. Its kernel is `mul_wide`, a dedicated `sqr_wide`
+//! (cross products once, doubled, plus the diagonal) and a shared
+//! `reduce`, all in scratch allocated once per exponentiation. Each
+//! exponent bit costs one squaring shared by all terms; a general base
+//! then multiplies in through a 16-entry table once per 4-bit window, and
+//! a base that is a small power of two — the DH generator 2, the Schnorr
+//! generator 4 — through `k` modular doublings per set bit, O(n) instead
+//! of O(n^2).
+//!
+//! Even moduli fall back to divide-and-reduce square-and-multiply
+//! (`modexp_generic`), which is also the oracle the engine is tested
+//! against. Everything here is variable-time in base and exponent (table
+//! index, skipped zero windows, conditional subtractions): the emulator
+//! has no timing adversary, and the crate must not protect real data.
 
 use crate::error::CryptoError;
 use crate::Result;
@@ -167,6 +183,13 @@ impl BigUint {
     pub fn bit(&self, i: usize) -> bool {
         let (limb, off) = (i / 64, i % 64);
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
+    }
+
+    /// The four exponent bits starting at bit `i`, a multiple of 4.
+    fn window(&self, i: usize) -> usize {
+        self.limbs
+            .get(i / 64)
+            .map_or(0, |l| (l >> (i % 64)) as usize & 0xf)
     }
 
     fn normalize(&mut self) {
@@ -427,28 +450,51 @@ impl BigUint {
 
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses Montgomery multiplication (CIOS) for odd moduli — the common
-    /// case for DH and Schnorr primes — and a generic square-and-multiply
-    /// with explicit reduction otherwise.
+    /// Odd moduli — the common case for DH and Schnorr primes — go through
+    /// the windowed Montgomery engine; even ones through a generic
+    /// square-and-multiply with explicit reduction.
     pub fn modexp(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
+        Self::multi_exp(&[(self, exp)], modulus)
+    }
+
+    /// Double exponentiation `a^ea * b^eb mod modulus` in about the time
+    /// of one: both powers ride the same squarings.
+    pub fn modexp2(
+        a: &BigUint,
+        ea: &BigUint,
+        b: &BigUint,
+        eb: &BigUint,
+        modulus: &BigUint,
+    ) -> Result<BigUint> {
+        Self::multi_exp(&[(a, ea), (b, eb)], modulus)
+    }
+
+    /// The product of `base^exp mod modulus` over `terms`, with every
+    /// exponentiation sharing one chain of squarings.
+    fn multi_exp(terms: &[(&BigUint, &BigUint)], modulus: &BigUint) -> Result<BigUint> {
         if modulus.is_zero() {
             return Err(CryptoError::DivisionByZero);
         }
         if modulus.is_one() {
             return Ok(Self::zero());
         }
-        if exp.is_zero() {
-            return Ok(Self::one());
-        }
-        let base = self.rem(modulus)?;
-        if base.is_zero() {
-            return Ok(Self::zero());
+        // `x^0 = 1` (also for `x = 0`) drops out of the product.
+        let mut reduced = Vec::with_capacity(terms.len());
+        for &(base, exp) in terms.iter().filter(|(_, exp)| !exp.is_zero()) {
+            let base = base.rem(modulus)?;
+            if base.is_zero() {
+                return Ok(Self::zero());
+            }
+            reduced.push((base, exp));
         }
         if modulus.is_even() {
-            return base.modexp_generic(exp, modulus);
+            let mut product = Self::one();
+            for (base, exp) in &reduced {
+                product = product.mod_mul(&base.modexp_generic(exp, modulus)?, modulus)?;
+            }
+            return Ok(product);
         }
-        let mont = Montgomery::new(modulus);
-        Ok(mont.modexp(&base, exp))
+        Ok(Montgomery::new(modulus).multi_exp(&reduced))
     }
 
     fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
@@ -619,14 +665,18 @@ impl PartialOrd for BigUint {
     }
 }
 
-/// Montgomery-form modular arithmetic context for an odd modulus.
+/// Montgomery arithmetic for an odd modulus `n` of `len` limbs, with
+/// `R = 2^(64 * len)`.
 ///
-/// Precomputes `n' = -n^-1 mod 2^64` and `R^2 mod n`, then performs
-/// exponentiation entirely in Montgomery form using the CIOS multiplication
-/// algorithm.
+/// Values are `len`-limb slices below `n`; the kernel (`mul`, `sqr`,
+/// `reduce`) works in place on an accumulator and a caller-owned scratch
+/// `t` of `2 * len` limbs, so an exponentiation allocates a handful of
+/// buffers up front and none per step.
 struct Montgomery {
     n: Vec<u64>,
+    /// `-n^-1 mod 2^64`.
     n_prime: u64,
+    /// `R^2 mod n`, padded to `len` limbs.
     r2: Vec<u64>,
 }
 
@@ -641,82 +691,185 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         let n_prime = inv.wrapping_neg();
-        // R^2 mod n where R = 2^(64 * len).
-        let r2 = BigUint::one()
+        let mut r2 = BigUint::one()
             .shl(n.len() * 64 * 2)
             .rem(modulus)
             .expect("modulus nonzero")
             .limbs;
+        r2.resize(n.len(), 0);
         Montgomery { n, n_prime, r2 }
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod n`.
-    ///
-    /// `a` and `b` are length-`len` limb slices (zero-padded), output too.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let len = self.n.len();
-        let mut t = vec![0u64; len + 2];
-        for &ai in &a[..len] {
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..len {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[len] as u128 + carry;
-            t[len] = s as u64;
-            t[len + 1] = (s >> 64) as u64;
-            // m = t[0] * n' mod 2^64 ; t += m * n ; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
-            for j in 1..len {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[len] as u128 + carry;
-            t[len - 1] = s as u64;
-            t[len] = t[len + 1].wrapping_add((s >> 64) as u64);
-            t[len + 1] = 0;
-        }
-        // Conditional final subtraction. When the overflow limb is set the
-        // borrow out of the subtraction is absorbed by the implicit
-        // 2^(64*len) bit, so a borrow is expected exactly then.
-        let mut out = t[..len].to_vec();
-        let overflow = t[len] != 0;
-        if overflow || ge_limbs(&out, &self.n) {
-            let borrow = sub_limbs_in_place(&mut out, &self.n);
-            debug_assert_eq!(borrow, overflow as u64);
-        }
-        out
+    /// `acc = acc * b * R^-1 mod n`.
+    fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        mul_wide(t, acc, b);
+        self.reduce(acc, t);
     }
 
-    fn modexp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    /// `acc = acc^2 * R^-1 mod n`.
+    fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
+        sqr_wide(t, acc);
+        self.reduce(acc, t);
+    }
+
+    /// Montgomery reduction: `out = t * R^-1 mod n` for a `2 * len`-limb
+    /// `t < n * R` (which it clobbers).
+    fn reduce(&self, out: &mut [u64], t: &mut [u64]) {
         let len = self.n.len();
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(len, 0);
-        let mut r2 = self.r2.clone();
-        r2.resize(len, 0);
-        // Convert to Montgomery form.
-        let base_m = self.mont_mul(&base_limbs, &r2);
-        // one_m = R mod n = mont_mul(1, R^2)
-        let mut one = vec![0u64; len];
-        one[0] = 1;
-        let mut acc = self.mont_mul(&one, &r2);
-        // Left-to-right square-and-multiply.
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
+        let mut top = 0u64;
+        for i in 0..len {
+            let m = t[i].wrapping_mul(self.n_prime);
+            let carry = addmul(&mut t[i..i + len], &self.n, m);
+            let (s, c1) = t[i + len].overflowing_add(carry);
+            let (s, c2) = s.overflowing_add(top);
+            t[i + len] = s;
+            top = (c1 | c2) as u64;
+        }
+        out.copy_from_slice(&t[len..]);
+        self.reduce_once(out, top);
+    }
+
+    /// Brings `acc + overflow * R`, known to be below `2n`, below `n`.
+    /// When the value overflowed `R` the borrow out of the subtraction is
+    /// absorbed by the implicit 2^(64*len) bit.
+    fn reduce_once(&self, acc: &mut [u64], overflow: u64) {
+        if overflow != 0 || ge_limbs(acc, &self.n) {
+            let borrow = sub_limbs_in_place(acc, &self.n);
+            debug_assert_eq!(borrow, overflow);
+        }
+    }
+
+    /// `acc = acc * R^-1 mod n`: out of Montgomery form.
+    fn unscale(&self, acc: &mut [u64], t: &mut [u64]) {
+        let len = self.n.len();
+        t[..len].copy_from_slice(acc);
+        t[len..].fill(0);
+        self.reduce(acc, t);
+    }
+
+    /// `acc = 2 * acc mod n`.
+    fn double(&self, acc: &mut [u64]) {
+        let mut carry = 0u64;
+        for limb in acc.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | carry;
+            carry = next;
+        }
+        self.reduce_once(acc, carry);
+    }
+
+    /// How `base` (nonzero, below `n`) enters [`Self::multi_exp`].
+    fn powers(&self, base: &BigUint, one: &[u64], t: &mut [u64]) -> Powers {
+        if let [limb] = base.limbs[..] {
+            if limb.is_power_of_two() && limb <= MAX_SHIFT_BASE {
+                return Powers::Shift(limb.trailing_zeros());
             }
         }
-        // Convert out of Montgomery form: mont_mul(acc, 1).
-        let res = self.mont_mul(&acc, &one);
-        let mut out = BigUint { limbs: res };
+        let len = self.n.len();
+        let mut table = vec![0u64; 16 * len];
+        table[..len].copy_from_slice(one);
+        table[len..len + base.limbs.len()].copy_from_slice(&base.limbs);
+        self.mul(&mut table[len..2 * len], &self.r2, t);
+        for digit in 2..16 {
+            let (known, rest) = table.split_at_mut(digit * len);
+            rest[..len].copy_from_slice(&known[(digit - 1) * len..]);
+            self.mul(&mut rest[..len], &known[len..2 * len], t);
+        }
+        Powers::Table(table)
+    }
+
+    /// `prod base^exp mod n` over `terms` (bases nonzero and below `n`),
+    /// left to right: one squaring of the accumulator per exponent bit,
+    /// shared by all terms, after which each term multiplies its share in.
+    fn multi_exp(&self, terms: &[(BigUint, &BigUint)]) -> BigUint {
+        let len = self.n.len();
+        let mut t = vec![0u64; 2 * len];
+        // 1 in Montgomery form: R mod n = R^2 * R^-1.
+        let mut acc = self.r2.clone();
+        self.unscale(&mut acc, &mut t);
+        let powers: Vec<Powers> = terms
+            .iter()
+            .map(|(base, _)| self.powers(base, &acc, &mut t))
+            .collect();
+        let bits = terms.iter().map(|(_, exp)| exp.bit_len()).max();
+        for i in (0..bits.unwrap_or(0)).rev() {
+            self.sqr(&mut acc, &mut t);
+            for ((_, exp), powers) in terms.iter().zip(&powers) {
+                match powers {
+                    Powers::Shift(k) if exp.bit(i) => (0..*k).for_each(|_| self.double(&mut acc)),
+                    Powers::Table(table) if i % 4 == 0 && exp.window(i) != 0 => {
+                        self.mul(&mut acc, &table[exp.window(i) * len..][..len], &mut t)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        self.unscale(&mut acc, &mut t);
+        let mut out = BigUint { limbs: acc };
         out.normalize();
         out
     }
+}
+
+/// How one base of [`Montgomery::multi_exp`] is multiplied in.
+enum Powers {
+    /// The base is `2^k`: multiplying by it is `k` modular doublings,
+    /// O(len) each, done bit by bit after each squaring.
+    Shift(u32),
+    /// Montgomery forms of `base^0 ..= base^15`, `len` limbs each, for a
+    /// fixed 4-bit window: one multiplication per four exponent bits.
+    Table(Vec<u64>),
+}
+
+/// Largest power-of-two base taken as [`Powers::Shift`]. An exponent bit
+/// costs `k` doublings there against a quarter of a multiplication in a
+/// table, which at DH widths breaks even near `k = 10`; the workspace's
+/// generators are 2 and 4.
+const MAX_SHIFT_BASE: u64 = 1 << 8;
+
+/// `t = a * b` for `len`-limb `a`, `b` and `2 * len`-limb `t`.
+fn mul_wide(t: &mut [u64], a: &[u64], b: &[u64]) {
+    let len = a.len();
+    t[..len].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        t[i + len] = addmul(&mut t[i..i + len], b, ai);
+    }
+}
+
+/// `t = a^2`: each cross product `a[i] * a[j]`, `i < j`, is formed once,
+/// their sum doubled and the squares `a[i]^2` added on the way — about
+/// half the limb products of [`mul_wide`].
+fn sqr_wide(t: &mut [u64], a: &[u64]) {
+    let len = a.len();
+    t[..len].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        t[i + len] = addmul(&mut t[2 * i + 1..i + len], &a[i + 1..], ai);
+    }
+    let (mut shifted_out, mut carry) = (0u64, 0u64);
+    for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+        let square = ai as u128 * ai as u128;
+        let lo = (pair[0] << 1) | shifted_out;
+        let hi = (pair[1] << 1) | (pair[0] >> 63);
+        shifted_out = pair[1] >> 63;
+        let s = lo as u128 + (square as u64) as u128 + carry as u128;
+        pair[0] = s as u64;
+        let s = hi as u128 + (square >> 64) + (s >> 64);
+        pair[1] = s as u64;
+        carry = (s >> 64) as u64;
+    }
+    debug_assert_eq!((shifted_out, carry), (0, 0));
+}
+
+/// `row += a * b`, returning the carry out of the top limb of `row`.
+#[inline(always)]
+fn addmul(row: &mut [u64], b: &[u64], a: u64) -> u64 {
+    let mut carry = 0u64;
+    for (r, &bj) in row.iter_mut().zip(b) {
+        let s = *r as u128 + a as u128 * bj as u128 + carry as u128;
+        *r = s as u64;
+        carry = (s >> 64) as u64;
+    }
+    carry
 }
 
 fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
@@ -748,7 +901,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn b(v: u64) -> BigUint {
+    pub(super) fn b(v: u64) -> BigUint {
         BigUint::from_u64(v)
     }
 
@@ -1048,6 +1201,188 @@ mod primality_tests {
                 "{}-bit (p-1)/2 must be prime",
                 group.bits
             );
+        }
+    }
+}
+
+/// The exponentiation engine at the widths that run (12 to 32 limbs),
+/// held to `modexp_generic` — divide-and-reduce square-and-multiply that
+/// shares no code with the Montgomery kernel.
+#[cfg(test)]
+mod engine_tests {
+    use super::tests::b;
+    use super::*;
+    use crate::dh::DhGroup;
+    use proptest::prelude::*;
+
+    fn oracle(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        base.rem(m).unwrap().modexp_generic(exp, m).unwrap()
+    }
+
+    fn oracle2(a: &BigUint, ea: &BigUint, b: &BigUint, eb: &BigUint, m: &BigUint) -> BigUint {
+        oracle(a, ea, m).mod_mul(&oracle(b, eb, m), m).unwrap()
+    }
+
+    /// The four MODP primes (top and bottom limbs all ones) and a 13-limb
+    /// odd modulus whose lowest limb is 1, so `n' = -1`.
+    fn wide_moduli() -> Vec<BigUint> {
+        let mut limbs = vec![0x0123_4567_89ab_cdef_u64; 13];
+        limbs[0] = 1;
+        limbs[12] = u64::MAX;
+        vec![
+            DhGroup::modp768().p,
+            DhGroup::modp1024().p,
+            DhGroup::modp1536().p,
+            DhGroup::modp2048().p,
+            BigUint { limbs },
+        ]
+    }
+
+    #[test]
+    fn modexp_matches_generic_on_edge_operands() {
+        let one = BigUint::one();
+        for m in wide_moduli() {
+            let bases = [
+                BigUint::zero(),
+                one.clone(),
+                b(2),
+                b(4),
+                // One-limb powers of two at and beyond MAX_SHIFT_BASE, and a
+                // many-limb one: the last three take the table.
+                b(MAX_SHIFT_BASE),
+                b(MAX_SHIFT_BASE << 1),
+                b(1 << 63),
+                one.shl(200),
+                m.checked_sub(&one).unwrap(),
+                m.clone(),
+                m.add(&b(4)),
+                m.shl(70).add(&b(3)),
+            ];
+            let exps = [
+                BigUint::zero(),
+                one.clone(),
+                b(2),
+                one.shl(64),
+                one.shl(m.bit_len() - 1),
+                m.checked_sub(&b(2)).unwrap(),
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    assert_eq!(
+                        base.modexp(exp, &m).unwrap(),
+                        oracle(base, exp, &m),
+                        "{base:?} ^ {exp:?} mod {m:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modexp2_handles_zero_bases_exponents_and_degenerate_moduli() {
+        let m = DhGroup::modp1024().p;
+        let (g, y) = (b(4), m.shr(3).add(&b(12345)));
+        let (s, e) = (m.checked_sub(&b(2)).unwrap(), m.shr(1));
+        let zero = BigUint::zero();
+        for (a, ea, bb, eb) in [
+            (&g, &s, &y, &e),
+            (&y, &e, &g, &s),
+            (&y, &s, &y, &e),
+            (&g, &zero, &y, &e),
+            (&g, &s, &y, &zero),
+            (&g, &zero, &y, &zero),
+            (&zero, &s, &y, &e),
+            (&g, &s, &zero, &e),
+            // 0^0 = 1, as in `modexp`.
+            (&zero, &zero, &y, &e),
+            (&g, &s, &m, &zero),
+        ] {
+            assert_eq!(
+                BigUint::modexp2(a, ea, bb, eb, &m).unwrap(),
+                oracle2(a, ea, bb, eb, &m),
+                "{a:?} ^ {ea:?} * {bb:?} ^ {eb:?}"
+            );
+        }
+        // Even modulus: 3^4 * 7^5 mod 100 = 81 * 7 mod 100.
+        assert_eq!(
+            BigUint::modexp2(&b(3), &b(4), &b(7), &b(5), &b(100)).unwrap(),
+            b(67)
+        );
+        assert!(BigUint::modexp2(&g, &s, &y, &e, &BigUint::one())
+            .unwrap()
+            .is_zero());
+        assert!(BigUint::modexp2(&g, &s, &y, &e, &zero).is_err());
+    }
+
+    #[test]
+    fn sqr_wide_matches_mul_wide_on_all_ones() {
+        // (R - 1)^2 carries through every limb of the doubling pass and
+        // of the diagonal; scratch comes in dirty, as it does mid-chain.
+        for len in 1..=33 {
+            let a = vec![u64::MAX; len];
+            let (mut squared, mut product) = (vec![0xdead_u64; 2 * len], vec![0xbeef_u64; 2 * len]);
+            sqr_wide(&mut squared, &a);
+            mul_wide(&mut product, &a, &a);
+            assert_eq!(squared, product, "{len} limbs");
+            let a = BigUint { limbs: a };
+            assert_eq!(squared, a.mul(&a).limbs, "{len} limbs");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_modexp_matches_generic_at_dh_widths(
+            mut modbytes in proptest::collection::vec(any::<u8>(), 96..257),
+            base in proptest::collection::vec(any::<u8>(), 0..264),
+            exp in proptest::collection::vec(any::<u8>(), 0..257),
+            shape in 0u8..4,
+        ) {
+            // Odd, full width (768 to 2 048 bits); `shape` forces the top
+            // limb to all ones and/or the lowest limb to 1.
+            let last = modbytes.len() - 1;
+            modbytes[0] |= 0x80;
+            modbytes[last] |= 1;
+            if shape & 1 != 0 {
+                modbytes[..8].fill(0xff);
+            }
+            if shape & 2 != 0 {
+                modbytes[last - 7..last].fill(0);
+                modbytes[last] = 1;
+            }
+            let m = BigUint::from_bytes_be(&modbytes);
+            let base = BigUint::from_bytes_be(&base);
+            let exp = BigUint::from_bytes_be(&exp);
+            prop_assert_eq!(base.modexp(&exp, &m).unwrap(), oracle(&base, &exp, &m));
+        }
+
+        #[test]
+        fn prop_modexp2_is_the_product_of_two_modexps(
+            a in proptest::collection::vec(any::<u8>(), 0..140),
+            ea in proptest::collection::vec(any::<u8>(), 0..130),
+            shift in 0u32..10,
+            eb in proptest::collection::vec(any::<u8>(), 0..130),
+            mut modbytes in proptest::collection::vec(any::<u8>(), 1..129),
+        ) {
+            // One random base against one small power of two, as `verify`
+            // pairs them; exponents of unequal length; odd modulus > 1.
+            *modbytes.last_mut().unwrap() |= 1;
+            let m = BigUint::from_bytes_be(&modbytes);
+            prop_assume!(!m.is_one());
+            let (a, ea) = (BigUint::from_bytes_be(&a), BigUint::from_bytes_be(&ea));
+            let (pow2, eb) = (b(1 << shift), BigUint::from_bytes_be(&eb));
+            let expected = oracle2(&a, &ea, &pow2, &eb, &m);
+            prop_assert_eq!(BigUint::modexp2(&a, &ea, &pow2, &eb, &m).unwrap(), expected.clone());
+            prop_assert_eq!(BigUint::modexp2(&pow2, &eb, &a, &ea, &m).unwrap(), expected);
+        }
+
+        #[test]
+        fn prop_sqr_wide_matches_mul_wide(a in proptest::collection::vec(any::<u64>(), 1..34)) {
+            let (mut squared, mut product) = (vec![0u64; 2 * a.len()], vec![0u64; 2 * a.len()]);
+            sqr_wide(&mut squared, &a);
+            mul_wide(&mut product, &a, &a);
+            prop_assert_eq!(squared, product);
         }
     }
 }

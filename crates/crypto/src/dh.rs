@@ -169,6 +169,29 @@ mod tests {
         assert_eq!(s1.len(), group.element_len());
     }
 
+    /// Public value and shared secret for this seed, generated with the
+    /// binary square-and-multiply `modexp` that the windowed engine
+    /// replaced: how a power is computed changes no number.
+    #[test]
+    fn known_answer_1024() {
+        const PUBLIC: &str = "cfc124945e2ccc0fcb31a0b5f8a5eff54d6b9421a5c054db7d7bdd14b956578f\
+            33ac0a1e539235ee0933bd985023d0fa4e609591c00e81b7a254dfcc0caf2d0f\
+            90bca18a9f78664a1fcb871507652ad5d1587ba5a117a18a9af0eeb8c0890cb1\
+            21b07f91506756b92aab238db72579bf81180d7d4a0082977757f0ce785fedd5";
+        const SHARED: &str = "aa0c754f9d6bfc4088119e2e2c9b66edf5d21a6a41fcc2e4d44c1cc04eed4186\
+            ec2be30a9b77fd57f67f863a24cdf79d8369f97fe2d694d6dd82c836fc5b4ed2\
+            ae7aa70a7ac564573306e67a5799f2fa5d85bba0c59bc34d3a5a9348d81074d2\
+            041b31e53ac6750ac7a26c8e898f9fc03e58f1ee07b70f69683adfa039e43d2d";
+        let group = DhGroup::modp1024();
+        let mut rng = SecureRng::seed_from_u64(13);
+        let alice = DhKeyPair::generate(&group, &mut rng).unwrap();
+        let bob = DhKeyPair::generate(&group, &mut rng).unwrap();
+        let shared = BigUint::from_hex(SHARED).unwrap().to_bytes_be();
+        assert_eq!(alice.public, BigUint::from_hex(PUBLIC).unwrap());
+        assert_eq!(alice.shared_secret(&bob.public).unwrap(), shared);
+        assert_eq!(bob.shared_secret(&alice.public).unwrap(), shared);
+    }
+
     #[test]
     fn key_exchange_via_bytes() {
         let group = DhGroup::modp768();

@@ -176,10 +176,8 @@ impl VerifyingKey {
             return Err(CryptoError::VerificationFailed("signature scalar range"));
         }
         // r' = g^s * y^(q - e) mod p  (y^-e == y^(q-e) since ord(y) | q)
-        let gs = g.g.modexp(&sig.s, &g.p)?;
         let neg_e = g.q.checked_sub(&sig.e)?;
-        let ye = self.y.modexp(&neg_e, &g.p)?;
-        let r = gs.mod_mul(&ye, &g.p)?;
+        let r = BigUint::modexp2(&g.g, &sig.s, &self.y, &neg_e, &g.p)?;
         let e = g.challenge(&r, &self.y, msg)?;
         if e == sig.e {
             Ok(())
@@ -197,7 +195,10 @@ impl VerifyingKey {
     /// Reconstructs a verifying key from bytes in a known group.
     pub fn from_bytes(group: &SchnorrGroup, bytes: &[u8]) -> Result<Self> {
         let y = BigUint::from_bytes_be(bytes);
-        if y.is_zero() || y.cmp_to(&group.p) != core::cmp::Ordering::Less {
+        let p_minus_1 = group.p.checked_sub(&BigUint::one())?;
+        // 1 and p-1 have orders 1 and 2: `verify`'s y^(q-e) = y^-e does
+        // not hold for them, and under y = 1 every `s` verifies.
+        if y.is_zero() || y.is_one() || y.cmp_to(&p_minus_1) != core::cmp::Ordering::Less {
             return Err(CryptoError::InvalidParameter("public key out of range"));
         }
         Ok(VerifyingKey {
@@ -298,6 +299,47 @@ mod tests {
         assert!(VerifyingKey::from_bytes(&group, &[]).is_err());
         let p_bytes = group.p.to_bytes_be();
         assert!(VerifyingKey::from_bytes(&group, &p_bytes).is_err());
+    }
+
+    #[test]
+    fn verifying_key_rejects_low_order_elements() {
+        let group = SchnorrGroup::small();
+        let p_minus_1 = group.p.checked_sub(&BigUint::one()).unwrap();
+        for y in [BigUint::one(), p_minus_1] {
+            assert!(VerifyingKey::from_bytes(&group, &y.to_bytes_be()).is_err());
+        }
+        let two = BigUint::from_u64(2);
+        let y = group.p.checked_sub(&two).unwrap();
+        assert!(VerifyingKey::from_bytes(&group, &two.to_bytes_be()).is_ok());
+        assert!(VerifyingKey::from_bytes(&group, &y.to_bytes_be()).is_ok());
+    }
+
+    /// Key and signature for this seed and message, generated with the
+    /// binary square-and-multiply `modexp` (two exponentiations and a
+    /// `mod_mul` per `verify`) that the windowed engine replaced.
+    #[test]
+    fn known_answer_1024() {
+        const Y: &str = "88aea92b59b48a50c22493fa941be83849dd5e571cb910279db3036d1817566e\
+            17177329f828c56887a6c60eb224271018878c01df172b079530ef51ced76829\
+            cdfdcaf9044f20ab40fbbe1e768b3076cf19262c4b5a807779be070d9c8a1f20\
+            03e952c963ce3a1659bcdbb63fabed76bf06ac9eff8200d0bdb7e03bc50b9ba3";
+        const E: &str = "edf8d0b879024d0d2757216cdfd383762bdaf29bb9ce8e9760a0b9c0f8dacd30";
+        const S: &str = "5d7a7a3024f550355d4f7921c6616af6378127a4e4a26c6ed165d6cee288dcc0\
+            873d36097301ca6c6cd8d60c3ff3bf7d6893b3367699e82c6b7b1259032bb1eb\
+            8b72ee94b2517efabdce3eb378ef16d9ab34c7d3654da63f1594305cfe4c8145\
+            ad86ed891d21e9942b73f1ff75e76bec01b2c8223c04a20f7073ef32e74bcb64";
+        let mut rng = SecureRng::seed_from_u64(13);
+        let key = SigningKey::generate(&SchnorrGroup::standard(), &mut rng).unwrap();
+        let sig = key.sign(b"teenet known answer", &mut rng).unwrap();
+        let hex = |digits: &str| BigUint::from_hex(digits).unwrap();
+        assert_eq!(key.public.y, hex(Y));
+        let expected = Signature {
+            e: hex(E),
+            s: hex(S),
+        };
+        assert_eq!(sig, expected);
+        key.public.verify(b"teenet known answer", &sig).unwrap();
+        assert!(key.public.verify(b"teenet unknown answer", &sig).is_err());
     }
 
     #[test]
