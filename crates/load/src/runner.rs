@@ -1,9 +1,9 @@
 //! The virtual-time load engine.
 //!
 //! Replays a calibrated per-session operation script ([`Calibration`])
-//! against a simulated server at scale. The engine owns a driver event
-//! heap (arrivals, service completions, retransmission timeouts) and
-//! interleaves it with `teenet-netsim` deliveries via
+//! against a simulated server at scale. The engine owns the driver events
+//! (arrivals, service completions, retransmission timeouts) and
+//! interleaves them with `teenet-netsim` deliveries via
 //! [`Network::next_event_at`], so every network leg pays real latency,
 //! bandwidth serialisation, FIFO queueing and (optionally) faults, while
 //! service time derives from the calibrated SGX cycle cost at a fixed
@@ -17,25 +17,33 @@
 //! cache per session so a retransmitted request whose response was lost
 //! does not pay the service cost twice.
 //!
+//! ## Frames and queues
+//!
+//! A frame is the 24-byte header followed by zeros up to the op's
+//! calibrated size; the engine sends the header and tells `netsim` how
+//! long the zeros are (`frame`), so a packet costs 24 bytes of memory
+//! whatever its length on the wire. Driver events pop in `(time, seq)`
+//! order from a `DriverQueue`, whose timeouts skip the heap.
+//!
 //! ## Streaming vs. reference replay
 //!
 //! The default engine is *streaming*: sessions are generated lazily from
 //! the arrival process, live in a recycled slab of slots sized by the
-//! number of *concurrently live* sessions, and are retired (slot and
-//! scratch buffer returned to the pool) the moment they complete or fail.
-//! Open-loop arrivals are scheduled one at a time — only the next pending
-//! arrival ever sits in the heap — so driving N sessions costs
-//! O(live sessions) memory, not O(N). Session identity is the global
-//! session index, carried in the wire header and in the slot, so slot
-//! reuse is invisible to every observable: reports are byte-identical to
-//! the retained engine's.
+//! number of *concurrently live* sessions, and are retired (slot returned
+//! to the pool) the moment they complete or fail. Open-loop arrivals are
+//! scheduled one at a time — only the next pending arrival is ever queued
+//! — so driving N sessions costs O(live sessions) memory, not O(N).
+//! Session identity is the global session index, carried in the wire
+//! header and in the slot index, so slot reuse is invisible to every
+//! observable: reports are byte-identical to the retained engine's.
 //!
-//! [`LoadRunner::run_reference`] keeps the pre-streaming *retained*
-//! engine: every session materialised in a `Vec` for the whole run and
-//! every open-loop arrival heap-loaded at t=0. It exists as the
-//! equivalence oracle (`tests/loadgen_streaming_equiv.rs` and the
-//! proptest below hold the two byte-identical) and costs O(N) memory by
-//! design.
+//! [`LoadRunner::run_reference`] keeps the *retained* engine: every
+//! session materialised in a `Vec` for the whole run and every open-loop
+//! arrival queued at t=0. It exists as the equivalence oracle
+//! (`tests/loadgen_streaming_equiv.rs` and the proptest below hold the two
+//! byte-identical) and costs O(N) memory by design. The two differ only
+//! in where sessions live and when arrivals are queued; framing, queues
+//! and event handlers are shared.
 //!
 //! Event-order equivalence of the two paths is by construction: driver
 //! events order by `(time, seq)`, and both paths assign the *same* seq to
@@ -45,14 +53,13 @@
 //! start the shared counter for non-arrival events at `sessions`. Since
 //! arrival times strictly increase, arrival `i+1` is always scheduled
 //! (while handling arrival `i`) before any event ordered after it can
-//! fire, so lazy insertion never reorders the heap.
+//! fire, so lazy insertion never reorders the queue.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use bytes::Bytes;
 use teenet_crypto::SecureRng;
 use teenet_netsim::{FaultConfig, LinkConfig, Network, NodeId, SimDuration, SimTime};
 use teenet_sgx::cost::CostModel;
@@ -184,6 +191,65 @@ impl PartialOrd for DriverEvent {
     }
 }
 
+/// The engine's pending driver events, popped in `(at, seq)` order.
+///
+/// Retransmission timeouts are the bulk of the events and are born sorted:
+/// every one is pushed at `now + timeout` with `now` non-decreasing, the
+/// timeout fixed for the engine's life and `seq` increasing, so their push
+/// order *is* their `(at, seq)` order and a FIFO holds them. Everything
+/// else (arrivals, service completions) goes through the heap. The next
+/// event is the smaller of the two heads — the exact order one heap of all
+/// events pops in, without two O(log n) sifts per request for a timeout
+/// that nearly always expires stale.
+#[derive(Default)]
+struct DriverQueue {
+    heap: BinaryHeap<Reverse<DriverEvent>>,
+    timeouts: VecDeque<DriverEvent>,
+}
+
+impl DriverQueue {
+    fn push(&mut self, event: DriverEvent) {
+        if matches!(event.ev, Ev::Timeout { .. }) {
+            debug_assert!(
+                self.timeouts.back().is_none_or(|last| *last < event),
+                "timeouts must be pushed in (at, seq) order"
+            );
+            self.timeouts.push_back(event);
+        } else {
+            self.heap.push(Reverse(event));
+        }
+    }
+
+    /// When the next event fires.
+    fn next_at(&self) -> Option<SimTime> {
+        let heap = self.heap.peek().map(|Reverse(e)| e.at);
+        let fifo = self.timeouts.front().map(|e| e.at);
+        heap.into_iter().chain(fifo).min()
+    }
+
+    fn pop(&mut self) -> Option<DriverEvent> {
+        let fifo_first = match (self.heap.peek(), self.timeouts.front()) {
+            (Some(Reverse(h)), Some(t)) => t < h,
+            (None, _) => true,
+            (Some(_), None) => false,
+        };
+        if fifo_first {
+            self.timeouts.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + self.timeouts.len()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.timeouts.clear();
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Session {
     arrived_at: SimTime,
@@ -212,24 +278,18 @@ pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// Frames `(session, op, attempt)` plus zero padding to `len` into `buf`,
-/// reusing its capacity. The wire format of [`encode`], allocation-free
-/// once the buffer has grown to the scenario's largest frame.
-fn encode_into(buf: &mut Vec<u8>, session: u64, op: u32, attempt: u32, len: usize) {
-    buf.clear();
-    buf.resize(len.max(HEADER_LEN), 0);
+/// A frame of `bytes` on the wire (never less than a header) for
+/// `(session, op, attempt)`: the header, and how many zeros follow it.
+/// Nothing reads the zeros and the checksum does not cover them, so they
+/// travel as padding `netsim` accounts for without storing.
+fn frame(session: u64, op: u32, attempt: u32, bytes: usize) -> ([u8; HEADER_LEN], usize) {
+    let mut buf = [0u8; HEADER_LEN];
     buf[0..8].copy_from_slice(&session.to_le_bytes());
     buf[8..12].copy_from_slice(&op.to_le_bytes());
     buf[12..16].copy_from_slice(&attempt.to_le_bytes());
     let sum = fnv1a(&buf[0..16]);
     buf[16..24].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// Frames into a fresh allocation — the retained reference engine's path.
-fn encode(session: u64, op: u32, attempt: u32, len: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(&mut buf, session, op, attempt, len);
-    buf
+    (buf, bytes.max(HEADER_LEN) - HEADER_LEN)
 }
 
 fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
@@ -258,22 +318,13 @@ pub struct EngineStats {
     /// count.
     pub peak_live_sessions: u64,
     /// Most driver events (arrivals, service completions, timeouts) ever
-    /// queued at once. Streaming open loop holds a single pending arrival
-    /// plus O(live) timeouts; the retained path heap-loads every arrival
-    /// at t=0.
+    /// queued at once, heap and timeout queue together. Streaming open
+    /// loop holds a single pending arrival plus O(live) timeouts; the
+    /// retained path queues every arrival at t=0.
     pub peak_heap_events: u64,
     /// Distinct session slots ever allocated (streaming only): how well
     /// retirement recycles. Retained reference reports 0.
     pub slots_allocated: u64,
-}
-
-/// One live session's storage: its protocol state and the scratch buffer
-/// every frame it sends is built in (its global identity is the key the
-/// [`SlotIndex`] finds it by). Recycled, with the scratch capacity, when
-/// the slot is reused by a later session.
-struct Slot {
-    sess: Session,
-    scratch: Vec<u8>,
 }
 
 /// Where the engine keeps session state: the streaming slab (O(live))
@@ -282,7 +333,7 @@ struct Slot {
 enum SessionTable {
     Retained(Vec<Session>),
     Slab {
-        slots: Vec<Slot>,
+        slots: Vec<Session>,
         free: Vec<u32>,
         /// Session id → slot; holds only live sessions.
         index: SlotIndex,
@@ -291,7 +342,7 @@ enum SessionTable {
 
 /// Session id → slot number: std's flat open-addressed table behind a
 /// one-multiply hasher instead of a tree walk or SipHash — every handler
-/// resolves its session several times per packet. Deterministic (no
+/// resolves its session through it. Deterministic (no
 /// `RandomState`; iteration order is never used) and O(peak live sessions).
 type SlotIndex = HashMap<u64, u32, BuildHasherDefault<IdHasher>>;
 
@@ -318,7 +369,7 @@ impl Hasher for IdHasher {
 
 impl SessionTable {
     /// Inserts a newly arrived session; returns the live count after.
-    fn insert(&mut self, id: u64, sess: Session, frame_cap: usize, allocated: &mut u64) -> u64 {
+    fn insert(&mut self, id: u64, sess: Session, allocated: &mut u64) -> u64 {
         match self {
             SessionTable::Retained(v) => {
                 debug_assert_eq!(v.len() as u64, id);
@@ -328,15 +379,12 @@ impl SessionTable {
             SessionTable::Slab { slots, free, index } => {
                 let slot = match free.pop() {
                     Some(i) => {
-                        slots[i as usize].sess = sess;
+                        slots[i as usize] = sess;
                         i
                     }
                     None => {
                         *allocated += 1;
-                        slots.push(Slot {
-                            sess,
-                            scratch: Vec::with_capacity(frame_cap),
-                        });
+                        slots.push(sess);
                         (slots.len() - 1) as u32
                     }
                 };
@@ -346,47 +394,22 @@ impl SessionTable {
         }
     }
 
-    fn get(&self, id: u64) -> Option<&Session> {
-        match self {
-            SessionTable::Retained(v) => usize::try_from(id).ok().and_then(|i| v.get(i)),
-            SessionTable::Slab { slots, index, .. } => {
-                index.get(&id).map(|&i| &slots[i as usize].sess)
-            }
-        }
-    }
-
     fn get_mut(&mut self, id: u64) -> Option<&mut Session> {
         match self {
             SessionTable::Retained(v) => usize::try_from(id).ok().and_then(|i| v.get_mut(i)),
             SessionTable::Slab { slots, index, .. } => {
-                index.get(&id).map(|&i| &mut slots[i as usize].sess)
+                index.get(&id).map(|&i| &mut slots[i as usize])
             }
         }
     }
 
-    /// Frames a message for `id` as wire bytes. Streaming: built in the
-    /// session's pooled scratch buffer (no per-message `Vec`). Retained:
-    /// a fresh allocation, exactly as the pre-streaming engine framed.
-    fn frame(&mut self, id: u64, op: u32, attempt: u32, len: usize) -> Option<Bytes> {
-        match self {
-            SessionTable::Retained(_) => Some(Bytes::from(encode(id, op, attempt, len))),
-            SessionTable::Slab { slots, index, .. } => {
-                let &slot = index.get(&id)?;
-                let scratch = &mut slots[slot as usize].scratch;
-                encode_into(scratch, id, op, attempt, len);
-                Some(Bytes::copy_from_slice(scratch))
-            }
-        }
-    }
-
-    /// Returns a finished session's slot (and scratch capacity) to the
-    /// pool. Stale events looking the id up afterwards find nothing and
-    /// are dropped — observationally identical to the retained path's
-    /// `done`/`failed` flag checks. No-op for the retained table.
+    /// Returns a finished session's slot to the pool. Stale events looking
+    /// the id up afterwards find nothing and are dropped — observationally
+    /// identical to the retained path's `done`/`failed` flag checks. No-op
+    /// for the retained table.
     fn retire(&mut self, id: u64) {
-        if let SessionTable::Slab { slots, free, index } = self {
+        if let SessionTable::Slab { free, index, .. } = self {
             if let Some(slot) = index.remove(&id) {
-                slots[slot as usize].scratch.clear();
                 free.push(slot);
             }
         }
@@ -406,18 +429,17 @@ pub(crate) struct Engine<'a> {
     net: Network,
     server: NodeId,
     client_nodes: Vec<NodeId>,
-    heap: BinaryHeap<Reverse<DriverEvent>>,
+    queue: DriverQueue,
     next_seq: u64,
     table: SessionTable,
     /// Streaming open loop schedules arrivals one ahead; every other
     /// combination heap-loads what [`ArrivalProcess`] hands out up front.
     lazy_arrivals: bool,
-    /// Pre-sized capacity for per-slot scratch buffers (largest frame of
-    /// the calibrated script).
-    frame_cap: usize,
     arrivals: ArrivalProcess,
     /// Earliest-free time per service worker.
     workers: Vec<SimTime>,
+    /// Service time of each op of the script at this run's clock rate.
+    service: Vec<SimDuration>,
     timeout: SimDuration,
     /// Every outcome accumulator, extracted into one mergeable value so
     /// the sharded runner can combine per-shard engines.
@@ -543,8 +565,9 @@ impl<'a> Engine<'a> {
         table: SessionTable,
     ) -> Self {
         let mut net = Network::new(cfg.seed ^ 0x6e65_7473_696d); // "netsim"
-                                                                 // The engine never reads the packet trace; recording it would be
-                                                                 // the one remaining O(total packets) buffer in a streaming run.
+
+        // The engine never reads the packet trace; recording it would be
+        // the one remaining O(total packets) buffer in a streaming run.
         net.set_tracing(false);
         let server = net.add_node();
         let clients = cfg.clients.max(1);
@@ -563,12 +586,12 @@ impl<'a> Engine<'a> {
 
         // Retransmission timeout: a full round trip plus the slowest op's
         // service time, with 4× headroom for queueing, unless pinned.
-        let slowest_op = cal
+        let service: Vec<SimDuration> = cal
             .ops
             .iter()
-            .map(|op| op.service_nanos(model, cfg.clock_hz))
-            .max()
-            .unwrap_or(0);
+            .map(|op| SimDuration(op.service_nanos(model, cfg.clock_hz)))
+            .collect();
+        let slowest_op = service.iter().max().map_or(0, |d| d.as_nanos());
         let timeout = cfg.timeout.unwrap_or_else(|| {
             SimDuration(
                 (2 * cfg.latency.as_nanos() + slowest_op)
@@ -585,16 +608,16 @@ impl<'a> Engine<'a> {
             net,
             server,
             client_nodes,
-            heap: BinaryHeap::new(),
+            queue: DriverQueue::default(),
             // Open-loop arrival i is pinned to seq i in both engine
             // paths; the shared counter for everything else therefore
             // starts past the arrival block.
             next_seq: if lazy_arrivals { cfg.sessions } else { 0 },
             table,
             lazy_arrivals,
-            frame_cap: cal.max_frame_bytes(),
             arrivals: arrival_process(cfg, cal, model, cfg.seed),
             workers: vec![SimTime::ZERO; cfg.workers.max(1) as usize],
+            service,
             timeout,
             metrics: RunMetrics::new(),
             stats: EngineStats::default(),
@@ -606,8 +629,8 @@ impl<'a> Engine<'a> {
     }
 
     fn push_raw(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        self.heap.push(Reverse(DriverEvent { at, seq, ev }));
-        self.stats.peak_heap_events = self.stats.peak_heap_events.max(self.heap.len() as u64);
+        self.queue.push(DriverEvent { at, seq, ev });
+        self.stats.peak_heap_events = self.stats.peak_heap_events.max(self.queue.len() as u64);
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
@@ -644,7 +667,7 @@ impl<'a> Engine<'a> {
     /// so a response arriving at time t beats a timeout firing at t.
     pub(crate) fn drain(&mut self) {
         loop {
-            let drv = self.heap.peek().map(|Reverse(e)| e.at);
+            let drv = self.queue.next_at();
             let net = self.net.next_event_at();
             match (drv, net) {
                 (None, None) => break,
@@ -676,7 +699,7 @@ impl<'a> Engine<'a> {
 
     fn step_driver(&mut self, at: SimTime) {
         self.net.run_until(at);
-        let Some(Reverse(event)) = self.heap.pop() else {
+        let Some(event) = self.queue.pop() else {
             return;
         };
         match event.ev {
@@ -694,44 +717,34 @@ impl<'a> Engine<'a> {
         if self.lazy_arrivals {
             self.schedule_next_arrival();
         }
-        let client = self.client_nodes[(session % self.client_nodes.len() as u64) as usize];
-        let live = self.table.insert(
-            session,
-            Session {
-                arrived_at: at,
-                client,
-                op: 0,
-                attempt: 0,
-                serviced_through: None,
-                in_service: None,
-                done: false,
-                failed: false,
-            },
-            self.frame_cap,
-            &mut self.stats.slots_allocated,
-        );
+        let sess = Session {
+            arrived_at: at,
+            client: self.client_nodes[(session % self.client_nodes.len() as u64) as usize],
+            op: 0,
+            attempt: 0,
+            serviced_through: None,
+            in_service: None,
+            done: false,
+            failed: false,
+        };
+        let live = self
+            .table
+            .insert(session, sess, &mut self.stats.slots_allocated);
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
-        self.send_request(session);
+        self.send_request(session, sess);
     }
 
-    /// Transmits the current op's request for `session` and arms its
-    /// retransmission timeout.
-    fn send_request(&mut self, session: u64) {
-        let Some(sess) = self.table.get(session).copied() else {
-            return;
-        };
+    /// Transmits the request of the op `session` is at and arms its
+    /// retransmission timeout. `sess` is the session's state as the caller
+    /// just read or wrote it: every handler resolves its session in the
+    /// table once and hands the result on.
+    fn send_request(&mut self, session: u64, sess: Session) {
         let op = &self.cal.ops[sess.op as usize];
         if sess.attempt == 0 {
             self.metrics.steady_client.fold(op.client);
         }
-        let request_bytes = op.request_bytes;
-        let Some(payload) = self
-            .table
-            .frame(session, sess.op, sess.attempt, request_bytes)
-        else {
-            return;
-        };
-        self.net.send(sess.client, self.server, payload);
+        let (header, pad) = frame(session, sess.op, sess.attempt, op.request_bytes);
+        self.net.send_padded(sess.client, self.server, header, pad);
         self.push(
             self.net.now() + self.timeout,
             Ev::Timeout {
@@ -746,7 +759,7 @@ impl<'a> Engine<'a> {
         // A miss is a session not yet arrived (stray bytes) or already
         // retired — either way the datagram is stale and dropped, exactly
         // as the retained path's done/failed guards drop it.
-        let Some(sess) = self.table.get(session).copied() else {
+        let Some(sess) = self.table.get_mut(session) else {
             return;
         };
         if sess.done || sess.failed || op != sess.op {
@@ -758,11 +771,12 @@ impl<'a> Engine<'a> {
         if sess.serviced_through.is_some_and(|t| t >= op) {
             // Serviced before but the response was lost: resend from the
             // idempotent cache without paying the service cost again.
-            self.send_response(session, op);
+            let client = sess.client;
+            self.send_response(client, session, op);
             return;
         }
+        sess.in_service = Some(op);
         // Earliest-free worker, lowest index on ties (deterministic).
-        let profile = self.cal.ops[op as usize];
         let (widx, _) = self
             .workers
             .iter()
@@ -770,11 +784,9 @@ impl<'a> Engine<'a> {
             .min_by_key(|(i, t)| (**t, *i))
             .expect("workers is non-empty");
         let start = self.workers[widx].max(at);
-        let done_at = start + SimDuration(profile.service_nanos(self.model, self.cfg.clock_hz));
+        let done_at = start + self.service[op as usize];
         self.workers[widx] = done_at;
-        if let Some(sess) = self.table.get_mut(session) {
-            sess.in_service = Some(op);
-        }
+        let profile = &self.cal.ops[op as usize];
         self.metrics.steady_server.fold(profile.server);
         self.metrics.transitions.merge(profile.transitions);
         self.push(done_at, Ev::ServiceDone { session, op });
@@ -789,70 +801,57 @@ impl<'a> Engine<'a> {
         }
         sess.in_service = None;
         sess.serviced_through = Some(op);
-        self.send_response(session, op);
+        let client = sess.client;
+        self.send_response(client, session, op);
     }
 
-    fn send_response(&mut self, session: u64, op: u32) {
-        let Some(client) = self.table.get(session).map(|s| s.client) else {
-            return;
-        };
-        let response_bytes = self.cal.ops[op as usize].response_bytes;
-        let Some(payload) = self.table.frame(session, op, 0, response_bytes) else {
-            return;
-        };
-        self.net.send(self.server, client, payload);
+    fn send_response(&mut self, client: NodeId, session: u64, op: u32) {
+        let (header, pad) = frame(session, op, 0, self.cal.ops[op as usize].response_bytes);
+        self.net.send_padded(self.server, client, header, pad);
     }
 
     fn on_response(&mut self, at: SimTime, session: u64, op: u32) {
-        let Some(sess) = self.table.get(session).copied() else {
+        let Some(sess) = self.table.get_mut(session) else {
             return; // response to a retired session
         };
         if sess.done || sess.failed || op != sess.op {
             return; // duplicate or stale response
         }
-        let finished = {
-            let sess = self.table.get_mut(session).expect("session is live");
-            sess.op += 1;
-            sess.attempt = 0;
-            (sess.op as usize) == self.cal.ops.len()
-        };
-        if finished {
-            if let Some(sess) = self.table.get_mut(session) {
-                sess.done = true;
-            }
-            let took = at - sess.arrived_at;
-            self.metrics.latency.record(took.as_nanos());
-            self.metrics.completed += 1;
-            self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
-            self.next_closed_loop_arrival(at);
-            self.table.retire(session);
-        } else {
-            self.send_request(session);
+        sess.op += 1;
+        sess.attempt = 0;
+        if (sess.op as usize) < self.cal.ops.len() {
+            let sess = *sess;
+            self.send_request(session, sess);
+            return;
         }
+        sess.done = true;
+        let took = at - sess.arrived_at;
+        self.metrics.latency.record(took.as_nanos());
+        self.metrics.completed += 1;
+        self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
+        self.next_closed_loop_arrival(at);
+        self.table.retire(session);
     }
 
     fn on_timeout(&mut self, at: SimTime, session: u64, op: u32, attempt: u32) {
-        let Some(sess) = self.table.get(session).copied() else {
+        let Some(sess) = self.table.get_mut(session) else {
             return; // timeout outlived its (retired) session
         };
         if sess.done || sess.failed || sess.op != op || sess.attempt != attempt {
             return; // op already progressed; timeout is stale
         }
-        if attempt >= self.cfg.max_retries {
-            if let Some(sess) = self.table.get_mut(session) {
-                sess.failed = true;
-            }
-            self.metrics.failed += 1;
-            self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
-            self.next_closed_loop_arrival(at);
-            self.table.retire(session);
+        if attempt < self.cfg.max_retries {
+            self.metrics.retries += 1;
+            sess.attempt = attempt + 1;
+            let sess = *sess;
+            self.send_request(session, sess);
             return;
         }
-        self.metrics.retries += 1;
-        if let Some(sess) = self.table.get_mut(session) {
-            sess.attempt = attempt + 1;
-        }
-        self.send_request(session);
+        sess.failed = true;
+        self.metrics.failed += 1;
+        self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
+        self.next_closed_loop_arrival(at);
+        self.table.retire(session);
     }
 
     /// Closed loop replaces each finished session with a new arrival.
@@ -885,14 +884,14 @@ impl<'a> Engine<'a> {
     /// Rewinds the engine to the state [`Engine::new`] would produce for
     /// this config with its seed replaced by `seed`, reusing every
     /// allocation: the network topology (and its cleared per-node
-    /// inboxes), the session slab with its scratch capacities, and the
-    /// event heap's backing storage. The metrics are *not* rewound: they
+    /// inboxes), the session slab, and the event queues' backing storage.
+    /// The metrics are *not* rewound: they
     /// keep accumulating across sessions. The per-session seed is a
     /// parameter because the sharded replay derives it per index while
     /// the borrowed config's own seed stays the run seed.
     pub(crate) fn reset_for_session(&mut self, seed: u64) {
         self.net.reset(seed ^ 0x6e65_7473_696d); // "netsim", as in build()
-        self.heap.clear();
+        self.queue.clear();
         self.next_seq = if self.lazy_arrivals {
             self.cfg.sessions
         } else {
@@ -904,10 +903,7 @@ impl<'a> Engine<'a> {
             // into the next session.
             index.clear();
             free.clear();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                slot.scratch.clear();
-                free.push(i as u32);
-            }
+            free.extend(0..slots.len() as u32);
         }
         match self.cfg.mode {
             // A closed loop hands out indices only; it never drew from
@@ -1229,18 +1225,18 @@ mod tests {
     }
 
     #[test]
-    fn framing_round_trips_through_scratch_buffer() {
-        let mut scratch = Vec::new();
-        encode_into(&mut scratch, 42, 3, 1, 100);
-        assert_eq!(scratch.len(), 100);
-        assert_eq!(decode(&scratch), Some((42, 3, 1)));
-        assert_eq!(scratch, encode(42, 3, 1, 100), "pooled == allocating path");
-        // Reuse with a shorter frame: stale bytes must not leak in.
-        let cap = scratch.capacity();
-        encode_into(&mut scratch, 7, 0, 0, 10);
-        assert_eq!(scratch.len(), HEADER_LEN);
-        assert_eq!(scratch, encode(7, 0, 0, 10));
-        assert_eq!(scratch.capacity(), cap, "capacity is retained");
+    fn frame_round_trips_and_is_never_shorter_than_its_header() {
+        let (header, pad) = frame(42, 3, 1, 100);
+        assert_eq!(decode(&header), Some((42, 3, 1)));
+        assert_eq!(HEADER_LEN + pad, 100);
+        let (max, _) = frame(u64::MAX, u32::MAX, 0, 100);
+        assert_eq!(decode(&max), Some((u64::MAX, u32::MAX, 0)));
+        let mut flipped = header;
+        flipped[9] ^= 0x10;
+        assert_eq!(decode(&flipped), None, "the checksum covers the header");
+        // A 4-byte op still occupies a whole header on the wire.
+        assert_eq!(frame(7, 0, 0, 4), (frame(7, 0, 0, 24).0, 0));
+        assert_eq!(frame(7, 0, 0, 0).1, 0);
     }
 
     #[test]
@@ -1370,6 +1366,48 @@ mod tests {
             .run_reference("toy", &toy_calibration())
             .unwrap_err();
         assert_eq!(err, LoadError::SessionCountOverflow { sessions: u64::MAX });
+    }
+
+    proptest! {
+        /// Popping the smaller head of (heap, timeout FIFO) yields exactly
+        /// the sequence one `BinaryHeap` of every event yields, for any
+        /// interleaving of arrivals, service completions, timeouts and
+        /// pops under a clock that never runs backwards.
+        #[test]
+        fn merged_queues_pop_in_single_heap_order(
+            steps in proptest::collection::vec(0u64..4_000_000, 1..300),
+            timeout in 0u64..3_000,
+        ) {
+            let mut merged = DriverQueue::default();
+            let mut single: BinaryHeap<Reverse<DriverEvent>> = BinaryHeap::new();
+            let mut now = 0u64;
+            for (seq, step) in steps.into_iter().enumerate() {
+                // One draw → what to do, how far the clock moved since
+                // the last step, how far ahead a heap event fires. Small
+                // ranges make equal times (seq breaks the tie) common.
+                let (kind, advance, ahead) = (step % 4, step / 4 % 100, step / 400);
+                now += advance * (step % 3); // often stands still
+                let (at, ev) = match kind {
+                    0 => (now + ahead, Ev::Arrive { session: step }),
+                    1 => (now + ahead, Ev::ServiceDone { session: step, op: 0 }),
+                    2 => (now + timeout, Ev::Timeout { session: step, op: 0, attempt: 0 }),
+                    _ => {
+                        prop_assert_eq!(merged.next_at(), single.peek().map(|Reverse(e)| e.at));
+                        prop_assert!(merged.pop() == single.pop().map(|Reverse(e)| e));
+                        continue;
+                    }
+                };
+                let event = |seq| DriverEvent { at: SimTime(at), seq: seq as u64, ev };
+                merged.push(event(seq));
+                single.push(Reverse(event(seq)));
+                prop_assert_eq!(merged.len(), single.len());
+            }
+            while let Some(Reverse(expect)) = single.pop() {
+                prop_assert_eq!(merged.next_at(), Some(expect.at));
+                prop_assert!(merged.pop() == Some(expect));
+            }
+            prop_assert!(merged.pop().is_none() && merged.next_at().is_none());
+        }
     }
 
     proptest! {

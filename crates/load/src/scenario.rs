@@ -109,18 +109,6 @@ impl Calibration {
         }
         total
     }
-
-    /// The largest frame (request or response, header included) any op of
-    /// this script puts on the wire — what a session slot's scratch
-    /// buffer is pre-sized to, so framing never reallocates mid-run.
-    pub fn max_frame_bytes(&self) -> usize {
-        self.ops
-            .iter()
-            .flat_map(|op| [op.request_bytes, op.response_bytes])
-            .max()
-            .unwrap_or(0)
-            .max(crate::runner::HEADER_LEN)
-    }
 }
 
 impl From<teenet_app::WorkProfile> for Calibration {
@@ -204,29 +192,6 @@ mod tests {
         };
         assert_eq!(cal.session_server_cost(), c(5, 500));
         assert_eq!(cal.session_client_cost(), c(1, 150));
-    }
-
-    #[test]
-    fn max_frame_spans_requests_and_responses_with_header_floor() {
-        let op = |req, resp| OpProfile {
-            name: "x",
-            client: c(0, 0),
-            server: c(0, 0),
-            request_bytes: req,
-            response_bytes: resp,
-            transitions: TransitionStats::default(),
-        };
-        let cal = |ops| Calibration {
-            setup: c(0, 0),
-            ops,
-            mode: TransitionMode::Classic,
-            backend: TeeBackend::Sgx,
-            switchless: SwitchlessConfig::default(),
-        };
-        assert_eq!(cal(vec![op(64, 2048), op(512, 32)]).max_frame_bytes(), 2048);
-        // Tiny frames are padded to the wire header; so is the scratch.
-        assert_eq!(cal(vec![op(4, 8)]).max_frame_bytes(), 24);
-        assert_eq!(cal(vec![]).max_frame_bytes(), 24);
     }
 
     #[test]

@@ -137,16 +137,22 @@ impl FaultInjector {
         FaultDecision::Deliver
     }
 
-    /// Mutates one byte of `payload` (the corruption fault). No-op on an
-    /// empty payload.
-    pub fn corrupt(&mut self, payload: &mut [u8]) {
-        if payload.is_empty() {
+    /// Flips one bit of a packet whose wire bytes are `payload` followed
+    /// by `pad` unmaterialised zeros (the corruption fault). The byte is
+    /// drawn over the whole wire length, so the RNG stream does not depend
+    /// on how much of the packet is materialised; a flip that lands in the
+    /// padding has no byte to change. No-op on an empty packet.
+    pub fn corrupt(&mut self, payload: &mut [u8], pad: usize) {
+        let wire_len = payload.len().saturating_add(pad);
+        if wire_len == 0 {
             return;
         }
-        let idx = self.rng.gen_range(payload.len() as u64) as usize;
+        let idx = self.rng.gen_range(wire_len as u64) as usize;
         // XOR with a nonzero value guarantees the byte actually changes.
         let bit = 1u8 << self.rng.gen_range(8);
-        payload[idx] ^= bit;
+        if let Some(byte) = payload.get_mut(idx) {
+            *byte ^= bit;
+        }
     }
 }
 
@@ -192,7 +198,7 @@ mod tests {
         let mut inj = injector(FaultConfig::default());
         let original = vec![0u8; 64];
         let mut payload = original.clone();
-        inj.corrupt(&mut payload);
+        inj.corrupt(&mut payload, 0);
         let diffs = original
             .iter()
             .zip(payload.iter())
@@ -205,7 +211,7 @@ mod tests {
     fn corrupt_empty_payload_is_noop() {
         let mut inj = injector(FaultConfig::default());
         let mut payload: Vec<u8> = Vec::new();
-        inj.corrupt(&mut payload);
+        inj.corrupt(&mut payload, 0);
         assert!(payload.is_empty());
     }
 

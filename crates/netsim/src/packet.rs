@@ -25,19 +25,23 @@ pub struct Packet {
     pub src: NodeId,
     /// Destination.
     pub dst: NodeId,
-    /// Payload bytes (cheaply clonable).
+    /// The materialised bytes (cheaply clonable).
     pub payload: Bytes,
+    /// Zero bytes that follow `payload` on the wire without being stored:
+    /// they take link time and count towards [`Packet::len`], but no
+    /// buffer holds them (see [`crate::sim::Network::send_padded`]).
+    pub pad: usize,
 }
 
 impl Packet {
-    /// Payload length in bytes.
+    /// Length on the wire in bytes: the payload plus its padding.
     pub fn len(&self) -> usize {
-        self.payload.len()
+        self.payload.len().saturating_add(self.pad)
     }
 
-    /// True if the payload is empty.
+    /// True if the packet occupies no bytes on the wire.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
     }
 }
 
@@ -52,9 +56,28 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             payload: Bytes::from_static(b"hello"),
+            pad: 0,
         };
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(format!("{}", p.src), "n0");
+
+        // Padding counts on the wire, and the sum saturates.
+        let padded = Packet {
+            pad: 95,
+            ..p.clone()
+        };
+        assert_eq!((padded.len(), padded.payload.len()), (100, 5));
+        let huge = Packet {
+            pad: usize::MAX,
+            ..p
+        };
+        assert_eq!(huge.len(), usize::MAX);
+        let only_pad = Packet {
+            payload: Bytes::new(),
+            pad: 1,
+            ..huge
+        };
+        assert!(!only_pad.is_empty());
     }
 }

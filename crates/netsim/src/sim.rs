@@ -283,37 +283,43 @@ impl Network {
     /// Sends a datagram; returns the packet id, or `None` if no link exists
     /// (the datagram is dropped, mirroring a missing route).
     pub fn send(&mut self, src: NodeId, dst: NodeId, payload: impl Into<Bytes>) -> Option<u64> {
+        self.send_padded(src, dst, payload, 0)
+    }
+
+    /// [`Network::send`] for a datagram whose wire bytes are `payload`
+    /// followed by `pad` zero bytes nobody will read, without storing the
+    /// zeros. Everything the link does with a packet goes by its wire
+    /// length `payload.len() + pad` — serialisation delay, trace records,
+    /// [`Packet::len`], which byte a corruption fault hits — so the run is
+    /// the one `send(payload ++ zeros(pad))` produces, except that a
+    /// corruption landing in the padding has no stored byte to flip.
+    pub fn send_padded(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: impl Into<Bytes>,
+        pad: usize,
+    ) -> Option<u64> {
         let payload: Bytes = payload.into();
+        let wire_len = payload.len().saturating_add(pad);
         let id = self.next_packet_id;
         self.next_packet_id += 1;
         let now = self.now;
+        let record = |event| TraceRecord {
+            time: now,
+            event,
+            packet_id: id,
+            src,
+            dst,
+            len: wire_len,
+        };
 
         let Some(link) = find_link(&mut self.links, src, dst) else {
-            self.trace.record(
-                TraceRecord {
-                    time: now,
-                    event: TraceEvent::Dropped,
-                    packet_id: id,
-                    src,
-                    dst,
-                    len: payload.len(),
-                },
-                None,
-            );
+            self.trace.record(record(TraceEvent::Dropped), None);
             return None;
         };
 
-        self.trace.record(
-            TraceRecord {
-                time: now,
-                event: TraceEvent::Sent,
-                packet_id: id,
-                src,
-                dst,
-                len: payload.len(),
-            },
-            None,
-        );
+        self.trace.record(record(TraceEvent::Sent), None);
 
         link.stats.sent += 1;
 
@@ -321,7 +327,7 @@ impl Network {
         let start = link.next_free.max(now);
         let serialisation = match link.config.bandwidth_bps {
             Some(bps) if bps > 0 => {
-                SimDuration((payload.len() as u64).saturating_mul(1_000_000_000) / bps)
+                SimDuration((wire_len as u64).saturating_mul(1_000_000_000) / bps)
             }
             _ => SimDuration::ZERO,
         };
@@ -334,17 +340,7 @@ impl Network {
             match injector.decide(now) {
                 FaultDecision::Drop => {
                     link.stats.dropped += 1;
-                    self.trace.record(
-                        TraceRecord {
-                            time: now,
-                            event: TraceEvent::Dropped,
-                            packet_id: id,
-                            src,
-                            dst,
-                            len: payload.len(),
-                        },
-                        None,
-                    );
+                    self.trace.record(record(TraceEvent::Dropped), None);
                     return Some(id);
                 }
                 FaultDecision::Corrupt => {
@@ -369,7 +365,7 @@ impl Network {
         let payload = if corrupted {
             let mut bytes = payload.to_vec();
             if let Some(injector) = &mut link.injector {
-                injector.corrupt(&mut bytes);
+                injector.corrupt(&mut bytes, pad);
             }
             Bytes::from(bytes)
         } else {
@@ -380,6 +376,7 @@ impl Network {
             src,
             dst,
             payload,
+            pad,
         };
         // Deliveries pop in `(at, seq)` order whatever order they were
         // pushed in, so the duplicate (the only case that needs a second
@@ -894,6 +891,146 @@ mod tests {
         assert_eq!(at, SimTime::ZERO + SimDuration::from_millis(3));
         assert_eq!(&p.payload[..], b"x");
         assert_eq!(net.next_event_at(), None, "quiescent again");
+    }
+
+    /// `send_padded(header, n)` is `send(header ++ zeros(n))` with the
+    /// zeros left out of memory: on a same-seed twin network, over a link
+    /// with every fault kind and finite bandwidth, both deliver at the same
+    /// times with the same wire lengths, link counters, queue watermark
+    /// and clock, and the stored bytes are the materialised frame's head.
+    #[test]
+    fn padded_send_matches_the_materialised_frame() {
+        let lossy = LinkConfig {
+            latency: SimDuration::from_micros(300),
+            bandwidth_bps: Some(1_000_000),
+            faults: FaultConfig {
+                drop_chance: 0.1,
+                corrupt_chance: 0.2,
+                duplicate_chance: 0.1,
+                reorder_chance: 0.1,
+                ..Default::default()
+            },
+        };
+        let (mut whole, a, b) = two_node_net(lossy.clone());
+        let (mut split, a2, b2) = two_node_net(lossy);
+        let mut in_padding = 0;
+        for i in 0..200usize {
+            let header = [i as u8; 8];
+            let pad = (i * 37) % 1200;
+            let mut frame = header.to_vec();
+            frame.resize(8 + pad, 0);
+            assert_eq!(
+                whole.send(a, b, frame),
+                split.send_padded(a2, b2, header, pad)
+            );
+            if i % 3 == 0 {
+                let until = whole.now() + SimDuration::from_micros(700);
+                whole.run_until(until);
+                split.run_until(until);
+            }
+        }
+        whole.run_to_idle();
+        split.run_to_idle();
+        assert_eq!(whole.now(), split.now());
+        assert_eq!(whole.link_stats(a, b), split.link_stats(a2, b2));
+        assert_eq!(whole.max_queue_depth(b), split.max_queue_depth(b2));
+        assert_eq!(whole.trace.records(), split.trace.records());
+        let stats = split.link_stats(a2, b2).unwrap();
+        assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.delayed > 0);
+        loop {
+            match (whole.recv_timed(b), split.recv_timed(b2)) {
+                (None, None) => break,
+                (Some((at, w)), Some((at2, s))) => {
+                    assert_eq!((at, w.id, w.len()), (at2, s.id, s.len()));
+                    assert_eq!((w.pad, s.payload.len()), (0, 8));
+                    assert_eq!(w.payload[..8], s.payload[..]);
+                    // A flip in the tail of the materialised frame is the
+                    // one thing the padded packet cannot show.
+                    in_padding += usize::from(w.payload[8..].iter().any(|&x| x != 0));
+                }
+                (w, s) => panic!("one side delivered more: {w:?} vs {s:?}"),
+            }
+        }
+        assert!(in_padding > 0, "some corruption must have hit the padding");
+        assert!(in_padding < stats.corrupted as usize, "and some the header");
+    }
+
+    #[test]
+    fn corruption_in_padding_is_counted_and_leaves_the_payload_intact() {
+        let (mut net, a, b) = two_node_net(LinkConfig {
+            faults: FaultConfig {
+                corrupt_chance: 1.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        // One stored byte in a megabyte on the wire: every flip misses it.
+        for _ in 0..20 {
+            net.send_padded(a, b, &b"x"[..], 1 << 20);
+        }
+        net.run_to_idle();
+        assert_eq!(net.link_stats(a, b).unwrap().corrupted, 20);
+        assert_eq!(net.trace.count(TraceEvent::Corrupted), 20);
+        for p in net.recv_all(b) {
+            assert_eq!((&p.payload[..], p.len()), (&b"x"[..], (1 << 20) + 1));
+        }
+    }
+
+    #[test]
+    fn wire_length_saturates_instead_of_overflowing() {
+        let (mut net, a, b) = two_node_net(LinkConfig {
+            latency: SimDuration::ZERO,
+            bandwidth_bps: Some(u64::MAX),
+            faults: FaultConfig {
+                corrupt_chance: 1.0,
+                ..Default::default()
+            },
+        });
+        net.send_padded(a, b, &b"four"[..], usize::MAX);
+        net.run_to_idle();
+        assert_eq!(net.trace.records()[0].len, usize::MAX);
+        assert_eq!(net.recv(b).unwrap().len(), usize::MAX);
+    }
+
+    /// The pcap holds what reached the inbox, faults applied: a corrupted
+    /// delivery is captured with its flipped bit (and a duplicate twice),
+    /// not left out because its trace label is not `Delivered`.
+    #[test]
+    fn pcap_captures_corrupted_and_duplicated_deliveries() {
+        let pcap_of = |faults: FaultConfig| {
+            let mut net = Network::new(1);
+            net.enable_pcap();
+            let (a, b) = (net.add_node(), net.add_node());
+            net.add_link(
+                a,
+                b,
+                LinkConfig {
+                    faults,
+                    ..Default::default()
+                },
+            );
+            net.send(a, b, &b"captured"[..]);
+            net.run_to_idle();
+            net.trace.to_pcap()
+        };
+        let corrupted = pcap_of(FaultConfig {
+            corrupt_chance: 1.0,
+            ..Default::default()
+        });
+        assert_eq!(corrupted.len(), 24 + 16 + 8, "one record");
+        let flipped: u32 = corrupted[40..]
+            .iter()
+            .zip(b"captured")
+            .map(|(got, sent)| (got ^ sent).count_ones())
+            .sum();
+        assert_eq!(flipped, 1, "the sent payload with exactly one bit flipped");
+
+        let duplicated = pcap_of(FaultConfig {
+            duplicate_chance: 1.0,
+            ..Default::default()
+        });
+        assert_eq!(duplicated.len(), 24 + 2 * (16 + 8), "original and copy");
+        assert_eq!(duplicated[40..48], duplicated[64..72]);
     }
 
     #[test]

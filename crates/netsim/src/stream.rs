@@ -326,6 +326,7 @@ mod tests {
             src: stranger,
             dst: NodeId(0),
             payload: Bytes::from(encode_segment(TYPE_DATA, 0, b"injected")),
+            pad: 0,
         };
         a.handle_packet(&bogus, &mut net);
         assert!(

@@ -35,7 +35,7 @@ pub struct TraceRecord {
     pub src: NodeId,
     /// Destination.
     pub dst: NodeId,
-    /// Payload length.
+    /// Length on the wire (payload plus unmaterialised padding).
     pub len: usize,
 }
 
@@ -43,8 +43,10 @@ pub struct TraceRecord {
 #[derive(Debug)]
 pub struct Trace {
     records: Vec<TraceRecord>,
-    /// Raw payload snapshots for pcap export (only for delivered packets).
-    payloads: Vec<(SimTime, Vec<u8>)>,
+    /// Snapshots for pcap export of every packet that reached an inbox —
+    /// corrupted and duplicated deliveries included: when, the materialised
+    /// bytes, and the length on the wire.
+    payloads: Vec<(SimTime, Vec<u8>, usize)>,
     capture_payloads: bool,
     enabled: bool,
 }
@@ -95,15 +97,16 @@ impl Trace {
         self.payloads.clear();
     }
 
-    /// Records an event (dropped silently while disabled).
+    /// Records an event (dropped silently while disabled). `packet` is
+    /// handed in when the event put it in an inbox; a payload-capturing
+    /// trace snapshots it whatever the delivery is labelled.
     pub fn record(&mut self, record: TraceRecord, packet: Option<&Packet>) {
         if !self.enabled {
             return;
         }
-        if self.capture_payloads && record.event == TraceEvent::Delivered {
-            if let Some(p) = packet {
-                self.payloads.push((record.time, p.payload.to_vec()));
-            }
+        if let (true, Some(p)) = (self.capture_payloads, packet) {
+            self.payloads
+                .push((record.time, p.payload.to_vec(), p.len()));
         }
         self.records.push(record);
     }
@@ -120,7 +123,8 @@ impl Trace {
 
     /// Serialises delivered payloads as a libpcap capture file
     /// (LINKTYPE_USER0 = 147, since our frames are simulator datagrams,
-    /// not Ethernet).
+    /// not Ethernet). A record's captured length is the materialised
+    /// payload; its original length is the packet's length on the wire.
     pub fn to_pcap(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.payloads.len() * 64);
         // Global header: magic, version 2.4, tz 0, sigfigs 0, snaplen, network.
@@ -131,14 +135,14 @@ impl Trace {
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&65_535u32.to_le_bytes());
         out.extend_from_slice(&147u32.to_le_bytes());
-        for (time, payload) in &self.payloads {
+        for (time, payload, wire_len) in &self.payloads {
             let ns = time.as_nanos();
             let secs = (ns / 1_000_000_000) as u32;
             let micros = ((ns % 1_000_000_000) / 1_000) as u32;
             out.extend_from_slice(&secs.to_le_bytes());
             out.extend_from_slice(&micros.to_le_bytes());
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&u32::try_from(*wire_len).unwrap_or(u32::MAX).to_le_bytes());
             out.extend_from_slice(payload);
         }
         out
@@ -167,13 +171,14 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             payload: Bytes::from_static(b"data"),
+            pad: 0,
         }
     }
 
     #[test]
     fn records_and_counts() {
         let mut t = Trace::new();
-        t.record(rec(TraceEvent::Sent), Some(&pkt()));
+        t.record(rec(TraceEvent::Sent), None);
         t.record(rec(TraceEvent::Delivered), Some(&pkt()));
         t.record(rec(TraceEvent::Dropped), None);
         assert_eq!(t.records().len(), 3);
@@ -191,15 +196,27 @@ mod tests {
         assert_eq!(&pcap[..4], &0xa1b2c3d4u32.to_le_bytes());
         // Linktype USER0.
         assert_eq!(&pcap[20..24], &147u32.to_le_bytes());
-        // Captured length field.
+        // Captured and original length fields.
         assert_eq!(&pcap[32..36], &4u32.to_le_bytes());
+        assert_eq!(&pcap[36..40], &4u32.to_le_bytes());
         assert_eq!(&pcap[40..44], b"data");
+    }
+
+    #[test]
+    fn pcap_captures_the_payload_and_reports_the_wire_length() {
+        let mut t = Trace::with_payloads();
+        let padded = Packet { pad: 96, ..pkt() };
+        t.record(rec(TraceEvent::Delivered), Some(&padded));
+        let pcap = t.to_pcap();
+        assert_eq!(pcap.len(), 24 + 16 + 4, "padding is not written out");
+        assert_eq!(&pcap[32..36], &4u32.to_le_bytes(), "incl_len");
+        assert_eq!(&pcap[36..40], &100u32.to_le_bytes(), "orig_len");
     }
 
     #[test]
     fn disabled_trace_discards_events() {
         let mut t = Trace::with_payloads();
-        t.record(rec(TraceEvent::Sent), Some(&pkt()));
+        t.record(rec(TraceEvent::Sent), None);
         t.set_enabled(false);
         assert!(!t.is_enabled());
         t.record(rec(TraceEvent::Delivered), Some(&pkt()));

@@ -13,10 +13,11 @@
 //! UPDATE_LOADGEN_GOLDEN=1 cargo test -p teenet-integration --test loadgen_golden
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use teenet_load::scenarios::{by_name_backend, by_name_mode, NAMES};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
+use teenet_netsim::FaultConfig;
 use teenet_sgx::{TeeBackend, TransitionMode};
 
 /// Fixed shape of every golden run: open loop at the auto rate, default
@@ -43,6 +44,25 @@ fn run_json_vmtee(name: &str, mode: TransitionMode) -> String {
         .json()
 }
 
+/// The one foul-weather golden: tls on a closed loop of 16 over links
+/// that drop one datagram in five, with two retransmissions allowed — so
+/// retransmission timeouts *fire* (not only expire stale), retries are
+/// exhausted and sessions fail, and the order in which timeouts, service
+/// completions and replacement arrivals interleave is pinned.
+fn run_json_closed_faulty() -> String {
+    let mut scenario = by_name_mode("tls", SEED, TransitionMode::Classic).expect("known scenario");
+    let calibration = scenario.calibrate();
+    let mut config = LoadConfig::new(200, SEED, LoadMode::Closed { concurrency: 16 });
+    config.faults = FaultConfig {
+        drop_chance: 0.2,
+        ..FaultConfig::default()
+    };
+    config.max_retries = 2;
+    LoadRunner::new(config)
+        .run(scenario.name(), &calibration)
+        .json()
+}
+
 fn fixture_path(name: &str, mode: TransitionMode) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/fixtures/loadgen")
@@ -58,42 +78,31 @@ fn vmtee_fixture_path(name: &str, mode: TransitionMode) -> PathBuf {
         .join(format!("{name}.{}.vmtee.json", mode.as_str()))
 }
 
-fn check(name: &str, mode: TransitionMode) {
-    let got = run_json(name, mode);
-    let path = fixture_path(name, mode);
+/// Compares `got` with the fixture at `path` byte for byte, or rewrites
+/// the fixture when `UPDATE_LOADGEN_GOLDEN` is set. `what` names the run.
+fn assert_golden(got: &str, path: &Path, what: &str) {
     if std::env::var_os("UPDATE_LOADGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden fixture");
+        std::fs::write(path, got).expect("write golden fixture");
         return;
     }
-    let want = std::fs::read_to_string(&path)
+    let want = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
     assert_eq!(
-        got,
-        want,
-        "loadgen output for scenario {name} ({}) drifted from the golden fixture; \
-         if the change is deliberate, regenerate with UPDATE_LOADGEN_GOLDEN=1 and \
-         explain the diff in the commit",
-        mode.as_str()
+        got, want,
+        "loadgen output for {what} drifted from the golden fixture; if the change is \
+         deliberate, regenerate with UPDATE_LOADGEN_GOLDEN=1 and explain the diff in the commit"
     );
+}
+
+fn check(name: &str, mode: TransitionMode) {
+    let what = format!("scenario {name} ({})", mode.as_str());
+    assert_golden(&run_json(name, mode), &fixture_path(name, mode), &what);
 }
 
 fn check_vmtee(name: &str, mode: TransitionMode) {
     let got = run_json_vmtee(name, mode);
-    let path = vmtee_fixture_path(name, mode);
-    if std::env::var_os("UPDATE_LOADGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write vmtee golden fixture");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-    assert_eq!(
-        got,
-        want,
-        "vmtee loadgen output for scenario {name} ({}) drifted from the golden fixture; \
-         if the change is deliberate, regenerate with UPDATE_LOADGEN_GOLDEN=1 and \
-         explain the diff in the commit",
-        mode.as_str()
-    );
+    let what = format!("vmtee scenario {name} ({})", mode.as_str());
+    assert_golden(&got, &vmtee_fixture_path(name, mode), &what);
     // The VM-TEE profile must actually reprice the run: a fixture equal to
     // the SGX one would mean the backend never reached the cost model.
     assert!(got.contains("\"backend\":\"vmtee\""));
@@ -168,6 +177,17 @@ fn keystore_matches_golden_vmtee_classic() {
 #[test]
 fn keystore_matches_golden_vmtee_switchless() {
     check_vmtee("keystore", TransitionMode::Switchless);
+}
+
+#[test]
+fn tls_matches_golden_closed_faulty() {
+    let got = run_json_closed_faulty();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/loadgen/tls.classic.closed-faulty.json");
+    assert_golden(&got, &path, "tls on a faulty closed loop");
+    // The run must exercise what it exists to pin: timeouts that fire,
+    // and sessions that exhaust their retries.
+    assert!(!got.contains("\"retries\":0,") && !got.contains("\"failed\":0,"));
 }
 
 #[test]
