@@ -21,9 +21,11 @@
 //!
 //! A frame is the 24-byte header followed by zeros up to the op's
 //! calibrated size; the engine sends the header and tells `netsim` how
-//! long the zeros are (`frame`), so a packet costs 24 bytes of memory
-//! whatever its length on the wire. Driver events pop in `(time, seq)`
-//! order from a `DriverQueue`, whose timeouts skip the heap.
+//! long the zeros are (`frame`), so a packet is 24 bytes stored inside the
+//! `Packet` — no allocation — whatever its length on the wire. Deliveries
+//! come straight off the network ([`Network::pop_delivery`]), not through
+//! an inbox. Driver events pop in `(time, seq)` order from a
+//! `DriverQueue`, whose timeouts skip the heap.
 //!
 //! ## Streaming vs. reference replay
 //!
@@ -61,7 +63,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use teenet_crypto::SecureRng;
-use teenet_netsim::{FaultConfig, LinkConfig, Network, NodeId, SimDuration, SimTime};
+use teenet_netsim::{FaultConfig, LinkConfig, Network, NodeId, Packet, SimDuration, SimTime};
 use teenet_sgx::cost::CostModel;
 
 use crate::arrival::{Arrival, ArrivalProcess};
@@ -266,16 +268,17 @@ struct Session {
     failed: bool,
 }
 
-/// Wire header: session (8) + op (4) + attempt (4) + FNV-1a checksum (8).
+/// Wire header: session (8) + op (4) + attempt (4) + checksum (8).
 pub(crate) const HEADER_LEN: usize = 24;
 
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// FNV-1a's xor-multiply folded over `data`: bytes (`ShardPlan::session_seed`)
+/// or, for the header checksum, its two 64-bit words. Each step is a
+/// bijection of the sum and of the item, so a change confined to one word —
+/// the single bit a corruption fault flips — always changes the sum.
+pub(crate) fn fnv1a<T: Copy + Into<u64>>(data: &[T]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &item| {
+        (h ^ item.into()).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 /// A frame of `bytes` on the wire (never less than a header) for
@@ -283,27 +286,23 @@ pub(crate) fn fnv1a(data: &[u8]) -> u64 {
 /// Nothing reads the zeros and the checksum does not cover them, so they
 /// travel as padding `netsim` accounts for without storing.
 fn frame(session: u64, op: u32, attempt: u32, bytes: usize) -> ([u8; HEADER_LEN], usize) {
+    let words = [session, u64::from(op) | u64::from(attempt) << 32];
     let mut buf = [0u8; HEADER_LEN];
-    buf[0..8].copy_from_slice(&session.to_le_bytes());
-    buf[8..12].copy_from_slice(&op.to_le_bytes());
-    buf[12..16].copy_from_slice(&attempt.to_le_bytes());
-    let sum = fnv1a(&buf[0..16]);
-    buf[16..24].copy_from_slice(&sum.to_le_bytes());
+    buf[0..8].copy_from_slice(&words[0].to_le_bytes());
+    buf[8..16].copy_from_slice(&words[1].to_le_bytes());
+    buf[16..24].copy_from_slice(&fnv1a(&words).to_le_bytes());
     (buf, bytes.max(HEADER_LEN) - HEADER_LEN)
 }
 
 fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
-    if buf.len() < HEADER_LEN {
-        return None;
-    }
-    let sum = u64::from_le_bytes(buf[16..24].try_into().ok()?);
-    if fnv1a(&buf[0..16]) != sum {
-        return None;
-    }
-    let session = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-    let op = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-    let attempt = u32::from_le_bytes(buf[12..16].try_into().ok()?);
-    Some((session, op, attempt))
+    let header: &[u8; HEADER_LEN] = buf.first_chunk()?;
+    let word = |at: usize| u64::from_le_bytes(*header[at..].first_chunk().expect("in range"));
+    let (session, op_attempt, sum) = (word(0), word(8), word(16));
+    (fnv1a(&[session, op_attempt]) == sum).then_some((
+        session,
+        op_attempt as u32,
+        (op_attempt >> 32) as u32,
+    ))
 }
 
 /// Peak-resource diagnostics of one engine run. Never part of the
@@ -431,6 +430,8 @@ pub(crate) struct Engine<'a> {
     client_nodes: Vec<NodeId>,
     queue: DriverQueue,
     next_seq: u64,
+    /// Scratch for [`Engine::step_network`]: one instant's deliveries.
+    batch: Vec<Packet>,
     table: SessionTable,
     /// Streaming open loop schedules arrivals one ahead; every other
     /// combination heap-loads what [`ArrivalProcess`] hands out up front.
@@ -613,6 +614,7 @@ impl<'a> Engine<'a> {
             // paths; the shared counter for everything else therefore
             // starts past the arrival block.
             next_seq: if lazy_arrivals { cfg.sessions } else { 0 },
+            batch: Vec::new(),
             table,
             lazy_arrivals,
             arrivals: arrival_process(cfg, cal, model, cfg.seed),
@@ -671,34 +673,54 @@ impl<'a> Engine<'a> {
             let net = self.net.next_event_at();
             match (drv, net) {
                 (None, None) => break,
-                (Some(d), Some(n)) if n <= d => self.step_network(n),
-                (None, Some(n)) => self.step_network(n),
+                (Some(d), Some(n)) if n <= d => self.step_network(),
+                (None, Some(_)) => self.step_network(),
                 (Some(d), _) => self.step_driver(d),
             }
         }
     }
 
-    fn step_network(&mut self, until: SimTime) {
-        self.net.run_until(until);
-        while let Some((at, packet)) = self.net.recv_timed(self.server) {
-            match decode(&packet.payload) {
-                Some((s, op, _)) => self.on_request(at, s, op),
-                None => self.metrics.corrupt_rx += 1,
+    /// Takes the earliest delivery off the network and handles it — alone,
+    /// nearly always. When more are due at the same instant they all leave
+    /// the network before any handler runs (a handler's zero-delay send
+    /// opens a new batch) and are handled the server's first, then each
+    /// client's in node order, a node's own in arrival order: `(dst, seq)`
+    /// order, the server being the first node added. The most that land
+    /// on the server in one batch is `max_server_queue`.
+    fn step_network(&mut self) {
+        let Some((at, first)) = self.net.pop_delivery() else {
+            return;
+        };
+        let mut at_server = usize::from(first.dst == self.server);
+        if self.net.next_event_at() != Some(at) {
+            self.receive(at, &first);
+        } else {
+            let mut batch = std::mem::take(&mut self.batch);
+            batch.push(first);
+            while self.net.next_event_at() == Some(at) {
+                batch.extend(self.net.pop_delivery().map(|(_, packet)| packet));
             }
+            batch.sort_by_key(|packet| packet.dst); // stable: keeps seq order
+            at_server = batch.iter().filter(|p| p.dst == self.server).count();
+            for packet in batch.drain(..) {
+                self.receive(at, &packet);
+            }
+            self.batch = batch;
         }
-        for i in 0..self.client_nodes.len() {
-            let node = self.client_nodes[i];
-            while let Some((at, packet)) = self.net.recv_timed(node) {
-                match decode(&packet.payload) {
-                    Some((s, op, _)) => self.on_response(at, s, op),
-                    None => self.metrics.corrupt_rx += 1,
-                }
-            }
+        self.metrics.max_server_queue = self.metrics.max_server_queue.max(at_server as u64);
+    }
+
+    /// A frame that fails its checksum is discarded and counted.
+    fn receive(&mut self, at: SimTime, packet: &Packet) {
+        match decode(&packet.payload) {
+            Some((s, op, _)) if packet.dst == self.server => self.on_request(at, s, op),
+            Some((s, op, _)) => self.on_response(at, s, op),
+            None => self.metrics.corrupt_rx += 1,
         }
     }
 
     fn step_driver(&mut self, at: SimTime) {
-        self.net.run_until(at);
+        self.net.advance_to(at);
         let Some(event) = self.queue.pop() else {
             return;
         };
@@ -776,16 +798,14 @@ impl<'a> Engine<'a> {
             return;
         }
         sess.in_service = Some(op);
-        // Earliest-free worker, lowest index on ties (deterministic).
-        let (widx, _) = self
+        // Earliest-free worker, the first (lowest index) among equals.
+        let worker = self
             .workers
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (**t, *i))
+            .iter_mut()
+            .min_by_key(|free_at| **free_at)
             .expect("workers is non-empty");
-        let start = self.workers[widx].max(at);
-        let done_at = start + self.service[op as usize];
-        self.workers[widx] = done_at;
+        let done_at = (*worker).max(at) + self.service[op as usize];
+        *worker = done_at;
         let profile = &self.cal.ops[op as usize];
         self.metrics.steady_server.fold(profile.server);
         self.metrics.transitions.merge(profile.transitions);
@@ -862,17 +882,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Ends a drained run — the serial engine's whole run, or one session
-    /// of a pooled shard engine: folds the network's fault totals and
-    /// queue high-watermark into the accumulated metrics and returns the
-    /// virtual time the last session resolved at, zeroing it so a
+    /// of a pooled shard engine: folds the network's fault totals into the
+    /// accumulated metrics and returns the virtual time the last session
+    /// resolved at, zeroing it so a
     /// [`Engine::reset_for_session`]-rewound engine keeps accumulating
     /// into the same metrics with a per-session end time.
     pub(crate) fn finish_session(&mut self) -> u64 {
         self.metrics.net.merge(&self.net.fault_totals());
-        self.metrics.max_server_queue = self
-            .metrics
-            .max_server_queue
-            .max(self.net.max_queue_depth(self.server) as u64);
         std::mem::take(&mut self.metrics.last_done_ns)
     }
 
@@ -883,10 +899,9 @@ impl<'a> Engine<'a> {
 
     /// Rewinds the engine to the state [`Engine::new`] would produce for
     /// this config with its seed replaced by `seed`, reusing every
-    /// allocation: the network topology (and its cleared per-node
-    /// inboxes), the session slab, and the event queues' backing storage.
-    /// The metrics are *not* rewound: they
-    /// keep accumulating across sessions. The per-session seed is a
+    /// allocation: the network topology, the session slab, and the event
+    /// queues' backing storage. The metrics are *not* rewound: they keep
+    /// accumulating across sessions. The per-session seed is a
     /// parameter because the sharded replay derives it per index while
     /// the borrowed config's own seed stays the run seed.
     pub(crate) fn reset_for_session(&mut self, seed: u64) {
@@ -1229,8 +1244,10 @@ mod tests {
         let (header, pad) = frame(42, 3, 1, 100);
         assert_eq!(decode(&header), Some((42, 3, 1)));
         assert_eq!(HEADER_LEN + pad, 100);
-        let (max, _) = frame(u64::MAX, u32::MAX, 0, 100);
-        assert_eq!(decode(&max), Some((u64::MAX, u32::MAX, 0)));
+        for attempt in [0, u32::MAX] {
+            let (max, _) = frame(u64::MAX, u32::MAX, attempt, 100);
+            assert_eq!(decode(&max), Some((u64::MAX, u32::MAX, attempt)));
+        }
         let mut flipped = header;
         flipped[9] ^= 0x10;
         assert_eq!(decode(&flipped), None, "the checksum covers the header");
@@ -1366,6 +1383,47 @@ mod tests {
             .run_reference("toy", &toy_calibration())
             .unwrap_err();
         assert_eq!(err, LoadError::SessionCountOverflow { sessions: u64::MAX });
+    }
+
+    proptest! {
+        /// The decoder meets whatever a link delivers: arbitrary bytes
+        /// never panic it, nothing shorter than a header decodes, and what
+        /// does decode is a frame this engine could have sent.
+        #[test]
+        fn decode_survives_hostile_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            valid in any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            if valid && bytes.len() >= HEADER_LEN {
+                let sum = fnv1a(&[0, 8].map(|at| {
+                    u64::from_le_bytes(*bytes[at..].first_chunk().expect("in range"))
+                }));
+                bytes[16..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+            }
+            let decoded = decode(&bytes);
+            prop_assert_eq!(decoded.is_some(), valid && bytes.len() >= HEADER_LEN);
+            if let Some((session, op, attempt)) = decoded {
+                prop_assert_eq!(&frame(session, op, attempt, 0).0[..], &bytes[..HEADER_LEN]);
+            }
+        }
+
+        /// What `corrupt_rx` rests on: a corruption fault flips one bit,
+        /// and every one of a frame's 192 single-bit flips fails the check.
+        #[test]
+        fn every_single_bit_flip_of_a_frame_is_rejected(
+            session in any::<u64>(),
+            op in any::<u32>(),
+            attempt in any::<u32>(),
+        ) {
+            let (header, _) = frame(session, op, attempt, 0);
+            prop_assert_eq!(decode(&header), Some((session, op, attempt)));
+            for bit in 0..8 * HEADER_LEN {
+                let mut flipped = header;
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(decode(&flipped), None, "bit {} went unnoticed", bit);
+            }
+        }
     }
 
     proptest! {

@@ -20,6 +20,7 @@
 
 pub mod fault;
 pub mod packet;
+mod queue;
 pub mod sim;
 pub mod stream;
 pub mod time;

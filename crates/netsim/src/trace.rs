@@ -100,6 +100,7 @@ impl Trace {
     /// Records an event (dropped silently while disabled). `packet` is
     /// handed in when the event put it in an inbox; a payload-capturing
     /// trace snapshots it whatever the delivery is labelled.
+    #[inline]
     pub fn record(&mut self, record: TraceRecord, packet: Option<&Packet>) {
         if !self.enabled {
             return;

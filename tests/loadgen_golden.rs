@@ -15,10 +15,12 @@
 
 use std::path::{Path, PathBuf};
 
+use teenet_load::scenario::{Calibration, OpProfile};
 use teenet_load::scenarios::{by_name_backend, by_name_mode, NAMES};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
-use teenet_netsim::FaultConfig;
-use teenet_sgx::{TeeBackend, TransitionMode};
+use teenet_netsim::{FaultConfig, SimDuration};
+use teenet_sgx::cost::Counters;
+use teenet_sgx::{TeeBackend, TransitionMode, TransitionStats};
 
 /// Fixed shape of every golden run: open loop at the auto rate, default
 /// links, 60 sessions at seed 11.
@@ -61,6 +63,47 @@ fn run_json_closed_faulty() -> String {
     LoadRunner::new(config)
         .run(scenario.name(), &calibration)
         .json()
+}
+
+/// Many deliveries per instant, across nodes: a synthetic two-op script
+/// (the first op free to serve) on a closed loop of 16 over two clients,
+/// links of infinite bandwidth and the given latency, one datagram in ten
+/// duplicated and one in twenty dropped. At 1 µs — what a duplicate trails
+/// its original by — requests, responses and duplicates keep landing on
+/// the server and both clients at the same virtual nanosecond, and the
+/// report depends on the order the engine handles them in (server first,
+/// then clients by node, a node's own in arrival order), which none of the
+/// scenario fixtures is sensitive to.
+fn run_json_same_instant(latency: SimDuration) -> String {
+    let instr = |normal_instr| Counters {
+        sgx_instr: 0,
+        normal_instr,
+    };
+    let op = |name, server, request_bytes, response_bytes| OpProfile {
+        name,
+        client: instr(10_000),
+        server: instr(server),
+        request_bytes,
+        response_bytes,
+        transitions: TransitionStats::default(),
+    };
+    let calibration = Calibration {
+        setup: instr(1_000_000),
+        ops: vec![op("hello", 0, 128, 64), op("work", 500_000, 256, 1024)],
+        mode: Default::default(),
+        backend: TeeBackend::Sgx,
+        switchless: Default::default(),
+    };
+    let mut config = LoadConfig::new(300, 3, LoadMode::Closed { concurrency: 16 });
+    config.clients = 2;
+    config.latency = latency;
+    config.bandwidth_bps = None;
+    config.faults = FaultConfig {
+        drop_chance: 0.05,
+        duplicate_chance: 0.1,
+        ..FaultConfig::default()
+    };
+    LoadRunner::new(config).run("toy", &calibration).json()
 }
 
 fn fixture_path(name: &str, mode: TransitionMode) -> PathBuf {
@@ -188,6 +231,21 @@ fn tls_matches_golden_closed_faulty() {
     // The run must exercise what it exists to pin: timeouts that fire,
     // and sessions that exhaust their retries.
     assert!(!got.contains("\"retries\":0,") && !got.contains("\"failed\":0,"));
+}
+
+#[test]
+fn same_instant_deliveries_match_golden() {
+    let got = run_json_same_instant(SimDuration::from_micros(1));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/loadgen/toy.closed-same-instant.json");
+    assert_golden(&got, &path, "the same-instant delivery order");
+    // The run must be what it claims: bursts at the server, faults firing.
+    assert!(got.contains("\"max_server_queue\":15") && !got.contains("\"retries\":0,"));
+    // The watermark counts what lands together *before any of it is
+    // handled*. With no latency at all sixteen sessions still start at
+    // t = 0, but each request is handled before the next is sent: only a
+    // duplicate meeting its session's next datagrams makes a burst.
+    assert!(run_json_same_instant(SimDuration::ZERO).contains("\"max_server_queue\":3,"));
 }
 
 #[test]
