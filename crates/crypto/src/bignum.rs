@@ -7,16 +7,18 @@
 //! the one performance-critical path is modular exponentiation, where
 //! nearly all of an attestation's host time goes.
 //!
-//! For an odd modulus [`BigUint::modexp`] and [`BigUint::modexp2`] are the
-//! one- and two-term cases of one left-to-right multi-exponentiation in
-//! Montgomery form. Its kernel is `mul_wide`, a dedicated `sqr_wide`
-//! (cross products once, doubled, plus the diagonal) and a shared
-//! `reduce`, all in scratch allocated once per exponentiation. Each
-//! exponent bit costs one squaring shared by all terms; a general base
-//! then multiplies in through a 16-entry table once per 4-bit window, and
-//! a base that is a small power of two — the DH generator 2, the Schnorr
-//! generator 4 — through `k` modular doublings per set bit, O(n) instead
-//! of O(n^2).
+//! For an odd modulus there is one engine, `Montgomery::multi_exp`: a
+//! left-to-right product of powers in Montgomery form. Its kernel is
+//! `mul_wide`, a dedicated `sqr_wide` (cross products once, doubled, plus
+//! the diagonal) and a shared `reduce`, in scratch allocated once per
+//! call. Each step squares the accumulator once for all terms; how a term
+//! then multiplies in is its `Powers`: a general base through a 16-entry
+//! table once per 4-bit window, a small power of two through `k` modular
+//! doublings per set bit, and base 2 under a modulus that carries a
+//! `Comb` through one table entry per *column* of its exponent.
+//! [`BigUint::modexp`] and [`BigUint::modexp2`] are the one- and two-term
+//! cases under constants computed per call (no comb); DH and Schnorr hold
+//! one `Montgomery` with a comb per built-in prime (see [`crate::dh`]).
 //!
 //! Even moduli fall back to divide-and-reduce square-and-multiply
 //! (`modexp_generic`), which is also the oracle the engine is tested
@@ -190,6 +192,12 @@ impl BigUint {
         self.limbs
             .get(i / 64)
             .map_or(0, |l| (l >> (i % 64)) as usize & 0xf)
+    }
+
+    /// Column `i` of the exponent laid out as `comb`'s rows: the bits
+    /// `i + j * cols`, row `j`'s at position `j`.
+    fn comb_digit(&self, i: usize, comb: &Comb) -> usize {
+        (0..comb.rows).fold(0, |d, j| d | (self.bit(i + j * comb.cols) as usize) << j)
     }
 
     fn normalize(&mut self) {
@@ -494,6 +502,7 @@ impl BigUint {
             }
             return Ok(product);
         }
+        let reduced: Vec<_> = reduced.iter().map(|(base, exp)| (base, *exp)).collect();
         Ok(Montgomery::new(modulus).multi_exp(&reduced))
     }
 
@@ -672,13 +681,41 @@ impl PartialOrd for BigUint {
 /// `reduce`) works in place on an accumulator and a caller-owned scratch
 /// `t` of `2 * len` limbs, so an exponentiation allocates a handful of
 /// buffers up front and none per step.
-struct Montgomery {
+pub(crate) struct Montgomery {
     n: Vec<u64>,
     /// `-n^-1 mod 2^64`.
     n_prime: u64,
     /// `R^2 mod n`, padded to `len` limbs.
     r2: Vec<u64>,
+    /// Precomputed powers of 2, when built by [`Self::with_comb`].
+    comb: Option<Comb>,
 }
+
+/// A Lim–Lee fixed-base comb for base 2. An exponent below
+/// `2^(rows * cols)` is read as `rows` rows of `cols` bits; `table[d]` is
+/// the Montgomery form of the product of `2^(2^(j * cols))` over the set
+/// bits `j` of `d` (so `table[0]` is one), and `2^E` is `cols` squarings
+/// with one table entry multiplied in per column.
+struct Comb {
+    table: Vec<u64>,
+    rows: usize,
+    cols: usize,
+}
+
+/// Shown and compared by modulus: every other field is a function of it.
+impl fmt::Debug for Montgomery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Montgomery({} limbs)", self.n.len())
+    }
+}
+
+impl PartialEq for Montgomery {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+    }
+}
+
+impl Eq for Montgomery {}
 
 impl Montgomery {
     fn new(modulus: &BigUint) -> Self {
@@ -697,7 +734,37 @@ impl Montgomery {
             .expect("modulus nonzero")
             .limbs;
         r2.resize(n.len(), 0);
-        Montgomery { n, n_prime, r2 }
+        Montgomery {
+            n,
+            n_prime,
+            r2,
+            comb: None,
+        }
+    }
+
+    /// [`Self::new`] for an odd `modulus > 1`, plus a `rows`-row comb
+    /// covering every exponent of up to `64 * len` bits.
+    pub(crate) fn with_comb(modulus: &BigUint, rows: usize) -> Self {
+        let mut mont = Self::new(modulus);
+        let len = mont.n.len();
+        let cols = (64 * len).div_ceil(rows);
+        let (mut t, mut table) = (vec![0u64; 2 * len], vec![0u64; len << rows]);
+        table[..len].copy_from_slice(&mont.r2);
+        mont.unscale(&mut table[..len], &mut t);
+        // Row j's power 2^(2^(j * cols)): the row below's squared `cols` times.
+        let mut power = table[..len].to_vec();
+        mont.double(&mut power);
+        for d in 1..1usize << rows {
+            if d > 1 && d.is_power_of_two() {
+                (0..cols).for_each(|_| mont.sqr(&mut power, &mut t));
+            }
+            let (known, rest) = table.split_at_mut(d * len);
+            let below = d - (1 << d.ilog2());
+            rest[..len].copy_from_slice(&known[below * len..][..len]);
+            mont.mul(&mut rest[..len], &power, &mut t);
+        }
+        mont.comb = Some(Comb { table, rows, cols });
+        mont
     }
 
     /// `acc = acc * b * R^-1 mod n`.
@@ -758,12 +825,17 @@ impl Montgomery {
         self.reduce_once(acc, carry);
     }
 
-    /// How `base` (nonzero, below `n`) enters [`Self::multi_exp`].
-    fn powers(&self, base: &BigUint, one: &[u64], t: &mut [u64]) -> Powers {
-        if let [limb] = base.limbs[..] {
-            if limb.is_power_of_two() && limb <= MAX_SHIFT_BASE {
+    /// How `base^exp` (`base` nonzero, below `n`) enters [`Self::multi_exp`].
+    fn powers(&self, base: &BigUint, exp: &BigUint, one: &[u64], t: &mut [u64]) -> Powers<'_> {
+        match (&base.limbs[..], &self.comb) {
+            // A wider exponent than the comb covers takes the doublings.
+            ([2], Some(comb)) if exp.bit_len() <= comb.rows * comb.cols => {
+                return Powers::Comb(comb);
+            }
+            ([limb], _) if limb.is_power_of_two() && *limb <= MAX_SHIFT_BASE => {
                 return Powers::Shift(limb.trailing_zeros());
             }
+            _ => {}
         }
         let len = self.n.len();
         let mut table = vec![0u64; 16 * len];
@@ -779,9 +851,11 @@ impl Montgomery {
     }
 
     /// `prod base^exp mod n` over `terms` (bases nonzero and below `n`),
-    /// left to right: one squaring of the accumulator per exponent bit,
-    /// shared by all terms, after which each term multiplies its share in.
-    fn multi_exp(&self, terms: &[(BigUint, &BigUint)]) -> BigUint {
+    /// left to right: one squaring of the accumulator per step, shared by
+    /// all terms, after which each term multiplies its share in. A step is
+    /// an exponent bit — or, on the comb, a column: always all `cols`,
+    /// each with its multiplication, whatever the exponent.
+    pub(crate) fn multi_exp(&self, terms: &[(&BigUint, &BigUint)]) -> BigUint {
         let len = self.n.len();
         let mut t = vec![0u64; 2 * len];
         // 1 in Montgomery form: R mod n = R^2 * R^-1.
@@ -789,16 +863,26 @@ impl Montgomery {
         self.unscale(&mut acc, &mut t);
         let powers: Vec<Powers> = terms
             .iter()
-            .map(|(base, _)| self.powers(base, &acc, &mut t))
+            .map(|(base, exp)| self.powers(base, exp, &acc, &mut t))
             .collect();
-        let bits = terms.iter().map(|(_, exp)| exp.bit_len()).max();
-        for i in (0..bits.unwrap_or(0)).rev() {
+        let steps = terms
+            .iter()
+            .zip(&powers)
+            .map(|((_, exp), powers)| match powers {
+                Powers::Comb(comb) => comb.cols,
+                _ => exp.bit_len(),
+            });
+        for i in (0..steps.max().unwrap_or(0)).rev() {
             self.sqr(&mut acc, &mut t);
             for ((_, exp), powers) in terms.iter().zip(&powers) {
                 match powers {
                     Powers::Shift(k) if exp.bit(i) => (0..*k).for_each(|_| self.double(&mut acc)),
                     Powers::Table(table) if i % 4 == 0 && exp.window(i) != 0 => {
                         self.mul(&mut acc, &table[exp.window(i) * len..][..len], &mut t)
+                    }
+                    Powers::Comb(comb) if i < comb.cols => {
+                        let entry = exp.comb_digit(i, comb) * len;
+                        self.mul(&mut acc, &comb.table[entry..][..len], &mut t)
                     }
                     _ => {}
                 }
@@ -812,19 +896,21 @@ impl Montgomery {
 }
 
 /// How one base of [`Montgomery::multi_exp`] is multiplied in.
-enum Powers {
+enum Powers<'a> {
     /// The base is `2^k`: multiplying by it is `k` modular doublings,
     /// O(len) each, done bit by bit after each squaring.
     Shift(u32),
     /// Montgomery forms of `base^0 ..= base^15`, `len` limbs each, for a
     /// fixed 4-bit window: one multiplication per four exponent bits.
     Table(Vec<u64>),
+    /// The base is 2 and the modulus carries a comb the exponent fits.
+    Comb(&'a Comb),
 }
 
 /// Largest power-of-two base taken as [`Powers::Shift`]. An exponent bit
 /// costs `k` doublings there against a quarter of a multiplication in a
-/// table, which at DH widths breaks even near `k = 10`; the workspace's
-/// generators are 2 and 4.
+/// table, which at DH widths breaks even near `k = 10`. With the
+/// generators on the comb this serves [`BigUint::modexp`] of a small base.
 const MAX_SHIFT_BASE: u64 = 1 << 8;
 
 /// `t = a * b` for `len`-limb `a`, `b` and `2 * len`-limb `t`.
@@ -1329,6 +1415,88 @@ mod engine_tests {
         }
     }
 
+    /// `2^exp` off a comb — six rows leave every width here but 768 and
+    /// 1 536 bits with a ragged top row — at the seams where a bit changes row.
+    #[test]
+    fn comb_matches_generic_on_row_seams_and_edges() {
+        let (one, two) = (BigUint::one(), b(2));
+        for m in wide_moduli() {
+            for rows in [6, 8] {
+                let mont = Montgomery::with_comb(&m, rows);
+                let cols = (64 * m.limbs.len()).div_ceil(rows);
+                let all_ones = one.shl(64 * m.limbs.len()).checked_sub(&one).unwrap();
+                let mut exps = vec![
+                    BigUint::zero(),
+                    one.clone(),
+                    two.clone(),
+                    all_ones.clone(),
+                    m.checked_sub(&two).unwrap(),
+                    all_ones.shr(3).add(&m.shr(5)),
+                ];
+                for seam in (1..rows).map(|i| i * cols) {
+                    exps.extend([seam - 1, seam, seam + 1].map(|bit| one.shl(bit)));
+                    exps.push(one.shl(seam).checked_sub(&one).unwrap());
+                }
+                for exp in &exps {
+                    assert_eq!(
+                        mont.multi_exp(&[(&two, exp)]),
+                        oracle(&two, exp, &m),
+                        "2 ^ {exp:?} mod {m:?}, {rows} rows"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An exponent the table does not cover is not truncated to the bits
+    /// it does: the term takes the general path (`Powers::Shift`), alone
+    /// and beside a second term.
+    #[test]
+    fn comb_leaves_a_wider_exponent_to_the_general_path() {
+        let two = b(2);
+        for m in wide_moduli() {
+            for rows in [6, 8] {
+                let mont = Montgomery::with_comb(&m, rows);
+                let capacity = rows * (64 * m.limbs.len()).div_ceil(rows);
+                let (fits, wide) = (
+                    BigUint::one().shl(capacity - 1),
+                    BigUint::one().shl(capacity),
+                );
+                let (y, e) = (m.shr(2).add(&b(77)), b(0xfeed_f00d));
+                assert!(matches!(
+                    mont.powers(&two, &fits, &[], &mut []),
+                    Powers::Comb(_)
+                ));
+                assert!(matches!(
+                    mont.powers(&two, &wide, &[], &mut []),
+                    Powers::Shift(1)
+                ));
+                let wider = wide.add(&fits).add(&b(5));
+                for exp in [&wide, &wider] {
+                    assert_eq!(mont.multi_exp(&[(&two, exp)]), oracle(&two, exp, &m));
+                    assert_eq!(
+                        mont.multi_exp(&[(&y, &e), (&two, exp)]),
+                        oracle2(&y, &e, &two, exp, &m)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Equality and `Debug` go by the modulus: a context with a comb, one
+    /// with another comb and one without are the same value, and none
+    /// prints its table.
+    #[test]
+    fn montgomery_is_shown_and_compared_by_modulus() {
+        let (p, other) = (DhGroup::modp1024().p, DhGroup::modp768().p);
+        let plain = Montgomery::new(&p);
+        assert_eq!(plain, Montgomery::with_comb(&p, 8));
+        assert_eq!(Montgomery::with_comb(&p, 6), Montgomery::with_comb(&p, 8));
+        assert_ne!(plain, Montgomery::with_comb(&other, 8));
+        let shown = format!("{:?}", Montgomery::with_comb(&p, 8));
+        assert_eq!(shown, "Montgomery(16 limbs)");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1375,6 +1543,26 @@ mod engine_tests {
             let expected = oracle2(&a, &ea, &pow2, &eb, &m);
             prop_assert_eq!(BigUint::modexp2(&a, &ea, &pow2, &eb, &m).unwrap(), expected.clone());
             prop_assert_eq!(BigUint::modexp2(&pow2, &eb, &a, &ea, &m).unwrap(), expected);
+        }
+
+        #[test]
+        fn prop_comb_term_matches_generic_alone_and_beside_a_table(
+            k in proptest::collection::vec(any::<u8>(), 0..129),
+            y in proptest::collection::vec(any::<u8>(), 1..129),
+            e in proptest::collection::vec(any::<u8>(), 0..129),
+            small in any::<bool>(),
+        ) {
+            // As `sign` and `verify` raise powers: 2^k off the comb, and
+            // the same beside y^e for e shorter and longer than `cols`.
+            let group = if small { DhGroup::modp768() } else { DhGroup::modp1024() };
+            let (m, two) = (&group.p, b(2));
+            let (k, e) = (BigUint::from_bytes_be(&k), BigUint::from_bytes_be(&e));
+            let y = BigUint::from_bytes_be(&y).rem(m).unwrap().add(&BigUint::one());
+            prop_assume!(&y < m);
+            prop_assert_eq!(group.ctx.multi_exp(&[(&two, &k)]), oracle(&two, &k, m));
+            let expected = oracle2(&two, &k, &y, &e, m);
+            prop_assert_eq!(group.ctx.multi_exp(&[(&two, &k), (&y, &e)]), expected.clone());
+            prop_assert_eq!(group.ctx.multi_exp(&[(&y, &e), (&two, &k)]), expected);
         }
 
         #[test]

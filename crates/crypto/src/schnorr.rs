@@ -15,13 +15,21 @@
 //! `q = (p-1)/2` is prime and `g = 4` generates the order-`q` subgroup —
 //! correct by construction, no trusted group constants needed beyond the
 //! well-known primes.
+//!
+//! Powers are raised under the DH group's shared `Montgomery` context.
+//! `g = 4 = 2^2`, so `g^k` is the comb's `2^(2k)` and never squares for
+//! the generator. A verifying key carries `y^-1` — `g^(q-x)` out of
+//! `generate`, one `mod_inv` at a parsed key's first verification — so
+//! `verify` is the textbook `g^s * y^(-e)`, where only the 256-bit `e`
+//! costs a squaring per bit.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::dh::DhGroup;
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::sha256::Sha256;
 use crate::Result;
+use std::sync::{Arc, OnceLock};
 
 /// A Schnorr group over a safe prime.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,6 +40,8 @@ pub struct SchnorrGroup {
     pub q: BigUint,
     /// Generator of the order-`q` subgroup (`4 = 2^2`).
     pub g: BigUint,
+    /// The DH group's context for `p`.
+    ctx: Arc<Montgomery>,
 }
 
 impl SchnorrGroup {
@@ -42,6 +52,7 @@ impl SchnorrGroup {
             p: group.p.clone(),
             q,
             g: BigUint::from_u64(4),
+            ctx: group.ctx.clone(),
         }
     }
 
@@ -66,6 +77,25 @@ impl SchnorrGroup {
         let digest = h.finalize();
         BigUint::from_bytes_be(&digest).rem(&self.q)
     }
+
+    /// `g^k mod p` for `k < q`, times `y^e` if a `y` in `[1, p)` is given.
+    /// `g^k` is the comb's `2^(2k)`: `2k < 2q = p - 1` fits its table.
+    fn g_pow(&self, k: &BigUint, times: Option<(&BigUint, &BigUint)>) -> BigUint {
+        let (two, k2) = (BigUint::from_u64(2), k.shl(1));
+        let mut terms = vec![(&two, &k2)];
+        terms.extend(times);
+        self.ctx.multi_exp(&terms)
+    }
+
+    /// A uniform scalar in `[1, q)`.
+    fn nonzero_scalar(&self, rng: &mut SecureRng) -> Result<BigUint> {
+        loop {
+            let k = BigUint::random_below(&self.q, |buf| rng.fill_bytes(buf))?;
+            if !k.is_zero() {
+                return Ok(k);
+            }
+        }
+    }
 }
 
 /// A Schnorr signing keypair.
@@ -78,11 +108,21 @@ pub struct SigningKey {
 }
 
 /// A Schnorr verification key.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Eq)]
 pub struct VerifyingKey {
     group: SchnorrGroup,
     /// The public group element `y = g^x mod p`.
-    pub y: BigUint,
+    y: BigUint,
+    /// `y^-1 mod p`, which `verify` raises to the challenge. A parsed key
+    /// fills it in at its first verification: half of them never verify.
+    y_inv: OnceLock<BigUint>,
+}
+
+/// Keys are equal as elements of equal groups, inverted yet or not.
+impl PartialEq for VerifyingKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.group == other.group && self.y == other.y
+    }
 }
 
 /// A Schnorr signature in `(e, s)` form.
@@ -131,15 +171,18 @@ impl Signature {
 impl SigningKey {
     /// Generates a keypair in `group`.
     pub fn generate(group: &SchnorrGroup, rng: &mut SecureRng) -> Result<Self> {
-        let x = BigUint::random_below(&group.q, |buf| rng.fill_bytes(buf))?;
-        let y = group.g.modexp(&x, &group.p)?;
+        // x ∈ [1, q): x = 0 is the key y = 1 that `from_bytes` refuses.
+        let x = group.nonzero_scalar(rng)?;
+        let public = VerifyingKey {
+            group: group.clone(),
+            y: group.g_pow(&x, None),
+            // g^(q-x) = g^-x, since g has order q.
+            y_inv: group.g_pow(&group.q.checked_sub(&x)?, None).into(),
+        };
         Ok(SigningKey {
             group: group.clone(),
             x,
-            public: VerifyingKey {
-                group: group.clone(),
-                y,
-            },
+            public,
         })
     }
 
@@ -147,13 +190,8 @@ impl SigningKey {
     pub fn sign(&self, msg: &[u8], rng: &mut SecureRng) -> Result<Signature> {
         let g = &self.group;
         // Nonce k ∈ [1, q).
-        let k = loop {
-            let k = BigUint::random_below(&g.q, |buf| rng.fill_bytes(buf))?;
-            if !k.is_zero() {
-                break k;
-            }
-        };
-        let r = g.g.modexp(&k, &g.p)?;
+        let k = g.nonzero_scalar(rng)?;
+        let r = g.g_pow(&k, None);
         let e = g.challenge(&r, &self.public.y, msg)?;
         // s = k + e*x mod q
         let s = k.mod_add(&e.mod_mul(&self.x, &g.q)?, &g.q)?;
@@ -167,7 +205,10 @@ impl SigningKey {
 }
 
 impl VerifyingKey {
-    /// Verifies `sig` over `msg`.
+    /// Verifies `sig` over `msg` by the textbook `r' = g^s * y^(-e)`. That
+    /// equals `g^s * y^(q-e)` for every `y` of order `q`, as every key out
+    /// of [`SigningKey::generate`] is; for a parsed `y` outside the
+    /// subgroup the two differ by `y^q = -1`.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<()> {
         let g = &self.group;
         if sig.s.cmp_to(&g.q) != core::cmp::Ordering::Less
@@ -175,9 +216,14 @@ impl VerifyingKey {
         {
             return Err(CryptoError::VerificationFailed("signature scalar range"));
         }
-        // r' = g^s * y^(q - e) mod p  (y^-e == y^(q-e) since ord(y) | q)
-        let neg_e = g.q.checked_sub(&sig.e)?;
-        let r = BigUint::modexp2(&g.g, &sig.s, &self.y, &neg_e, &g.p)?;
+        let y_inv = match self.y_inv.get() {
+            Some(y_inv) => y_inv,
+            None => {
+                let y_inv = self.y.mod_inv(&g.p)?;
+                self.y_inv.get_or_init(|| y_inv)
+            }
+        };
+        let r = g.g_pow(&sig.s, Some((y_inv, &sig.e)));
         let e = g.challenge(&r, &self.y, msg)?;
         if e == sig.e {
             Ok(())
@@ -196,14 +242,15 @@ impl VerifyingKey {
     pub fn from_bytes(group: &SchnorrGroup, bytes: &[u8]) -> Result<Self> {
         let y = BigUint::from_bytes_be(bytes);
         let p_minus_1 = group.p.checked_sub(&BigUint::one())?;
-        // 1 and p-1 have orders 1 and 2: `verify`'s y^(q-e) = y^-e does
-        // not hold for them, and under y = 1 every `s` verifies.
+        // 1 and p-1 have orders 1 and 2; y = 1 is the key of x = 0, under
+        // which anyone can sign.
         if y.is_zero() || y.is_one() || y.cmp_to(&p_minus_1) != core::cmp::Ordering::Less {
             return Err(CryptoError::InvalidParameter("public key out of range"));
         }
         Ok(VerifyingKey {
             group: group.clone(),
             y,
+            y_inv: OnceLock::new(),
         })
     }
 }
@@ -211,6 +258,8 @@ impl VerifyingKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dh::tests::truncations_and_flips;
+    use proptest::prelude::*;
 
     fn setup() -> (SchnorrGroup, SigningKey, SecureRng) {
         let group = SchnorrGroup::small();
@@ -350,5 +399,217 @@ mod tests {
         assert_ne!(s1, s2);
         key.public.verify(b"same msg", &s1).unwrap();
         key.public.verify(b"same msg", &s2).unwrap();
+    }
+
+    /// `verify` as it was before keys carried `y^-1`: `y^(q-e)` stands in
+    /// for `y^(-e)` and both powers go through `BigUint::modexp2`.
+    fn verify_by_long_exponent(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> bool {
+        let g = &key.group;
+        if sig.s >= g.q || sig.e >= g.q {
+            return false;
+        }
+        let neg_e = g.q.checked_sub(&sig.e).unwrap();
+        let r = BigUint::modexp2(&g.g, &sig.s, &key.y, &neg_e, &g.p).unwrap();
+        g.challenge(&r, &key.y, msg).unwrap() == sig.e
+    }
+
+    /// `y * y^-1 = 1`. A parsed key inverts at its first verification,
+    /// whatever the verdict, so one that has not verified is put through one.
+    fn inverse_holds(key: &VerifyingKey) -> bool {
+        if key.y_inv.get().is_none() {
+            let (e, s) = (BigUint::one(), BigUint::one());
+            assert!(key.verify(b"", &Signature { e, s }).is_err());
+        }
+        let y_inv = key.y_inv.get().expect("inverted by verify");
+        key.y.mod_mul(y_inv, &key.group.p).unwrap().is_one()
+    }
+
+    #[test]
+    fn groups_share_one_context_per_prime() {
+        let (a, b) = (DhGroup::modp1024(), DhGroup::modp1024());
+        assert!(Arc::ptr_eq(&a.ctx, &b.ctx));
+        assert!(Arc::ptr_eq(&a.ctx, &SchnorrGroup::from_dh_group(&b).ctx));
+        assert!(Arc::ptr_eq(&a.ctx, &SchnorrGroup::standard().ctx));
+        assert!(!Arc::ptr_eq(&a.ctx, &SchnorrGroup::small().ctx));
+        // The context is neither printed (a prime is 256 hex digits, a
+        // table 8 KB) nor what makes two groups equal.
+        assert_eq!(SchnorrGroup::standard(), SchnorrGroup::from_dh_group(&a));
+        assert_ne!(SchnorrGroup::standard(), SchnorrGroup::small());
+        let shown = format!("{:?}", SchnorrGroup::standard());
+        assert!(
+            shown.contains("ctx: Montgomery(16 limbs)") && shown.len() < 700,
+            "{shown}"
+        );
+    }
+
+    /// In the order-3 subgroup mod 7 a third of all `x ∈ [0, q)` are 0.
+    #[test]
+    fn generated_keys_are_never_the_identity() {
+        let p = BigUint::from_u64(7);
+        let toy = SchnorrGroup {
+            q: BigUint::from_u64(3),
+            g: BigUint::from_u64(4),
+            ctx: Arc::new(Montgomery::with_comb(&p, 6)),
+            p,
+        };
+        let mut rng = SecureRng::seed_from_u64(17);
+        for _ in 0..64 {
+            let key = SigningKey::generate(&toy, &mut rng).unwrap();
+            assert!(!key.x.is_zero() && !key.public.y.is_one());
+            assert!(inverse_holds(&key.public));
+            let sig = key.sign(b"toy", &mut rng).unwrap();
+            key.public.verify(b"toy", &sig).unwrap();
+        }
+    }
+
+    /// `p - y` of an honest key is in range but outside the order-`q`
+    /// subgroup: there `y^(q-e)` is `-y^(-e)`, so the two formulas
+    /// recover opposite `r` — and since the challenge binds `y`, an
+    /// honest signature is rejected under either.
+    #[test]
+    fn a_key_outside_the_subgroup_rejects_under_both_formulas() {
+        let (group, key, mut rng) = setup();
+        let sig = key.sign(b"msg", &mut rng).unwrap();
+        let outside = group.p.checked_sub(&key.public.y).unwrap();
+        let outside = VerifyingKey::from_bytes(&group, &outside.to_bytes_be()).unwrap();
+        assert!(inverse_holds(&outside));
+        let minus_one = group.p.checked_sub(&BigUint::one()).unwrap();
+        assert_eq!(outside.y.modexp(&group.q, &group.p).unwrap(), minus_one);
+        assert!(outside.verify(b"msg", &sig).is_err());
+        assert!(!verify_by_long_exponent(&outside, b"msg", &sig));
+        let short = group.g_pow(&sig.s, Some((outside.y_inv.get().unwrap(), &sig.e)));
+        let neg_e = group.q.checked_sub(&sig.e).unwrap();
+        let long = BigUint::modexp2(&group.g, &sig.s, &outside.y, &neg_e, &group.p).unwrap();
+        assert_eq!(short.add(&long), group.p);
+    }
+
+    #[test]
+    fn verifying_key_refuses_degenerate_values_by_range() {
+        // 0 and p have no inverse and 1 and p-1 do; all six fail the
+        // range check, and no `mod_inv` at a later `verify`.
+        let group = SchnorrGroup::small();
+        let range = Err(CryptoError::InvalidParameter("public key out of range"));
+        let one = BigUint::one();
+        for y in [
+            BigUint::zero(),
+            one.clone(),
+            group.p.checked_sub(&one).unwrap(),
+            group.p.clone(),
+            group.p.add(&one),
+            group.p.shl(1),
+        ] {
+            assert_eq!(VerifyingKey::from_bytes(&group, &y.to_bytes_be()), range);
+        }
+        assert_eq!(VerifyingKey::from_bytes(&group, &[0xff; 300]), range);
+    }
+
+    #[test]
+    fn damaged_encodings_never_panic_or_parse_to_the_original() {
+        let (group, key, mut rng) = setup();
+        let sig = key.sign(b"msg", &mut rng).unwrap();
+        let valid = sig.to_bytes();
+        for (i, bytes) in truncations_and_flips(&valid).enumerate() {
+            match Signature::from_bytes(&bytes) {
+                Ok(parsed) => {
+                    assert!(i >= valid.len(), "prefix {i} parsed");
+                    assert_ne!(parsed, sig);
+                    assert_eq!(Signature::from_bytes(&parsed.to_bytes()).unwrap(), parsed);
+                }
+                Err(e) => assert!(matches!(e, CryptoError::Malformed(_))),
+            }
+        }
+        let valid = key.public.to_bytes();
+        for bytes in truncations_and_flips(&valid) {
+            if let Ok(parsed) = VerifyingKey::from_bytes(&group, &bytes) {
+                assert_ne!(parsed, key.public);
+                assert!(inverse_holds(&parsed));
+                assert_eq!(
+                    VerifyingKey::from_bytes(&group, &parsed.to_bytes()).unwrap(),
+                    parsed
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_verify_agrees_with_the_long_exponent_formula(
+            seed in any::<u64>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..40),
+            noise in proptest::collection::vec(any::<u8>(), 1..128),
+            small in any::<bool>(),
+        ) {
+            let group = if small { SchnorrGroup::small() } else { SchnorrGroup::standard() };
+            let mut rng = SecureRng::seed_from_u64(seed);
+            let key = SigningKey::generate(&group, &mut rng).unwrap();
+            let parsed = VerifyingKey::from_bytes(&group, &key.public.to_bytes()).unwrap();
+            prop_assert!(inverse_holds(&key.public));
+            // Not inverted until it verifies, and the same key throughout.
+            prop_assert!(parsed.y_inv.get().is_none());
+            prop_assert_eq!(&parsed, &key.public);
+            let sig = key.sign(&msg, &mut rng).unwrap();
+            prop_assert!(parsed.verify(&msg, &sig).is_ok());
+            prop_assert_eq!(parsed.y_inv.get(), key.public.y_inv.get());
+            prop_assert_eq!(&parsed, &key.public);
+
+            let noise = BigUint::from_bytes_be(&noise).rem(&group.q).unwrap();
+            let q_minus_1 = group.q.checked_sub(&BigUint::one()).unwrap();
+            let with_s = |s: &BigUint| Signature { e: sig.e.clone(), s: s.clone() };
+            let with_e = |e: &BigUint| Signature { e: e.clone(), s: sig.s.clone() };
+            let forgeries = [
+                with_s(&noise),
+                with_s(&BigUint::zero()),
+                with_s(&q_minus_1),
+                with_s(&group.q),
+                with_e(&noise),
+                with_e(&BigUint::zero()),
+                with_e(&q_minus_1),
+                with_e(&group.q),
+                Signature { e: BigUint::zero(), s: BigUint::zero() },
+            ];
+            for forged in forgeries.iter().filter(|forged| **forged != sig) {
+                let verdict = parsed.verify(&msg, forged).is_ok();
+                prop_assert_eq!(verdict, verify_by_long_exponent(&parsed, &msg, forged));
+                prop_assert!(!verdict, "{:?}", forged);
+            }
+            let mut other = msg.clone();
+            other.push(0);
+            prop_assert!(parsed.verify(&other, &sig).is_err());
+            prop_assert!(!verify_by_long_exponent(&parsed, &other, &sig));
+            prop_assert!(verify_by_long_exponent(&parsed, &msg, &sig));
+        }
+
+        #[test]
+        fn prop_hostile_bytes_never_panic_and_what_parses_round_trips(
+            bytes in proptest::collection::vec(any::<u8>(), 0..301),
+            split in 0usize..301,
+        ) {
+            let group = SchnorrGroup::small();
+            if let Ok(key) = VerifyingKey::from_bytes(&group, &bytes) {
+                prop_assert!(inverse_holds(&key));
+                prop_assert_eq!(key.y.clone(), BigUint::from_bytes_be(&bytes));
+                prop_assert_eq!(VerifyingKey::from_bytes(&group, &key.to_bytes()).unwrap(), key);
+            }
+            if let Ok(sig) = Signature::from_bytes(&bytes) {
+                prop_assert_eq!(Signature::from_bytes(&sig.to_bytes()).unwrap(), sig);
+            }
+            // Arbitrary bytes rarely frame, so frame them: two scalars,
+            // leading zeros and all, parse to their values and re-encode
+            // canonically.
+            let (e, s) = bytes.split_at(split.min(bytes.len()));
+            let mut framed = Vec::new();
+            for scalar in [e, s] {
+                framed.extend_from_slice(&(scalar.len() as u16).to_be_bytes());
+                framed.extend_from_slice(scalar);
+            }
+            let sig = Signature::from_bytes(&framed).unwrap();
+            prop_assert_eq!(&sig.e, &BigUint::from_bytes_be(e));
+            prop_assert_eq!(&sig.s, &BigUint::from_bytes_be(s));
+            prop_assert_eq!(Signature::from_bytes(&sig.to_bytes()).unwrap(), sig);
+            framed.push(0);
+            prop_assert!(Signature::from_bytes(&framed).is_err());
+        }
     }
 }
