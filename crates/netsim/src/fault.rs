@@ -48,7 +48,8 @@ pub struct FaultConfig {
 pub struct RateLimit {
     /// Tokens added per interval (packets per bucket).
     pub tokens_per_interval: u32,
-    /// Refill interval.
+    /// Refill interval. Zero means refilled at every instant: the bucket
+    /// is full for each packet, so only a zero-token bucket drops.
     pub interval: SimDuration,
 }
 
@@ -112,9 +113,12 @@ impl FaultInjector {
     /// Decides the fate of a packet sent at `now`.
     pub fn decide(&mut self, now: SimTime) -> FaultDecision {
         if let Some(limit) = self.config.rate_limit {
-            while now >= self.bucket_refill_at {
+            if now >= self.bucket_refill_at {
                 self.bucket_tokens = limit.tokens_per_interval;
-                self.bucket_refill_at += limit.interval;
+                // One step over every interval that has ended by `now`.
+                let gap = (now - self.bucket_refill_at).as_nanos();
+                let missed = gap.checked_div(limit.interval.as_nanos());
+                self.bucket_refill_at += limit.interval.saturating_mul(missed.map_or(0, |n| n + 1));
             }
             if self.bucket_tokens == 0 {
                 return FaultDecision::Drop;
@@ -232,6 +236,42 @@ mod tests {
         // After a refill interval, tokens return.
         let t2 = t + SimDuration::from_millis(60);
         assert_eq!(inj.decide(t2), FaultDecision::Deliver);
+    }
+
+    #[test]
+    fn zero_interval_refills_at_every_instant() {
+        let mut inj = injector(FaultConfig {
+            rate_limit: Some(RateLimit {
+                tokens_per_interval: 1,
+                interval: SimDuration::ZERO,
+            }),
+            ..Default::default()
+        });
+        for t in [0, 0, 5, 5, u64::MAX] {
+            assert_eq!(inj.decide(SimTime(t)), FaultDecision::Deliver);
+        }
+        assert_eq!(inj.bucket_refill_at, SimTime::ZERO);
+    }
+
+    #[test]
+    fn idle_gap_of_many_intervals_is_one_step() {
+        let interval = SimDuration::from_micros(1);
+        let mut inj = injector(FaultConfig {
+            rate_limit: Some(RateLimit {
+                tokens_per_interval: 2,
+                interval,
+            }),
+            ..Default::default()
+        });
+        assert_eq!(inj.decide(SimTime::ZERO), FaultDecision::Deliver);
+        // 10^12 intervals later: the refill lands on the interval holding
+        // `now`, exactly where stepping one interval at a time would.
+        let now = SimTime::ZERO + interval.saturating_mul(1_000_000_000_000);
+        let fates: Vec<_> = (0..3).map(|_| inj.decide(now)).collect();
+        use FaultDecision::{Deliver, Drop};
+        assert_eq!(fates, [Deliver, Deliver, Drop]);
+        assert_eq!(inj.bucket_refill_at, now + interval);
+        assert_eq!(inj.decide(now + interval), Deliver);
     }
 
     #[test]

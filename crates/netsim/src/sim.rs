@@ -788,6 +788,61 @@ mod tests {
         assert_eq!(net.pending(b), 3);
     }
 
+    // The decisions of link `0 → 1` under seed 1 and the benchmark's
+    // `tor_open_faulty` mix, taken from the implementation before the RNG
+    // drew from a four-block buffer. They pin the draw order where it
+    // lives: drop, corrupt, duplicate, one `u64` each and none past the
+    // first hit; reorder draws nothing while its chance is 0.
+    #[test]
+    fn fault_decisions_of_a_seeded_link_are_pinned() {
+        let faults = FaultConfig {
+            drop_chance: 0.05,
+            corrupt_chance: 0.01,
+            duplicate_chance: 0.01,
+            ..Default::default()
+        };
+        let fresh = || injector_for(1, &mut None, NodeId(0), NodeId(1), &faults).expect("faulty");
+        // Where a fully materialised 512-byte frame was hit, and with what.
+        let hit = |inj: &mut FaultInjector| {
+            let mut wire = [0u8; 512];
+            inj.corrupt(&mut wire, 0);
+            let at = wire.iter().position(|&b| b != 0).expect("one flip");
+            (at, wire[at])
+        };
+
+        let mut inj = fresh();
+        let mut counts = [0u32; 5];
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..512 {
+            let code = match inj.decide(SimTime(i)) {
+                FaultDecision::Deliver => 0,
+                FaultDecision::Drop => 1,
+                FaultDecision::Corrupt => 2,
+                FaultDecision::Duplicate => 3,
+                FaultDecision::Delay(_) => 4,
+            };
+            counts[code] += 1;
+            fnv = (fnv ^ code as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(counts, [474, 25, 8, 5, 0]);
+        assert_eq!(fnv, 0x8cec_c29d_ff23_a3f3);
+        // The stream stands where 1 + 2 + 3 draws per outcome leave it.
+        assert_eq!(hit(&mut inj), (185, 0x20));
+
+        // A runner frame: 24 header bytes and 488 of unmaterialised
+        // padding draw as the 512 wire bytes do; only byte 12 is there
+        // to be flipped.
+        let (mut padded, mut whole) = (fresh(), fresh());
+        let mut header = [0u8; 24];
+        for expected in [(507, 0x02), (12, 0x10), (42, 0x10)] {
+            padded.corrupt(&mut header, 488);
+            assert_eq!(hit(&mut whole), expected);
+        }
+        let mut flipped = [0u8; 24];
+        flipped[12] = 0x10;
+        assert_eq!(header, flipped);
+    }
+
     #[test]
     fn identical_seeds_identical_traces() {
         let build = || {
