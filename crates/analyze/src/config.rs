@@ -57,9 +57,11 @@ impl AnalyzeConfig {
     /// protocol surface: `teenet-sgx` in full, each application's
     /// in-enclave modules, and the TLS record layer the middlebox runs
     /// inside its enclave. `teenet-crypto` is deliberately out of scope
-    /// for L1: it is the constant-time primitive layer, its inputs are
-    /// length-validated at the protocol layer above, and its internals
-    /// (bignum limb loops) are covered by their own property tests.
+    /// for L1: it is the primitive layer, its inputs are length-validated
+    /// at the protocol layer above, and its internals (bignum limb loops)
+    /// are covered by their own property tests. It is *not* constant-time
+    /// — table indices, skipped windows and final subtractions depend on
+    /// secrets (DESIGN.md "Exponentiation"); ROADMAP item 5 is the plan.
     pub fn repo() -> Self {
         AnalyzeConfig {
             excluded_prefixes: vec![

@@ -20,6 +20,8 @@
 //! it with `--deny-findings` plus `--model-check` and fails on any
 //! unwaived finding or ring-invariant violation.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod flow;
 pub mod lexer;

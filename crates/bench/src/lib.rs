@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Shared harness code for the table/figure reproduction binaries and the
 //! Criterion benches.

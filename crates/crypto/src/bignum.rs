@@ -11,11 +11,14 @@
 //! left-to-right product of powers in Montgomery form. Its kernel is
 //! `mul_wide`, a dedicated `sqr_wide` (cross products once, doubled, plus
 //! the diagonal) and a shared `reduce`, in scratch allocated once per
-//! call. Each step squares the accumulator once for all terms; how a term
-//! then multiplies in is its `Powers`: a general base through a 16-entry
-//! table once per 4-bit window, a small power of two through `k` modular
+//! call — one body each, generic over a const limb count `W`: the two
+//! widths every workload uses (12 and 16 limbs) run as unrolled loops of
+//! fixed length, any other at `W = 0`, the length of the slices.
+//! Each step squares the accumulator once for all terms; how a term then
+//! multiplies in is its `Powers`: a general base through a 16-entry table
+//! once per 4-bit window, a small power of two through `k` modular
 //! doublings per set bit, and base 2 under a modulus that carries a
-//! `Comb` through one table entry per *column* of its exponent.
+//! `Comb` through one table entry per block per *column* of its exponent.
 //! [`BigUint::modexp`] and [`BigUint::modexp2`] are the one- and two-term
 //! cases under constants computed per call (no comb); DH and Schnorr hold
 //! one `Montgomery` with a comb per built-in prime (see [`crate::dh`]).
@@ -674,6 +677,27 @@ impl PartialOrd for BigUint {
     }
 }
 
+/// Runs `$body` with the const `$w` at `$len` when that is 12 or 16 limbs
+/// (768 or 1 024 bits: every power a workload raises), else at 0.
+macro_rules! at_width {
+    ($len:expr, $w:ident => $body:expr) => {
+        match $len {
+            12 => {
+                const $w: usize = 12;
+                $body
+            }
+            16 => {
+                const $w: usize = 16;
+                $body
+            }
+            _ => {
+                const $w: usize = 0;
+                $body
+            }
+        }
+    };
+}
+
 /// Montgomery arithmetic for an odd modulus `n` of `len` limbs, with
 /// `R = 2^(64 * len)`.
 ///
@@ -692,14 +716,17 @@ pub(crate) struct Montgomery {
 }
 
 /// A Lim–Lee fixed-base comb for base 2. An exponent below
-/// `2^(rows * cols)` is read as `rows` rows of `cols` bits; `table[d]` is
-/// the Montgomery form of the product of `2^(2^(j * cols))` over the set
-/// bits `j` of `d` (so `table[0]` is one), and `2^E` is `cols` squarings
-/// with one table entry multiplied in per column.
+/// `2^(rows * cols)` is read as `rows` rows of `cols` bits, each cut into
+/// blocks of `span` columns (the last partial if `span` does not divide
+/// `cols`). Entry `d` of block `k`'s sub-table is the Montgomery form of
+/// the product of `2^(2^(j * cols + k * span))` over the set bits `j` of
+/// `d` (entry 0 is one): block 0's raised to `2^(k * span)`. `2^E` is
+/// `span` squarings, each followed by one entry from every block.
 struct Comb {
     table: Vec<u64>,
     rows: usize,
     cols: usize,
+    span: usize,
 }
 
 /// Shown and compared by modulus: every other field is a function of it.
@@ -742,51 +769,68 @@ impl Montgomery {
         }
     }
 
-    /// [`Self::new`] for an odd `modulus > 1`, plus a `rows`-row comb
-    /// covering every exponent of up to `64 * len` bits.
-    pub(crate) fn with_comb(modulus: &BigUint, rows: usize) -> Self {
+    /// [`Self::new`] for an odd `modulus > 1`, plus a comb of `rows` rows
+    /// in `blocks` blocks covering every exponent of up to `64 * len` bits.
+    pub(crate) fn with_comb(modulus: &BigUint, rows: usize, blocks: usize) -> Self {
         let mut mont = Self::new(modulus);
         let len = mont.n.len();
         let cols = (64 * len).div_ceil(rows);
-        let (mut t, mut table) = (vec![0u64; 2 * len], vec![0u64; len << rows]);
-        table[..len].copy_from_slice(&mont.r2);
-        mont.unscale(&mut table[..len], &mut t);
-        // Row j's power 2^(2^(j * cols)): the row below's squared `cols` times.
-        let mut power = table[..len].to_vec();
+        let span = cols.div_ceil(blocks);
+        let (mut t, mut one) = (vec![0u64; 2 * len], mont.r2.clone());
+        mont.unscale(&mut one, &mut t);
+        let mut table = one.repeat(blocks << rows);
+        // The bases 2^(2^bit), bit = j * cols + k * span, in exponent
+        // order: each is the one before squared up to its bit.
+        let (mut power, mut squared) = (one, 0);
         mont.double(&mut power);
-        for d in 1..1usize << rows {
-            if d > 1 && d.is_power_of_two() {
-                (0..cols).for_each(|_| mont.sqr(&mut power, &mut t));
+        for j in 0..rows {
+            for (k, bit) in (j * cols..(j + 1) * cols).step_by(span).enumerate() {
+                (squared..bit).for_each(|_| mont.sqr(&mut power, &mut t));
+                squared = bit;
+                for d in (k << rows) + (1 << j)..(k << rows) + (2 << j) {
+                    let (known, rest) = table.split_at_mut(d * len);
+                    rest[..len].copy_from_slice(&known[(d - (1 << j)) * len..][..len]);
+                    mont.mul(&mut rest[..len], &power, &mut t);
+                }
             }
-            let (known, rest) = table.split_at_mut(d * len);
-            let below = d - (1 << d.ilog2());
-            rest[..len].copy_from_slice(&known[below * len..][..len]);
-            mont.mul(&mut rest[..len], &power, &mut t);
         }
-        mont.comb = Some(Comb { table, rows, cols });
+        mont.comb = Some(Comb {
+            table,
+            rows,
+            cols,
+            span,
+        });
         mont
     }
 
     /// `acc = acc * b * R^-1 mod n`.
     fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
-        mul_wide(t, acc, b);
-        self.reduce(acc, t);
+        at_width!(self.n.len(), W => {
+            mul_wide::<W>(t, acc, b);
+            self.reduce::<W>(acc, t)
+        })
     }
 
     /// `acc = acc^2 * R^-1 mod n`.
     fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
-        sqr_wide(t, acc);
-        self.reduce(acc, t);
+        at_width!(self.n.len(), W => {
+            sqr_wide::<W>(t, acc);
+            self.reduce::<W>(acc, t)
+        })
     }
 
     /// Montgomery reduction: `out = t * R^-1 mod n` for a `2 * len`-limb
     /// `t < n * R` (which it clobbers).
-    fn reduce(&self, out: &mut [u64], t: &mut [u64]) {
-        let len = self.n.len();
+    #[inline(always)]
+    fn reduce<const W: usize>(&self, out: &mut [u64], t: &mut [u64]) {
+        let len = width::<W>(&self.n);
+        let (n, t) = (&self.n[..len], &mut t[..2 * len]);
         let mut top = 0u64;
         for i in 0..len {
-            let m = t[i].wrapping_mul(self.n_prime);
-            let carry = addmul(&mut t[i..i + len], &self.n, m);
+            let (m, mut carry) = (t[i].wrapping_mul(self.n_prime), 0);
+            for j in 0..len {
+                (t[i + j], carry) = mul_add(m, n[j], t[i + j], carry);
+            }
             let (s, c1) = t[i + len].overflowing_add(carry);
             let (s, c2) = s.overflowing_add(top);
             t[i + len] = s;
@@ -811,7 +855,7 @@ impl Montgomery {
         let len = self.n.len();
         t[..len].copy_from_slice(acc);
         t[len..].fill(0);
-        self.reduce(acc, t);
+        at_width!(len, W => self.reduce::<W>(acc, t))
     }
 
     /// `acc = 2 * acc mod n`.
@@ -853,8 +897,8 @@ impl Montgomery {
     /// `prod base^exp mod n` over `terms` (bases nonzero and below `n`),
     /// left to right: one squaring of the accumulator per step, shared by
     /// all terms, after which each term multiplies its share in. A step is
-    /// an exponent bit — or, on the comb, a column: always all `cols`,
-    /// each with its multiplication, whatever the exponent.
+    /// an exponent bit — or, on the comb, a column of every block: always
+    /// all `span`, each with a multiplication per block, whatever the exponent.
     pub(crate) fn multi_exp(&self, terms: &[(&BigUint, &BigUint)]) -> BigUint {
         let len = self.n.len();
         let mut t = vec![0u64; 2 * len];
@@ -869,7 +913,7 @@ impl Montgomery {
             .iter()
             .zip(&powers)
             .map(|((_, exp), powers)| match powers {
-                Powers::Comb(comb) => comb.cols,
+                Powers::Comb(comb) => comb.span,
                 _ => exp.bit_len(),
             });
         for i in (0..steps.max().unwrap_or(0)).rev() {
@@ -880,9 +924,11 @@ impl Montgomery {
                     Powers::Table(table) if i % 4 == 0 && exp.window(i) != 0 => {
                         self.mul(&mut acc, &table[exp.window(i) * len..][..len], &mut t)
                     }
-                    Powers::Comb(comb) if i < comb.cols => {
-                        let entry = exp.comb_digit(i, comb) * len;
-                        self.mul(&mut acc, &comb.table[entry..][..len], &mut t)
+                    Powers::Comb(comb) if i < comb.span => {
+                        for (k, col) in (i..comb.cols).step_by(comb.span).enumerate() {
+                            let entry = ((k << comb.rows) + exp.comb_digit(col, comb)) * len;
+                            self.mul(&mut acc, &comb.table[entry..][..len], &mut t)
+                        }
                     }
                     _ => {}
                 }
@@ -913,23 +959,45 @@ enum Powers<'a> {
 /// generators on the comb this serves [`BigUint::modexp`] of a small base.
 const MAX_SHIFT_BASE: u64 = 1 << 8;
 
+/// The limb count a kernel body runs at: `W`, or for `W = 0` that of `a`.
+#[inline(always)]
+fn width<const W: usize>(a: &[u64]) -> usize {
+    debug_assert!(W == 0 || W == a.len(), "{W}-limb kernel, {} limbs", a.len());
+    match W {
+        0 => a.len(),
+        _ => W,
+    }
+}
+
 /// `t = a * b` for `len`-limb `a`, `b` and `2 * len`-limb `t`.
-fn mul_wide(t: &mut [u64], a: &[u64], b: &[u64]) {
-    let len = a.len();
+#[inline(always)]
+fn mul_wide<const W: usize>(t: &mut [u64], a: &[u64], b: &[u64]) {
+    let len = width::<W>(a);
+    let (a, b, t) = (&a[..len], &b[..len], &mut t[..2 * len]);
     t[..len].fill(0);
-    for (i, &ai) in a.iter().enumerate() {
-        t[i + len] = addmul(&mut t[i..i + len], b, ai);
+    for i in 0..len {
+        let mut carry = 0;
+        for j in 0..len {
+            (t[i + j], carry) = mul_add(a[i], b[j], t[i + j], carry);
+        }
+        t[i + len] = carry;
     }
 }
 
 /// `t = a^2`: each cross product `a[i] * a[j]`, `i < j`, is formed once,
 /// their sum doubled and the squares `a[i]^2` added on the way — about
 /// half the limb products of [`mul_wide`].
-fn sqr_wide(t: &mut [u64], a: &[u64]) {
-    let len = a.len();
+#[inline(always)]
+fn sqr_wide<const W: usize>(t: &mut [u64], a: &[u64]) {
+    let len = width::<W>(a);
+    let (a, t) = (&a[..len], &mut t[..2 * len]);
     t[..len].fill(0);
-    for (i, &ai) in a.iter().enumerate() {
-        t[i + len] = addmul(&mut t[2 * i + 1..i + len], &a[i + 1..], ai);
+    for i in 0..len {
+        let mut carry = 0;
+        for j in i + 1..len {
+            (t[i + j], carry) = mul_add(a[i], a[j], t[i + j], carry);
+        }
+        t[i + len] = carry;
     }
     let (mut shifted_out, mut carry) = (0u64, 0u64);
     for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
@@ -946,16 +1014,12 @@ fn sqr_wide(t: &mut [u64], a: &[u64]) {
     debug_assert_eq!((shifted_out, carry), (0, 0));
 }
 
-/// `row += a * b`, returning the carry out of the top limb of `row`.
+/// `a * b + c + d` as low and high limbs: at most `2^128 - 1`, so it
+/// cannot overflow.
 #[inline(always)]
-fn addmul(row: &mut [u64], b: &[u64], a: u64) -> u64 {
-    let mut carry = 0u64;
-    for (r, &bj) in row.iter_mut().zip(b) {
-        let s = *r as u128 + a as u128 * bj as u128 + carry as u128;
-        *r = s as u64;
-        carry = (s >> 64) as u64;
-    }
-    carry
+fn mul_add(a: u64, b: u64, c: u64, d: u64) -> (u64, u64) {
+    let s = a as u128 * b as u128 + c as u128 + d as u128;
+    (s as u64, (s >> 64) as u64)
 }
 
 fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
@@ -1400,52 +1464,206 @@ mod engine_tests {
         assert!(BigUint::modexp2(&g, &s, &y, &e, &zero).is_err());
     }
 
+    /// `a^2` and `a * a` through the product bodies at width `W`, into
+    /// scratch that comes in dirty, as it does mid-chain.
+    fn wide_at<const W: usize>(a: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let (mut squared, mut product) = (vec![0xdead; 2 * a.len()], vec![0xbeef; 2 * a.len()]);
+        sqr_wide::<W>(&mut squared, a);
+        mul_wide::<W>(&mut product, a, a);
+        (squared, product)
+    }
+
+    /// `a * b * R^-1` and `a^2 * R^-1` through the kernel bodies at width `W`.
+    fn mul_sqr_at<const W: usize>(mont: &Montgomery, a: &[u64], b: &[u64]) -> [Vec<u64>; 2] {
+        let (mut t, mut product, mut square) = (vec![0xdead; 2 * a.len()], a.to_vec(), a.to_vec());
+        mul_wide::<W>(&mut t, a, b);
+        mont.reduce::<W>(&mut product, &mut t);
+        sqr_wide::<W>(&mut t, a);
+        mont.reduce::<W>(&mut square, &mut t);
+        [product, square]
+    }
+
     #[test]
     fn sqr_wide_matches_mul_wide_on_all_ones() {
         // (R - 1)^2 carries through every limb of the doubling pass and
-        // of the diagonal; scratch comes in dirty, as it does mid-chain.
+        // of the diagonal, at width 0 and at the two fixed widths.
         for len in 1..=33 {
             let a = vec![u64::MAX; len];
-            let (mut squared, mut product) = (vec![0xdead_u64; 2 * len], vec![0xbeef_u64; 2 * len]);
-            sqr_wide(&mut squared, &a);
-            mul_wide(&mut product, &a, &a);
+            let (squared, product) = wide_at::<0>(&a);
             assert_eq!(squared, product, "{len} limbs");
+            match len {
+                12 => assert_eq!(wide_at::<12>(&a), (squared.clone(), product)),
+                16 => assert_eq!(wide_at::<16>(&a), (squared.clone(), product)),
+                _ => {}
+            }
             let a = BigUint { limbs: a };
             assert_eq!(squared, a.mul(&a).limbs, "{len} limbs");
         }
     }
 
-    /// `2^exp` off a comb — six rows leave every width here but 768 and
-    /// 1 536 bits with a ragged top row — at the seams where a bit changes row.
+    /// Odd `len`-limb moduli: one shaped like the MODP primes (lowest and
+    /// top limbs all ones, so `n' = 1`) and one with a random odd lowest
+    /// limb; both within `R / 256` of `R`, so a product can overflow it.
+    fn kernel_moduli(len: usize) -> [BigUint; 2] {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ len as u64;
+        let mut limbs = || -> Vec<u64> {
+            (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state ^ state >> 29
+                })
+                .collect()
+        };
+        let (mut modp, mut random) = (limbs(), limbs());
+        (modp[0], modp[len - 1]) = (u64::MAX, u64::MAX);
+        random[0] |= 1;
+        random[len - 1] |= 0xff << 56;
+        [BigUint { limbs: modp }, BigUint { limbs: random }]
+    }
+
+    /// Operands `a, b < n` whose Montgomery product before the final
+    /// subtraction, `(a * b + m * n) / R`, is `u`: for some `a = n - 2k`,
+    /// `b = (u * R - m * n) / a`, the largest `m <= u * R / n` that makes
+    /// the division exact, provided it is a reduction's `m < R` and `b < n`.
+    fn operands_reducing_to(n: &BigUint, u: &BigUint) -> (BigUint, BigUint) {
+        let r = BigUint::one().shl(64 * n.limbs.len());
+        let u_r = u.mul(&r);
+        let m_max = u_r.div_rem(n).unwrap().0;
+        for k in 1..64 {
+            let a = n.checked_sub(&b(2 * k)).unwrap();
+            let Ok(n_inv) = n.mod_inv(&a) else { continue };
+            let m_mod_a = u_r.mod_mul(&n_inv, &a).unwrap();
+            let m = m_max
+                .checked_sub(&m_max.rem(&a).unwrap().mod_sub(&m_mod_a, &a).unwrap())
+                .unwrap();
+            let (b, rest) = u_r.checked_sub(&m.mul(n)).unwrap().div_rem(&a).unwrap();
+            assert!(rest.is_zero());
+            if m < r && b < *n {
+                return (a, b);
+            }
+        }
+        unreachable!("no operands for {u:?} mod {n:?}")
+    }
+
+    /// Every operation of the kernel, dispatched and at width 0 (and at 12
+    /// or 16 limbs through its fixed-width body), equals the oracle
+    /// `a * b * R^-1 mod n` — at the two fixed widths and their unfixed
+    /// neighbours, on edge operands and on products that land just below
+    /// `n` and just above it (`u = n` would need `n | a * b`), below `R`
+    /// and at it, so the final subtraction is skipped, taken, and taken
+    /// with the carry out of the top limb.
     #[test]
-    fn comb_matches_generic_on_row_seams_and_edges() {
-        let (one, two) = (BigUint::one(), b(2));
-        for m in wide_moduli() {
-            for rows in [6, 8] {
-                let mont = Montgomery::with_comb(&m, rows);
-                let cols = (64 * m.limbs.len()).div_ceil(rows);
-                let all_ones = one.shl(64 * m.limbs.len()).checked_sub(&one).unwrap();
-                let mut exps = vec![
+    fn kernel_at_every_width_matches_width_zero_and_the_oracle() {
+        for len in [11, 12, 13, 15, 16, 17] {
+            for n in kernel_moduli(len) {
+                let mont = Montgomery::new(&n);
+                let r = BigUint::one().shl(64 * len);
+                let r_inv = r.rem(&n).unwrap().mod_inv(&n).unwrap();
+                let edges = [
                     BigUint::zero(),
-                    one.clone(),
-                    two.clone(),
-                    all_ones.clone(),
-                    m.checked_sub(&two).unwrap(),
-                    all_ones.shr(3).add(&m.shr(5)),
+                    BigUint::one(),
+                    n.checked_sub(&BigUint::one()).unwrap(),
+                    r.rem(&n).unwrap(),
+                    n.shr(1),
+                    n.shr(3).add(&b(0x1234_5678)),
                 ];
-                for seam in (1..rows).map(|i| i * cols) {
-                    exps.extend([seam - 1, seam, seam + 1].map(|bit| one.shl(bit)));
-                    exps.push(one.shl(seam).checked_sub(&one).unwrap());
+                let mut pairs: Vec<_> = edges
+                    .iter()
+                    .flat_map(|a| edges.iter().map(move |b| (a.clone(), b.clone())))
+                    .collect();
+                let targets = [
+                    n.checked_sub(&b(1)).unwrap(),
+                    n.add(&b(1)),
+                    n.add(&b(2)),
+                    r.checked_sub(&b(1)).unwrap(),
+                    r.clone(),
+                ];
+                for u in &targets {
+                    let (a, b) = operands_reducing_to(&n, u);
+                    assert_eq!(a.mul(&b).mul(&r_inv).rem(&n).unwrap(), u.rem(&n).unwrap());
+                    pairs.push((a, b));
                 }
-                for exp in &exps {
+                let limbs = |v: &BigUint| {
+                    let mut limbs = v.limbs.clone();
+                    limbs.resize(len, 0);
+                    limbs
+                };
+                for (a, b) in &pairs {
+                    let expected =
+                        [a.mul(b), a.mul(a)].map(|t| limbs(&t.mul(&r_inv).rem(&n).unwrap()));
+                    let (mut product, mut square, mut t) = (limbs(a), limbs(a), vec![0; 2 * len]);
+                    mont.mul(&mut product, &limbs(b), &mut t);
+                    mont.sqr(&mut square, &mut t);
+                    assert_eq!([product, square], expected, "{a:?} * {b:?} mod {n:?}");
+                    let at_zero = mul_sqr_at::<0>(&mont, &limbs(a), &limbs(b));
+                    assert_eq!(at_zero, expected, "{a:?} * {b:?} mod {n:?}");
+                    match len {
+                        12 => assert_eq!(mul_sqr_at::<12>(&mont, &limbs(a), &limbs(b)), at_zero),
+                        16 => assert_eq!(mul_sqr_at::<16>(&mont, &limbs(a), &limbs(b)), at_zero),
+                        _ => {}
+                    }
+                }
+                let (base, exp) = (n.shr(7).add(&b(3)), b(0xfedc_ba98_7654_3211));
+                assert_eq!(base.modexp(&exp, &n).unwrap(), oracle(&base, &exp, &n));
+            }
+        }
+    }
+
+    /// `2^(2^c) mod m` for `c <= bits` and `2^(2^c - 1) mod m` for
+    /// `c <= bits`, by repeated `mod_mul`: the comb's exponents of one set
+    /// bit and of all bits below one, `bits` of each in one pass.
+    fn powers_of_two(m: &BigUint, bits: usize) -> (Vec<BigUint>, Vec<BigUint>) {
+        let (mut bit, mut below) = (vec![b(2).rem(m).unwrap()], vec![BigUint::one()]);
+        for c in 0..bits {
+            below.push(below[c].mod_mul(&bit[c], m).unwrap());
+            bit.push(bit[c].mod_mul(&bit[c], m).unwrap());
+        }
+        (bit, below)
+    }
+
+    /// `2^E` off a comb of one and of two blocks at 6, 7 and 8 rows, with
+    /// `E` a single bit or all bits below one at every seam of the layout
+    /// — where a bit changes row (`j * cols`) or block (`j * cols + k *
+    /// span`) — and one either side. 13 limbs at 7 rows (and 1 024 bits at
+    /// 6 and 7) leave the second block one column short.
+    #[test]
+    fn comb_matches_the_oracle_at_every_row_and_block_seam() {
+        let (one, two) = (BigUint::one(), b(2));
+        let mut partial = 0;
+        for m in wide_moduli() {
+            let bits = 64 * m.limbs.len();
+            let (bit, below) = powers_of_two(&m, bits + 8);
+            let general = [
+                m.checked_sub(&two).unwrap(),
+                one.shl(bits - 3).add(&m.shr(5)),
+            ];
+            for (rows, blocks) in [6, 7, 8].into_iter().flat_map(|r| [(r, 1), (r, 2)]) {
+                let mont = Montgomery::with_comb(&m, rows, blocks);
+                let comb = mont.comb.as_ref().unwrap();
+                let (cols, span) = (comb.cols, comb.span);
+                partial += usize::from(blocks * span > cols);
+                let seams =
+                    (0..rows).flat_map(|j| (0..cols).step_by(span).map(move |k| j * cols + k));
+                let mut exps = vec![(BigUint::zero(), one.clone())];
+                for c in seams.flat_map(|s| [s.saturating_sub(1), s, s + 1]) {
+                    exps.push((one.shl(c), bit[c].clone()));
+                    exps.push((one.shl(c).checked_sub(&one).unwrap(), below[c].clone()));
+                }
+                let all = rows * cols;
+                exps.push((one.shl(all).checked_sub(&one).unwrap(), below[all].clone()));
+                exps.extend(general.iter().map(|e| (e.clone(), oracle(&two, e, &m))));
+                for (exp, expected) in &exps {
                     assert_eq!(
                         mont.multi_exp(&[(&two, exp)]),
-                        oracle(&two, exp, &m),
-                        "2 ^ {exp:?} mod {m:?}, {rows} rows"
+                        *expected,
+                        "2 ^ {exp:?} mod {m:?}, {rows} rows x {blocks} blocks"
                     );
                 }
             }
         }
+        assert!(partial >= 3, "{partial} layouts with a partial block");
     }
 
     /// An exponent the table does not cover is not truncated to the bits
@@ -1455,8 +1673,8 @@ mod engine_tests {
     fn comb_leaves_a_wider_exponent_to_the_general_path() {
         let two = b(2);
         for m in wide_moduli() {
-            for rows in [6, 8] {
-                let mont = Montgomery::with_comb(&m, rows);
+            for (rows, blocks) in [(6, 1), (7, 2), (8, 2)] {
+                let mont = Montgomery::with_comb(&m, rows, blocks);
                 let capacity = rows * (64 * m.limbs.len()).div_ceil(rows);
                 let (fits, wide) = (
                     BigUint::one().shl(capacity - 1),
@@ -1490,10 +1708,13 @@ mod engine_tests {
     fn montgomery_is_shown_and_compared_by_modulus() {
         let (p, other) = (DhGroup::modp1024().p, DhGroup::modp768().p);
         let plain = Montgomery::new(&p);
-        assert_eq!(plain, Montgomery::with_comb(&p, 8));
-        assert_eq!(Montgomery::with_comb(&p, 6), Montgomery::with_comb(&p, 8));
-        assert_ne!(plain, Montgomery::with_comb(&other, 8));
-        let shown = format!("{:?}", Montgomery::with_comb(&p, 8));
+        assert_eq!(plain, Montgomery::with_comb(&p, 8, 2));
+        assert_eq!(
+            Montgomery::with_comb(&p, 6, 1),
+            Montgomery::with_comb(&p, 8, 2)
+        );
+        assert_ne!(plain, Montgomery::with_comb(&other, 8, 2));
+        let shown = format!("{:?}", Montgomery::with_comb(&p, 8, 2));
         assert_eq!(shown, "Montgomery(16 limbs)");
     }
 
@@ -1568,8 +1789,8 @@ mod engine_tests {
         #[test]
         fn prop_sqr_wide_matches_mul_wide(a in proptest::collection::vec(any::<u64>(), 1..34)) {
             let (mut squared, mut product) = (vec![0u64; 2 * a.len()], vec![0u64; 2 * a.len()]);
-            sqr_wide(&mut squared, &a);
-            mul_wide(&mut product, &a, &a);
+            sqr_wide::<0>(&mut squared, &a);
+            mul_wide::<0>(&mut product, &a, &a);
             prop_assert_eq!(squared, product);
         }
     }

@@ -82,6 +82,7 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
 /// as [`apply`] counts), in stream order.
 pub(crate) fn blocks4(initial: &State) -> [u8; 256] {
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    #[allow(unsafe_code)]
     {
         // SAFETY: `blocks4_sse2` requires SSE2, and this call is compiled
         // only under `cfg(target_feature = "sse2")`.

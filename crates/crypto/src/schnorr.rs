@@ -432,7 +432,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.ctx, &SchnorrGroup::standard().ctx));
         assert!(!Arc::ptr_eq(&a.ctx, &SchnorrGroup::small().ctx));
         // The context is neither printed (a prime is 256 hex digits, a
-        // table 8 KB) nor what makes two groups equal.
+        // table 64 KB) nor what makes two groups equal.
         assert_eq!(SchnorrGroup::standard(), SchnorrGroup::from_dh_group(&a));
         assert_ne!(SchnorrGroup::standard(), SchnorrGroup::small());
         let shown = format!("{:?}", SchnorrGroup::standard());
@@ -449,7 +449,7 @@ mod tests {
         let toy = SchnorrGroup {
             q: BigUint::from_u64(3),
             g: BigUint::from_u64(4),
-            ctx: Arc::new(Montgomery::with_comb(&p, 6)),
+            ctx: Arc::new(Montgomery::with_comb(&p, 6, 1)),
             p,
         };
         let mut rng = SecureRng::seed_from_u64(17);

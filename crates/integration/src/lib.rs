@@ -4,3 +4,5 @@
 //! top-level `tests/` directory (declared via `[[test]]` path entries in
 //! `Cargo.toml`), exercising the public APIs of every `teenet-*` crate
 //! together.
+
+#![forbid(unsafe_code)]

@@ -11,6 +11,10 @@
 use crate::compute::RoutingOutcome;
 use crate::topology::AsId;
 
+/// The most `And`/`Or`/`Not` nodes [`Predicate::from_bytes`] accepts on
+/// one root-to-leaf path. An honest agreement nests a handful.
+pub const MAX_DEPTH: usize = 64;
+
 /// A Boolean query over the routing outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
@@ -170,13 +174,23 @@ impl Predicate {
     }
 
     /// Parses [`Predicate::to_bytes`].
+    ///
+    /// Refuses (`None`) a predicate nesting more than [`MAX_DEPTH`]
+    /// `And`/`Or`/`Not` nodes on one path: the parse recurses once per
+    /// node, and the bytes come from another AS into the controller
+    /// enclave, where a stack overflow would abort it.
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let (p, used) = Self::decode(buf)?;
+        let (p, used) = Self::decode(buf, 0)?;
         (used == buf.len()).then_some(p)
     }
 
-    fn decode(buf: &[u8]) -> Option<(Self, usize)> {
+    /// Parses the predicate at the front of `buf`, under `depth` enclosing
+    /// combinators.
+    fn decode(buf: &[u8], depth: usize) -> Option<(Self, usize)> {
         let tag = *buf.first()?;
+        if matches!(tag, 6..=8) && depth == MAX_DEPTH {
+            return None;
+        }
         let id = |i: usize| -> Option<AsId> {
             Some(AsId(u32::from_le_bytes(
                 buf.get(1 + i * 4..5 + i * 4)?.try_into().ok()?,
@@ -223,8 +237,8 @@ impl Predicate {
                 9,
             )),
             6 | 7 => {
-                let (a, ua) = Self::decode(&buf[1..])?;
-                let (b, ub) = Self::decode(buf.get(1 + ua..)?)?;
+                let (a, ua) = Self::decode(&buf[1..], depth + 1)?;
+                let (b, ub) = Self::decode(buf.get(1 + ua..)?, depth + 1)?;
                 let node = if tag == 6 {
                     Predicate::And(Box::new(a), Box::new(b))
                 } else {
@@ -233,7 +247,7 @@ impl Predicate {
                 Some((node, 1 + ua + ub))
             }
             8 => {
-                let (a, ua) = Self::decode(&buf[1..])?;
+                let (a, ua) = Self::decode(&buf[1..], depth + 1)?;
                 Some((Predicate::Not(Box::new(a)), 1 + ua))
             }
             _ => None,
@@ -399,5 +413,46 @@ mod tests {
         let mut bytes = p.to_bytes();
         bytes.push(0);
         assert!(Predicate::from_bytes(&bytes).is_none());
+    }
+
+    /// A MiB of one combinator tag — 100 kB of `Not` overflowed the stack
+    /// before the depth bound — is refused, not a crash.
+    #[test]
+    fn a_mib_of_nesting_is_refused() {
+        for tag in [6u8, 7, 8] {
+            assert!(
+                Predicate::from_bytes(&vec![tag; 1 << 20]).is_none(),
+                "{tag}"
+            );
+        }
+    }
+
+    fn leaf(i: u32) -> Predicate {
+        Predicate::RouteExists {
+            src: AsId(i),
+            dst: AsId(i + 1),
+        }
+    }
+
+    /// `depth` nodes made by `node` around a leaf.
+    fn nested(depth: u32, node: impl Fn(Predicate, u32) -> Predicate) -> Predicate {
+        (0..depth).fold(leaf(0), node)
+    }
+
+    #[test]
+    fn nesting_round_trips_up_to_max_depth_and_no_further() {
+        let shapes: [&dyn Fn(Predicate, u32) -> Predicate; 5] = [
+            &|p, _| Predicate::Not(Box::new(p)),
+            &|p, i| Predicate::And(Box::new(p), Box::new(leaf(i))),
+            &|p, i| Predicate::And(Box::new(leaf(i)), Box::new(p)),
+            &|p, i| Predicate::Or(Box::new(p), Box::new(leaf(i))),
+            &|p, i| Predicate::Or(Box::new(leaf(i)), Box::new(p)),
+        ];
+        for node in shapes {
+            let deepest = nested(MAX_DEPTH as u32, node);
+            assert_eq!(Predicate::from_bytes(&deepest.to_bytes()), Some(deepest));
+            let too_deep = nested(MAX_DEPTH as u32 + 1, node);
+            assert_eq!(Predicate::from_bytes(&too_deep.to_bytes()), None);
+        }
     }
 }

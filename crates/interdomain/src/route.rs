@@ -77,7 +77,9 @@ impl Route {
         let dst = AsId(u32::from_le_bytes(buf[..4].try_into().ok()?));
         let local_pref = u32::from_le_bytes(buf[4..8].try_into().ok()?);
         let n = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
-        if buf.len() < 12 + n * 4 {
+        // Checked: `n * 4` wraps a 32-bit `usize` for `n >= 2^30`.
+        let len = n.checked_mul(4)?.checked_add(12)?;
+        if buf.len() < len {
             return None;
         }
         let mut path = Vec::with_capacity(n);
@@ -92,7 +94,7 @@ impl Route {
                 path,
                 local_pref,
             },
-            12 + n * 4,
+            len,
         ))
     }
 }
@@ -162,5 +164,16 @@ mod tests {
         assert_eq!(parsed, route);
         assert_eq!(used, bytes.len());
         assert!(Route::from_bytes(&bytes[..5]).is_none());
+    }
+
+    /// A header claiming `u32::MAX` hops is refused, not sized: the
+    /// length is computed with checked arithmetic and compared first.
+    #[test]
+    fn a_hop_count_past_the_buffer_is_refused() {
+        let mut bytes = r(9, &[1, 2, 9], 250).to_bytes();
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Route::from_bytes(&bytes).is_none());
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert!(Route::from_bytes(&bytes).is_none());
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Enclave-abort hygiene (mirrors the teenet-analyze `enclave-abort`
 // rule): non-test code in this crate must surface failures as
 // `Result`, never abort. The rare infallible-by-construction sites
