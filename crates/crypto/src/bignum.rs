@@ -13,15 +13,18 @@
 //! the diagonal) and a shared `reduce`, in scratch allocated once per
 //! call — one body each, generic over a const limb count `W`: the two
 //! widths every workload uses (12 and 16 limbs) run as unrolled loops of
-//! fixed length, any other at `W = 0`, the length of the slices.
+//! fixed length, any other at `W = 0`, the length of the slices. `reduce`
+//! also takes a const flag for a modulus whose lowest limb is all ones, as
+//! in every MODP prime: then `n' = 1` and each row skips a product.
 //! Each step squares the accumulator once for all terms; how a term then
 //! multiplies in is its `Powers`: a general base through a 16-entry table
 //! once per 4-bit window, a small power of two through `k` modular
-//! doublings per set bit, and base 2 under a modulus that carries a
-//! `Comb` through one table entry per block per *column* of its exponent.
+//! doublings per set bit, and a `Comb` base through one table entry per
+//! block per *column* of its exponent. A comb can be built for any base:
+//! the generator 2's, one per built-in prime, lives in its `Montgomery`
+//! (see [`crate::dh`]); a Schnorr key's `y^-1` gets one of its own.
 //! [`BigUint::modexp`] and [`BigUint::modexp2`] are the one- and two-term
-//! cases under constants computed per call (no comb); DH and Schnorr hold
-//! one `Montgomery` with a comb per built-in prime (see [`crate::dh`]).
+//! cases under constants computed per call (no comb).
 //!
 //! Even moduli fall back to divide-and-reduce square-and-multiply
 //! (`modexp_generic`), which is also the oracle the engine is tested
@@ -505,7 +508,10 @@ impl BigUint {
             }
             return Ok(product);
         }
-        let reduced: Vec<_> = reduced.iter().map(|(base, exp)| (base, *exp)).collect();
+        let reduced: Vec<_> = reduced
+            .iter()
+            .map(|(base, exp)| (Base::Value(base), *exp))
+            .collect();
         Ok(Montgomery::new(modulus).multi_exp(&reduced))
     }
 
@@ -698,6 +704,21 @@ macro_rules! at_width {
     };
 }
 
+/// [`at_width!`] for `$mont`'s modulus, with the const `$ones` set when
+/// its lowest limb is `2^64 - 1`, as in every MODP prime (RFC 2412,
+/// App. E: "to help Montgomery-style remainder algorithms").
+macro_rules! at_shape {
+    ($mont:expr, $w:ident, $ones:ident => $body:expr) => {
+        if $mont.n[0] == u64::MAX {
+            const $ones: bool = true;
+            at_width!($mont.n.len(), $w => $body)
+        } else {
+            const $ones: bool = false;
+            at_width!($mont.n.len(), $w => $body)
+        }
+    };
+}
+
 /// Montgomery arithmetic for an odd modulus `n` of `len` limbs, with
 /// `R = 2^(64 * len)`.
 ///
@@ -711,22 +732,40 @@ pub(crate) struct Montgomery {
     n_prime: u64,
     /// `R^2 mod n`, padded to `len` limbs.
     r2: Vec<u64>,
-    /// Precomputed powers of 2, when built by [`Self::with_comb`].
+    /// The comb of the generator 2, when built by [`Self::with_comb`].
     comb: Option<Comb>,
 }
 
-/// A Lim–Lee fixed-base comb for base 2. An exponent below
+/// A Lim–Lee fixed-base comb for `base`. An exponent below
 /// `2^(rows * cols)` is read as `rows` rows of `cols` bits, each cut into
 /// blocks of `span` columns (the last partial if `span` does not divide
 /// `cols`). Entry `d` of block `k`'s sub-table is the Montgomery form of
-/// the product of `2^(2^(j * cols + k * span))` over the set bits `j` of
-/// `d` (entry 0 is one): block 0's raised to `2^(k * span)`. `2^E` is
-/// `span` squarings, each followed by one entry from every block.
-struct Comb {
+/// the product of `base^(2^(j * cols + k * span))` over the set bits `j`
+/// of `d` (entry 0 is one): block 0's raised to `2^(k * span)`. `base^E`
+/// is `span` squarings, each followed by one entry from every block.
+pub(crate) struct Comb {
+    base: BigUint,
     table: Vec<u64>,
     rows: usize,
     cols: usize,
     span: usize,
+}
+
+/// Shown by shape: the table is kilobytes of limbs.
+impl fmt::Debug for Comb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Comb({} rows x {} columns)", self.rows, self.cols)
+    }
+}
+
+/// A term's base in [`Montgomery::multi_exp`].
+#[derive(Clone, Copy)]
+pub(crate) enum Base<'a> {
+    /// A value in `[1, n)`.
+    Value(&'a BigUint),
+    /// A comb's base: off its table when the exponent fits it, else as a
+    /// value.
+    Comb(&'a Comb),
 }
 
 /// Shown and compared by modulus: every other field is a function of it.
@@ -769,66 +808,62 @@ impl Montgomery {
         }
     }
 
-    /// [`Self::new`] for an odd `modulus > 1`, plus a comb of `rows` rows
-    /// in `blocks` blocks covering every exponent of up to `64 * len` bits.
+    /// [`Self::new`] for an odd `modulus > 1`, plus a comb of the
+    /// generator 2 of `rows` rows in `blocks` blocks covering every
+    /// exponent of up to `64 * len` bits.
     pub(crate) fn with_comb(modulus: &BigUint, rows: usize, blocks: usize) -> Self {
         let mut mont = Self::new(modulus);
-        let len = mont.n.len();
-        let cols = (64 * len).div_ceil(rows);
-        let span = cols.div_ceil(blocks);
-        let (mut t, mut one) = (vec![0u64; 2 * len], mont.r2.clone());
-        mont.unscale(&mut one, &mut t);
-        let mut table = one.repeat(blocks << rows);
-        // The bases 2^(2^bit), bit = j * cols + k * span, in exponent
-        // order: each is the one before squared up to its bit.
-        let (mut power, mut squared) = (one, 0);
-        mont.double(&mut power);
-        for j in 0..rows {
-            for (k, bit) in (j * cols..(j + 1) * cols).step_by(span).enumerate() {
-                (squared..bit).for_each(|_| mont.sqr(&mut power, &mut t));
-                squared = bit;
-                for d in (k << rows) + (1 << j)..(k << rows) + (2 << j) {
-                    let (known, rest) = table.split_at_mut(d * len);
-                    rest[..len].copy_from_slice(&known[(d - (1 << j)) * len..][..len]);
-                    mont.mul(&mut rest[..len], &power, &mut t);
-                }
-            }
-        }
-        mont.comb = Some(Comb {
-            table,
-            rows,
-            cols,
-            span,
-        });
+        let bits = 64 * mont.n.len();
+        mont.comb = Some(Comb::new(&mont, &BigUint::from_u64(2), bits, rows, blocks));
         mont
+    }
+
+    /// The comb of the generator 2.
+    pub(crate) fn comb(&self) -> &Comb {
+        self.comb.as_ref().expect("context built with_comb")
+    }
+
+    /// `v` (below `n`) in Montgomery form, `len` limbs of `v * R mod n`.
+    fn to_mont(&self, v: &BigUint, t: &mut [u64]) -> Vec<u64> {
+        let mut limbs = v.limbs.clone();
+        limbs.resize(self.n.len(), 0);
+        self.mul(&mut limbs, &self.r2, t);
+        limbs
     }
 
     /// `acc = acc * b * R^-1 mod n`.
     fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
-        at_width!(self.n.len(), W => {
+        at_shape!(self, W, ONES => {
             mul_wide::<W>(t, acc, b);
-            self.reduce::<W>(acc, t)
+            self.reduce::<W, ONES>(acc, t)
         })
     }
 
     /// `acc = acc^2 * R^-1 mod n`.
     fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
-        at_width!(self.n.len(), W => {
+        at_shape!(self, W, ONES => {
             sqr_wide::<W>(t, acc);
-            self.reduce::<W>(acc, t)
+            self.reduce::<W, ONES>(acc, t)
         })
     }
 
     /// Montgomery reduction: `out = t * R^-1 mod n` for a `2 * len`-limb
-    /// `t < n * R` (which it clobbers).
+    /// `t < n * R` (which it clobbers). `ONES` says `n[0] = 2^64 - 1`:
+    /// then `n' = 1`, so a row's multiplier `m` is `t[i]`, and its first
+    /// product `t[i] + m * n[0] = m * 2^64` leaves the carry `m` and a zero
+    /// that nothing reads again.
     #[inline(always)]
-    fn reduce<const W: usize>(&self, out: &mut [u64], t: &mut [u64]) {
+    fn reduce<const W: usize, const ONES: bool>(&self, out: &mut [u64], t: &mut [u64]) {
+        debug_assert!(!ONES || self.n[0] == u64::MAX);
         let len = width::<W>(&self.n);
         let (n, t) = (&self.n[..len], &mut t[..2 * len]);
         let mut top = 0u64;
         for i in 0..len {
-            let (m, mut carry) = (t[i].wrapping_mul(self.n_prime), 0);
-            for j in 0..len {
+            let (m, mut carry, first) = match ONES {
+                true => (t[i], t[i], 1),
+                false => (t[i].wrapping_mul(self.n_prime), 0, 0),
+            };
+            for j in first..len {
                 (t[i + j], carry) = mul_add(m, n[j], t[i + j], carry);
             }
             let (s, c1) = t[i + len].overflowing_add(carry);
@@ -855,7 +890,14 @@ impl Montgomery {
         let len = self.n.len();
         t[..len].copy_from_slice(acc);
         t[len..].fill(0);
-        at_width!(len, W => self.reduce::<W>(acc, t))
+        at_shape!(self, W, ONES => self.reduce::<W, ONES>(acc, t))
+    }
+
+    /// One in Montgomery form: `R mod n = R^2 * R^-1`.
+    fn one(&self, t: &mut [u64]) -> Vec<u64> {
+        let mut one = self.r2.clone();
+        self.unscale(&mut one, t);
+        one
     }
 
     /// `acc = 2 * acc mod n`.
@@ -870,22 +912,24 @@ impl Montgomery {
     }
 
     /// How `base^exp` (`base` nonzero, below `n`) enters [`Self::multi_exp`].
-    fn powers(&self, base: &BigUint, exp: &BigUint, one: &[u64], t: &mut [u64]) -> Powers<'_> {
-        match (&base.limbs[..], &self.comb) {
-            // A wider exponent than the comb covers takes the doublings.
-            ([2], Some(comb)) if exp.bit_len() <= comb.rows * comb.cols => {
+    fn powers<'a>(&self, base: Base<'a>, exp: &BigUint, one: &[u64], t: &mut [u64]) -> Powers<'a> {
+        let base = match base {
+            Base::Comb(comb) if exp.bit_len() <= comb.rows * comb.cols => {
                 return Powers::Comb(comb);
             }
-            ([limb], _) if limb.is_power_of_two() && *limb <= MAX_SHIFT_BASE => {
+            // A wider exponent than the comb covers takes the general path.
+            Base::Comb(comb) => &comb.base,
+            Base::Value(base) => base,
+        };
+        if let [limb] = base.limbs[..] {
+            if limb.is_power_of_two() && limb <= MAX_SHIFT_BASE {
                 return Powers::Shift(limb.trailing_zeros());
             }
-            _ => {}
         }
         let len = self.n.len();
         let mut table = vec![0u64; 16 * len];
         table[..len].copy_from_slice(one);
-        table[len..len + base.limbs.len()].copy_from_slice(&base.limbs);
-        self.mul(&mut table[len..2 * len], &self.r2, t);
+        table[len..2 * len].copy_from_slice(&self.to_mont(base, t));
         for digit in 2..16 {
             let (known, rest) = table.split_at_mut(digit * len);
             rest[..len].copy_from_slice(&known[(digit - 1) * len..]);
@@ -897,17 +941,16 @@ impl Montgomery {
     /// `prod base^exp mod n` over `terms` (bases nonzero and below `n`),
     /// left to right: one squaring of the accumulator per step, shared by
     /// all terms, after which each term multiplies its share in. A step is
-    /// an exponent bit — or, on the comb, a column of every block: always
-    /// all `span`, each with a multiplication per block, whatever the exponent.
-    pub(crate) fn multi_exp(&self, terms: &[(&BigUint, &BigUint)]) -> BigUint {
+    /// an exponent bit — or, on a comb, a column of every block: always
+    /// the last `span`, each with a multiplication per block, whatever the
+    /// exponent.
+    pub(crate) fn multi_exp(&self, terms: &[(Base<'_>, &BigUint)]) -> BigUint {
         let len = self.n.len();
         let mut t = vec![0u64; 2 * len];
-        // 1 in Montgomery form: R mod n = R^2 * R^-1.
-        let mut acc = self.r2.clone();
-        self.unscale(&mut acc, &mut t);
+        let mut acc = self.one(&mut t);
         let powers: Vec<Powers> = terms
             .iter()
-            .map(|(base, exp)| self.powers(base, exp, &acc, &mut t))
+            .map(|&(base, exp)| self.powers(base, exp, &acc, &mut t))
             .collect();
         let steps = terms
             .iter()
@@ -941,6 +984,45 @@ impl Montgomery {
     }
 }
 
+impl Comb {
+    /// A comb of `rows` rows in `blocks` blocks for `base` (nonzero, below
+    /// `mont`'s modulus), covering every exponent of up to `bits` bits.
+    pub(crate) fn new(
+        mont: &Montgomery,
+        base: &BigUint,
+        bits: usize,
+        rows: usize,
+        blocks: usize,
+    ) -> Self {
+        let len = mont.n.len();
+        let cols = bits.div_ceil(rows);
+        let span = cols.div_ceil(blocks);
+        let mut t = vec![0u64; 2 * len];
+        let mut table = mont.one(&mut t).repeat(blocks << rows);
+        // The powers base^(2^bit), bit = j * cols + k * span, in exponent
+        // order: each is the one before squared up to its bit.
+        let (mut power, mut squared) = (mont.to_mont(base, &mut t), 0);
+        for j in 0..rows {
+            for (k, bit) in (j * cols..(j + 1) * cols).step_by(span).enumerate() {
+                (squared..bit).for_each(|_| mont.sqr(&mut power, &mut t));
+                squared = bit;
+                for d in (k << rows) + (1 << j)..(k << rows) + (2 << j) {
+                    let (known, rest) = table.split_at_mut(d * len);
+                    rest[..len].copy_from_slice(&known[(d - (1 << j)) * len..][..len]);
+                    mont.mul(&mut rest[..len], &power, &mut t);
+                }
+            }
+        }
+        Comb {
+            base: base.clone(),
+            table,
+            rows,
+            cols,
+            span,
+        }
+    }
+}
+
 /// How one base of [`Montgomery::multi_exp`] is multiplied in.
 enum Powers<'a> {
     /// The base is `2^k`: multiplying by it is `k` modular doublings,
@@ -949,7 +1031,7 @@ enum Powers<'a> {
     /// Montgomery forms of `base^0 ..= base^15`, `len` limbs each, for a
     /// fixed 4-bit window: one multiplication per four exponent bits.
     Table(Vec<u64>),
-    /// The base is 2 and the modulus carries a comb the exponent fits.
+    /// A comb the exponent fits.
     Comb(&'a Comb),
 }
 
@@ -1473,14 +1555,39 @@ mod engine_tests {
         (squared, product)
     }
 
-    /// `a * b * R^-1` and `a^2 * R^-1` through the kernel bodies at width `W`.
-    fn mul_sqr_at<const W: usize>(mont: &Montgomery, a: &[u64], b: &[u64]) -> [Vec<u64>; 2] {
+    /// `a * b * R^-1` and `a^2 * R^-1` through the kernel bodies at width
+    /// `W`, reducing with the flag `ONES`.
+    fn mul_sqr_at<const W: usize, const ONES: bool>(
+        mont: &Montgomery,
+        a: &[u64],
+        b: &[u64],
+    ) -> [Vec<u64>; 2] {
         let (mut t, mut product, mut square) = (vec![0xdead; 2 * a.len()], a.to_vec(), a.to_vec());
         mul_wide::<W>(&mut t, a, b);
-        mont.reduce::<W>(&mut product, &mut t);
+        mont.reduce::<W, ONES>(&mut product, &mut t);
         sqr_wide::<W>(&mut t, a);
-        mont.reduce::<W>(&mut square, &mut t);
+        mont.reduce::<W, ONES>(&mut square, &mut t);
         [product, square]
+    }
+
+    /// [`mul_sqr_at`] at width 0 and, at 12 or 16 limbs, at the fixed
+    /// width, under every `ONES` flag valid for `mont`'s modulus.
+    fn mul_sqr_every_body(mont: &Montgomery, a: &[u64], b: &[u64]) -> Vec<[Vec<u64>; 2]> {
+        let mut out = vec![mul_sqr_at::<0, false>(mont, a, b)];
+        match a.len() {
+            12 => out.push(mul_sqr_at::<12, false>(mont, a, b)),
+            16 => out.push(mul_sqr_at::<16, false>(mont, a, b)),
+            _ => {}
+        }
+        if mont.n[0] == u64::MAX {
+            out.push(mul_sqr_at::<0, true>(mont, a, b));
+            match a.len() {
+                12 => out.push(mul_sqr_at::<12, true>(mont, a, b)),
+                16 => out.push(mul_sqr_at::<16, true>(mont, a, b)),
+                _ => {}
+            }
+        }
+        out
     }
 
     #[test]
@@ -1548,14 +1655,16 @@ mod engine_tests {
     }
 
     /// Every operation of the kernel, dispatched and at width 0 (and at 12
-    /// or 16 limbs through its fixed-width body), equals the oracle
-    /// `a * b * R^-1 mod n` — at the two fixed widths and their unfixed
-    /// neighbours, on edge operands and on products that land just below
-    /// `n` and just above it (`u = n` would need `n | a * b`), below `R`
-    /// and at it, so the final subtraction is skipped, taken, and taken
-    /// with the carry out of the top limb.
+    /// or 16 limbs through its fixed-width body), with the all-ones
+    /// reduction and without it where the lowest limb of `n` allows both,
+    /// equals the oracle `a * b * R^-1 mod n` — at the two fixed widths and
+    /// their unfixed neighbours, on edge operands and on products that land
+    /// just below `n` and just above it (`u = n` would need `n | a * b`),
+    /// below `R` and at it, so the final subtraction is skipped, taken, and
+    /// taken with the carry out of the top limb.
     #[test]
     fn kernel_at_every_width_matches_width_zero_and_the_oracle() {
+        let mut bodies = 0;
         for len in [11, 12, 13, 15, 16, 17] {
             for n in kernel_moduli(len) {
                 let mont = Montgomery::new(&n);
@@ -1597,18 +1706,19 @@ mod engine_tests {
                     mont.mul(&mut product, &limbs(b), &mut t);
                     mont.sqr(&mut square, &mut t);
                     assert_eq!([product, square], expected, "{a:?} * {b:?} mod {n:?}");
-                    let at_zero = mul_sqr_at::<0>(&mont, &limbs(a), &limbs(b));
-                    assert_eq!(at_zero, expected, "{a:?} * {b:?} mod {n:?}");
-                    match len {
-                        12 => assert_eq!(mul_sqr_at::<12>(&mont, &limbs(a), &limbs(b)), at_zero),
-                        16 => assert_eq!(mul_sqr_at::<16>(&mont, &limbs(a), &limbs(b)), at_zero),
-                        _ => {}
+                    let every = mul_sqr_every_body(&mont, &limbs(a), &limbs(b));
+                    bodies += every.len();
+                    for (body, got) in every.iter().enumerate() {
+                        assert_eq!(*got, expected, "body {body}: {a:?} * {b:?} mod {n:?}");
                     }
                 }
                 let (base, exp) = (n.shr(7).add(&b(3)), b(0xfedc_ba98_7654_3211));
                 assert_eq!(base.modexp(&exp, &n).unwrap(), oracle(&base, &exp, &n));
             }
         }
+        // 41 pairs per modulus. Per pair and width, the two moduli take
+        // 1 + 2 bodies at an unfixed width and 2 + 4 at a fixed one.
+        assert_eq!(bodies, 41 * (4 * 3 + 2 * 6));
     }
 
     /// `2^(2^c) mod m` for `c <= bits` and `2^(2^c - 1) mod m` for
@@ -1656,7 +1766,7 @@ mod engine_tests {
                 exps.extend(general.iter().map(|e| (e.clone(), oracle(&two, e, &m))));
                 for (exp, expected) in &exps {
                     assert_eq!(
-                        mont.multi_exp(&[(&two, exp)]),
+                        mont.multi_exp(&[(Base::Comb(comb), exp)]),
                         *expected,
                         "2 ^ {exp:?} mod {m:?}, {rows} rows x {blocks} blocks"
                     );
@@ -1667,35 +1777,59 @@ mod engine_tests {
     }
 
     /// An exponent the table does not cover is not truncated to the bits
-    /// it does: the term takes the general path (`Powers::Shift`), alone
-    /// and beside a second term.
+    /// it does: the term takes the general path (`Powers::Shift` for the
+    /// generator 2, `Powers::Table` for any other base), alone and beside
+    /// a second term.
     #[test]
     fn comb_leaves_a_wider_exponent_to_the_general_path() {
-        let two = b(2);
+        let (two, e) = (b(2), b(0xfeed_f00d));
         for m in wide_moduli() {
+            let (y, len) = (m.shr(2).add(&b(77)), m.limbs.len());
             for (rows, blocks) in [(6, 1), (7, 2), (8, 2)] {
                 let mont = Montgomery::with_comb(&m, rows, blocks);
-                let capacity = rows * (64 * m.limbs.len()).div_ceil(rows);
-                let (fits, wide) = (
-                    BigUint::one().shl(capacity - 1),
-                    BigUint::one().shl(capacity),
-                );
-                let (y, e) = (m.shr(2).add(&b(77)), b(0xfeed_f00d));
-                assert!(matches!(
-                    mont.powers(&two, &fits, &[], &mut []),
-                    Powers::Comb(_)
-                ));
-                assert!(matches!(
-                    mont.powers(&two, &wide, &[], &mut []),
-                    Powers::Shift(1)
-                ));
-                let wider = wide.add(&fits).add(&b(5));
-                for exp in [&wide, &wider] {
-                    assert_eq!(mont.multi_exp(&[(&two, exp)]), oracle(&two, exp, &m));
-                    assert_eq!(
-                        mont.multi_exp(&[(&y, &e), (&two, exp)]),
-                        oracle2(&y, &e, &two, exp, &m)
-                    );
+                let of_y = Comb::new(&mont, &y, 256, rows, blocks);
+                for comb in [mont.comb(), &of_y] {
+                    let capacity = comb.rows * comb.cols;
+                    let fits = BigUint::one().shl(capacity - 1);
+                    let wide = BigUint::one().shl(capacity);
+                    let (mut t, base) = (vec![0; 2 * len], &comb.base);
+                    let one = mont.one(&mut t);
+                    let on = |exp| mont.powers(Base::Comb(comb), exp, &one, &mut vec![0; 2 * len]);
+                    assert!(matches!(on(&fits), Powers::Comb(_)));
+                    match base == &two {
+                        true => assert!(matches!(on(&wide), Powers::Shift(1))),
+                        false => assert!(matches!(on(&wide), Powers::Table(_))),
+                    }
+                    for exp in [&fits, &wide, &wide.add(&fits).add(&b(5))] {
+                        let alone = [(Base::Comb(comb), exp)];
+                        assert_eq!(mont.multi_exp(&alone), oracle(base, exp, &m));
+                        let beside = [(Base::Value(&y), &e), (Base::Comb(comb), exp)];
+                        assert_eq!(mont.multi_exp(&beside), oracle2(&y, &e, base, exp, &m));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A comb of any base, laid out as `verify` lays out a key's (8 rows,
+    /// one block, 256 bits), at every row seam and at the top of its
+    /// range: bit 255, all 256 bits, and bit 256, which it does not cover.
+    #[test]
+    fn comb_of_any_base_matches_the_oracle_up_to_its_last_bit() {
+        let one = BigUint::one();
+        for m in wide_moduli() {
+            let mont = Montgomery::with_comb(&m, 8, 2);
+            for base in [b(3), m.shr(1).add(&b(99)), m.checked_sub(&b(2)).unwrap()] {
+                let comb = Comb::new(&mont, &base, 256, 8, 1);
+                assert_eq!((comb.cols, comb.span), (32, 32));
+                let mut exps = vec![one.shl(256).checked_sub(&one).unwrap(), one.shl(256)];
+                for c in (0..8).map(|j| 32 * j).chain([255]) {
+                    exps.push(one.shl(c));
+                    exps.push(one.shl(c).checked_sub(&one).unwrap());
+                }
+                for exp in &exps {
+                    let terms = [(Base::Comb(&comb), exp)];
+                    assert_eq!(mont.multi_exp(&terms), oracle(&base, exp, &m), "{exp:?}");
                 }
             }
         }
@@ -1780,10 +1914,11 @@ mod engine_tests {
             let (k, e) = (BigUint::from_bytes_be(&k), BigUint::from_bytes_be(&e));
             let y = BigUint::from_bytes_be(&y).rem(m).unwrap().add(&BigUint::one());
             prop_assume!(&y < m);
-            prop_assert_eq!(group.ctx.multi_exp(&[(&two, &k)]), oracle(&two, &k, m));
             let expected = oracle2(&two, &k, &y, &e, m);
-            prop_assert_eq!(group.ctx.multi_exp(&[(&two, &k), (&y, &e)]), expected.clone());
-            prop_assert_eq!(group.ctx.multi_exp(&[(&y, &e), (&two, &k)]), expected);
+            let (g, y) = (Base::Comb(group.ctx.comb()), Base::Value(&y));
+            prop_assert_eq!(group.ctx.multi_exp(&[(g, &k)]), oracle(&two, &k, m));
+            prop_assert_eq!(group.ctx.multi_exp(&[(g, &k), (y, &e)]), expected.clone());
+            prop_assert_eq!(group.ctx.multi_exp(&[(y, &e), (g, &k)]), expected);
         }
 
         #[test]

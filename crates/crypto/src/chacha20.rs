@@ -12,7 +12,8 @@
 //! Elsewhere it is the scalar [`block`] function four times, which is also
 //! the oracle the tests hold the vector kernel to.
 //!
-//! The call into the kernel is the workspace's only `unsafe` block: rustc
+//! The call into the kernel is one of the workspace's two `unsafe` blocks
+//! (the other is SHA-256's call into the SHA extensions): rustc
 //! asks it of any `#[target_feature]` function, and it is sound because it
 //! is compiled only under `cfg(target_feature = "sse2")`. Inside, every
 //! intrinsic takes and returns values; no pointer is formed.

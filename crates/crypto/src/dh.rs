@@ -13,7 +13,7 @@
 //! and twice as many multiplications (the same operations whatever `x`),
 //! and only `peer^x` still pays a squaring per exponent bit.
 
-use crate::bignum::{BigUint, Montgomery};
+use crate::bignum::{Base, BigUint, Montgomery};
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::Result;
@@ -119,7 +119,9 @@ impl DhKeyPair {
         let upper = group.p.checked_sub(&BigUint::from_u64(3))?;
         let private =
             BigUint::random_below(&upper, |buf| rng.fill_bytes(buf))?.add(&BigUint::from_u64(2));
-        let public = group.ctx.multi_exp(&[(&group.g, &private)]);
+        let public = group
+            .ctx
+            .multi_exp(&[(Base::Comb(group.ctx.comb()), &private)]);
         Ok(DhKeyPair {
             group: group.clone(),
             private,
@@ -146,7 +148,10 @@ impl DhKeyPair {
         {
             return Err(CryptoError::InvalidParameter("degenerate DH public key"));
         }
-        let secret = self.group.ctx.multi_exp(&[(peer_public, &self.private)]);
+        let secret = self
+            .group
+            .ctx
+            .multi_exp(&[(Base::Value(peer_public), &self.private)]);
         secret.to_bytes_be_padded(self.group.element_len())
     }
 
@@ -162,20 +167,10 @@ impl DhKeyPair {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::hostile::truncations_and_flips;
     use proptest::prelude::*;
-
-    /// Every strict prefix and every single-bit flip of a valid encoding.
-    pub(crate) fn truncations_and_flips(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
-        let prefixes = (0..valid.len()).map(|n| valid[..n].to_vec());
-        let flips = (0..valid.len() * 8).map(|bit| {
-            let mut bytes = valid.to_vec();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            bytes
-        });
-        prefixes.chain(flips)
-    }
 
     #[test]
     fn groups_have_expected_sizes() {

@@ -25,6 +25,7 @@
 //!   abstracts EPID as "the private key of the CPU", fn. 2).
 //! * [`rng::SecureRng`] — a seedable ChaCha20-based CSPRNG so that every
 //!   experiment in the workspace is deterministic and reproducible.
+//! * [`hostile`] — damaged copies of valid encodings, for decoder tests.
 //!
 //! ## Security disclaimer
 //!
@@ -40,6 +41,7 @@ pub mod dh;
 pub mod error;
 pub mod hkdf;
 pub mod hmac;
+pub mod hostile;
 pub mod rng;
 pub mod schnorr;
 pub mod sha256;

@@ -18,17 +18,21 @@
 //!
 //! Powers are raised under the DH group's shared `Montgomery` context.
 //! `g = 4 = 2^2`, so `g^k` is the comb's `2^(2k)` and never squares for
-//! the generator. A verifying key carries `y^-1` — `g^(q-x)` out of
-//! `generate`, one `mod_inv` at a parsed key's first verification — so
-//! `verify` is the textbook `g^s * y^(-e)`, where only the 256-bit `e`
-//! costs a squaring per bit.
+//! the generator. `verify` is the textbook `g^s * y^(-e)`. Every clone of
+//! a verifying key shares one `Arc` holding `y^-1` — `g^(q-x)` out of
+//! `generate`, one `mod_inv` at a parsed key's first verification — and,
+//! from its second verification on, a comb of `y^-1` over the 256 bits of
+//! a challenge: `y^(-e)` then rides the generator's steps, and `verify`
+//! squares no more than `sign`. The first verification, and a challenge
+//! wider than 256 bits, take a 4-bit window instead.
 
-use crate::bignum::{BigUint, Montgomery};
+use crate::bignum::{Base, BigUint, Comb, Montgomery};
 use crate::dh::DhGroup;
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::sha256::Sha256;
 use crate::Result;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A Schnorr group over a safe prime.
@@ -80,9 +84,9 @@ impl SchnorrGroup {
 
     /// `g^k mod p` for `k < q`, times `y^e` if a `y` in `[1, p)` is given.
     /// `g^k` is the comb's `2^(2k)`: `2k < 2q = p - 1` fits its table.
-    fn g_pow(&self, k: &BigUint, times: Option<(&BigUint, &BigUint)>) -> BigUint {
-        let (two, k2) = (BigUint::from_u64(2), k.shl(1));
-        let mut terms = vec![(&two, &k2)];
+    fn g_pow(&self, k: &BigUint, times: Option<(Base<'_>, &BigUint)>) -> BigUint {
+        let k2 = k.shl(1);
+        let mut terms = vec![(Base::Comb(self.ctx.comb()), &k2)];
         terms.extend(times);
         self.ctx.multi_exp(&terms)
     }
@@ -108,14 +112,30 @@ pub struct SigningKey {
 }
 
 /// A Schnorr verification key.
-#[derive(Clone, Debug, Eq)]
+#[derive(Clone, Debug)]
 pub struct VerifyingKey {
     group: SchnorrGroup,
     /// The public group element `y = g^x mod p`.
     y: BigUint,
-    /// `y^-1 mod p`, which `verify` raises to the challenge. A parsed key
-    /// fills it in at its first verification: half of them never verify.
+    /// What `verify` raises to the challenge, shared by every clone.
+    inverse: Arc<Inverse>,
+}
+
+/// Bits of a challenge: a SHA-256 digest, reduced mod `q`.
+const CHALLENGE_BITS: usize = 256;
+
+/// `y^-1` and its comb, filled in as a key verifies.
+#[derive(Debug, Default)]
+struct Inverse {
+    /// `y^-1 mod p`. A parsed key fills it in at its first verification:
+    /// half of them never verify.
     y_inv: OnceLock<BigUint>,
+    /// Set by the first verification. It publishes no data (the comb has
+    /// its own lock), so `Relaxed` suffices.
+    verified: AtomicBool,
+    /// Eight rows of `y^-1` in one block over [`CHALLENGE_BITS`], built
+    /// by the second verification: 256 entries, 32 KB at 1 024 bits.
+    comb: OnceLock<Comb>,
 }
 
 /// Keys are equal as elements of equal groups, inverted yet or not.
@@ -124,6 +144,8 @@ impl PartialEq for VerifyingKey {
         self.group == other.group && self.y == other.y
     }
 }
+
+impl Eq for VerifyingKey {}
 
 /// A Schnorr signature in `(e, s)` form.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,8 +198,11 @@ impl SigningKey {
         let public = VerifyingKey {
             group: group.clone(),
             y: group.g_pow(&x, None),
-            // g^(q-x) = g^-x, since g has order q.
-            y_inv: group.g_pow(&group.q.checked_sub(&x)?, None).into(),
+            inverse: Arc::new(Inverse {
+                // g^(q-x) = g^-x, since g has order q.
+                y_inv: group.g_pow(&group.q.checked_sub(&x)?, None).into(),
+                ..Inverse::default()
+            }),
         };
         Ok(SigningKey {
             group: group.clone(),
@@ -216,12 +241,21 @@ impl VerifyingKey {
         {
             return Err(CryptoError::VerificationFailed("signature scalar range"));
         }
-        let y_inv = match self.y_inv.get() {
+        let inverse = &*self.inverse;
+        let y_inv = match inverse.y_inv.get() {
             Some(y_inv) => y_inv,
             None => {
                 let y_inv = self.y.mod_inv(&g.p)?;
-                self.y_inv.get_or_init(|| y_inv)
+                inverse.y_inv.get_or_init(|| y_inv)
             }
+        };
+        let y_inv = match inverse.verified.swap(true, Ordering::Relaxed) {
+            true => Base::Comb(
+                inverse
+                    .comb
+                    .get_or_init(|| Comb::new(&g.ctx, y_inv, CHALLENGE_BITS, 8, 1)),
+            ),
+            false => Base::Value(y_inv),
         };
         let r = g.g_pow(&sig.s, Some((y_inv, &sig.e)));
         let e = g.challenge(&r, &self.y, msg)?;
@@ -250,7 +284,7 @@ impl VerifyingKey {
         Ok(VerifyingKey {
             group: group.clone(),
             y,
-            y_inv: OnceLock::new(),
+            inverse: Arc::default(),
         })
     }
 }
@@ -258,7 +292,7 @@ impl VerifyingKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dh::tests::truncations_and_flips;
+    use crate::hostile::truncations_and_flips;
     use proptest::prelude::*;
 
     fn setup() -> (SchnorrGroup, SigningKey, SecureRng) {
@@ -413,15 +447,54 @@ mod tests {
         g.challenge(&r, &key.y, msg).unwrap() == sig.e
     }
 
+    /// `verify` as it is at a key's first verification: `y^-1` off a fresh
+    /// `mod_inv`, raised to the challenge through a 4-bit window.
+    fn verify_by_window(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> bool {
+        let g = &key.group;
+        if sig.s >= g.q || sig.e >= g.q {
+            return false;
+        }
+        let y_inv = key.y.mod_inv(&g.p).unwrap();
+        let r = g.g_pow(&sig.s, Some((Base::Value(&y_inv), &sig.e)));
+        g.challenge(&r, &key.y, msg).unwrap() == sig.e
+    }
+
     /// `y * y^-1 = 1`. A parsed key inverts at its first verification,
     /// whatever the verdict, so one that has not verified is put through one.
     fn inverse_holds(key: &VerifyingKey) -> bool {
-        if key.y_inv.get().is_none() {
+        if key.inverse.y_inv.get().is_none() {
             let (e, s) = (BigUint::one(), BigUint::one());
             assert!(key.verify(b"", &Signature { e, s }).is_err());
         }
-        let y_inv = key.y_inv.get().expect("inverted by verify");
+        let y_inv = key.inverse.y_inv.get().expect("inverted by verify");
         key.y.mod_mul(y_inv, &key.group.p).unwrap().is_one()
+    }
+
+    /// Thirty clones of a key, generated or parsed, share one `y^-1` and
+    /// one comb. The first verification of any of them builds no table;
+    /// the second builds it for all.
+    #[test]
+    fn clones_share_one_comb_built_by_the_second_verification() {
+        let (group, key, mut rng) = setup();
+        let sig = key.sign(b"msg", &mut rng).unwrap();
+        let parsed = VerifyingKey::from_bytes(&group, &key.public.to_bytes()).unwrap();
+        for key in [key.public.clone(), parsed] {
+            let clones = vec![key.clone(); 30];
+            assert!(clones.iter().all(|c| Arc::ptr_eq(&c.inverse, &key.inverse)));
+            clones[7].verify(b"msg", &sig).unwrap();
+            assert!(key.inverse.y_inv.get().is_some());
+            assert!(
+                key.inverse.comb.get().is_none(),
+                "the first verification builds no table"
+            );
+            clones[3].verify(b"msg", &sig).unwrap();
+            let comb = key.inverse.comb.get().expect("the second builds it");
+            for clone in &clones {
+                clone.verify(b"msg", &sig).unwrap();
+                assert!(clone.verify(b"other", &sig).is_err());
+                assert!(std::ptr::eq(clone.inverse.comb.get().unwrap(), comb));
+            }
+        }
     }
 
     #[test]
@@ -477,7 +550,8 @@ mod tests {
         assert_eq!(outside.y.modexp(&group.q, &group.p).unwrap(), minus_one);
         assert!(outside.verify(b"msg", &sig).is_err());
         assert!(!verify_by_long_exponent(&outside, b"msg", &sig));
-        let short = group.g_pow(&sig.s, Some((outside.y_inv.get().unwrap(), &sig.e)));
+        let y_inv = outside.inverse.y_inv.get().unwrap();
+        let short = group.g_pow(&sig.s, Some((Base::Value(y_inv), &sig.e)));
         let neg_e = group.q.checked_sub(&sig.e).unwrap();
         let long = BigUint::modexp2(&group.g, &sig.s, &outside.y, &neg_e, &group.p).unwrap();
         assert_eq!(short.add(&long), group.p);
@@ -547,11 +621,11 @@ mod tests {
             let parsed = VerifyingKey::from_bytes(&group, &key.public.to_bytes()).unwrap();
             prop_assert!(inverse_holds(&key.public));
             // Not inverted until it verifies, and the same key throughout.
-            prop_assert!(parsed.y_inv.get().is_none());
+            prop_assert!(parsed.inverse.y_inv.get().is_none());
             prop_assert_eq!(&parsed, &key.public);
             let sig = key.sign(&msg, &mut rng).unwrap();
             prop_assert!(parsed.verify(&msg, &sig).is_ok());
-            prop_assert_eq!(parsed.y_inv.get(), key.public.y_inv.get());
+            prop_assert_eq!(parsed.inverse.y_inv.get(), key.public.inverse.y_inv.get());
             prop_assert_eq!(&parsed, &key.public);
 
             let noise = BigUint::from_bytes_be(&noise).rem(&group.q).unwrap();
@@ -579,6 +653,51 @@ mod tests {
             prop_assert!(parsed.verify(&other, &sig).is_err());
             prop_assert!(!verify_by_long_exponent(&parsed, &other, &sig));
             prop_assert!(verify_by_long_exponent(&parsed, &msg, &sig));
+        }
+
+        /// A generated key, the same key parsed, and one outside the
+        /// order-`q` subgroup each decide a signature, tampered copies and
+        /// challenges at the comb's edge (`2^256 - 1`, `2^256`, `q - 1`)
+        /// through their comb exactly as through the window path.
+        #[test]
+        fn prop_table_and_window_paths_agree(
+            seed in any::<u64>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..40),
+            noise in proptest::collection::vec(any::<u8>(), 1..40),
+            small in any::<bool>(),
+        ) {
+            let group = if small { SchnorrGroup::small() } else { SchnorrGroup::standard() };
+            let mut rng = SecureRng::seed_from_u64(seed);
+            let signer = SigningKey::generate(&group, &mut rng).unwrap();
+            let sig = signer.sign(&msg, &mut rng).unwrap();
+            let parse = |y: &BigUint| VerifyingKey::from_bytes(&group, &y.to_bytes_be()).unwrap();
+            let y = &signer.public.y;
+            let keys = [
+                (signer.public.clone(), true),
+                (parse(y), true),
+                (parse(&group.p.checked_sub(y).unwrap()), false),
+            ];
+            let one = BigUint::one();
+            let with_e = |e: BigUint| Signature { e, s: sig.s.clone() };
+            let with_s = |s: BigUint| Signature { e: sig.e.clone(), s };
+            let signatures = [
+                sig.clone(),
+                with_e(one.shl(256).checked_sub(&one).unwrap()),
+                with_e(one.shl(256)),
+                with_e(group.q.checked_sub(&one).unwrap()),
+                with_e(sig.e.add(&BigUint::from_bytes_be(&noise)).rem(&group.q).unwrap()),
+                with_s(sig.s.add(&one).rem(&group.q).unwrap()),
+            ];
+            for (key, honest) in keys {
+                prop_assert_eq!(key.verify(&msg, &sig).is_ok(), honest);
+                prop_assert!(key.inverse.comb.get().is_none());
+                for forged in &signatures {
+                    let verdict = key.verify(&msg, forged).is_ok();
+                    prop_assert_eq!(verdict, verify_by_window(&key, &msg, forged), "{:?}", forged);
+                    prop_assert_eq!(verdict, honest && forged == &sig, "{:?}", forged);
+                }
+                prop_assert!(key.inverse.comb.get().is_some());
+            }
         }
 
         #[test]

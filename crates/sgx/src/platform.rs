@@ -15,7 +15,7 @@ use crate::cost::{CostModel, Counters};
 use crate::enclave::{Enclave, EnclaveCtx, EnclaveId, EnclaveProgram};
 use crate::epc::{Epc, PageType};
 use crate::error::{Result, SgxError};
-use crate::measurement::{measure_image, MeasurementBuilder, Sigstruct, PAGE_SIZE};
+use crate::measurement::{measure_image, Sigstruct, PAGE_SIZE};
 use crate::ocall::{HostCalls, NullHost};
 use crate::quote::{EpidGroup, Quote, QuotingEnclave};
 use crate::report::Report;
@@ -77,30 +77,44 @@ impl Platform {
         sigstruct: &Sigstruct,
     ) -> Result<EnclaveId> {
         let image = program.code_image();
-        let image_pages = Enclave::image_pages(image.len());
-
-        // Measure exactly the way a loader would.
-        let mut builder = MeasurementBuilder::ecreate(image_pages);
-        for p in 0..image_pages {
-            let start = p * PAGE_SIZE;
-            let end = (start + PAGE_SIZE).min(image.len());
-            builder.eadd(start, PageType::Regular);
-            builder.eextend(start, image.get(start..end).unwrap_or(&[]));
-        }
-        let mrenclave = builder.finalize();
-
         // EINIT: the measured identity must match what the author signed.
-        if mrenclave != sigstruct.mrenclave {
+        if measure_image(&image) != sigstruct.mrenclave {
             return Err(SgxError::InitFailed("measurement != SIGSTRUCT.mrenclave"));
         }
-        let mrsigner = sigstruct.verify()?;
+        self.init_enclave(program, image.len(), sigstruct)
+    }
 
+    /// Convenience: signs the program with `author` and loads it, under
+    /// the measurement it signed.
+    pub fn create_signed(
+        &mut self,
+        program: Box<dyn EnclaveProgram>,
+        author: &SigningKey,
+        isv_svn: u16,
+    ) -> Result<EnclaveId> {
+        let image = program.code_image();
+        let mut rng = self.rng.fork(b"sigstruct");
+        let sigstruct = Sigstruct::sign(measure_image(&image), isv_svn, author, &mut rng)?;
+        self.init_enclave(program, image.len(), &sigstruct)
+    }
+
+    /// The rest of EINIT for a program whose `image_len`-byte image
+    /// measures `sigstruct.mrenclave`: the author's signature, then the
+    /// EPC pages.
+    fn init_enclave(
+        &mut self,
+        program: Box<dyn EnclaveProgram>,
+        image_len: usize,
+        sigstruct: &Sigstruct,
+    ) -> Result<EnclaveId> {
+        let mrsigner = sigstruct.verify()?;
+        let image_pages = Enclave::image_pages(image_len);
         let id = self.enclaves.len() as EnclaveId;
         self.epc
             .add_pages(id, 0, image_pages + BASE_RUNTIME_PAGES, PageType::Regular)?;
         self.enclaves.push(Enclave {
             id,
-            mrenclave,
+            mrenclave: sigstruct.mrenclave,
             mrsigner,
             isv_svn: sigstruct.isv_svn,
             counters: Counters::new(),
@@ -111,19 +125,6 @@ impl Platform {
             destroyed: false,
         });
         Ok(id)
-    }
-
-    /// Convenience: signs the program with `author` and loads it.
-    pub fn create_signed(
-        &mut self,
-        program: Box<dyn EnclaveProgram>,
-        author: &SigningKey,
-        isv_svn: u16,
-    ) -> Result<EnclaveId> {
-        let mr = measure_image(&program.code_image());
-        let mut rng = self.rng.fork(b"sigstruct");
-        let sigstruct = Sigstruct::sign(mr, isv_svn, author, &mut rng)?;
-        self.create_enclave(program, &sigstruct)
     }
 
     /// EREMOVE: tears an enclave down, releasing its EPC pages.

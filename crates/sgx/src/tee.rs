@@ -435,6 +435,71 @@ mod tests {
         assert_eq!(boxed.attestor_counters(), Counters::new());
     }
 
+    /// Every truncation and bit flip of valid EPID and VM-TEE evidence goes
+    /// through all three decoders. None panics; `Evidence` parses exactly
+    /// what the decoder of its kind parses; and what parses verifies, under
+    /// a root with its comb and a signing key on its second verification,
+    /// exactly as fresh keys verifying for the first time (through a
+    /// window, without a comb) decide.
+    #[test]
+    fn damaged_evidence_never_panics_and_verifies_as_the_window_path_decides() {
+        use crate::quote::QuotingEnclave;
+        use crate::report::{ereport, report_data_from};
+        use crate::vmtee::{psp_measurement, SecurityProcessor};
+        use teenet_crypto::hostile::truncations_and_flips;
+
+        let mut rng = SecureRng::seed_from_u64(21);
+        let group = EpidGroup::new(1, &mut rng).unwrap();
+        let (model, device_key) = (CostModel::paper(), [5u8; 32]);
+        let body = ReportBody {
+            mrenclave: Measurement([1u8; 32]),
+            mrsigner: Measurement([2u8; 32]),
+            isv_svn: 3,
+            report_data: report_data_from(b"hostile"),
+        };
+        let mut qe = QuotingEnclave::new(&group, rng.fork(b"qe"));
+        let report = ereport(&device_key, qe.target_info(), body.clone());
+        let epid = Evidence::Epid(qe.quote(&device_key, &report, &model).unwrap());
+        let mut psp = SecurityProcessor::new(&group, rng.fork(b"psp")).unwrap();
+        let target = TargetInfo {
+            mrenclave: psp_measurement(),
+        };
+        let report = ereport(&device_key, target, body);
+        let vm = Evidence::VmTee(psp.attest(&device_key, &report, &model).unwrap());
+
+        let root = group.public_key();
+        let verify = |ev: &Evidence, root: &VerifyingKey| {
+            ev.verify(root, &mut Counters::new(), &model).is_ok()
+        };
+        assert!(
+            verify(&epid, &root) && verify(&vm, &root),
+            "the root has its comb"
+        );
+        let mut verified = 0;
+        for valid in [epid.to_bytes(), vm.to_bytes()] {
+            for bytes in truncations_and_flips(&valid) {
+                let (quote, vm) = (Quote::from_bytes(&bytes), VmEvidence::from_bytes(&bytes));
+                let Ok(evidence) = Evidence::from_bytes(&bytes) else {
+                    assert!(quote.is_err() && vm.is_err());
+                    continue;
+                };
+                match &evidence {
+                    Evidence::Epid(q) => assert_eq!(q.to_bytes(), quote.unwrap().to_bytes()),
+                    Evidence::VmTee(e) => assert_eq!(e.to_bytes(), vm.unwrap().to_bytes()),
+                }
+                let fresh_root =
+                    VerifyingKey::from_bytes(&SchnorrGroup::standard(), &root.to_bytes());
+                let fresh = Evidence::from_bytes(&bytes).unwrap();
+                let window = verify(&fresh, &fresh_root.unwrap());
+                assert!(!window, "damaged evidence verified");
+                assert_eq!(verify(&evidence, &root), window);
+                assert_eq!(verify(&evidence, &root), window);
+                verified += 1;
+            }
+        }
+        assert!(verified > 4_000, "{verified} damaged encodings parsed");
+    }
+
     #[test]
     fn evidence_rejects_garbage() {
         assert!(Evidence::from_bytes(&[]).is_err());
