@@ -7,15 +7,20 @@
 //! the one performance-critical path is modular exponentiation, where
 //! nearly all of an attestation's host time goes.
 //!
-//! For an odd modulus there is one engine, `Montgomery::multi_exp`: a
-//! left-to-right product of powers in Montgomery form. Its kernel is
+//! For an odd modulus there is one exponentiation, `Montgomery::multi_exp`:
+//! a left-to-right product of powers in Montgomery form, on one of two
+//! kernels (`Engine`) chosen once per context. The `u64` kernel is
 //! `mul_wide`, a dedicated `sqr_wide` (cross products once, doubled, plus
 //! the diagonal) and a shared `reduce`, in scratch allocated once per
 //! call — one body each, generic over a const limb count `W`: the two
 //! widths every workload uses (12 and 16 limbs) run as unrolled loops of
 //! fixed length, any other at `W = 0`, the length of the slices. `reduce`
 //! also takes a const flag for a modulus whose lowest limb is all ones, as
-//! in every MODP prime: then `n' = 1` and each row skips a product.
+//! in every MODP prime: then `n' = 1` and each row skips a product. At
+//! those two widths, on a CPU with AVX-512 IFMA, the `ifma` kernel runs
+//! instead: 52-bit digits in vectors, values kept below `2n` rather than
+//! `n` (see its module). The `u64` kernel serves everything else and is
+//! the IFMA kernel's oracle.
 //! Each step squares the accumulator once for all terms; how a term then
 //! multiplies in is its `Powers`: a general base through a 16-entry table
 //! once per 4-bit window, a small power of two through `k` modular
@@ -36,6 +41,9 @@ use crate::error::CryptoError;
 use crate::Result;
 use core::cmp::Ordering;
 use core::fmt;
+
+#[allow(unsafe_code)]
+mod ifma;
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -486,6 +494,16 @@ impl BigUint {
     /// The product of `base^exp mod modulus` over `terms`, with every
     /// exponentiation sharing one chain of squarings.
     fn multi_exp(terms: &[(&BigUint, &BigUint)], modulus: &BigUint) -> Result<BigUint> {
+        Self::multi_exp_on(terms, modulus, Montgomery::new)
+    }
+
+    /// [`Self::multi_exp`] under the context `context` makes for an odd
+    /// modulus.
+    fn multi_exp_on(
+        terms: &[(&BigUint, &BigUint)],
+        modulus: &BigUint,
+        context: impl FnOnce(&BigUint) -> Montgomery,
+    ) -> Result<BigUint> {
         if modulus.is_zero() {
             return Err(CryptoError::DivisionByZero);
         }
@@ -512,7 +530,7 @@ impl BigUint {
             .iter()
             .map(|(base, exp)| (Base::Value(base), *exp))
             .collect();
-        Ok(Montgomery::new(modulus).multi_exp(&reduced))
+        Ok(context(modulus).multi_exp(&reduced))
     }
 
     fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
@@ -719,19 +737,33 @@ macro_rules! at_shape {
     };
 }
 
-/// Montgomery arithmetic for an odd modulus `n` of `len` limbs, with
-/// `R = 2^(64 * len)`.
+/// The kernel that multiplies a [`Montgomery`] context's values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// `len`-limb slices below `n`, `R = 2^(64 * len)`: every odd
+    /// modulus, every CPU.
+    U64,
+    /// `k` 52-bit digits in whole vectors, below `2n`, `R = 2^(52k)`:
+    /// 12 and 16 limbs on a CPU with AVX-512 IFMA (`ifma`).
+    Ifma,
+}
+
+/// Montgomery arithmetic for an odd modulus `n` of `len` limbs.
 ///
-/// Values are `len`-limb slices below `n`; the kernel (`mul`, `sqr`,
-/// `reduce`) works in place on an accumulator and a caller-owned scratch
-/// `t` of `2 * len` limbs, so an exponentiation allocates a handful of
-/// buffers up front and none per step.
+/// Values are slices of the engine's `stride` — `len` limbs below `n`, or
+/// the IFMA engine's digits below `2n`, so "mod n" below is a congruence
+/// there — and the kernel (`mul`, `sqr`) works in place on an accumulator
+/// and a caller-owned scratch `t` of `2 * len` limbs, so an exponentiation
+/// allocates a handful of buffers up front and none per step.
 pub(crate) struct Montgomery {
     n: Vec<u64>,
     /// `-n^-1 mod 2^64`.
     n_prime: u64,
-    /// `R^2 mod n`, padded to `len` limbs.
+    /// `R^2 mod n` in the engine's layout.
     r2: Vec<u64>,
+    /// The IFMA engine's constants when it runs this modulus; else the
+    /// `u64` kernel does.
+    ifma: Option<ifma::Modulus>,
     /// The comb of the generator 2, when built by [`Self::with_comb`].
     comb: Option<Comb>,
 }
@@ -745,6 +777,8 @@ pub(crate) struct Montgomery {
 /// is `span` squarings, each followed by one entry from every block.
 pub(crate) struct Comb {
     base: BigUint,
+    /// The engine whose layout the table is in.
+    engine: Engine,
     table: Vec<u64>,
     rows: usize,
     cols: usize,
@@ -768,7 +802,8 @@ pub(crate) enum Base<'a> {
     Comb(&'a Comb),
 }
 
-/// Shown and compared by modulus: every other field is a function of it.
+/// Shown and compared by modulus: every other field is a function of it
+/// and of the engine, which changes no result.
 impl fmt::Debug for Montgomery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Montgomery({} limbs)", self.n.len())
@@ -784,7 +819,17 @@ impl PartialEq for Montgomery {
 impl Eq for Montgomery {}
 
 impl Montgomery {
+    /// The context for an odd `modulus > 1` on the IFMA engine where it
+    /// runs, else on the `u64` one.
     fn new(modulus: &BigUint) -> Self {
+        Self::on(Engine::Ifma, modulus)
+            .or_else(|| Self::on(Engine::U64, modulus))
+            .expect("the u64 engine runs every odd modulus")
+    }
+
+    /// The context for an odd `modulus > 1` on `engine`, if it runs that
+    /// modulus on this CPU.
+    pub(crate) fn on(engine: Engine, modulus: &BigUint) -> Option<Self> {
         debug_assert!(!modulus.is_even() && !modulus.is_zero());
         let n = modulus.limbs.clone();
         // n' = -n^{-1} mod 2^64 by Newton iteration on the low limb.
@@ -794,28 +839,44 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         let n_prime = inv.wrapping_neg();
-        let mut r2 = BigUint::one()
-            .shl(n.len() * 64 * 2)
-            .rem(modulus)
-            .expect("modulus nonzero")
-            .limbs;
-        r2.resize(n.len(), 0);
-        Montgomery {
+        let ifma = match engine {
+            Engine::U64 => None,
+            Engine::Ifma => Some(ifma::Modulus::new(modulus, n_prime)?),
+        };
+        let mut mont = Montgomery {
             n,
             n_prime,
-            r2,
+            r2: Vec::new(),
+            ifma,
             comb: None,
-        }
+        };
+        let r2 = BigUint::one()
+            .shl(2 * mont.r_bits())
+            .rem(modulus)
+            .expect("modulus nonzero");
+        mont.r2 = mont.layout(&r2);
+        Some(mont)
+    }
+
+    /// Bits of the radix `R`.
+    fn r_bits(&self) -> usize {
+        self.ifma
+            .as_ref()
+            .map_or(64 * self.n.len(), ifma::Modulus::r_bits)
     }
 
     /// [`Self::new`] for an odd `modulus > 1`, plus a comb of the
     /// generator 2 of `rows` rows in `blocks` blocks covering every
     /// exponent of up to `64 * len` bits.
     pub(crate) fn with_comb(modulus: &BigUint, rows: usize, blocks: usize) -> Self {
-        let mut mont = Self::new(modulus);
-        let bits = 64 * mont.n.len();
-        mont.comb = Some(Comb::new(&mont, &BigUint::from_u64(2), bits, rows, blocks));
-        mont
+        Self::new(modulus).and_comb(rows, blocks)
+    }
+
+    /// `self` with [`Self::with_comb`]'s comb.
+    fn and_comb(mut self, rows: usize, blocks: usize) -> Self {
+        let bits = 64 * self.n.len();
+        self.comb = Some(Comb::new(&self, &BigUint::from_u64(2), bits, rows, blocks));
+        self
     }
 
     /// The comb of the generator 2.
@@ -823,28 +884,73 @@ impl Montgomery {
         self.comb.as_ref().expect("context built with_comb")
     }
 
-    /// `v` (below `n`) in Montgomery form, `len` limbs of `v * R mod n`.
+    /// The engine this context runs on.
+    pub(crate) fn engine(&self) -> Engine {
+        match self.ifma {
+            Some(_) => Engine::Ifma,
+            None => Engine::U64,
+        }
+    }
+
+    /// Length of a value in the engine's layout.
+    fn stride(&self) -> usize {
+        self.ifma
+            .as_ref()
+            .map_or(self.n.len(), ifma::Modulus::stride)
+    }
+
+    /// `v` (below `R`) in the engine's layout, as it is: `len` limbs, or
+    /// digits.
+    fn layout(&self, v: &BigUint) -> Vec<u64> {
+        match &self.ifma {
+            Some(ifma) => ifma.digits(v),
+            None => {
+                let mut limbs = v.limbs.clone();
+                limbs.resize(self.n.len(), 0);
+                limbs
+            }
+        }
+    }
+
+    /// The value `x` lays out.
+    fn value(&self, x: &[u64]) -> BigUint {
+        match &self.ifma {
+            Some(ifma) => ifma.value(x),
+            None => {
+                let mut v = BigUint { limbs: x.to_vec() };
+                v.normalize();
+                v
+            }
+        }
+    }
+
+    /// `v` (below `n`) in Montgomery form: `v * R mod n`, laid out.
     fn to_mont(&self, v: &BigUint, t: &mut [u64]) -> Vec<u64> {
-        let mut limbs = v.limbs.clone();
-        limbs.resize(self.n.len(), 0);
-        self.mul(&mut limbs, &self.r2, t);
-        limbs
+        let mut x = self.layout(v);
+        self.mul(&mut x, &self.r2, t);
+        x
     }
 
     /// `acc = acc * b * R^-1 mod n`.
     fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
-        at_shape!(self, W, ONES => {
-            mul_wide::<W>(t, acc, b);
-            self.reduce::<W, ONES>(acc, t)
-        })
+        match &self.ifma {
+            Some(ifma) => ifma.mul(acc, b),
+            None => at_shape!(self, W, ONES => {
+                mul_wide::<W>(t, acc, b);
+                self.reduce::<W, ONES>(acc, t)
+            }),
+        }
     }
 
     /// `acc = acc^2 * R^-1 mod n`.
     fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
-        at_shape!(self, W, ONES => {
-            sqr_wide::<W>(t, acc);
-            self.reduce::<W, ONES>(acc, t)
-        })
+        match &self.ifma {
+            Some(ifma) => ifma.sqr(acc),
+            None => at_shape!(self, W, ONES => {
+                sqr_wide::<W>(t, acc);
+                self.reduce::<W, ONES>(acc, t)
+            }),
+        }
     }
 
     /// Montgomery reduction: `out = t * R^-1 mod n` for a `2 * len`-limb
@@ -885,8 +991,11 @@ impl Montgomery {
         }
     }
 
-    /// `acc = acc * R^-1 mod n`: out of Montgomery form.
+    /// `acc = acc * R^-1 mod n`, below `n`: out of Montgomery form.
     fn unscale(&self, acc: &mut [u64], t: &mut [u64]) {
+        if let Some(ifma) = &self.ifma {
+            return ifma.unscale(acc);
+        }
         let len = self.n.len();
         t[..len].copy_from_slice(acc);
         t[len..].fill(0);
@@ -902,6 +1011,9 @@ impl Montgomery {
 
     /// `acc = 2 * acc mod n`.
     fn double(&self, acc: &mut [u64]) {
+        if let Some(ifma) = &self.ifma {
+            return ifma.double(acc);
+        }
         let mut carry = 0u64;
         for limb in acc.iter_mut() {
             let next = *limb >> 63;
@@ -914,11 +1026,15 @@ impl Montgomery {
     /// How `base^exp` (`base` nonzero, below `n`) enters [`Self::multi_exp`].
     fn powers<'a>(&self, base: Base<'a>, exp: &BigUint, one: &[u64], t: &mut [u64]) -> Powers<'a> {
         let base = match base {
-            Base::Comb(comb) if exp.bit_len() <= comb.rows * comb.cols => {
-                return Powers::Comb(comb);
+            Base::Comb(comb) => {
+                debug_assert_eq!(comb.engine, self.engine(), "a comb of another engine");
+                if exp.bit_len() <= comb.rows * comb.cols {
+                    return Powers::Comb(comb);
+                }
+                // A wider exponent than the comb covers takes the general
+                // path.
+                &comb.base
             }
-            // A wider exponent than the comb covers takes the general path.
-            Base::Comb(comb) => &comb.base,
             Base::Value(base) => base,
         };
         if let [limb] = base.limbs[..] {
@@ -926,14 +1042,14 @@ impl Montgomery {
                 return Powers::Shift(limb.trailing_zeros());
             }
         }
-        let len = self.n.len();
-        let mut table = vec![0u64; 16 * len];
-        table[..len].copy_from_slice(one);
-        table[len..2 * len].copy_from_slice(&self.to_mont(base, t));
+        let stride = self.stride();
+        let mut table = vec![0u64; 16 * stride];
+        table[..stride].copy_from_slice(one);
+        table[stride..2 * stride].copy_from_slice(&self.to_mont(base, t));
         for digit in 2..16 {
-            let (known, rest) = table.split_at_mut(digit * len);
-            rest[..len].copy_from_slice(&known[(digit - 1) * len..]);
-            self.mul(&mut rest[..len], &known[len..2 * len], t);
+            let (known, rest) = table.split_at_mut(digit * stride);
+            rest[..stride].copy_from_slice(&known[(digit - 1) * stride..]);
+            self.mul(&mut rest[..stride], &known[stride..2 * stride], t);
         }
         Powers::Table(table)
     }
@@ -945,8 +1061,8 @@ impl Montgomery {
     /// the last `span`, each with a multiplication per block, whatever the
     /// exponent.
     pub(crate) fn multi_exp(&self, terms: &[(Base<'_>, &BigUint)]) -> BigUint {
-        let len = self.n.len();
-        let mut t = vec![0u64; 2 * len];
+        let stride = self.stride();
+        let mut t = vec![0u64; 2 * self.n.len()];
         let mut acc = self.one(&mut t);
         let powers: Vec<Powers> = terms
             .iter()
@@ -965,12 +1081,12 @@ impl Montgomery {
                 match powers {
                     Powers::Shift(k) if exp.bit(i) => (0..*k).for_each(|_| self.double(&mut acc)),
                     Powers::Table(table) if i % 4 == 0 && exp.window(i) != 0 => {
-                        self.mul(&mut acc, &table[exp.window(i) * len..][..len], &mut t)
+                        self.mul(&mut acc, &table[exp.window(i) * stride..][..stride], &mut t)
                     }
                     Powers::Comb(comb) if i < comb.span => {
                         for (k, col) in (i..comb.cols).step_by(comb.span).enumerate() {
-                            let entry = ((k << comb.rows) + exp.comb_digit(col, comb)) * len;
-                            self.mul(&mut acc, &comb.table[entry..][..len], &mut t)
+                            let entry = ((k << comb.rows) + exp.comb_digit(col, comb)) * stride;
+                            self.mul(&mut acc, &comb.table[entry..][..stride], &mut t)
                         }
                     }
                     _ => {}
@@ -978,9 +1094,7 @@ impl Montgomery {
             }
         }
         self.unscale(&mut acc, &mut t);
-        let mut out = BigUint { limbs: acc };
-        out.normalize();
-        out
+        self.value(&acc)
     }
 }
 
@@ -994,10 +1108,10 @@ impl Comb {
         rows: usize,
         blocks: usize,
     ) -> Self {
-        let len = mont.n.len();
+        let stride = mont.stride();
         let cols = bits.div_ceil(rows);
         let span = cols.div_ceil(blocks);
-        let mut t = vec![0u64; 2 * len];
+        let mut t = vec![0u64; 2 * mont.n.len()];
         let mut table = mont.one(&mut t).repeat(blocks << rows);
         // The powers base^(2^bit), bit = j * cols + k * span, in exponent
         // order: each is the one before squared up to its bit.
@@ -1007,14 +1121,15 @@ impl Comb {
                 (squared..bit).for_each(|_| mont.sqr(&mut power, &mut t));
                 squared = bit;
                 for d in (k << rows) + (1 << j)..(k << rows) + (2 << j) {
-                    let (known, rest) = table.split_at_mut(d * len);
-                    rest[..len].copy_from_slice(&known[(d - (1 << j)) * len..][..len]);
-                    mont.mul(&mut rest[..len], &power, &mut t);
+                    let (known, rest) = table.split_at_mut(d * stride);
+                    rest[..stride].copy_from_slice(&known[(d - (1 << j)) * stride..][..stride]);
+                    mont.mul(&mut rest[..stride], &power, &mut t);
                 }
             }
         }
         Comb {
             base: base.clone(),
+            engine: mont.engine(),
             table,
             rows,
             cols,
@@ -1028,7 +1143,7 @@ enum Powers<'a> {
     /// The base is `2^k`: multiplying by it is `k` modular doublings,
     /// O(len) each, done bit by bit after each squaring.
     Shift(u32),
-    /// Montgomery forms of `base^0 ..= base^15`, `len` limbs each, for a
+    /// Montgomery forms of `base^0 ..= base^15`, one stride each, for a
     /// fixed 4-bit window: one multiplication per four exponent bits.
     Table(Vec<u64>),
     /// A comb the exponent fits.
@@ -1437,9 +1552,11 @@ mod primality_tests {
     }
 }
 
-/// The exponentiation engine at the widths that run (12 to 32 limbs),
-/// held to `modexp_generic` — divide-and-reduce square-and-multiply that
-/// shares no code with the Montgomery kernel.
+/// The exponentiation engine at the widths that run (12 to 32 limbs), on
+/// every engine this CPU has, held to `modexp_generic` — divide-and-reduce
+/// square-and-multiply that shares no code with either kernel. The tests
+/// that walk fixed cases print how often each engine ran and, on a CPU
+/// with AVX-512 IFMA, fail unless its engine was among them.
 #[cfg(test)]
 mod engine_tests {
     use super::tests::b;
@@ -1447,12 +1564,50 @@ mod engine_tests {
     use crate::dh::DhGroup;
     use proptest::prelude::*;
 
+    const ENGINES: [Engine; 2] = [Engine::U64, Engine::Ifma];
+
     fn oracle(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
         base.rem(m).unwrap().modexp_generic(exp, m).unwrap()
     }
 
     fn oracle2(a: &BigUint, ea: &BigUint, b: &BigUint, eb: &BigUint, m: &BigUint) -> BigUint {
         oracle(a, ea, m).mod_mul(&oracle(b, eb, m), m).unwrap()
+    }
+
+    /// The contexts for `m` on every engine that runs it here.
+    fn contexts(m: &BigUint) -> Vec<Montgomery> {
+        ENGINES
+            .into_iter()
+            .filter_map(|engine| Montgomery::on(engine, m))
+            .collect()
+    }
+
+    /// The engines that run `m` here.
+    fn engines(m: &BigUint) -> Vec<Engine> {
+        contexts(m).iter().map(Montgomery::engine).collect()
+    }
+
+    /// `BigUint::multi_exp` on `engine`.
+    fn multi_exp_on(engine: Engine, terms: &[(&BigUint, &BigUint)], m: &BigUint) -> BigUint {
+        let context = |m: &BigUint| Montgomery::on(engine, m).expect("the engine runs m");
+        BigUint::multi_exp_on(terms, m, context).unwrap()
+    }
+
+    /// Whether this CPU runs the IFMA engine.
+    fn ifma_here() -> bool {
+        Montgomery::on(Engine::Ifma, &DhGroup::modp768().p).is_some()
+    }
+
+    /// Prints how often `test` ran each engine and holds it to having run
+    /// the IFMA one wherever this CPU has it.
+    fn report(test: &str, ran: &[Engine]) {
+        let runs = ENGINES.map(|engine| (engine, ran.iter().filter(|&&e| e == engine).count()));
+        eprintln!("{test}: runs per engine {runs:?}");
+        assert!(runs[0].1 > 0, "{test}: the u64 engine never ran");
+        assert!(
+            !ifma_here() || runs[1].1 > 0,
+            "{test}: the IFMA engine never ran"
+        );
     }
 
     /// The four MODP primes (top and bottom limbs all ones) and a 13-limb
@@ -1470,9 +1625,40 @@ mod engine_tests {
         ]
     }
 
+    /// A context picks the IFMA engine at 12 and 16 limbs on a CPU that
+    /// has it, the u64 engine everywhere else; the built-in groups share
+    /// such contexts.
+    #[test]
+    fn new_picks_ifma_at_its_widths_where_the_cpu_has_it() {
+        for m in wide_moduli() {
+            let at_width = matches!(m.limbs.len(), 12 | 16);
+            let expected = match at_width && ifma_here() {
+                true => Engine::Ifma,
+                false => Engine::U64,
+            };
+            assert_eq!(
+                Montgomery::new(&m).engine(),
+                expected,
+                "{} limbs",
+                m.limbs.len()
+            );
+            assert_eq!(
+                Montgomery::on(Engine::Ifma, &m).is_some(),
+                at_width && ifma_here()
+            );
+        }
+        let expected = if ifma_here() {
+            Engine::Ifma
+        } else {
+            Engine::U64
+        };
+        assert_eq!(DhGroup::modp768().ctx.engine(), expected);
+        assert_eq!(DhGroup::modp1024().ctx.comb().engine, expected);
+    }
+
     #[test]
     fn modexp_matches_generic_on_edge_operands() {
-        let one = BigUint::one();
+        let (one, mut ran) = (BigUint::one(), Vec::new());
         for m in wide_moduli() {
             let bases = [
                 BigUint::zero(),
@@ -1498,16 +1684,20 @@ mod engine_tests {
                 one.shl(m.bit_len() - 1),
                 m.checked_sub(&b(2)).unwrap(),
             ];
-            for base in &bases {
-                for exp in &exps {
-                    assert_eq!(
-                        base.modexp(exp, &m).unwrap(),
-                        oracle(base, exp, &m),
-                        "{base:?} ^ {exp:?} mod {m:?}"
-                    );
+            for engine in engines(&m) {
+                ran.push(engine);
+                for base in &bases {
+                    for exp in &exps {
+                        assert_eq!(
+                            multi_exp_on(engine, &[(base, exp)], &m),
+                            oracle(base, exp, &m),
+                            "{engine:?}: {base:?} ^ {exp:?} mod {m:?}"
+                        );
+                    }
                 }
             }
         }
+        report("modexp_matches_generic_on_edge_operands", &ran);
     }
 
     #[test]
@@ -1516,25 +1706,32 @@ mod engine_tests {
         let (g, y) = (b(4), m.shr(3).add(&b(12345)));
         let (s, e) = (m.checked_sub(&b(2)).unwrap(), m.shr(1));
         let zero = BigUint::zero();
-        for (a, ea, bb, eb) in [
-            (&g, &s, &y, &e),
-            (&y, &e, &g, &s),
-            (&y, &s, &y, &e),
-            (&g, &zero, &y, &e),
-            (&g, &s, &y, &zero),
-            (&g, &zero, &y, &zero),
-            (&zero, &s, &y, &e),
-            (&g, &s, &zero, &e),
-            // 0^0 = 1, as in `modexp`.
-            (&zero, &zero, &y, &e),
-            (&g, &s, &m, &zero),
-        ] {
-            assert_eq!(
-                BigUint::modexp2(a, ea, bb, eb, &m).unwrap(),
-                oracle2(a, ea, bb, eb, &m),
-                "{a:?} ^ {ea:?} * {bb:?} ^ {eb:?}"
-            );
+        let ran = engines(&m);
+        for &engine in &ran {
+            for (a, ea, bb, eb) in [
+                (&g, &s, &y, &e),
+                (&y, &e, &g, &s),
+                (&y, &s, &y, &e),
+                (&g, &zero, &y, &e),
+                (&g, &s, &y, &zero),
+                (&g, &zero, &y, &zero),
+                (&zero, &s, &y, &e),
+                (&g, &s, &zero, &e),
+                // 0^0 = 1, as in `modexp`.
+                (&zero, &zero, &y, &e),
+                (&g, &s, &m, &zero),
+            ] {
+                assert_eq!(
+                    multi_exp_on(engine, &[(a, ea), (bb, eb)], &m),
+                    oracle2(a, ea, bb, eb, &m),
+                    "{engine:?}: {a:?} ^ {ea:?} * {bb:?} ^ {eb:?}"
+                );
+            }
         }
+        report(
+            "modexp2_handles_zero_bases_exponents_and_degenerate_moduli",
+            &ran,
+        );
         // Even modulus: 3^4 * 7^5 mod 100 = 81 * 7 mod 100.
         assert_eq!(
             BigUint::modexp2(&b(3), &b(4), &b(7), &b(5), &b(100)).unwrap(),
@@ -1555,8 +1752,8 @@ mod engine_tests {
         (squared, product)
     }
 
-    /// `a * b * R^-1` and `a^2 * R^-1` through the kernel bodies at width
-    /// `W`, reducing with the flag `ONES`.
+    /// `a * b * R^-1` and `a^2 * R^-1` through the u64 kernel bodies at
+    /// width `W`, reducing with the flag `ONES`.
     fn mul_sqr_at<const W: usize, const ONES: bool>(
         mont: &Montgomery,
         a: &[u64],
@@ -1630,13 +1827,13 @@ mod engine_tests {
         [BigUint { limbs: modp }, BigUint { limbs: random }]
     }
 
-    /// Operands `a, b < n` whose Montgomery product before the final
-    /// subtraction, `(a * b + m * n) / R`, is `u`: for some `a = n - 2k`,
-    /// `b = (u * R - m * n) / a`, the largest `m <= u * R / n` that makes
-    /// the division exact, provided it is a reduction's `m < R` and `b < n`.
-    fn operands_reducing_to(n: &BigUint, u: &BigUint) -> (BigUint, BigUint) {
-        let r = BigUint::one().shl(64 * n.limbs.len());
-        let u_r = u.mul(&r);
+    /// Operands `a, b < n` whose Montgomery product under the radix `r`
+    /// before any final subtraction, `(a * b + m * n) / r`, is `u`: for
+    /// some `a = n - 2k`, `b = (u * r - m * n) / a`, the largest
+    /// `m <= u * r / n` that makes the division exact, provided it is a
+    /// reduction's `m < r` and `b < n`.
+    fn operands_reducing_to(n: &BigUint, r: &BigUint, u: &BigUint) -> (BigUint, BigUint) {
+        let u_r = u.mul(r);
         let m_max = u_r.div_rem(n).unwrap().0;
         for k in 1..64 {
             let a = n.checked_sub(&b(2 * k)).unwrap();
@@ -1647,78 +1844,139 @@ mod engine_tests {
                 .unwrap();
             let (b, rest) = u_r.checked_sub(&m.mul(n)).unwrap().div_rem(&a).unwrap();
             assert!(rest.is_zero());
-            if m < r && b < *n {
+            if m < *r && b < *n {
                 return (a, b);
             }
         }
         unreachable!("no operands for {u:?} mod {n:?}")
     }
 
-    /// Every operation of the kernel, dispatched and at width 0 (and at 12
-    /// or 16 limbs through its fixed-width body), with the all-ones
-    /// reduction and without it where the lowest limb of `n` allows both,
-    /// equals the oracle `a * b * R^-1 mod n` — at the two fixed widths and
-    /// their unfixed neighbours, on edge operands and on products that land
-    /// just below `n` and just above it (`u = n` would need `n | a * b`),
-    /// below `R` and at it, so the final subtraction is skipped, taken, and
-    /// taken with the carry out of the top limb.
+    /// Every operation of the kernel, dispatched on each engine and — on
+    /// the u64 engine — at width 0 (and at 12 or 16 limbs through its
+    /// fixed-width body), with the all-ones reduction and without it where
+    /// the lowest limb of `n` allows both, equals the oracle
+    /// `a * b * R^-1 mod n` at the two fixed widths and their unfixed
+    /// neighbours: on edge operands, and on products that land on a
+    /// target `u` before any final subtraction. On the u64 engine the
+    /// targets are just below `n` and just above it (`u = n` would need
+    /// `n | a * b`), below `R` and at it, so the subtraction is skipped,
+    /// taken, and taken with the carry out of the top limb; its result is
+    /// below `n`. The IFMA engine subtracts nothing: its targets at and
+    /// just above `n` come back as they are, operands in `[n, 2n)` are
+    /// its to take, and every result is below `2n`.
     #[test]
     fn kernel_at_every_width_matches_width_zero_and_the_oracle() {
-        let mut bodies = 0;
+        let (mut bodies, mut ran) = (0, Vec::new());
         for len in [11, 12, 13, 15, 16, 17] {
             for n in kernel_moduli(len) {
-                let mont = Montgomery::new(&n);
-                let r = BigUint::one().shl(64 * len);
-                let r_inv = r.rem(&n).unwrap().mod_inv(&n).unwrap();
+                let two_n = n.add(&n);
                 let edges = [
                     BigUint::zero(),
                     BigUint::one(),
                     n.checked_sub(&BigUint::one()).unwrap(),
-                    r.rem(&n).unwrap(),
                     n.shr(1),
                     n.shr(3).add(&b(0x1234_5678)),
                 ];
-                let mut pairs: Vec<_> = edges
-                    .iter()
-                    .flat_map(|a| edges.iter().map(move |b| (a.clone(), b.clone())))
-                    .collect();
-                let targets = [
-                    n.checked_sub(&b(1)).unwrap(),
-                    n.add(&b(1)),
-                    n.add(&b(2)),
-                    r.checked_sub(&b(1)).unwrap(),
-                    r.clone(),
-                ];
-                for u in &targets {
-                    let (a, b) = operands_reducing_to(&n, u);
-                    assert_eq!(a.mul(&b).mul(&r_inv).rem(&n).unwrap(), u.rem(&n).unwrap());
-                    pairs.push((a, b));
-                }
-                let limbs = |v: &BigUint| {
-                    let mut limbs = v.limbs.clone();
-                    limbs.resize(len, 0);
-                    limbs
-                };
-                for (a, b) in &pairs {
-                    let expected =
-                        [a.mul(b), a.mul(a)].map(|t| limbs(&t.mul(&r_inv).rem(&n).unwrap()));
-                    let (mut product, mut square, mut t) = (limbs(a), limbs(a), vec![0; 2 * len]);
-                    mont.mul(&mut product, &limbs(b), &mut t);
-                    mont.sqr(&mut square, &mut t);
-                    assert_eq!([product, square], expected, "{a:?} * {b:?} mod {n:?}");
-                    let every = mul_sqr_every_body(&mont, &limbs(a), &limbs(b));
-                    bodies += every.len();
-                    for (body, got) in every.iter().enumerate() {
-                        assert_eq!(*got, expected, "body {body}: {a:?} * {b:?} mod {n:?}");
+                for mont in contexts(&n) {
+                    let engine = mont.engine();
+                    ran.push(engine);
+                    let r = BigUint::one().shl(mont.r_bits());
+                    let r_inv = r.rem(&n).unwrap().mod_inv(&n).unwrap();
+                    let mut operands = edges.to_vec();
+                    operands.push(r.rem(&n).unwrap());
+                    let (bound, targets) = match engine {
+                        Engine::U64 => (
+                            &n,
+                            vec![
+                                n.checked_sub(&b(1)).unwrap(),
+                                n.add(&b(1)),
+                                n.add(&b(2)),
+                                r.checked_sub(&b(1)).unwrap(),
+                                r.clone(),
+                            ],
+                        ),
+                        Engine::Ifma => {
+                            operands.extend([
+                                n.clone(),
+                                n.add(&b(1)),
+                                n.add(&n.shr(1)),
+                                two_n.checked_sub(&b(1)).unwrap(),
+                            ]);
+                            (
+                                &two_n,
+                                vec![
+                                    n.checked_sub(&b(1)).unwrap(),
+                                    n.add(&b(1)),
+                                    n.add(&n.shr(20)),
+                                ],
+                            )
+                        }
+                    };
+                    let mut pairs: Vec<_> = operands
+                        .iter()
+                        .flat_map(|a| operands.iter().map(move |b| (a.clone(), b.clone(), None)))
+                        .collect();
+                    for u in targets {
+                        let (a, b) = operands_reducing_to(&n, &r, &u);
+                        let exact = match engine {
+                            Engine::U64 => u.rem(&n).unwrap(),
+                            Engine::Ifma => u,
+                        };
+                        assert_eq!(
+                            a.mul(&b).mul(&r_inv).rem(&n).unwrap(),
+                            exact.rem(&n).unwrap()
+                        );
+                        pairs.push((a, b, Some(exact)));
                     }
+                    for (a, b, exact) in &pairs {
+                        let expected = [a.mul(b), a.mul(a)].map(|t| t.mul(&r_inv).rem(&n).unwrap());
+                        let (mut product, mut square, mut t) =
+                            (mont.layout(a), mont.layout(a), vec![0; 2 * len]);
+                        mont.mul(&mut product, &mont.layout(b), &mut t);
+                        mont.sqr(&mut square, &mut t);
+                        let got = [product, square].map(|x| mont.value(&x));
+                        for (got, expected) in got.iter().zip(&expected) {
+                            assert!(
+                                got < bound,
+                                "{engine:?}: {a:?} * {b:?} mod {n:?} out of range"
+                            );
+                            assert_eq!(
+                                got.rem(&n).unwrap(),
+                                *expected,
+                                "{engine:?}: {a:?} * {b:?} mod {n:?}"
+                            );
+                        }
+                        if let Some(exact) = exact {
+                            assert_eq!(got[0], *exact, "{engine:?}: {a:?} * {b:?} mod {n:?}");
+                        }
+                        if engine == Engine::U64 {
+                            let every = mul_sqr_every_body(&mont, &mont.layout(a), &mont.layout(b));
+                            bodies += every.len();
+                            for (body, limbs) in every.iter().enumerate() {
+                                assert_eq!(
+                                    limbs.clone().map(|x| mont.value(&x)),
+                                    expected,
+                                    "body {body}: {a:?} * {b:?} mod {n:?}"
+                                );
+                            }
+                        }
+                    }
+                    let (base, exp) = (n.shr(7).add(&b(3)), b(0xfedc_ba98_7654_3211));
+                    assert_eq!(
+                        multi_exp_on(engine, &[(&base, &exp)], &n),
+                        oracle(&base, &exp, &n)
+                    );
                 }
-                let (base, exp) = (n.shr(7).add(&b(3)), b(0xfedc_ba98_7654_3211));
-                assert_eq!(base.modexp(&exp, &n).unwrap(), oracle(&base, &exp, &n));
             }
         }
-        // 41 pairs per modulus. Per pair and width, the two moduli take
-        // 1 + 2 bodies at an unfixed width and 2 + 4 at a fixed one.
+        // 41 pairs per modulus on the u64 engine. Per pair and width, the
+        // two moduli take 1 + 2 bodies at an unfixed width and 2 + 4 at a
+        // fixed one.
         assert_eq!(bodies, 41 * (4 * 3 + 2 * 6));
+        report(
+            "kernel_at_every_width_matches_width_zero_and_the_oracle",
+            &ran,
+        );
     }
 
     /// `2^(2^c) mod m` for `c <= bits` and `2^(2^c - 1) mod m` for
@@ -1741,7 +1999,7 @@ mod engine_tests {
     #[test]
     fn comb_matches_the_oracle_at_every_row_and_block_seam() {
         let (one, two) = (BigUint::one(), b(2));
-        let mut partial = 0;
+        let (mut partial, mut ran) = (0, Vec::new());
         for m in wide_moduli() {
             let bits = 64 * m.limbs.len();
             let (bit, below) = powers_of_two(&m, bits + 8);
@@ -1750,30 +2008,35 @@ mod engine_tests {
                 one.shl(bits - 3).add(&m.shr(5)),
             ];
             for (rows, blocks) in [6, 7, 8].into_iter().flat_map(|r| [(r, 1), (r, 2)]) {
-                let mont = Montgomery::with_comb(&m, rows, blocks);
-                let comb = mont.comb.as_ref().unwrap();
-                let (cols, span) = (comb.cols, comb.span);
-                partial += usize::from(blocks * span > cols);
-                let seams =
-                    (0..rows).flat_map(|j| (0..cols).step_by(span).map(move |k| j * cols + k));
-                let mut exps = vec![(BigUint::zero(), one.clone())];
-                for c in seams.flat_map(|s| [s.saturating_sub(1), s, s + 1]) {
-                    exps.push((one.shl(c), bit[c].clone()));
-                    exps.push((one.shl(c).checked_sub(&one).unwrap(), below[c].clone()));
-                }
-                let all = rows * cols;
-                exps.push((one.shl(all).checked_sub(&one).unwrap(), below[all].clone()));
-                exps.extend(general.iter().map(|e| (e.clone(), oracle(&two, e, &m))));
-                for (exp, expected) in &exps {
-                    assert_eq!(
-                        mont.multi_exp(&[(Base::Comb(comb), exp)]),
-                        *expected,
-                        "2 ^ {exp:?} mod {m:?}, {rows} rows x {blocks} blocks"
-                    );
+                for (i, mont) in contexts(&m).into_iter().enumerate() {
+                    let mont = mont.and_comb(rows, blocks);
+                    ran.push(mont.engine());
+                    let comb = mont.comb();
+                    let (cols, span) = (comb.cols, comb.span);
+                    partial += usize::from(i == 0 && blocks * span > cols);
+                    let seams =
+                        (0..rows).flat_map(|j| (0..cols).step_by(span).map(move |k| j * cols + k));
+                    let mut exps = vec![(BigUint::zero(), one.clone())];
+                    for c in seams.flat_map(|s| [s.saturating_sub(1), s, s + 1]) {
+                        exps.push((one.shl(c), bit[c].clone()));
+                        exps.push((one.shl(c).checked_sub(&one).unwrap(), below[c].clone()));
+                    }
+                    let all = rows * cols;
+                    exps.push((one.shl(all).checked_sub(&one).unwrap(), below[all].clone()));
+                    exps.extend(general.iter().map(|e| (e.clone(), oracle(&two, e, &m))));
+                    for (exp, expected) in &exps {
+                        assert_eq!(
+                            mont.multi_exp(&[(Base::Comb(comb), exp)]),
+                            *expected,
+                            "{:?}: 2 ^ {exp:?} mod {m:?}, {rows} rows x {blocks} blocks",
+                            mont.engine()
+                        );
+                    }
                 }
             }
         }
         assert!(partial >= 3, "{partial} layouts with a partial block");
+        report("comb_matches_the_oracle_at_every_row_and_block_seam", &ran);
     }
 
     /// An exponent the table does not cover is not truncated to the bits
@@ -1782,62 +2045,95 @@ mod engine_tests {
     /// a second term.
     #[test]
     fn comb_leaves_a_wider_exponent_to_the_general_path() {
-        let (two, e) = (b(2), b(0xfeed_f00d));
+        let (two, e, mut ran) = (b(2), b(0xfeed_f00d), Vec::new());
         for m in wide_moduli() {
-            let (y, len) = (m.shr(2).add(&b(77)), m.limbs.len());
+            let y = m.shr(2).add(&b(77));
             for (rows, blocks) in [(6, 1), (7, 2), (8, 2)] {
-                let mont = Montgomery::with_comb(&m, rows, blocks);
-                let of_y = Comb::new(&mont, &y, 256, rows, blocks);
-                for comb in [mont.comb(), &of_y] {
-                    let capacity = comb.rows * comb.cols;
-                    let fits = BigUint::one().shl(capacity - 1);
-                    let wide = BigUint::one().shl(capacity);
-                    let (mut t, base) = (vec![0; 2 * len], &comb.base);
-                    let one = mont.one(&mut t);
-                    let on = |exp| mont.powers(Base::Comb(comb), exp, &one, &mut vec![0; 2 * len]);
-                    assert!(matches!(on(&fits), Powers::Comb(_)));
-                    match base == &two {
-                        true => assert!(matches!(on(&wide), Powers::Shift(1))),
-                        false => assert!(matches!(on(&wide), Powers::Table(_))),
-                    }
-                    for exp in [&fits, &wide, &wide.add(&fits).add(&b(5))] {
-                        let alone = [(Base::Comb(comb), exp)];
-                        assert_eq!(mont.multi_exp(&alone), oracle(base, exp, &m));
-                        let beside = [(Base::Value(&y), &e), (Base::Comb(comb), exp)];
-                        assert_eq!(mont.multi_exp(&beside), oracle2(&y, &e, base, exp, &m));
+                for mont in contexts(&m) {
+                    let mont = mont.and_comb(rows, blocks);
+                    ran.push(mont.engine());
+                    let of_y = Comb::new(&mont, &y, 256, rows, blocks);
+                    for comb in [mont.comb(), &of_y] {
+                        let capacity = comb.rows * comb.cols;
+                        let fits = BigUint::one().shl(capacity - 1);
+                        let wide = BigUint::one().shl(capacity);
+                        let (mut t, base) = (vec![0; 2 * m.limbs.len()], &comb.base);
+                        let one = mont.one(&mut t);
+                        let on = |exp| mont.powers(Base::Comb(comb), exp, &one, &mut t.clone());
+                        assert!(matches!(on(&fits), Powers::Comb(_)));
+                        match base == &two {
+                            true => assert!(matches!(on(&wide), Powers::Shift(1))),
+                            false => assert!(matches!(on(&wide), Powers::Table(_))),
+                        }
+                        for exp in [&fits, &wide, &wide.add(&fits).add(&b(5))] {
+                            let alone = [(Base::Comb(comb), exp)];
+                            assert_eq!(mont.multi_exp(&alone), oracle(base, exp, &m));
+                            let beside = [(Base::Value(&y), &e), (Base::Comb(comb), exp)];
+                            assert_eq!(mont.multi_exp(&beside), oracle2(&y, &e, base, exp, &m));
+                        }
                     }
                 }
             }
         }
+        report("comb_leaves_a_wider_exponent_to_the_general_path", &ran);
     }
 
-    /// A comb of any base, laid out as `verify` lays out a key's (8 rows,
-    /// one block, 256 bits), at every row seam and at the top of its
-    /// range: bit 255, all 256 bits, and bit 256, which it does not cover.
+    /// A comb of any base, laid out as `verify` lays out a key's (7 rows
+    /// of 37 columns, one block, for 256 bits), at every row seam and at
+    /// the top of its range: bit 255, the last bit it covers (258), all
+    /// 259, and bit 259, which it does not cover.
     #[test]
     fn comb_of_any_base_matches_the_oracle_up_to_its_last_bit() {
-        let one = BigUint::one();
+        let (one, mut ran) = (BigUint::one(), Vec::new());
         for m in wide_moduli() {
-            let mont = Montgomery::with_comb(&m, 8, 2);
-            for base in [b(3), m.shr(1).add(&b(99)), m.checked_sub(&b(2)).unwrap()] {
-                let comb = Comb::new(&mont, &base, 256, 8, 1);
-                assert_eq!((comb.cols, comb.span), (32, 32));
-                let mut exps = vec![one.shl(256).checked_sub(&one).unwrap(), one.shl(256)];
-                for c in (0..8).map(|j| 32 * j).chain([255]) {
-                    exps.push(one.shl(c));
-                    exps.push(one.shl(c).checked_sub(&one).unwrap());
-                }
-                for exp in &exps {
-                    let terms = [(Base::Comb(&comb), exp)];
-                    assert_eq!(mont.multi_exp(&terms), oracle(&base, exp, &m), "{exp:?}");
+            for mont in contexts(&m) {
+                ran.push(mont.engine());
+                for base in [b(3), m.shr(1).add(&b(99)), m.checked_sub(&b(2)).unwrap()] {
+                    let comb = Comb::new(&mont, &base, 256, 7, 1);
+                    assert_eq!((comb.cols, comb.span), (37, 37));
+                    let mut exps = vec![one.shl(259).checked_sub(&one).unwrap(), one.shl(259)];
+                    for c in (0..7).map(|j| 37 * j).chain([255, 258]) {
+                        exps.push(one.shl(c));
+                        exps.push(one.shl(c).checked_sub(&one).unwrap());
+                    }
+                    for exp in &exps {
+                        let terms = [(Base::Comb(&comb), exp)];
+                        assert_eq!(mont.multi_exp(&terms), oracle(&base, exp, &m), "{exp:?}");
+                    }
                 }
             }
+        }
+        report(
+            "comb_of_any_base_matches_the_oracle_up_to_its_last_bit",
+            &ran,
+        );
+    }
+
+    /// A comb holds values in the layout of the engine that built it, so
+    /// a context on the other engine refuses it where debug assertions
+    /// run (and would compute garbage without them).
+    #[test]
+    fn a_comb_of_another_engine_is_refused() {
+        let m = DhGroup::modp768().p;
+        let (Some(ifma), Some(u64)) = (
+            Montgomery::on(Engine::Ifma, &m),
+            Montgomery::on(Engine::U64, &m),
+        ) else {
+            return eprintln!("no IFMA engine on this CPU: nothing to refuse");
+        };
+        let exp = b(0xabcd_ef01);
+        for (built_on, used_on) in [(&u64, &ifma), (&ifma, &u64)] {
+            let comb = Comb::new(built_on, &b(3), 256, 8, 1);
+            let terms = [(Base::Comb(&comb), &exp)];
+            assert_eq!(built_on.multi_exp(&terms), oracle(&b(3), &exp, &m));
+            let used = std::panic::catch_unwind(|| used_on.multi_exp(&terms));
+            assert_eq!(used.is_err(), cfg!(debug_assertions));
         }
     }
 
     /// Equality and `Debug` go by the modulus: a context with a comb, one
-    /// with another comb and one without are the same value, and none
-    /// prints its table.
+    /// with another comb, one without and one on the other engine are the
+    /// same value, and none prints its table.
     #[test]
     fn montgomery_is_shown_and_compared_by_modulus() {
         let (p, other) = (DhGroup::modp1024().p, DhGroup::modp768().p);
@@ -1848,6 +2144,10 @@ mod engine_tests {
             Montgomery::with_comb(&p, 8, 2)
         );
         assert_ne!(plain, Montgomery::with_comb(&other, 8, 2));
+        for mont in contexts(&p) {
+            assert_eq!(format!("{mont:?}"), "Montgomery(16 limbs)");
+            assert_eq!(mont, plain);
+        }
         let shown = format!("{:?}", Montgomery::with_comb(&p, 8, 2));
         assert_eq!(shown, "Montgomery(16 limbs)");
     }
@@ -1861,9 +2161,16 @@ mod engine_tests {
             base in proptest::collection::vec(any::<u8>(), 0..264),
             exp in proptest::collection::vec(any::<u8>(), 0..257),
             shape in 0u8..4,
+            width in 0u8..3,
         ) {
-            // Odd, full width (768 to 2 048 bits); `shape` forces the top
+            // Odd, full width (768 to 2 048 bits), half the time exactly
+            // 768 or 1 024, where both engines run; `shape` forces the top
             // limb to all ones and/or the lowest limb to 1.
+            match width {
+                1 => modbytes.truncate(96),
+                2 => modbytes.resize(128, 0xa5),
+                _ => {}
+            }
             let last = modbytes.len() - 1;
             modbytes[0] |= 0x80;
             modbytes[last] |= 1;
@@ -1877,7 +2184,9 @@ mod engine_tests {
             let m = BigUint::from_bytes_be(&modbytes);
             let base = BigUint::from_bytes_be(&base);
             let exp = BigUint::from_bytes_be(&exp);
-            prop_assert_eq!(base.modexp(&exp, &m).unwrap(), oracle(&base, &exp, &m));
+            for engine in engines(&m) {
+                prop_assert_eq!(multi_exp_on(engine, &[(&base, &exp)], &m), oracle(&base, &exp, &m));
+            }
         }
 
         #[test]
@@ -1887,17 +2196,27 @@ mod engine_tests {
             shift in 0u32..10,
             eb in proptest::collection::vec(any::<u8>(), 0..130),
             mut modbytes in proptest::collection::vec(any::<u8>(), 1..129),
+            width in 0u8..3,
         ) {
             // One random base against one small power of two, as `verify`
-            // pairs them; exponents of unequal length; odd modulus > 1.
+            // pairs them; exponents of unequal length; odd modulus > 1,
+            // a third of the time at 12 limbs and a third at 16.
+            match width {
+                1 => modbytes.resize(96, 0x3c),
+                2 => modbytes.resize(128, 0xc3),
+                _ => {}
+            }
+            modbytes[0] |= u8::from(width != 0) << 7;
             *modbytes.last_mut().unwrap() |= 1;
             let m = BigUint::from_bytes_be(&modbytes);
             prop_assume!(!m.is_one());
             let (a, ea) = (BigUint::from_bytes_be(&a), BigUint::from_bytes_be(&ea));
             let (pow2, eb) = (b(1 << shift), BigUint::from_bytes_be(&eb));
             let expected = oracle2(&a, &ea, &pow2, &eb, &m);
-            prop_assert_eq!(BigUint::modexp2(&a, &ea, &pow2, &eb, &m).unwrap(), expected.clone());
-            prop_assert_eq!(BigUint::modexp2(&pow2, &eb, &a, &ea, &m).unwrap(), expected);
+            for engine in engines(&m) {
+                prop_assert_eq!(multi_exp_on(engine, &[(&a, &ea), (&pow2, &eb)], &m), expected.clone());
+                prop_assert_eq!(multi_exp_on(engine, &[(&pow2, &eb), (&a, &ea)], &m), expected.clone());
+            }
         }
 
         #[test]
@@ -1915,10 +2234,13 @@ mod engine_tests {
             let y = BigUint::from_bytes_be(&y).rem(m).unwrap().add(&BigUint::one());
             prop_assume!(&y < m);
             let expected = oracle2(&two, &k, &y, &e, m);
-            let (g, y) = (Base::Comb(group.ctx.comb()), Base::Value(&y));
-            prop_assert_eq!(group.ctx.multi_exp(&[(g, &k)]), oracle(&two, &k, m));
-            prop_assert_eq!(group.ctx.multi_exp(&[(g, &k), (y, &e)]), expected.clone());
-            prop_assert_eq!(group.ctx.multi_exp(&[(y, &e), (g, &k)]), expected);
+            for mont in contexts(m) {
+                let ctx = mont.and_comb(8, 2);
+                let (g, y) = (Base::Comb(ctx.comb()), Base::Value(&y));
+                prop_assert_eq!(ctx.multi_exp(&[(g, &k)]), oracle(&two, &k, m));
+                prop_assert_eq!(ctx.multi_exp(&[(g, &k), (y, &e)]), expected.clone());
+                prop_assert_eq!(ctx.multi_exp(&[(y, &e), (g, &k)]), expected.clone());
+            }
         }
 
         #[test]

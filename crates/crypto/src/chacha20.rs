@@ -12,9 +12,10 @@
 //! Elsewhere it is the scalar [`block`] function four times, which is also
 //! the oracle the tests hold the vector kernel to.
 //!
-//! The call into the kernel is one of the workspace's two `unsafe` blocks
-//! (the other is SHA-256's call into the SHA extensions): rustc
-//! asks it of any `#[target_feature]` function, and it is sound because it
+//! The call into the kernel is one of the workspace's three `unsafe`
+//! sites (the others are SHA-256's call into the SHA extensions and the
+//! IFMA Montgomery kernel in `bignum::ifma`): rustc asks it of any
+//! `#[target_feature]` function, and it is sound because it
 //! is compiled only under `cfg(target_feature = "sse2")`. Inside, every
 //! intrinsic takes and returns values; no pointer is formed.
 

@@ -89,7 +89,8 @@ impl DhGroup {
             let p = BigUint::from_hex(hex).expect("valid builtin prime");
             debug_assert_eq!(p.bit_len(), bits);
             // Eight rows in two blocks: 2 × 2^8 entries, 64 KB at 1 024 bits
-            // and 48 KB at 768. Each further row would double them.
+            // and 48 KB at 768 (96 and 64 on the IFMA engine). Each further
+            // row would double them.
             let ctx = Arc::new(Montgomery::with_comb(&p, 8, 2));
             let g = BigUint::from_u64(2);
             DhGroup { p, g, bits, ctx }

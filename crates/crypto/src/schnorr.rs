@@ -24,7 +24,7 @@
 //! from its second verification on, a comb of `y^-1` over the 256 bits of
 //! a challenge: `y^(-e)` then rides the generator's steps, and `verify`
 //! squares no more than `sign`. The first verification, and a challenge
-//! wider than 256 bits, take a 4-bit window instead.
+//! wider than the comb, take a 4-bit window instead.
 
 use crate::bignum::{Base, BigUint, Comb, Montgomery};
 use crate::dh::DhGroup;
@@ -133,8 +133,10 @@ struct Inverse {
     /// Set by the first verification. It publishes no data (the comb has
     /// its own lock), so `Relaxed` suffices.
     verified: AtomicBool,
-    /// Eight rows of `y^-1` in one block over [`CHALLENGE_BITS`], built
-    /// by the second verification: 256 entries, 32 KB at 1 024 bits.
+    /// Seven rows of `y^-1` in one block over [`CHALLENGE_BITS`] (37
+    /// columns), built by the second verification: 128 entries, 16 KB at
+    /// 1 024 bits (24 on the IFMA engine). An eighth row would double the
+    /// table and its build to save five products a verification.
     comb: OnceLock<Comb>,
 }
 
@@ -253,7 +255,7 @@ impl VerifyingKey {
             true => Base::Comb(
                 inverse
                     .comb
-                    .get_or_init(|| Comb::new(&g.ctx, y_inv, CHALLENGE_BITS, 8, 1)),
+                    .get_or_init(|| Comb::new(&g.ctx, y_inv, CHALLENGE_BITS, 7, 1)),
             ),
             false => Base::Value(y_inv),
         };

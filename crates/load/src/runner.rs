@@ -765,7 +765,7 @@ impl<'a> Engine<'a> {
         if sess.attempt == 0 {
             self.metrics.steady_client.fold(op.client);
         }
-        let (header, pad) = frame(session, sess.op, sess.attempt, op.request_bytes);
+        let (header, pad) = frame(session, sess.op, sess.attempt, op.request_bytes as usize);
         self.net.send_padded(sess.client, self.server, header, pad);
         self.push(
             self.net.now() + self.timeout,
@@ -826,7 +826,8 @@ impl<'a> Engine<'a> {
     }
 
     fn send_response(&mut self, client: NodeId, session: u64, op: u32) {
-        let (header, pad) = frame(session, op, 0, self.cal.ops[op as usize].response_bytes);
+        let bytes = self.cal.ops[op as usize].response_bytes as usize;
+        let (header, pad) = frame(session, op, 0, bytes);
         self.net.send_padded(self.server, client, header, pad);
     }
 

@@ -25,9 +25,9 @@ pub struct OpProfile {
     /// Server-side instruction cost of the step.
     pub server: Counters,
     /// Request size on the wire, in bytes.
-    pub request_bytes: usize,
+    pub request_bytes: u32,
     /// Response size on the wire, in bytes.
-    pub response_bytes: usize,
+    pub response_bytes: u32,
     /// Server-side enclave boundary crossings during the step.
     pub transitions: TransitionStats,
 }
@@ -113,25 +113,36 @@ impl Calibration {
 
 impl From<teenet_app::WorkProfile> for Calibration {
     fn from(profile: teenet_app::WorkProfile) -> Self {
+        let mut ops: Vec<OpProfile> = profile
+            .steps
+            .into_iter()
+            .map(|s| OpProfile {
+                name: s.name,
+                client: s.client,
+                server: s.server,
+                request_bytes: wire_bytes(s.request_bytes),
+                response_bytes: wire_bytes(s.response_bytes),
+                transitions: s.transitions,
+            })
+            .collect();
+        // Collected in place, `ops` keeps the capacity `steps` grew to by
+        // pushes; a calibration outlives its profile, so it holds its ops
+        // exactly, each with its frame sizes in 32 bits.
+        ops.shrink_to_fit();
         Calibration {
             setup: profile.setup,
-            ops: profile
-                .steps
-                .into_iter()
-                .map(|s| OpProfile {
-                    name: s.name,
-                    client: s.client,
-                    server: s.server,
-                    request_bytes: s.request_bytes,
-                    response_bytes: s.response_bytes,
-                    transitions: s.transitions,
-                })
-                .collect(),
+            ops,
             mode: profile.mode,
             backend: profile.backend,
             switchless: profile.switchless,
         }
     }
+}
+
+/// A calibrated frame size: one step's request or response, far below
+/// 4 GiB.
+fn wire_bytes(bytes: usize) -> u32 {
+    u32::try_from(bytes).expect("a step's frame fits 32 bits")
 }
 
 /// A workload that can calibrate itself into per-session [`OpProfile`]s.

@@ -71,7 +71,9 @@ impl LinkStats {
 
 struct Link {
     config: LinkConfig,
-    injector: Option<FaultInjector>,
+    /// Boxed, so that a clean link carries no idle RNG (a Tor overlay is
+    /// a full mesh of clean links).
+    injector: Option<Box<FaultInjector>>,
     /// When the link is next free to begin serialising (FIFO queueing).
     next_free: SimTime,
     stats: LinkStats,
@@ -223,7 +225,10 @@ impl Network {
             for (dst, link) in out {
                 link.next_free = SimTime::ZERO;
                 link.stats = LinkStats::default();
-                link.injector = injector_for(seed, &mut self.root, src, *dst, &link.config.faults);
+                if let Some(injector) = &mut link.injector {
+                    let fresh = injector_for(seed, &mut self.root, src, *dst, &link.config.faults);
+                    **injector = fresh.expect("a link's faults do not change");
+                }
             }
         }
     }
@@ -244,7 +249,8 @@ impl Network {
     /// link already configured between the two.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
         let link = Link {
-            injector: injector_for(self.seed, &mut self.root, src, dst, &config.faults),
+            injector: injector_for(self.seed, &mut self.root, src, dst, &config.faults)
+                .map(Box::new),
             config,
             next_free: SimTime::ZERO,
             stats: LinkStats::default(),

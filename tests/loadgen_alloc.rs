@@ -73,7 +73,7 @@ fn c(sgx: u64, normal: u64) -> Counters {
 /// A synthetic two-op script (no real-enclave calibration, so the counted
 /// window contains nothing but the replay itself) whose second op moves
 /// `request_bytes`/`response_bytes` on the wire.
-fn toy_calibration(request_bytes: usize, response_bytes: usize) -> Calibration {
+fn toy_calibration(request_bytes: u32, response_bytes: u32) -> Calibration {
     Calibration {
         setup: c(10, 1_000_000),
         ops: vec![
