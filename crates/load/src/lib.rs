@@ -29,9 +29,9 @@
 //! * [`runner`] — the virtual-time engine: a multi-worker service queue
 //!   behind `teenet-netsim` links (with faults, bandwidth and FIFO
 //!   queueing), timeouts, and deterministic event ordering. Sessions are
-//!   generated lazily and retired into a recycled slab as they finish, so
-//!   memory is O(live sessions) — a million-session run fits in a bounded
-//!   footprint. A retained reference engine
+//!   generated lazily into a ring indexed by session id and retired as
+//!   they finish, so memory is O(span of live ids) — a million-session run
+//!   fits in a bounded footprint. A retained reference engine
 //!   ([`LoadRunner::run_reference`]) is kept as the byte-identity oracle.
 //! * [`shard`] — the sharded replay model: per-session independent
 //!   replay partitioned across OS threads, with reports byte-identical

@@ -22,7 +22,8 @@
 //! A frame is the 24-byte header followed by zeros up to the op's
 //! calibrated size; the engine sends the header and tells `netsim` how
 //! long the zeros are (`frame`), so a packet is 24 bytes stored inside the
-//! `Packet` — no allocation — whatever its length on the wire. Deliveries
+//! `Packet` — no allocation, the three header words written once into
+//! aligned storage — whatever its length on the wire. Deliveries
 //! come straight off the network ([`Network::pop_delivery`]), not through
 //! an inbox. Driver events pop in `(time, seq)` order from a
 //! `DriverQueue`, whose timeouts skip the heap.
@@ -30,13 +31,13 @@
 //! ## Streaming vs. reference replay
 //!
 //! The default engine is *streaming*: sessions are generated lazily from
-//! the arrival process, live in a recycled slab of slots sized by the
-//! number of *concurrently live* sessions, and are retired (slot returned
-//! to the pool) the moment they complete or fail. Open-loop arrivals are
+//! the arrival process, live in a ring indexed directly by session id
+//! (`SessionRing`, as wide as the span of live ids) and are retired (slot
+//! cleared) the moment they complete or fail. Open-loop arrivals are
 //! scheduled one at a time — only the next pending arrival is ever queued
-//! — so driving N sessions costs O(live sessions) memory, not O(N).
+//! — so driving N sessions costs O(live-id span) memory, not O(N).
 //! Session identity is the global session index, carried in the wire
-//! header and in the slot index, so slot reuse is invisible to every
+//! header and stored in the slot, so slot reuse is invisible to every
 //! observable: reports are byte-identical to the retained engine's.
 //!
 //! [`LoadRunner::run_reference`] keeps the *retained* engine: every
@@ -58,10 +59,10 @@
 //! fire, so lazy insertion never reorders the queue.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
+use bytes::Bytes;
 use teenet_crypto::SecureRng;
 use teenet_netsim::{FaultConfig, LinkConfig, Network, NodeId, Packet, SimDuration, SimTime};
 use teenet_sgx::cost::CostModel;
@@ -144,7 +145,8 @@ pub enum LoadError {
     /// one `Vec`, so the session count has to fit the target's address
     /// space. On 32-bit targets a >4G count used to wrap silently in an
     /// `as usize` cast; it is now rejected up front. The streaming engine
-    /// has no such limit — its memory scales with *live* sessions only.
+    /// has no such limit — its memory scales with the span of *live*
+    /// session ids only.
     SessionCountOverflow {
         /// The requested session count.
         sessions: u64,
@@ -284,14 +286,13 @@ pub(crate) fn fnv1a<T: Copy + Into<u64>>(data: &[T]) -> u64 {
 /// A frame of `bytes` on the wire (never less than a header) for
 /// `(session, op, attempt)`: the header, and how many zeros follow it.
 /// Nothing reads the zeros and the checksum does not cover them, so they
-/// travel as padding `netsim` accounts for without storing.
-fn frame(session: u64, op: u32, attempt: u32, bytes: usize) -> ([u8; HEADER_LEN], usize) {
+/// travel as padding `netsim` accounts for without storing. The header's
+/// three words are written once, little-endian, into the `Bytes`' own
+/// aligned storage.
+fn frame(session: u64, op: u32, attempt: u32, bytes: usize) -> (Bytes, usize) {
     let words = [session, u64::from(op) | u64::from(attempt) << 32];
-    let mut buf = [0u8; HEADER_LEN];
-    buf[0..8].copy_from_slice(&words[0].to_le_bytes());
-    buf[8..16].copy_from_slice(&words[1].to_le_bytes());
-    buf[16..24].copy_from_slice(&fnv1a(&words).to_le_bytes());
-    (buf, bytes.max(HEADER_LEN) - HEADER_LEN)
+    let header = Bytes::from_le_words([words[0], words[1], fnv1a(&words)]);
+    (header, bytes.max(HEADER_LEN) - HEADER_LEN)
 }
 
 fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
@@ -311,7 +312,7 @@ fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
 /// want to confirm a run stayed O(live sessions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Most sessions ever live at once. Streaming: live slab entries
+    /// Most sessions ever live at once. Streaming: live ring entries
     /// (bounded by concurrency + in-flight arrivals). Retained reference:
     /// every arrived session stays live, so this reaches the session
     /// count.
@@ -321,96 +322,111 @@ pub struct EngineStats {
     /// loop holds a single pending arrival plus O(live) timeouts; the
     /// retained path queues every arrival at t=0.
     pub peak_heap_events: u64,
-    /// Distinct session slots ever allocated (streaming only): how well
-    /// retirement recycles. Retained reference reports 0.
+    /// Session slots the streaming ring ends the run with: its capacity,
+    /// a power of two covering the widest span of live ids. Retained
+    /// reference reports 0.
     pub slots_allocated: u64,
 }
 
-/// Where the engine keeps session state: the streaming slab (O(live))
-/// or the retained reference `Vec` (O(total), kept as the equivalence
-/// oracle for the streaming path).
+/// Where the engine keeps session state: the streaming ring (O(span of
+/// live ids)) or the retained reference `Vec` (O(total), kept as the
+/// equivalence oracle for the streaming path).
 enum SessionTable {
     Retained(Vec<Session>),
-    Slab {
-        slots: Vec<Session>,
-        free: Vec<u32>,
-        /// Session id → slot; holds only live sessions.
-        index: SlotIndex,
-    },
+    Ring(SessionRing),
 }
 
-/// Session id → slot number: std's flat open-addressed table behind a
-/// one-multiply hasher instead of a tree walk or SipHash — every handler
-/// resolves its session through it. Deterministic (no
-/// `RandomState`; iteration order is never used) and O(peak live sessions).
-type SlotIndex = HashMap<u64, u32, BuildHasherDefault<IdHasher>>;
+/// Live sessions by direct index: session `id` lives in slot
+/// `id & (capacity - 1)`, which also holds the id, so a lookup is one index
+/// and one compare and retiring clears the slot. The engine issues ids
+/// densely and in increasing order, so the live ones span a short window
+/// and rarely meet; when a new id lands on a live slot the ring doubles and
+/// re-places its sessions. Doubling keeps distinct slots distinct (the
+/// wider mask still separates ids the narrower one did), so the ring holds
+/// O(span of live ids) slots. Ids decoded off the wire are only looked up.
+struct SessionRing {
+    /// Always a power of two long.
+    slots: Vec<Option<(u64, Session)>>,
+    live: u64,
+}
 
-/// Fibonacci hashing of a session id. Only ids the engine itself issued
-/// (dense, increasing) are ever inserted, so there is no crafted-collision
-/// exposure to defend with a keyed hash; ids decoded off the wire are only
-/// looked up.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl SessionRing {
+    fn with_capacity(capacity: usize) -> Self {
+        SessionRing {
+            slots: vec![None; capacity.next_power_of_two()],
+            live: 0,
+        }
     }
 
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("session ids hash through write_u64");
+    fn slot(&self, id: u64) -> usize {
+        (id & (self.slots.len() as u64 - 1)) as usize
     }
 
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn insert(&mut self, id: u64, sess: Session) -> u64 {
+        while let Some((held, _)) = self.slots[self.slot(id)] {
+            assert_ne!(held, id, "a session id is issued once");
+            let wider = vec![None; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, wider);
+            for (held, sess) in old.into_iter().flatten() {
+                let at = self.slot(held);
+                self.slots[at] = Some((held, sess));
+            }
+        }
+        let at = self.slot(id);
+        self.slots[at] = Some((id, sess));
+        self.live += 1;
+        self.live
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Session> {
+        let at = self.slot(id);
+        match &mut self.slots[at] {
+            Some((held, sess)) if *held == id => Some(sess),
+            _ => None,
+        }
+    }
+
+    fn retire(&mut self, id: u64) {
+        let at = self.slot(id);
+        if matches!(self.slots[at], Some((held, _)) if held == id) {
+            self.slots[at] = None;
+            self.live -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(None);
+        self.live = 0;
     }
 }
 
 impl SessionTable {
     /// Inserts a newly arrived session; returns the live count after.
-    fn insert(&mut self, id: u64, sess: Session, allocated: &mut u64) -> u64 {
+    fn insert(&mut self, id: u64, sess: Session) -> u64 {
         match self {
             SessionTable::Retained(v) => {
                 debug_assert_eq!(v.len() as u64, id);
                 v.push(sess);
                 v.len() as u64
             }
-            SessionTable::Slab { slots, free, index } => {
-                let slot = match free.pop() {
-                    Some(i) => {
-                        slots[i as usize] = sess;
-                        i
-                    }
-                    None => {
-                        *allocated += 1;
-                        slots.push(sess);
-                        (slots.len() - 1) as u32
-                    }
-                };
-                index.insert(id, slot);
-                index.len() as u64
-            }
+            SessionTable::Ring(ring) => ring.insert(id, sess),
         }
     }
 
     fn get_mut(&mut self, id: u64) -> Option<&mut Session> {
         match self {
             SessionTable::Retained(v) => usize::try_from(id).ok().and_then(|i| v.get_mut(i)),
-            SessionTable::Slab { slots, index, .. } => {
-                index.get(&id).map(|&i| &mut slots[i as usize])
-            }
+            SessionTable::Ring(ring) => ring.get_mut(id),
         }
     }
 
-    /// Returns a finished session's slot to the pool. Stale events looking
-    /// the id up afterwards find nothing and are dropped — observationally
-    /// identical to the retained path's `done`/`failed` flag checks. No-op
-    /// for the retained table.
+    /// Drops a finished session. Stale events looking the id up afterwards
+    /// find nothing and are dropped — observationally identical to the
+    /// retained path's `done`/`failed` flag checks. No-op for the retained
+    /// table.
     fn retire(&mut self, id: u64) {
-        if let SessionTable::Slab { free, index, .. } = self {
-            if let Some(slot) = index.remove(&id) {
-                free.push(slot);
-            }
+        if let SessionTable::Ring(ring) = self {
+            ring.retire(id);
         }
     }
 }
@@ -523,15 +539,18 @@ impl LoadRunner {
 }
 
 impl<'a> Engine<'a> {
-    /// The streaming engine: slab-of-live-sessions storage and (open
-    /// loop) one-ahead arrival scheduling.
+    /// The streaming engine: a ring of live sessions and (open loop)
+    /// one-ahead arrival scheduling. A closed loop's first ring holds its
+    /// concurrency (capped by the run's sessions); an open loop's starts at
+    /// one slot and grows to the span its arrivals reach.
     pub(crate) fn new(cfg: &'a LoadConfig, cal: &'a Calibration, model: &'a CostModel) -> Self {
-        let table = SessionTable::Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: SlotIndex::default(),
+        let first = match cfg.mode {
+            LoadMode::Closed { concurrency } => u64::from(concurrency).min(cfg.sessions),
+            LoadMode::Open { .. } => 1,
         };
-        Engine::build(cfg, cal, model, table)
+        let first = usize::try_from(first.max(1)).expect("at most a u32 concurrency");
+        let ring = SessionRing::with_capacity(first);
+        Engine::build(cfg, cal, model, SessionTable::Ring(ring))
     }
 
     /// The retained reference engine. Checked conversion: a session count
@@ -595,7 +614,10 @@ impl<'a> Engine<'a> {
         let slowest_op = service.iter().max().map_or(0, |d| d.as_nanos());
         let timeout = cfg.timeout.unwrap_or_else(|| {
             SimDuration(
-                (2 * cfg.latency.as_nanos() + slowest_op)
+                cfg.latency
+                    .as_nanos()
+                    .saturating_mul(2)
+                    .saturating_add(slowest_op)
                     .saturating_mul(4)
                     .max(1_000_000),
             )
@@ -627,7 +649,14 @@ impl<'a> Engine<'a> {
     }
 
     pub(crate) fn stats(&self) -> EngineStats {
-        self.stats
+        let slots = match &self.table {
+            SessionTable::Retained(_) => 0,
+            SessionTable::Ring(ring) => ring.slots.len() as u64,
+        };
+        EngineStats {
+            slots_allocated: slots,
+            ..self.stats
+        }
     }
 
     fn push_raw(&mut self, at: SimTime, seq: u64, ev: Ev) {
@@ -749,9 +778,7 @@ impl<'a> Engine<'a> {
             done: false,
             failed: false,
         };
-        let live = self
-            .table
-            .insert(session, sess, &mut self.stats.slots_allocated);
+        let live = self.table.insert(session, sess);
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
         self.send_request(session, sess);
     }
@@ -900,7 +927,7 @@ impl<'a> Engine<'a> {
 
     /// Rewinds the engine to the state [`Engine::new`] would produce for
     /// this config with its seed replaced by `seed`, reusing every
-    /// allocation: the network topology, the session slab, and the event
+    /// allocation: the network topology, the session ring, and the event
     /// queues' backing storage. The metrics are *not* rewound: they keep
     /// accumulating across sessions. The per-session seed is a
     /// parameter because the sharded replay derives it per index while
@@ -913,13 +940,11 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
-        if let SessionTable::Slab { slots, free, index } = &mut self.table {
+        if let SessionTable::Ring(ring) = &mut self.table {
             // Drained runs retire every session, but a defensive sweep
             // keeps a partially drained engine from leaking live slots
             // into the next session.
-            index.clear();
-            free.clear();
-            free.extend(0..slots.len() as u32);
+            ring.clear();
         }
         match self.cfg.mode {
             // A closed loop hands out indices only; it never drew from
@@ -1143,6 +1168,35 @@ mod tests {
         assert_eq!(report.net.delivered, 2);
     }
 
+    /// A link latency past half the clock made the derived timeout's round
+    /// trip overflow: a panic in debug builds, a wrap to a tiny timeout
+    /// and spurious retransmits in release. It now saturates, the response
+    /// lands at the clock's last instant and beats the timeout there.
+    #[test]
+    fn a_latency_past_half_the_clock_saturates_the_derived_timeout() {
+        let mut cfg = LoadConfig::new(1, 1, LoadMode::Closed { concurrency: 1 });
+        cfg.latency = SimDuration(u64::MAX / 2);
+        let toy = toy_calibration();
+        let cal = Calibration {
+            ops: toy.ops[..1].to_vec(),
+            ..toy
+        };
+        let report = LoadRunner::new(cfg).run("far", &cal);
+        assert_eq!((report.completed, report.failed, report.retries), (1, 0, 0));
+    }
+
+    /// A pinned timeout of the longest duration used to overflow `now +
+    /// timeout` at the second request (a time in the past, in release).
+    /// It now saturates, so both ops complete with no retransmission.
+    #[test]
+    fn a_timeout_of_the_longest_duration_saturates() {
+        let mut cfg = LoadConfig::new(1, 1, LoadMode::Closed { concurrency: 1 });
+        cfg.timeout = Some(SimDuration::from_secs(u64::MAX));
+        let report = LoadRunner::new(cfg).run("patient", &toy_calibration());
+        assert_eq!((report.completed, report.failed, report.retries), (1, 0, 0));
+        assert_eq!(report.net.sent, 4);
+    }
+
     #[test]
     fn closed_loop_completes_all_sessions() {
         let cfg = LoadConfig::new(150, 3, LoadMode::Closed { concurrency: 16 });
@@ -1249,12 +1303,30 @@ mod tests {
             let (max, _) = frame(u64::MAX, u32::MAX, attempt, 100);
             assert_eq!(decode(&max), Some((u64::MAX, u32::MAX, attempt)));
         }
-        let mut flipped = header;
+        let mut flipped = header.to_vec();
         flipped[9] ^= 0x10;
         assert_eq!(decode(&flipped), None, "the checksum covers the header");
         // A 4-byte op still occupies a whole header on the wire.
         assert_eq!(frame(7, 0, 0, 4), (frame(7, 0, 0, 24).0, 0));
         assert_eq!(frame(7, 0, 0, 0).1, 0);
+    }
+
+    /// The header written as words is the wire format byte for byte:
+    /// session, `op | attempt << 32` and the checksum of those two, each
+    /// little-endian, and it decodes back to what built it.
+    #[test]
+    fn a_frame_built_from_words_round_trips() {
+        for (session, op, attempt) in [(0, 0, 0), (42, 3, 1), (u64::MAX, u32::MAX, 7)] {
+            let (header, _) = frame(session, op, attempt, 0);
+            let words = [session, u64::from(op) | u64::from(attempt) << 32];
+            let mut wire = Vec::new();
+            for word in [words[0], words[1], fnv1a(&words)] {
+                wire.extend_from_slice(&word.to_le_bytes());
+            }
+            assert_eq!(&header[..], &wire[..]);
+            assert_eq!(decode(&header), Some((session, op, attempt)));
+            assert_eq!(decode(&wire), Some((session, op, attempt)));
+        }
     }
 
     #[test]
@@ -1295,7 +1367,14 @@ mod tests {
     #[test]
     fn open_loop_heap_holds_one_pending_arrival_not_all() {
         let n = 4000u64;
-        let cfg = LoadConfig::new(n, 3, LoadMode::Open { rate_per_sec: None });
+        let mut cfg = LoadConfig::new(n, 3, LoadMode::Open { rate_per_sec: None });
+        // Retries keep a session live while later ids arrive: the ring's
+        // span, not only the live count, must stay far below the total.
+        cfg.faults = FaultConfig {
+            drop_chance: 0.05,
+            duplicate_chance: 0.05,
+            ..Default::default()
+        };
         let runner = LoadRunner::new(cfg);
         let cal = toy_calibration();
         let (report, stream) = runner.run_with_stats("toy", &cal);
@@ -1318,6 +1397,42 @@ mod tests {
             "sessions retire as they complete: {} live peak",
             stream.peak_live_sessions
         );
+        assert!(
+            stream.slots_allocated < n / 8,
+            "the ring spans the live ids, not the run: {} slots",
+            stream.slots_allocated
+        );
+        assert!(report.retries > 0, "the faults fired");
+    }
+
+    fn tagged(op: u32) -> Session {
+        Session {
+            arrived_at: SimTime::ZERO,
+            client: NodeId(0),
+            op,
+            attempt: 0,
+            serviced_through: None,
+            in_service: None,
+            done: false,
+            failed: false,
+        }
+    }
+
+    /// Growth re-places live sessions without losing or aliasing any: the
+    /// oldest stays live while a hundred newer ids come and go.
+    #[test]
+    fn ring_doubles_to_the_span_of_live_ids() {
+        let mut ring = SessionRing::with_capacity(1);
+        ring.insert(0, tagged(0));
+        for id in 1..=100 {
+            assert_eq!(ring.insert(id, tagged(id as u32)), 2);
+            ring.retire(id);
+        }
+        assert_eq!(ring.slots.len(), 128);
+        assert_eq!(ring.get_mut(0).map(|s| s.op), Some(0));
+        assert!((1..=200).all(|id| ring.get_mut(id).is_none()));
+        ring.retire(0);
+        assert_eq!(ring.live, 0);
     }
 
     /// A rewound engine replays exactly what a fresh engine seeded with
@@ -1417,12 +1532,60 @@ mod tests {
             op in any::<u32>(),
             attempt in any::<u32>(),
         ) {
-            let (header, _) = frame(session, op, attempt, 0);
+            let header: [u8; HEADER_LEN] = frame(session, op, attempt, 0).0[..]
+                .try_into()
+                .expect("a frame header is HEADER_LEN bytes");
             prop_assert_eq!(decode(&header), Some((session, op, attempt)));
             for bit in 0..8 * HEADER_LEN {
                 let mut flipped = header;
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 prop_assert_eq!(decode(&flipped), None, "bit {} went unnoticed", bit);
+            }
+        }
+    }
+
+    proptest! {
+        /// The ring is a map from live id to session: random inserts of
+        /// dense increasing ids, retirements in any order and lookups of
+        /// live, retired, never-issued and far-future ids agree with a
+        /// `BTreeMap`, across however many doublings the live span forces.
+        #[test]
+        fn ring_agrees_with_a_map_model(
+            steps in proptest::collection::vec(any::<u64>(), 1..400),
+            first in 1usize..9,
+        ) {
+            let mut ring = SessionRing::with_capacity(first);
+            let mut model = std::collections::BTreeMap::new();
+            let mut next = 0u64;
+            for step in steps {
+                let pick = step / 8;
+                // Any live id, any id issued so far, one not issued yet, or
+                // one from the far end of the id space.
+                let id = match pick % 4 {
+                    0 if !model.is_empty() => {
+                        *model.keys().nth((pick / 4) as usize % model.len()).expect("in range")
+                    }
+                    0 | 1 => pick / 4 % (next + 1),
+                    2 => next + pick / 4 % 1_000,
+                    _ => u64::MAX - pick / 4 % 1_000,
+                };
+                match step % 8 {
+                    0..=2 => {
+                        prop_assert_eq!(ring.insert(next, tagged(next as u32)), model.len() as u64 + 1);
+                        model.insert(next, next as u32);
+                        next += 1;
+                    }
+                    3..=5 => {
+                        ring.retire(id);
+                        model.remove(&id);
+                    }
+                    _ => prop_assert_eq!(ring.get_mut(id).map(|s| s.op), model.get(&id).copied()),
+                }
+                prop_assert_eq!(ring.live, model.len() as u64);
+                prop_assert!(ring.slots.len().is_power_of_two());
+            }
+            for id in (0..next + 2).chain([u64::MAX]) {
+                prop_assert_eq!(ring.get_mut(id).map(|s| s.op), model.get(&id).copied());
             }
         }
     }

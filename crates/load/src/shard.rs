@@ -148,7 +148,7 @@ fn run_shard(
     };
     let mut last_completion = 0u64;
     // One engine per shard, rewound per session: the private two-node
-    // network, the session slab (and its scratch buffer), the event heap
+    // network, the session ring (and its scratch buffer), the event heap
     // and the metrics every session of the range accumulates into are
     // allocated once for the whole range. Only the derived seed changes,
     // so `reset_for_session` takes it as a parameter.

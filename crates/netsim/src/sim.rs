@@ -1115,12 +1115,27 @@ mod tests {
 
     /// What a delivery costs to move, recorded rather than minimised: the
     /// inline payload grew `Packet` from 40 bytes and `Delivery` from 64,
-    /// and the replay got faster all the same.
+    /// and the replay got faster all the same. A header's 24 bytes sit on
+    /// a word boundary inside the `Bytes`, so it is written and read as
+    /// whole aligned words.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn hot_path_struct_sizes() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
         assert_eq!(std::mem::size_of::<Packet>(), 56);
         assert_eq!(std::mem::size_of::<Delivery>(), 80);
+        let header = Bytes::from_le_words([1, 2, 3]);
+        let packet = Packet {
+            id: 0,
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: header,
+            pad: 0,
+        };
+        let stored = packet.payload.as_ptr();
+        let this = (&packet as *const Packet).cast::<u8>();
+        assert!((this..this.wrapping_add(56)).contains(&stored), "inline");
+        assert_eq!(stored as usize % 8, 0, "8-aligned");
     }
 
     #[test]

@@ -58,16 +58,18 @@ impl SimDuration {
     }
 }
 
+/// Saturating, like the [`SimDuration`] constructors: a time past the end
+/// of the clock pins to its last instant instead of wrapping into the past.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -78,10 +80,11 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+/// Saturating, as `SimTime + SimDuration` is.
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -132,5 +135,16 @@ mod tests {
             SimDuration(max_secs * 1_000_000_000)
         );
         assert_eq!(SimDuration::from_micros(3), SimDuration(3_000));
+    }
+
+    #[test]
+    fn addition_saturates_instead_of_wrapping() {
+        let max = SimDuration(u64::MAX);
+        assert_eq!(SimTime(1) + max, SimTime(u64::MAX));
+        let mut t = SimTime(u64::MAX - 1);
+        t += SimDuration(2);
+        assert_eq!(t, SimTime(u64::MAX));
+        assert_eq!(max + SimDuration(1), max);
+        assert_eq!(SimTime(2) + SimDuration(3), SimTime(5));
     }
 }

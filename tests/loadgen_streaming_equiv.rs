@@ -89,8 +89,9 @@ fn sharded_replay_stays_shard_count_independent_over_streaming_shards() {
 #[test]
 fn retirement_bounds_live_slots_by_concurrency() {
     // Closed loop with a clean network: exactly `concurrency` sessions
-    // are in flight at any instant, so the slab never grows past it —
-    // each retired session's slot is recycled by its replacement.
+    // are in flight at any instant and they finish in id order, so the
+    // ring never grows past it — each retired session's slot is taken by
+    // its replacement.
     let mut scenario = by_name_mode("tls", SEED, TransitionMode::Classic).unwrap();
     let calibration = scenario.calibrate();
     let concurrency = 16u32;
@@ -129,7 +130,14 @@ fn open_loop_heap_is_o_live_not_o_sessions() {
     let mut scenario = by_name_mode("attest", SEED, TransitionMode::Classic).unwrap();
     let calibration = scenario.calibrate();
     let n = 3_000u64;
-    let cfg = LoadConfig::new(n, SEED, LoadMode::Open { rate_per_sec: None });
+    let mut cfg = LoadConfig::new(n, SEED, LoadMode::Open { rate_per_sec: None });
+    // Retransmissions keep old ids live while new ones arrive, widening
+    // the span the session ring has to cover.
+    cfg.faults = FaultConfig {
+        drop_chance: 0.05,
+        duplicate_chance: 0.05,
+        ..FaultConfig::default()
+    };
     let runner = LoadRunner::new(cfg);
     let (report, streaming) = runner.run_with_stats(scenario.name(), &calibration);
     let (_, reference) = runner
@@ -150,6 +158,15 @@ fn open_loop_heap_is_o_live_not_o_sessions() {
         streaming.peak_live_sessions < n / 8,
         "open-loop sessions must retire as they complete: {} live peak",
         streaming.peak_live_sessions
+    );
+    assert!(
+        streaming.slots_allocated < n / 8,
+        "the session ring must span the live ids, not the run: {} slots",
+        streaming.slots_allocated
+    );
+    assert!(
+        report.retries > 0,
+        "the fault mix must force retransmissions"
     );
     assert_eq!(
         reference.peak_live_sessions, n,
