@@ -22,11 +22,13 @@
 //! A frame is the 24-byte header followed by zeros up to the op's
 //! calibrated size; the engine sends the header and tells `netsim` how
 //! long the zeros are (`frame`), so a packet is 24 bytes stored inside the
-//! `Packet` — no allocation, the three header words written once into
-//! aligned storage — whatever its length on the wire. Deliveries
-//! come straight off the network ([`Network::pop_delivery`]), not through
-//! an inbox. Driver events pop in `(time, seq)` order from a
-//! `DriverQueue`, whose timeouts skip the heap.
+//! `Packet` — no allocation — whatever its length on the wire. The three
+//! header words go from registers into the packet's queue slot, written
+//! once. A delivery is read where it lies in the network's queue
+//! ([`Network::deliver_next`] lends it), not through an inbox: the engine
+//! keeps its destination and decoded header, never the `Packet`. Driver
+//! events pop in `(time, seq)` order from a `DriverQueue`, whose timeouts
+//! skip the heap.
 //!
 //! ## Streaming vs. reference replay
 //!
@@ -295,6 +297,10 @@ fn frame(session: u64, op: u32, attempt: u32, bytes: usize) -> (Bytes, usize) {
     (header, bytes.max(HEADER_LEN) - HEADER_LEN)
 }
 
+/// What the engine reads of a delivered frame: where it went, and its
+/// header `(session, op, attempt)` unless the checksum fails.
+type Rx = (NodeId, Option<(u64, u32, u32)>);
+
 fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
     let header: &[u8; HEADER_LEN] = buf.first_chunk()?;
     let word = |at: usize| u64::from_le_bytes(*header[at..].first_chunk().expect("in range"));
@@ -447,7 +453,7 @@ pub(crate) struct Engine<'a> {
     queue: DriverQueue,
     next_seq: u64,
     /// Scratch for [`Engine::step_network`]: one instant's deliveries.
-    batch: Vec<Packet>,
+    batch: Vec<Rx>,
     table: SessionTable,
     /// Streaming open loop schedules arrivals one ahead; every other
     /// combination heap-loads what [`ArrivalProcess`] hands out up front.
@@ -717,22 +723,23 @@ impl<'a> Engine<'a> {
     /// order, the server being the first node added. The most that land
     /// on the server in one batch is `max_server_queue`.
     fn step_network(&mut self) {
-        let Some((at, first)) = self.net.pop_delivery() else {
+        let read = |at, packet: &Packet| (at, (packet.dst, decode(&packet.payload)));
+        let Some((at, first)) = self.net.deliver_next(read) else {
             return;
         };
-        let mut at_server = usize::from(first.dst == self.server);
+        let mut at_server = usize::from(first.0 == self.server);
         if self.net.next_event_at() != Some(at) {
-            self.receive(at, &first);
+            self.receive(at, first);
         } else {
             let mut batch = std::mem::take(&mut self.batch);
             batch.push(first);
             while self.net.next_event_at() == Some(at) {
-                batch.extend(self.net.pop_delivery().map(|(_, packet)| packet));
+                batch.extend(self.net.deliver_next(read).map(|(_, rx)| rx));
             }
-            batch.sort_by_key(|packet| packet.dst); // stable: keeps seq order
-            at_server = batch.iter().filter(|p| p.dst == self.server).count();
-            for packet in batch.drain(..) {
-                self.receive(at, &packet);
+            batch.sort_by_key(|&(dst, _)| dst); // stable: keeps seq order
+            at_server = batch.iter().filter(|(dst, _)| *dst == self.server).count();
+            for rx in batch.drain(..) {
+                self.receive(at, rx);
             }
             self.batch = batch;
         }
@@ -740,9 +747,9 @@ impl<'a> Engine<'a> {
     }
 
     /// A frame that fails its checksum is discarded and counted.
-    fn receive(&mut self, at: SimTime, packet: &Packet) {
-        match decode(&packet.payload) {
-            Some((s, op, _)) if packet.dst == self.server => self.on_request(at, s, op),
+    fn receive(&mut self, at: SimTime, (dst, header): Rx) {
+        match header {
+            Some((s, op, _)) if dst == self.server => self.on_request(at, s, op),
             Some((s, op, _)) => self.on_response(at, s, op),
             None => self.metrics.corrupt_rx += 1,
         }
@@ -780,26 +787,25 @@ impl<'a> Engine<'a> {
         };
         let live = self.table.insert(session, sess);
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
-        self.send_request(session, sess);
+        self.send_request(session, sess.client, 0, 0);
     }
 
-    /// Transmits the request of the op `session` is at and arms its
-    /// retransmission timeout. `sess` is the session's state as the caller
-    /// just read or wrote it: every handler resolves its session in the
-    /// table once and hands the result on.
-    fn send_request(&mut self, session: u64, sess: Session) {
-        let op = &self.cal.ops[sess.op as usize];
-        if sess.attempt == 0 {
-            self.metrics.steady_client.fold(op.client);
+    /// Transmits attempt `attempt` at op `op` of `session` from `client`
+    /// and arms its retransmission timeout. Every handler resolves its
+    /// session in the table once and hands on the fields it read there.
+    fn send_request(&mut self, session: u64, client: NodeId, op: u32, attempt: u32) {
+        let profile = &self.cal.ops[op as usize];
+        if attempt == 0 {
+            self.metrics.steady_client.fold(profile.client);
         }
-        let (header, pad) = frame(session, sess.op, sess.attempt, op.request_bytes as usize);
-        self.net.send_padded(sess.client, self.server, header, pad);
+        let (header, pad) = frame(session, op, attempt, profile.request_bytes as usize);
+        self.net.send_padded(client, self.server, header, pad);
         self.push(
             self.net.now() + self.timeout,
             Ev::Timeout {
                 session,
-                op: sess.op,
-                attempt: sess.attempt,
+                op,
+                attempt,
             },
         );
     }
@@ -868,8 +874,8 @@ impl<'a> Engine<'a> {
         sess.op += 1;
         sess.attempt = 0;
         if (sess.op as usize) < self.cal.ops.len() {
-            let sess = *sess;
-            self.send_request(session, sess);
+            let (client, op) = (sess.client, sess.op);
+            self.send_request(session, client, op, 0);
             return;
         }
         sess.done = true;
@@ -891,8 +897,8 @@ impl<'a> Engine<'a> {
         if attempt < self.cfg.max_retries {
             self.metrics.retries += 1;
             sess.attempt = attempt + 1;
-            let sess = *sess;
-            self.send_request(session, sess);
+            let client = sess.client;
+            self.send_request(session, client, op, attempt + 1);
             return;
         }
         sess.failed = true;

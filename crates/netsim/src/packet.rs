@@ -35,6 +35,7 @@ pub struct Packet {
 
 impl Packet {
     /// Length on the wire in bytes: the payload plus its padding.
+    #[inline]
     pub fn len(&self) -> usize {
         self.payload.len().saturating_add(self.pad)
     }

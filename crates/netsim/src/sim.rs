@@ -7,13 +7,14 @@
 //! fault injection.
 
 use std::collections::VecDeque;
+use std::mem::ManuallyDrop;
 
 use bytes::Bytes;
 use teenet_crypto::SecureRng;
 
 use crate::fault::{FaultConfig, FaultDecision, FaultInjector};
 use crate::packet::{NodeId, Packet};
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, Keyed};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent, TraceRecord};
 
@@ -45,7 +46,7 @@ pub struct LinkStats {
     /// Datagrams handed to the link by [`Network::send`].
     pub sent: u64,
     /// Datagrams that reached their destination's inbox or were taken with
-    /// [`Network::pop_delivery`] (includes corrupted and duplicated copies).
+    /// [`Network::deliver_next`] (includes corrupted and duplicated copies).
     pub delivered: u64,
     /// Datagrams lost to drop faults or rate limiting.
     pub dropped: u64,
@@ -74,6 +75,8 @@ struct Link {
     /// Boxed, so that a clean link carries no idle RNG (a Tor overlay is
     /// a full mesh of clean links).
     injector: Option<Box<FaultInjector>>,
+    /// `config.bandwidth_bps`, reduced for the per-packet divide.
+    rate: Option<Rate>,
     /// When the link is next free to begin serialising (FIFO queueing).
     next_free: SimTime,
     stats: LinkStats,
@@ -98,15 +101,83 @@ struct Delivery {
     duplicated: bool,
 }
 
+impl Keyed for Delivery {
+    type Key = (SimTime, u64);
+
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl Ord for Delivery {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
 impl PartialOrd for Delivery {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Where [`Network::route`] sends a packet: when it arrives, over which
+/// link, and what befalls it on the way.
+#[derive(Clone, Copy)]
+struct Route {
+    at: SimTime,
+    /// Position of the link in `links[src]`.
+    link: u32,
+    fate: Fate,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Clean,
+    Corrupted,
+    Duplicated,
+    Dropped,
+    /// No link `src → dst`: `at` and `link` mean nothing.
+    Unrouted,
+}
+
+/// A link's bandwidth as the nanoseconds a byte takes, `10⁹ / bps`,
+/// reduced by the gcd of the two once, when the link is added (10 Gbit/s,
+/// 1.25 × 10⁹ bytes/s, is 4/5): a packet's divide is by a small number,
+/// and the result is exactly `len · 10⁹ / bps` rounded down.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    num: u64,
+    den: u64,
+    bps: u64,
+}
+
+impl Rate {
+    const NANOS: u64 = 1_000_000_000;
+
+    /// `None` for infinite bandwidth (none configured, or zero).
+    fn new(bandwidth_bps: Option<u64>) -> Option<Rate> {
+        let bps = bandwidth_bps.filter(|&bps| bps > 0)?;
+        let (mut a, mut b) = (Self::NANOS, bps);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        Some(Rate {
+            num: Self::NANOS / a,
+            den: bps / a,
+            bps,
+        })
+    }
+
+    /// Serialisation delay of `len` bytes: `len.saturating_mul(10⁹) / bps`.
+    #[inline]
+    fn nanos(self, len: u64) -> u64 {
+        if len <= u64::MAX / Self::NANOS {
+            len * self.num / self.den
+        } else {
+            u64::MAX / self.bps
+        }
     }
 }
 
@@ -138,6 +209,7 @@ fn injector_for(
 }
 
 /// Position of the link `src → dst` in `links[src]`, if configured.
+#[inline(never)]
 fn link_position(links: &[Vec<(NodeId, Link)>], src: NodeId, dst: NodeId) -> Option<usize> {
     links
         .get(src.0 as usize)?
@@ -251,6 +323,7 @@ impl Network {
         let link = Link {
             injector: injector_for(self.seed, &mut self.root, src, dst, &config.faults)
                 .map(Box::new),
+            rate: Rate::new(config.bandwidth_bps),
             config,
             next_free: SimTime::ZERO,
             stats: LinkStats::default(),
@@ -301,6 +374,11 @@ impl Network {
     /// [`Packet::len`], which byte a corruption fault hits — so the run is
     /// the one `send(payload ++ zeros(pad))` produces, except that a
     /// corruption landing in the padding has no stored byte to flip.
+    ///
+    /// Inlined into the caller, so that the payload goes from the
+    /// caller's registers straight into its queue slot. Finding the link
+    /// and the rare faulty delivery stay out of line.
+    #[inline(always)]
     pub fn send_padded(
         &mut self,
         src: NodeId,
@@ -308,149 +386,205 @@ impl Network {
         payload: impl Into<Bytes>,
         pad: usize,
     ) -> Option<u64> {
-        let payload: Bytes = payload.into();
-        let wire_len = payload.len().saturating_add(pad);
+        // Never dropped here, so no unwinding path takes its address and
+        // it can stay in registers until it is written into its slot.
+        let payload = ManuallyDrop::new(payload.into());
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        let now = self.now;
-        let record = |event| TraceRecord {
-            time: now,
-            event,
-            packet_id: id,
+        let route = self.route(id, src, dst, payload.len().saturating_add(pad));
+        let packet = move || Packet {
+            id,
             src,
             dst,
-            len: wire_len,
+            payload: ManuallyDrop::into_inner(payload),
+            pad,
+        };
+        if route.fate != Fate::Clean {
+            return self.send_faulty(route, packet());
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let delivery = move || Delivery {
+            at: route.at,
+            seq,
+            packet: packet(),
+            link: route.link,
+            corrupted: false,
+            duplicated: false,
+        };
+        match self.queue.vacancy((route.at, seq)) {
+            Some(slot) => *slot = Some(delivery()),
+            None => self.queue.push_to_heap(delivery()),
+        }
+        Some(id)
+    }
+
+    /// Everything a send does to packet `id` but queue it: traces it,
+    /// counts it on its link, works out when it arrives and what befalls
+    /// it on the way.
+    #[inline(always)]
+    fn route(&mut self, id: u64, src: NodeId, dst: NodeId, wire_len: usize) -> Route {
+        let now = self.now;
+        let record = |trace: &mut Trace, event| {
+            if trace.is_enabled() {
+                let record = TraceRecord {
+                    time: now,
+                    event,
+                    packet_id: id,
+                    src,
+                    dst,
+                    len: wire_len,
+                };
+                trace.record(record, None);
+            }
         };
 
         let Some(link_at) = link_position(&self.links, src, dst) else {
-            self.trace.record(record(TraceEvent::Dropped), None);
-            return None;
+            record(&mut self.trace, TraceEvent::Dropped);
+            return Route {
+                at: now,
+                link: 0,
+                fate: Fate::Unrouted,
+            };
         };
         let link = &mut self.links[src.0 as usize][link_at].1;
 
-        self.trace.record(record(TraceEvent::Sent), None);
+        record(&mut self.trace, TraceEvent::Sent);
 
         link.stats.sent += 1;
 
         // FIFO serialisation: transmission begins when the link is free.
         let start = link.next_free.max(now);
-        let serialisation = match link.config.bandwidth_bps {
-            Some(bps) if bps > 0 => {
-                SimDuration((wire_len as u64).saturating_mul(1_000_000_000) / bps)
-            }
-            _ => SimDuration::ZERO,
-        };
+        let serialisation = SimDuration(link.rate.map_or(0, |rate| rate.nanos(wire_len as u64)));
         link.next_free = start + serialisation;
-        let mut arrival = start + serialisation + link.config.latency;
+        let mut at = start + serialisation + link.config.latency;
 
-        let mut corrupted = false;
-        let mut duplicated = false;
+        let mut fate = Fate::Clean;
         if let Some(injector) = &mut link.injector {
             match injector.decide(now) {
                 FaultDecision::Drop => {
                     link.stats.dropped += 1;
-                    self.trace.record(record(TraceEvent::Dropped), None);
-                    return Some(id);
+                    record(&mut self.trace, TraceEvent::Dropped);
+                    fate = Fate::Dropped;
                 }
                 FaultDecision::Corrupt => {
-                    corrupted = true;
+                    fate = Fate::Corrupted;
                     link.stats.corrupted += 1;
                 }
                 FaultDecision::Duplicate => {
-                    duplicated = true;
+                    fate = Fate::Duplicated;
                     link.stats.duplicated += 1;
                 }
                 FaultDecision::Delay(extra) => {
-                    arrival += extra;
+                    at += extra;
                     link.stats.delayed += 1;
                 }
                 FaultDecision::Deliver => {}
             }
         }
-
-        // Reuse the caller's buffer untouched (a cheap refcount clone for
-        // an already-shared `Bytes`); only a corrupting fault pays for a
-        // mutable copy.
-        let payload = if corrupted {
-            let mut bytes = payload.to_vec();
-            if let Some(injector) = &mut link.injector {
-                injector.corrupt(&mut bytes, pad);
-            }
-            Bytes::from(bytes)
-        } else {
-            payload
-        };
-        let packet = Packet {
-            id,
-            src,
-            dst,
-            payload,
-            pad,
-        };
-        // Deliveries pop in `(at, seq)` order whatever order they were
-        // pushed in, so the duplicate (the only case that needs a second
-        // `Packet`) can go first and the original be moved, not cloned.
-        let seq = self.next_seq;
-        if duplicated {
-            self.queue.push(Delivery {
-                at: arrival + SimDuration::from_micros(1),
-                seq: seq + 1,
-                packet: packet.clone(),
-                link: link_at as u32,
-                corrupted: false,
-                duplicated: true,
-            });
-        }
-        self.queue.push(Delivery {
-            at: arrival,
-            seq,
-            packet,
+        Route {
+            at,
             link: link_at as u32,
-            corrupted,
-            duplicated: false,
-        });
-        self.next_seq += 1 + u64::from(duplicated);
+            fate,
+        }
+    }
+
+    /// The rest of [`Network::send_padded`] for a packet that is not
+    /// delivered as sent: lost, corrupted or duplicated. Out of line, and
+    /// handed a `Packet` built on the way here, so that the common path
+    /// never lends its payload out or drops it (either would keep it in
+    /// memory there). Only a corruption pays for a mutable copy of the
+    /// payload; a duplicate arrives a microsecond after the original,
+    /// under the next sequence number.
+    #[cold]
+    #[inline(never)]
+    fn send_faulty(&mut self, route: Route, mut packet: Packet) -> Option<u64> {
+        let corrupted = match route.fate {
+            Fate::Unrouted => return None,
+            Fate::Dropped => return Some(packet.id),
+            fate => fate == Fate::Corrupted,
+        };
+        if corrupted {
+            let mut bytes = packet.payload.to_vec();
+            let link = &mut self.links[packet.src.0 as usize][route.link as usize].1;
+            if let Some(injector) = &mut link.injector {
+                injector.corrupt(&mut bytes, packet.pad);
+            }
+            packet.payload = Bytes::from(bytes);
+        }
+        let id = packet.id;
+        let seq = self.next_seq;
+        self.next_seq += 1 + u64::from(!corrupted);
+        let mut queue = |at: SimTime, seq: u64, packet: Packet, duplicated: bool| {
+            self.queue.push(Delivery {
+                at,
+                seq,
+                packet,
+                link: route.link,
+                corrupted,
+                duplicated,
+            });
+        };
+        if !corrupted {
+            let copy = packet.clone();
+            queue(route.at + SimDuration::from_micros(1), seq + 1, copy, true);
+        }
+        queue(route.at, seq, packet, false);
         Some(id)
     }
 
     /// Takes the earliest in-flight delivery off the network: advances the
-    /// clock to its arrival, traces and counts it, and hands the packet to
-    /// the caller (an event loop dispatching on `packet.dst` itself)
-    /// instead of an inbox. [`Network::run_until`] is this, into the inboxes.
-    #[inline]
-    pub fn pop_delivery(&mut self) -> Option<(SimTime, Packet)> {
-        let delivery = self.queue.pop()?;
+    /// clock to its arrival, traces and counts it, and lends the packet to
+    /// `handle` where it lies in the queue — for an event loop dispatching
+    /// on `packet.dst` itself, instead of an inbox. The packet is dropped
+    /// once `handle` returns. [`Network::run_until`] is this, into the
+    /// inboxes.
+    #[inline(always)]
+    pub fn deliver_next<R>(&mut self, handle: impl FnOnce(SimTime, &Packet) -> R) -> Option<R> {
+        let delivery = self.arrive()?;
+        let out = handle(delivery.at, &delivery.packet);
+        self.queue.discard_front();
+        Some(out)
+    }
+
+    /// Advances the clock to the earliest in-flight delivery, traces it,
+    /// counts it on its link and returns it, still queued.
+    #[inline(always)]
+    fn arrive(&mut self) -> Option<&Delivery> {
+        let delivery = self.queue.front()?;
         self.now = delivery.at;
-        let event = if delivery.corrupted {
-            TraceEvent::Corrupted
-        } else if delivery.duplicated {
-            TraceEvent::Duplicated
-        } else {
-            TraceEvent::Delivered
-        };
-        self.trace.record(
-            TraceRecord {
+        let packet = &delivery.packet;
+        if self.trace.is_enabled() {
+            let event = if delivery.corrupted {
+                TraceEvent::Corrupted
+            } else if delivery.duplicated {
+                TraceEvent::Duplicated
+            } else {
+                TraceEvent::Delivered
+            };
+            let record = TraceRecord {
                 time: delivery.at,
                 event,
-                packet_id: delivery.packet.id,
-                src: delivery.packet.src,
-                dst: delivery.packet.dst,
-                len: delivery.packet.len(),
-            },
-            Some(&delivery.packet),
-        );
-        self.links[delivery.packet.src.0 as usize][delivery.link as usize]
+                packet_id: packet.id,
+                src: packet.src,
+                dst: packet.dst,
+                len: packet.len(),
+            };
+            self.trace.record(record, Some(packet));
+        }
+        self.links[packet.src.0 as usize][delivery.link as usize]
             .1
             .stats
             .delivered += 1;
-        Some((delivery.at, delivery.packet))
+        Some(delivery)
     }
 
     /// Processes events up to and including `until` into the destination
     /// inboxes, advancing the clock.
     pub fn run_until(&mut self, until: SimTime) {
         while self.next_event_at().is_some_and(|at| at <= until) {
-            let (at, packet) = self.pop_delivery().expect("peeked");
+            self.arrive();
+            let Delivery { at, packet, .. } = self.queue.take_front().expect("arrived");
             if let Some(node) = self.nodes.get_mut(packet.dst.0 as usize) {
                 node.inbox.push_back((at, packet));
                 node.max_depth = node.max_depth.max(node.inbox.len());
@@ -504,7 +638,7 @@ impl Network {
     }
 
     /// The deepest `node`'s inbox has ever been. Packets taken with
-    /// [`Network::pop_delivery`] never enter an inbox and do not count.
+    /// [`Network::deliver_next`] never enter an inbox and do not count.
     pub fn max_queue_depth(&self, node: NodeId) -> usize {
         self.nodes.get(node.0 as usize).map_or(0, |n| n.max_depth)
     }
@@ -529,7 +663,7 @@ impl Network {
     /// with network deliveries without overshooting either.
     #[inline]
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|d| d.at)
+        self.queue.front().map(|d| d.at)
     }
 }
 
@@ -1039,7 +1173,31 @@ mod tests {
     }
 
     proptest! {
-        /// `pop_delivery` hands out exactly what `run_until` puts in the
+        /// The reduced rate gives exactly `len.saturating_mul(10⁹) / bps`,
+        /// the formula it replaces: for lengths from a few bytes up
+        /// through where `len · 10⁹` saturates, at one byte a second,
+        /// 10 Gbit/s, `u64::MAX` bytes a second and rates drawn at random.
+        #[test]
+        fn serialisation_delay_is_exact(
+            len in any::<u64>(),
+            bps in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let edge = u64::MAX / 1_000_000_000;
+            let lens = [len >> shift, len, edge + (len & 3), edge - (len & 3), 0, 24];
+            let rates = [1, 1_250_000_000, u64::MAX, bps.max(1), (bps >> shift).max(1)];
+            for bps in rates {
+                let rate = Rate::new(Some(bps)).expect("finite");
+                for len in lens {
+                    prop_assert_eq!(rate.nanos(len), len.saturating_mul(1_000_000_000) / bps);
+                }
+            }
+            prop_assert!(Rate::new(Some(0)).is_none() && Rate::new(None).is_none());
+            let ten_gbit = Rate::new(Some(1_250_000_000)).expect("finite");
+            prop_assert_eq!((ten_gbit.num, ten_gbit.den), (4, 5));
+        }
+
+        /// `deliver_next` lends out exactly what `run_until` puts in the
         /// inboxes: on same-seed twin networks over a duplex link with
         /// every fault kind and finite bandwidth, any interleaving of
         /// sends in both directions and clock advances delivers the same
@@ -1070,7 +1228,7 @@ mod tests {
             };
             let (mut inboxes, a, b) = twin();
             let (mut handed, ..) = twin();
-            let seen = |at: SimTime, p: Packet| (at, p.id, p.dst, p.payload.to_vec(), p.len());
+            let seen = |at: SimTime, p: &Packet| (at, p.id, p.dst, p.payload.to_vec(), p.len());
             let (mut want, mut got) = (Vec::new(), Vec::new());
             // One draw → a send (either way, `size` bytes of padding) or
             // an advance of `size` µs; a last advance past every delay.
@@ -1089,14 +1247,15 @@ mod tests {
                 inboxes.run_until(until);
                 for node in [a, b] {
                     while let Some((at, p)) = inboxes.recv_timed(node) {
-                        want.push(seen(at, p));
+                        want.push(seen(at, &p));
                     }
                 }
                 let round = got.len();
                 while handed.next_event_at().is_some_and(|at| at <= until) {
-                    let (at, p) = handed.pop_delivery().expect("peeked");
-                    prop_assert_eq!(handed.now(), at);
-                    got.push(seen(at, p));
+                    let now = handed.now();
+                    let (at, p) = handed.deliver_next(|at, p| (at, seen(at, p))).expect("peeked");
+                    prop_assert!(now <= at && handed.now() == at);
+                    got.push(p);
                 }
                 handed.advance_to(until);
                 got[round..].sort_by_key(|&(_, _, dst, ..)| dst); // a's, then b's
@@ -1113,17 +1272,20 @@ mod tests {
         }
     }
 
-    /// What a delivery costs to move, recorded rather than minimised: the
+    /// What a delivery occupies, recorded rather than minimised: the
     /// inline payload grew `Packet` from 40 bytes and `Delivery` from 64,
-    /// and the replay got faster all the same. A header's 24 bytes sit on
-    /// a word boundary inside the `Bytes`, so it is written and read as
-    /// whole aligned words.
+    /// and the replay got faster all the same. A queue slot is an
+    /// `Option<Delivery>` no larger than the delivery (the flags' niche
+    /// holds `None`). A header's 24 bytes sit on a word boundary inside
+    /// the `Bytes`, so it is written and read as whole aligned words.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn hot_path_struct_sizes() {
-        assert_eq!(std::mem::size_of::<Bytes>(), 32);
-        assert_eq!(std::mem::size_of::<Packet>(), 56);
-        assert_eq!(std::mem::size_of::<Delivery>(), 80);
+        use std::mem::size_of;
+        assert_eq!(size_of::<Bytes>(), 32);
+        assert_eq!(size_of::<Packet>(), 56);
+        assert_eq!(size_of::<Delivery>(), 80);
+        assert_eq!(size_of::<Option<Delivery>>(), size_of::<Delivery>());
         let header = Bytes::from_le_words([1, 2, 3]);
         let packet = Packet {
             id: 0,

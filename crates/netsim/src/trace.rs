@@ -85,6 +85,7 @@ impl Trace {
     }
 
     /// Whether events are currently being recorded.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -100,7 +101,12 @@ impl Trace {
     /// Records an event (dropped silently while disabled). `packet` is
     /// handed in when the event put it in an inbox; a payload-capturing
     /// trace snapshots it whatever the delivery is labelled.
-    #[inline]
+    ///
+    /// Out of line and cold: the simulator's per-packet paths check
+    /// [`Trace::is_enabled`] first and build the record only past it, so
+    /// a disabled trace costs them a load and a branch.
+    #[cold]
+    #[inline(never)]
     pub fn record(&mut self, record: TraceRecord, packet: Option<&Packet>) {
         if !self.enabled {
             return;
