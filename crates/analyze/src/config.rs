@@ -111,9 +111,11 @@ impl AnalyzeConfig {
             accounting: vec![
                 s("crates/sgx/src/cost.rs"),
                 s("crates/sgx/src/switchless.rs"),
-                // The backend abstraction and the VM-TEE profile charge
-                // counters directly (ecall pairs, page acceptance, PSP
-                // attestation) — accounting code, same as cost.rs.
+                // The platform, the backend abstraction and the VM-TEE
+                // profile charge counters directly (ecall pairs, page
+                // acceptance, PSP attestation) — accounting code, same as
+                // cost.rs.
+                s("crates/sgx/src/platform.rs"),
                 s("crates/sgx/src/tee.rs"),
                 s("crates/sgx/src/vmtee.rs"),
                 s("crates/load/src/metrics.rs"),
@@ -122,10 +124,6 @@ impl AnalyzeConfig {
                 // The virtual clock is the one sanctioned time source; if
                 // a wall-clock adapter is ever added, it goes here.
                 s("crates/netsim/src/time.rs"),
-                // The loadgen CLI times the sharded replay in wall-clock
-                // for BENCH_loadgen.json; the run reports themselves stay
-                // on virtual time.
-                s("crates/bench/src/bin/loadgen.rs"),
             ],
             secret_idents: vec![
                 s("device_key"),
@@ -240,11 +238,12 @@ mod tests {
     fn accounting_and_clock_sets() {
         let c = AnalyzeConfig::repo();
         assert!(c.is_accounting("crates/sgx/src/cost.rs"));
+        assert!(c.is_accounting("crates/sgx/src/platform.rs"));
         assert!(c.is_accounting("crates/sgx/src/tee.rs"));
         assert!(c.is_accounting("crates/sgx/src/vmtee.rs"));
         assert!(!c.is_accounting("crates/sgx/src/seal.rs"));
         assert!(c.is_clock_exempt("crates/netsim/src/time.rs"));
-        assert!(c.is_clock_exempt("crates/bench/src/bin/loadgen.rs"));
+        assert!(!c.is_clock_exempt("crates/bench/src/bin/loadgen.rs"));
         assert!(!c.is_clock_exempt("crates/netsim/src/sim.rs"));
         assert!(!c.is_clock_exempt("crates/load/src/shard.rs"));
     }

@@ -21,14 +21,9 @@
 //! `--shards N` switches to the sharded replay model (`teenet-load`'s
 //! [`shard`](teenet_load::shard) module): sessions replay independently
 //! across N OS threads, and the report is byte-identical for every N.
-//! `--bench PATH` additionally times a 1-shard vs N-shard run of that
-//! model and *appends* the wall-clock results (plus peak RSS) to the
-//! trajectory file at PATH — checked in per PR, so the perf history is
-//! visible in-repo. This is the only place wall time is allowed to
-//! exist; reports never carry it.
+//! Reports never carry wall time; `benchmark/run.sh` measures it.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use teenet_load::scenarios::{by_name, by_name_switchless, NAMES};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
@@ -77,9 +72,6 @@ OPTIONS:
                            streaming one — reports are byte-identical
     --rss                  print `peak_rss_bytes=<n>` (VmHWM) to stderr
                            after the run
-    --bench <path>         time a 1-shard vs --shards run of the sharded
-                           model and append {wall clock, speedup, peak
-                           RSS} to the JSON trajectory at <path>
     --json                 emit the byte-stable JSON report instead of text
     --list                 list scenarios and exit
     --help                 show this help
@@ -105,7 +97,6 @@ struct Args {
     shards: Option<u32>,
     reference: bool,
     rss: bool,
-    bench: Option<String>,
     json: bool,
     list: bool,
 }
@@ -132,7 +123,6 @@ impl Default for Args {
             shards: None,
             reference: false,
             rss: false,
-            bench: None,
             json: false,
             list: false,
         }
@@ -173,7 +163,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--shards" => args.shards = Some(parse(value("--shards")?, "--shards")?),
             "--reference" => args.reference = true,
             "--rss" => args.rss = true,
-            "--bench" => args.bench = Some(value("--bench")?.clone()),
             "--json" => args.json = true,
             "--list" => args.list = true,
             "--help" | "-h" => return Err(String::new()),
@@ -233,8 +222,10 @@ fn main() -> ExitCode {
         eprintln!("error: --scenario is required (one of {NAMES:?})\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    if args.reference && (args.shards.is_some() || args.bench.is_some()) {
-        eprintln!("error: --reference is the serial oracle engine; it cannot combine with --shards/--bench");
+    if args.reference && args.shards.is_some() {
+        eprintln!(
+            "error: --reference is the serial oracle engine; it cannot combine with --shards"
+        );
         return ExitCode::FAILURE;
     }
     let transition_mode = if args.switchless {
@@ -292,68 +283,8 @@ fn main() -> ExitCode {
     let calibration = scenario.calibrate();
     let runner = LoadRunner::new(config);
 
-    if let Some(path) = args.bench.as_deref() {
-        let shards = args.shards.unwrap_or(4).max(1);
-        let t0 = Instant::now();
-        let baseline = runner.run_sharded(scenario.name(), &calibration, 1);
-        let baseline_wall = t0.elapsed();
-        let t1 = Instant::now();
-        let sharded = runner.run_sharded(scenario.name(), &calibration, shards);
-        let sharded_wall = t1.elapsed();
-        let identical = baseline.json() == sharded.json();
-        let speedup = baseline_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9);
-        let wall_rate = sharded.completed as f64 / sharded_wall.as_secs_f64().max(1e-9);
-        let entry = bench_entry(
-            scenario.name(),
-            &sharded,
-            shards,
-            baseline_wall.as_nanos() as u64,
-            sharded_wall.as_nanos() as u64,
-            speedup,
-            wall_rate,
-            peak_rss_bytes().unwrap_or(0),
-            identical,
-        );
-        if let Err(e) = append_trajectory(path, &entry) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "bench: 1 shard {:.1} ms, {shards} shards {:.1} ms \
-             ({speedup:.2}x, {wall_rate:.0} sessions/s wall) -> {path}",
-            baseline_wall.as_secs_f64() * 1e3,
-            sharded_wall.as_secs_f64() * 1e3,
-        );
-        if args.json {
-            println!("{}", sharded.json());
-        } else {
-            print!("{}", sharded.text());
-        }
-        if args.rss {
-            report_rss();
-        }
-        if !identical {
-            eprintln!("error: 1-shard and {shards}-shard reports diverged");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let report = match args.shards {
-        Some(n) => {
-            let t0 = Instant::now();
-            let report = runner.run_sharded(scenario.name(), &calibration, n.max(1));
-            if !args.json {
-                let wall = t0.elapsed();
-                eprintln!(
-                    "replayed {} sessions on {} shard(s) in {:.1} ms wall",
-                    report.sessions,
-                    n.max(1),
-                    wall.as_secs_f64() * 1e3,
-                );
-            }
-            report
-        }
+        Some(n) => runner.run_sharded(scenario.name(), &calibration, n.max(1)),
         None if args.reference => match runner.run_reference(scenario.name(), &calibration) {
             Ok(report) => report,
             Err(e) => {
@@ -372,68 +303,4 @@ fn main() -> ExitCode {
         report_rss();
     }
     ExitCode::SUCCESS
-}
-
-/// One trajectory entry (a single line of JSON): the wall-clock numbers
-/// and peak RSS of this bench invocation, none of which are allowed to
-/// appear in the deterministic run reports themselves.
-#[allow(clippy::too_many_arguments)]
-fn bench_entry(
-    scenario: &str,
-    report: &teenet_load::RunReport,
-    shards: u32,
-    baseline_wall_ns: u64,
-    sharded_wall_ns: u64,
-    speedup: f64,
-    wall_rate: f64,
-    peak_rss: u64,
-    identical: bool,
-) -> String {
-    format!(
-        "{{\"scenario\": \"{}\", \"mode\": \"{}\", \"transition_mode\": \"{}\", \
-         \"backend\": \"{}\", \"switchless_workers\": {}, \
-         \"sessions\": {}, \"completed\": {}, \"shards\": {}, \
-         \"baseline_wall_ns\": {}, \"sharded_wall_ns\": {}, \
-         \"speedup\": {:.3}, \"wall_sessions_per_sec\": {:.3}, \
-         \"peak_rss_bytes\": {}, \"identical\": {}}}",
-        scenario,
-        report.mode,
-        report.transition_mode,
-        report.backend.as_str(),
-        report.switchless_workers,
-        report.sessions,
-        report.completed,
-        shards,
-        baseline_wall_ns,
-        sharded_wall_ns,
-        speedup,
-        wall_rate,
-        peak_rss,
-        identical,
-    )
-}
-
-const TRAJECTORY_HEADER: &str = "{\n  \"bench\": \"loadgen\",\n  \"trajectory\": [\n";
-const TRAJECTORY_FOOTER: &str = "  ]\n}\n";
-
-/// Appends `entry` to the bench trajectory at `path` (`BENCH_loadgen.json`
-/// is checked in, so the per-PR perf history accretes). A missing or
-/// foreign-format file is replaced by a fresh one-entry trajectory.
-fn append_trajectory(path: &str, entry: &str) -> std::io::Result<()> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(existing)
-            if existing.starts_with(TRAJECTORY_HEADER) && existing.ends_with(TRAJECTORY_FOOTER) =>
-        {
-            let inner =
-                &existing[TRAJECTORY_HEADER.len()..existing.len() - TRAJECTORY_FOOTER.len()];
-            let inner = inner.trim_end_matches('\n');
-            if inner.is_empty() {
-                format!("{TRAJECTORY_HEADER}    {entry}\n{TRAJECTORY_FOOTER}")
-            } else {
-                format!("{TRAJECTORY_HEADER}{inner},\n    {entry}\n{TRAJECTORY_FOOTER}")
-            }
-        }
-        _ => format!("{TRAJECTORY_HEADER}    {entry}\n{TRAJECTORY_FOOTER}"),
-    };
-    std::fs::write(path, body)
 }

@@ -227,7 +227,7 @@ impl SdnDeployment {
     /// Submits the policies of several ASes as **one announcement batch**:
     /// each AS seals its policy locally, then all sealed blobs enter the
     /// controller under a single EENTER/EEXIT pair
-    /// ([`teenet_sgx::platform::Platform::ecall_batch`]). Returns each
+    /// ([`teenet_sgx::TeePlatform::ecall_batch`]). Returns each
     /// sealed blob's wire size.
     pub fn submit_batch(&mut self, indices: &[usize]) -> Result<Vec<usize>> {
         let mut calls = Vec::with_capacity(indices.len());

@@ -26,7 +26,9 @@
 //! The emulator models the SGX surface the paper relies on:
 //!
 //! * [`platform::Platform`] — a machine with a device key, an
-//!   [`epc::Epc`] (Enclave Page Cache) and a [`quote::QuotingEnclave`].
+//!   [`epc::Epc`] (Enclave Page Cache) and an attestation component: a
+//!   [`quote::QuotingEnclave`] on SGX, a [`vmtee::SecurityProcessor`] on a
+//!   VM TEE.
 //! * [`enclave::EnclaveProgram`] — application logic loaded into an
 //!   enclave; its [`measurement::Measurement`] (MRENCLAVE) is a SHA-256
 //!   digest built through ECREATE/EADD/EEXTEND exactly as §2.1 describes.
@@ -39,9 +41,10 @@
 //! * [`cost`] — the calibrated instruction/cycle model that regenerates the
 //!   paper's tables (see that module's docs for calibration provenance).
 //! * [`tee`] / [`vmtee`] — the multi-backend abstraction: the
-//!   [`tee::TeePlatform`] trait every workload deploys against, with the
-//!   SGX [`platform::Platform`] and a TDX/SEV-SNP-style
-//!   [`vmtee::VmTeePlatform`] as its two implementors.
+//!   [`tee::TeePlatform`] trait every workload deploys against, whose one
+//!   implementor is [`platform::Platform`]; a [`tee::TeeBackend`] picks its
+//!   prices, EPC capacity and attestation component, and [`vmtee`] holds
+//!   the TDX/SEV-SNP-style security processor and evidence.
 //!
 //! ## Threat model
 //!
@@ -49,7 +52,7 @@
 //! deny service; enclave state is invisible and tamper-proof. In the
 //! emulator this holds *by construction* — host-side code holds no
 //! references into enclave state and interacts only via
-//! [`platform::Platform::ecall`] / [`ocall::HostCalls`].
+//! [`tee::TeePlatform::ecall`] / [`ocall::HostCalls`].
 
 pub mod cost;
 pub mod enclave;
@@ -77,4 +80,4 @@ pub use quote::{EpidGroup, Quote, QuotingEnclave};
 pub use report::{Report, ReportBody, TargetInfo};
 pub use switchless::{SwitchlessConfig, TransitionMode, TransitionStats, WorkerScaling};
 pub use tee::{deploy_platform, Evidence, TeeBackend, TeePlatform};
-pub use vmtee::{VmEvidence, VmTeePlatform};
+pub use vmtee::VmEvidence;

@@ -1,11 +1,18 @@
-//! An SGX-capable platform (one physical machine).
+//! A TEE-capable platform (one physical machine), whichever the backend.
 //!
-//! Owns the device key, the EPC, the quoting enclave, and every loaded
-//! application enclave. The threat model is the paper's (§2.1): the host
-//! software stack is untrusted and interacts with enclaves only through
-//! ecalls/ocalls; it can refuse service (DoS) but cannot read or alter
-//! enclave state — which in this emulator is simply Rust state that the
-//! host side has no references to.
+//! Owns the device key, the protected memory (the EPC), the attestation
+//! component and every loaded application enclave. The threat model is
+//! the paper's (§2.1): the host software stack is untrusted and interacts
+//! with enclaves only through ecalls/ocalls; it can refuse service (DoS)
+//! but cannot read or alter enclave state — which in this emulator is
+//! simply Rust state that the host side has no references to.
+//!
+//! A backend is data, not a type: [`Platform::new`] gives an SGX
+//! platform the paper's prices, [`DEFAULT_EPC_PAGES`] and a
+//! [`QuotingEnclave`], and a VM-TEE platform [`CostModel::vmtee`],
+//! [`VMTEE_EPC_PAGES`] and a [`SecurityProcessor`]. Everything else —
+//! enclave lifecycle, measurements, sealing, switchless rings, counter
+//! accounting — is the same code on both.
 
 use teenet_crypto::schnorr::SigningKey;
 use teenet_crypto::sha256::sha256;
@@ -15,11 +22,13 @@ use crate::cost::{CostModel, Counters};
 use crate::enclave::{Enclave, EnclaveCtx, EnclaveId, EnclaveProgram};
 use crate::epc::{Epc, PageType};
 use crate::error::{Result, SgxError};
-use crate::measurement::{measure_image, Sigstruct, PAGE_SIZE};
-use crate::ocall::{HostCalls, NullHost};
-use crate::quote::{EpidGroup, Quote, QuotingEnclave};
-use crate::report::Report;
+use crate::measurement::{measure_image, Measurement, Sigstruct, PAGE_SIZE};
+use crate::ocall::HostCalls;
+use crate::quote::{EpidGroup, QuotingEnclave};
+use crate::report::{Report, TargetInfo};
 use crate::switchless::{SwitchlessConfig, SwitchlessState, TransitionMode, TransitionStats};
+use crate::tee::{Evidence, TeeBackend, TeePlatform};
+use crate::vmtee::{SecurityProcessor, VMTEE_EPC_PAGES};
 
 /// Default EPC size: 24 576 pages = 96 MiB (SGX1-era hardware).
 pub const DEFAULT_EPC_PAGES: usize = 24_576;
@@ -27,42 +36,59 @@ pub const DEFAULT_EPC_PAGES: usize = 24_576;
 /// Extra pages reserved per enclave for stack + static heap.
 const BASE_RUNTIME_PAGES: usize = 16;
 
-/// One SGX machine: enclaves, EPC, quoting enclave, device key.
+/// The component that turns a report into [`Evidence`]; which one a
+/// platform has is what makes it SGX or VM-TEE.
+enum Attestor {
+    /// The SGX quoting enclave: EPID quotes.
+    Quoting(QuotingEnclave),
+    /// The VM-TEE security processor: PSP-signed reports.
+    Psp(SecurityProcessor),
+}
+
+/// One TEE machine: enclaves, EPC, attestation component, device key.
 pub struct Platform {
-    /// Human-readable platform name (for reports and debugging).
-    pub name: String,
-    /// Cost model used for all accounting on this platform.
-    pub model: CostModel,
+    name: String,
+    model: CostModel,
     device_key: [u8; 32],
     epc: Epc,
     enclaves: Vec<Enclave>,
     rng: SecureRng,
-    quoting: QuotingEnclave,
+    attestor: Attestor,
 }
 
 impl Platform {
-    /// Builds a platform named `name`, provisioned into `group`, with the
-    /// default EPC size. `seed` determines the device key and all
-    /// platform-local randomness.
-    pub fn new(name: &str, group: &EpidGroup, seed: u64) -> Self {
-        Self::with_epc(name, group, seed, DEFAULT_EPC_PAGES)
-    }
-
-    /// Same as [`Platform::new`] with an explicit EPC capacity.
-    pub fn with_epc(name: &str, group: &EpidGroup, seed: u64, epc_pages: usize) -> Self {
+    /// Builds a `backend` platform named `name`, provisioned into `group`
+    /// (the EPID group on SGX; its key doubles as the vendor root on a VM
+    /// TEE). `seed` determines the device key and all platform-local
+    /// randomness.
+    ///
+    /// This is the one place a backend's cost model, EPC capacity and
+    /// attestation component are chosen.
+    pub fn new(backend: TeeBackend, name: &str, group: &EpidGroup, seed: u64) -> Result<Self> {
         let mut seed_bytes = Vec::from(name.as_bytes());
         seed_bytes.extend_from_slice(&seed.to_le_bytes());
         let device_key = sha256(&seed_bytes);
         let rng = SecureRng::from_seed(&device_key);
-        Platform {
+        let (epc_pages, attestor) = match backend {
+            TeeBackend::Sgx => (
+                DEFAULT_EPC_PAGES,
+                Attestor::Quoting(QuotingEnclave::new(group, rng.fork(b"quoting-enclave"))),
+            ),
+            TeeBackend::VmTee => {
+                seed_bytes.extend_from_slice(b"vmtee-psp");
+                let psp = SecurityProcessor::new(group, SecureRng::from_seed(&seed_bytes))?;
+                (VMTEE_EPC_PAGES, Attestor::Psp(psp))
+            }
+        };
+        Ok(Platform {
             name: name.to_owned(),
-            model: CostModel::paper(),
+            model: backend.cost_model(),
             device_key,
             epc: Epc::new(epc_pages),
             enclaves: Vec::new(),
-            quoting: QuotingEnclave::new(group, rng.fork(b"quoting-enclave")),
             rng,
-        }
+            attestor,
+        })
     }
 
     /// Loads and initialises an enclave: ECREATE → EADD/EEXTEND per page →
@@ -82,20 +108,6 @@ impl Platform {
             return Err(SgxError::InitFailed("measurement != SIGSTRUCT.mrenclave"));
         }
         self.init_enclave(program, image.len(), sigstruct)
-    }
-
-    /// Convenience: signs the program with `author` and loads it, under
-    /// the measurement it signed.
-    pub fn create_signed(
-        &mut self,
-        program: Box<dyn EnclaveProgram>,
-        author: &SigningKey,
-        isv_svn: u16,
-    ) -> Result<EnclaveId> {
-        let image = program.code_image();
-        let mut rng = self.rng.fork(b"sigstruct");
-        let sigstruct = Sigstruct::sign(measure_image(&image), isv_svn, author, &mut rng)?;
-        self.init_enclave(program, image.len(), &sigstruct)
     }
 
     /// The rest of EINIT for a program whose `image_len`-byte image
@@ -127,8 +139,62 @@ impl Platform {
         Ok(id)
     }
 
-    /// EREMOVE: tears an enclave down, releasing its EPC pages.
-    pub fn destroy_enclave(&mut self, id: EnclaveId) -> Result<()> {
+    /// The platform's device key, for tests that EREPORT from the host
+    /// side.
+    #[cfg(test)]
+    pub(crate) fn device_key(&self) -> &[u8; 32] {
+        &self.device_key
+    }
+
+    /// The same platform with an EPC of `epc_pages`, for paging tests.
+    #[cfg(test)]
+    fn with_epc(mut self, epc_pages: usize) -> Self {
+        self.epc = Epc::new(epc_pages);
+        self
+    }
+
+    fn enclave_ref(&self, id: EnclaveId) -> Result<&Enclave> {
+        self.enclaves
+            .get(id as usize)
+            .ok_or(SgxError::NoSuchEnclave(id))
+    }
+
+    fn enclave_mut(&mut self, id: EnclaveId) -> Result<&mut Enclave> {
+        self.enclaves
+            .get_mut(id as usize)
+            .ok_or(SgxError::NoSuchEnclave(id))
+    }
+}
+
+impl TeePlatform for Platform {
+    fn backend(&self) -> TeeBackend {
+        match self.attestor {
+            Attestor::Quoting(_) => TeeBackend::Sgx,
+            Attestor::Psp(_) => TeeBackend::VmTee,
+        }
+    }
+
+    fn platform_name(&self) -> &str {
+        &self.name
+    }
+
+    fn model(&self) -> &CostModel {
+        &self.model
+    }
+
+    fn create_signed(
+        &mut self,
+        program: Box<dyn EnclaveProgram>,
+        author: &SigningKey,
+        isv_svn: u16,
+    ) -> Result<EnclaveId> {
+        let image = program.code_image();
+        let mut rng = self.rng.fork(b"sigstruct");
+        let sigstruct = Sigstruct::sign(measure_image(&image), isv_svn, author, &mut rng)?;
+        self.init_enclave(program, image.len(), &sigstruct)
+    }
+
+    fn destroy_enclave(&mut self, id: EnclaveId) -> Result<()> {
         let enclave = self.enclave_mut(id)?;
         enclave.check_alive("destroy")?;
         enclave.destroyed = true;
@@ -137,8 +203,7 @@ impl Platform {
         Ok(())
     }
 
-    /// Performs an ecall into enclave `id` with host services available.
-    pub fn ecall(
+    fn ecall(
         &mut self,
         id: EnclaveId,
         fn_id: u64,
@@ -199,16 +264,7 @@ impl Platform {
         result
     }
 
-    /// Performs a **batched** ecall: N queued calls executed under a single
-    /// EENTER/EEXIT pair, the generalisation of the paper's Table 2 I/O
-    /// batching (1 packet costs 6 SGX instructions, 100 batched packets
-    /// cost 204 — not 600).
-    ///
-    /// Each call still pays its own marshalling (normal instructions), and
-    /// a call that fails aborts the batch, returning its error; results of
-    /// the calls before it are discarded (their side effects inside the
-    /// enclave stand, exactly as with sequential ecalls).
-    pub fn ecall_batch(
+    fn ecall_batch(
         &mut self,
         id: EnclaveId,
         calls: &[(u64, Vec<u8>)],
@@ -281,36 +337,21 @@ impl Platform {
         }
     }
 
-    /// Batched ecall without host services.
-    pub fn ecall_batch_nohost(
-        &mut self,
-        id: EnclaveId,
-        calls: &[(u64, Vec<u8>)],
-    ) -> Result<Vec<Vec<u8>>> {
-        let mut host = NullHost;
-        self.ecall_batch(id, calls, &mut host)
-    }
-
-    /// Sets the transition mode of one enclave. Entering switchless starts
-    /// the host worker spinning; returning to classic parks it.
-    pub fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()> {
+    fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()> {
         self.enclave_mut(id)?.switchless.set_mode(mode);
         Ok(())
     }
 
-    /// Tunes the switchless ring/worker of one enclave.
-    pub fn configure_switchless(&mut self, id: EnclaveId, config: SwitchlessConfig) -> Result<()> {
+    fn configure_switchless(&mut self, id: EnclaveId, config: SwitchlessConfig) -> Result<()> {
         self.enclave_mut(id)?.switchless.config = config;
         Ok(())
     }
 
-    /// Crossing statistics of one enclave.
-    pub fn transition_stats_of(&self, id: EnclaveId) -> Result<TransitionStats> {
+    fn transition_stats_of(&self, id: EnclaveId) -> Result<TransitionStats> {
         Ok(self.enclave_ref(id)?.switchless.stats)
     }
 
-    /// Sum of all enclaves' crossing statistics.
-    pub fn total_transition_stats(&self) -> TransitionStats {
+    fn total_transition_stats(&self) -> TransitionStats {
         let mut total = TransitionStats::new();
         for e in &self.enclaves {
             total.merge(e.switchless.stats);
@@ -318,76 +359,51 @@ impl Platform {
         total
     }
 
-    /// Ecall without host services (pure computation inside the enclave).
-    pub fn ecall_nohost(&mut self, id: EnclaveId, fn_id: u64, input: &[u8]) -> Result<Vec<u8>> {
-        let mut host = NullHost;
-        self.ecall(id, fn_id, input, &mut host)
-    }
-
-    /// Runs the quoting enclave over `report` (local attestation + sign).
-    pub fn quote(&mut self, report: &Report) -> Result<Quote> {
-        let model = self.model.clone();
-        self.quoting.quote(&self.device_key, report, &model)
-    }
-
-    /// The TargetInfo enclaves use to address reports to this platform's QE.
-    pub fn quoting_target_info(&self) -> crate::report::TargetInfo {
-        self.quoting.target_info()
-    }
-
-    /// Counters of one enclave.
-    pub fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
+    fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
         Ok(self.enclave_ref(id)?.counters)
     }
 
-    /// Counters of the quoting enclave.
-    pub fn quoting_counters(&self) -> Counters {
-        self.quoting.counters
+    fn attestor_counters(&self) -> Counters {
+        match &self.attestor {
+            Attestor::Quoting(qe) => qe.counters,
+            Attestor::Psp(psp) => psp.counters,
+        }
     }
 
-    /// Resets the counters of one enclave (e.g. to exclude setup phases,
-    /// as the paper does for Table 4).
-    pub fn reset_counters(&mut self, id: EnclaveId) -> Result<()> {
+    fn reset_counters(&mut self, id: EnclaveId) -> Result<()> {
         self.enclave_mut(id)?.counters = Counters::new();
         Ok(())
     }
 
-    /// Sum of all enclave counters plus the quoting enclave.
-    pub fn total_counters(&self) -> Counters {
-        let mut total = self.quoting.counters;
+    fn total_counters(&self) -> Counters {
+        let mut total = self.attestor_counters();
         for e in &self.enclaves {
             total.merge(e.counters);
         }
         total
     }
 
-    /// The identity (MRENCLAVE) of a loaded enclave.
-    pub fn measurement_of(&self, id: EnclaveId) -> Result<crate::measurement::Measurement> {
+    fn measurement_of(&self, id: EnclaveId) -> Result<Measurement> {
         Ok(self.enclave_ref(id)?.mrenclave)
     }
 
-    /// Free EPC pages remaining.
-    pub fn epc_free_pages(&self) -> usize {
+    fn attestation_target_info(&self) -> TargetInfo {
+        match &self.attestor {
+            Attestor::Quoting(qe) => qe.target_info(),
+            Attestor::Psp(psp) => psp.target_info(),
+        }
+    }
+
+    fn evidence(&mut self, report: &Report) -> Result<Evidence> {
+        let (key, model) = (&self.device_key, &self.model);
+        match &mut self.attestor {
+            Attestor::Quoting(qe) => Ok(Evidence::Epid(qe.quote(key, report, model)?)),
+            Attestor::Psp(psp) => Ok(Evidence::VmTee(psp.attest(key, report, model)?)),
+        }
+    }
+
+    fn epc_free_pages(&self) -> usize {
         self.epc.free_pages()
-    }
-
-    /// The platform's device key (crate-internal: the VM-TEE backend's
-    /// security processor verifies report MACs with it, exactly as the
-    /// quoting enclave does here).
-    pub(crate) fn device_key(&self) -> &[u8; 32] {
-        &self.device_key
-    }
-
-    fn enclave_ref(&self, id: EnclaveId) -> Result<&Enclave> {
-        self.enclaves
-            .get(id as usize)
-            .ok_or(SgxError::NoSuchEnclave(id))
-    }
-
-    fn enclave_mut(&mut self, id: EnclaveId) -> Result<&mut Enclave> {
-        self.enclaves
-            .get_mut(id as usize)
-            .ok_or(SgxError::NoSuchEnclave(id))
     }
 }
 
@@ -395,7 +411,8 @@ impl Platform {
 mod tests {
     use super::*;
     use crate::keys::KeyRequest;
-    use crate::report::report_data_from;
+    use crate::report::{report_data_from, ReportBody};
+    use crate::tee::deploy_platform;
     use teenet_crypto::schnorr::SchnorrGroup;
 
     /// A trivial program: fn 0 echoes, fn 1 seals input, fn 2 allocates.
@@ -436,7 +453,7 @@ mod tests {
     fn setup() -> (Platform, SigningKey) {
         let mut rng = SecureRng::seed_from_u64(5);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let platform = Platform::new("test", &group, 7);
+        let platform = Platform::new(TeeBackend::Sgx, "test", &group, 7).unwrap();
         let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
         (platform, author)
     }
@@ -449,7 +466,7 @@ mod tests {
     }
 
     /// Compile-time regression: a whole platform (device key, EPC,
-    /// enclaves with their boxed programs, quoting enclave) must stay
+    /// enclaves with their boxed programs, attestor) must stay
     /// `Send` so one independent instance can live per load-generation
     /// shard. Reintroducing non-`Send` state (an `Rc`, a thread-bound
     /// handle) fails this test at compile time.
@@ -511,7 +528,9 @@ mod tests {
     fn epc_exhaustion_fails_enclave_creation() {
         let mut rng = SecureRng::seed_from_u64(5);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let mut p = Platform::with_epc("tiny", &group, 7, 8);
+        let mut p = Platform::new(TeeBackend::Sgx, "tiny", &group, 7)
+            .unwrap()
+            .with_epc(8);
         let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
         let err = p.create_signed(echo(1), &author, 1).unwrap_err();
         assert!(matches!(err, SgxError::EpcExhausted { .. }));
@@ -526,65 +545,61 @@ mod tests {
         assert!(p.destroy_enclave(id).is_err());
     }
 
+    /// EREPORTs to the measurement in its input and hands the host the
+    /// report body and MAC (the host merely ferries bytes).
+    struct Reporter;
+    impl EnclaveProgram for Reporter {
+        fn code_image(&self) -> Vec<u8> {
+            b"reporter-v1".to_vec()
+        }
+        fn ecall(
+            &mut self,
+            ctx: &mut EnclaveCtx<'_>,
+            _fn_id: u64,
+            input: &[u8],
+        ) -> Result<Vec<u8>> {
+            let target = TargetInfo {
+                mrenclave: Measurement(input.try_into().unwrap()),
+            };
+            let report = ctx.ereport(target, &report_data_from(b"nonce"));
+            let mut out = report.body.to_bytes();
+            out.extend_from_slice(&report.mac);
+            Ok(out)
+        }
+    }
+
+    /// The full local flow on each backend: an enclave EREPORTs to the
+    /// attestor, which turns the report into evidence that verifies under
+    /// the group root; after it the platform total is the enclave's
+    /// counters plus the attestor's.
     #[test]
     fn report_and_quote_flow() {
-        // Full local flow: enclave EREPORTs to the QE, QE quotes, a remote
-        // party verifies under the group public key.
         let mut rng = SecureRng::seed_from_u64(5);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let mut p = Platform::new("test", &group, 7);
         let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
+        for backend in [TeeBackend::Sgx, TeeBackend::VmTee] {
+            let mut p = deploy_platform(backend, "deployed", &group, 7).unwrap();
+            let target = p.attestation_target_info();
+            let id = p.create_signed(Box::new(Reporter), &author, 1).unwrap();
+            let out = p.ecall_nohost(id, 0, &target.mrenclave.0).unwrap();
+            let (body, mac) = out.split_at(ReportBody::WIRE_LEN);
+            let report = Report {
+                body: ReportBody::from_bytes(body).unwrap(),
+                target,
+                mac: mac.try_into().unwrap(),
+            };
+            let evidence = p.evidence(&report).unwrap();
 
-        struct Reporter;
-        impl EnclaveProgram for Reporter {
-            fn code_image(&self) -> Vec<u8> {
-                b"reporter-v1".to_vec()
-            }
-            fn ecall(
-                &mut self,
-                ctx: &mut EnclaveCtx<'_>,
-                _fn_id: u64,
-                input: &[u8],
-            ) -> Result<Vec<u8>> {
-                // input carries the QE measurement.
-                let mut mr = [0u8; 32];
-                mr.copy_from_slice(&input[..32]);
-                let report = ctx.ereport(
-                    crate::report::TargetInfo {
-                        mrenclave: crate::measurement::Measurement(mr),
-                    },
-                    &report_data_from(b"nonce"),
-                );
-                // Return the report body fields we need (test-only encoding).
-                let mut out = report.body.to_bytes();
-                out.extend_from_slice(&report.mac);
-                Ok(out)
-            }
+            assert!(p.attestor_counters().normal_instr > 0, "{backend}");
+            let mut sum = p.counters_of(id).unwrap();
+            sum.merge(p.attestor_counters());
+            assert_eq!(p.total_counters(), sum, "{backend}");
+            evidence
+                .verify(&group.public_key(), &mut Counters::new(), p.model())
+                .unwrap();
+            assert_eq!(evidence.backend(), p.backend());
+            assert_eq!(evidence.body().mrenclave, p.measurement_of(id).unwrap());
         }
-
-        let id = p.create_signed(Box::new(Reporter), &author, 1).unwrap();
-        let qe_mr = p.quoting_target_info().mrenclave;
-        let out = p.ecall_nohost(id, 0, &qe_mr.0).unwrap();
-
-        // Reassemble the report (the host merely ferries bytes).
-        let body = crate::report::ReportBody {
-            mrenclave: crate::measurement::Measurement(out[..32].try_into().unwrap()),
-            mrsigner: crate::measurement::Measurement(out[32..64].try_into().unwrap()),
-            isv_svn: u16::from_le_bytes(out[64..66].try_into().unwrap()),
-            report_data: out[66..130].try_into().unwrap(),
-        };
-        let mac: [u8; 32] = out[130..162].try_into().unwrap();
-        let report = Report {
-            body,
-            target: p.quoting_target_info(),
-            mac,
-        };
-        let quote = p.quote(&report).unwrap();
-        let mut c = Counters::new();
-        quote
-            .verify(&group.public_key(), &mut c, &CostModel::paper())
-            .unwrap();
-        assert_eq!(quote.body.mrenclave, p.measurement_of(id).unwrap());
     }
 
     #[test]
@@ -616,8 +631,8 @@ mod tests {
     fn identical_programs_same_measurement_across_platforms() {
         let mut rng = SecureRng::seed_from_u64(5);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let mut p1 = Platform::new("alpha", &group, 1);
-        let mut p2 = Platform::new("beta", &group, 2);
+        let mut p1 = Platform::new(TeeBackend::Sgx, "alpha", &group, 1).unwrap();
+        let mut p2 = Platform::new(TeeBackend::Sgx, "beta", &group, 2).unwrap();
         let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
         let id1 = p1.create_signed(echo(1), &author, 1).unwrap();
         let id2 = p2.create_signed(echo(1), &author, 1).unwrap();
@@ -656,7 +671,9 @@ mod paging_tests {
     fn tiny_platform(epc_pages: usize) -> (Platform, EnclaveId) {
         let mut rng = SecureRng::seed_from_u64(77);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let mut p = Platform::with_epc("paging", &group, 7, epc_pages);
+        let mut p = Platform::new(TeeBackend::Sgx, "paging", &group, 7)
+            .unwrap()
+            .with_epc(epc_pages);
         let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
         let id = p.create_signed(Box::new(Hog), &author, 1).unwrap();
         (p, id)

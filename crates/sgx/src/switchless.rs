@@ -47,7 +47,7 @@
 //! are hardware-initiated, not call-shaped, so no ring can absorb them.
 //!
 //! Ecalls are amortised instead of elided: a batched ecall
-//! ([`crate::platform::Platform::ecall_batch`]) pays one EENTER/EEXIT
+//! ([`crate::tee::TeePlatform::ecall_batch`]) pays one EENTER/EEXIT
 //! pair for N queued calls, mirroring the paper's Table 2, where batching
 //! 100 packets turns 6 SGX instructions per packet into 204 per batch.
 

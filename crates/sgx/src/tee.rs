@@ -11,10 +11,10 @@
 //! accounting — so a service deploys against `dyn TeePlatform` and
 //! calibrates identically under either backend.
 //!
-//! The SGX [`Platform`] is the first implementor, byte-for-byte unchanged
-//! (the golden loadgen fixtures are the proof); the
-//! [`crate::vmtee::VmTeePlatform`] is the second, priced by
-//! [`CostModel::vmtee`].
+//! A backend is data, not a second implementor: [`Platform`] is the one
+//! implementor, and [`TeeBackend`] picks its price vector
+//! ([`TeeBackend::cost_model`]), its EPC capacity and its attestation
+//! component in [`Platform::new`].
 //!
 //! [`Evidence`] is the backend-portable attestation artifact: an EPID
 //! quote on SGX, a PSP-signed report plus host-fetched endorsement chain
@@ -33,7 +33,7 @@ use crate::platform::Platform;
 use crate::quote::{EpidGroup, Quote};
 use crate::report::{Report, ReportBody, TargetInfo};
 use crate::switchless::{SwitchlessConfig, TransitionMode, TransitionStats};
-use crate::vmtee::{VmEvidence, VmTeePlatform};
+use crate::vmtee::VmEvidence;
 
 /// Which TEE backend a platform (and everything calibrated on it) uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -166,12 +166,7 @@ impl Evidence {
 ///
 /// Object-safe and `Send`: services hold a `Box<dyn TeePlatform>` and one
 /// independent platform instance can live per load-generation shard.
-/// Method semantics match the SGX [`Platform`]'s inherent methods of the
-/// same (or corresponding) names; [`TeePlatform::evidence`] generalises
-/// `Platform::quote`, [`TeePlatform::attestation_target_info`] generalises
-/// `Platform::quoting_target_info`, and [`TeePlatform::attestor_counters`]
-/// generalises `Platform::quoting_counters` (the quoting enclave on SGX,
-/// the security processor on a VM TEE).
+/// [`Platform`] is the one implementor.
 pub trait TeePlatform: Send {
     /// Which backend this platform models.
     fn backend(&self) -> TeeBackend;
@@ -182,7 +177,10 @@ pub trait TeePlatform: Send {
     /// The cost model all accounting on this platform uses.
     fn model(&self) -> &CostModel;
 
-    /// Signs `program` with `author` and loads it.
+    /// Signs `program` with `author` and loads it under the measurement
+    /// it signed: ECREATE → EADD/EEXTEND per page → EINIT. Launch is not
+    /// charged to the enclave counters: the paper excludes it as a
+    /// one-time cost (§5).
     fn create_signed(
         &mut self,
         program: Box<dyn EnclaveProgram>,
@@ -190,7 +188,7 @@ pub trait TeePlatform: Send {
         isv_svn: u16,
     ) -> Result<EnclaveId>;
 
-    /// Tears an enclave down, releasing its protected memory.
+    /// EREMOVE: tears an enclave down, releasing its protected memory.
     fn destroy_enclave(&mut self, id: EnclaveId) -> Result<()>;
 
     /// Performs an ecall into enclave `id` with host services available.
@@ -202,7 +200,15 @@ pub trait TeePlatform: Send {
         host: &mut dyn HostCalls,
     ) -> Result<Vec<u8>>;
 
-    /// Performs a batched ecall (one transition pair for the batch).
+    /// Performs a **batched** ecall: N queued calls executed under a
+    /// single EENTER/EEXIT pair, the generalisation of the paper's Table 2
+    /// I/O batching (1 packet costs 6 SGX instructions, 100 batched
+    /// packets cost 204 — not 600).
+    ///
+    /// Each call still pays its own marshalling (normal instructions), and
+    /// a call that fails aborts the batch, returning its error; results of
+    /// the calls before it are discarded (their side effects inside the
+    /// enclave stand, exactly as with sequential ecalls).
     fn ecall_batch(
         &mut self,
         id: EnclaveId,
@@ -210,7 +216,8 @@ pub trait TeePlatform: Send {
         host: &mut dyn HostCalls,
     ) -> Result<Vec<Vec<u8>>>;
 
-    /// Sets the transition mode of one enclave.
+    /// Sets the transition mode of one enclave. Entering switchless
+    /// starts the host worker spinning; returning to classic parks it.
     fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()>;
 
     /// Tunes the switchless ring/worker of one enclave.
@@ -229,7 +236,8 @@ pub trait TeePlatform: Send {
     /// security processor on a VM TEE).
     fn attestor_counters(&self) -> Counters;
 
-    /// Resets the counters of one enclave.
+    /// Resets the counters of one enclave (e.g. to exclude setup phases,
+    /// as the paper does for Table 4).
     fn reset_counters(&mut self, id: EnclaveId) -> Result<()>;
 
     /// Sum of all enclave counters plus the attestation component.
@@ -266,117 +274,20 @@ pub trait TeePlatform: Send {
     }
 }
 
-impl TeePlatform for Platform {
-    fn backend(&self) -> TeeBackend {
-        TeeBackend::Sgx
-    }
-
-    fn platform_name(&self) -> &str {
-        &self.name
-    }
-
-    fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    fn create_signed(
-        &mut self,
-        program: Box<dyn EnclaveProgram>,
-        author: &SigningKey,
-        isv_svn: u16,
-    ) -> Result<EnclaveId> {
-        Platform::create_signed(self, program, author, isv_svn)
-    }
-
-    fn destroy_enclave(&mut self, id: EnclaveId) -> Result<()> {
-        Platform::destroy_enclave(self, id)
-    }
-
-    fn ecall(
-        &mut self,
-        id: EnclaveId,
-        fn_id: u64,
-        input: &[u8],
-        host: &mut dyn HostCalls,
-    ) -> Result<Vec<u8>> {
-        Platform::ecall(self, id, fn_id, input, host)
-    }
-
-    fn ecall_batch(
-        &mut self,
-        id: EnclaveId,
-        calls: &[(u64, Vec<u8>)],
-        host: &mut dyn HostCalls,
-    ) -> Result<Vec<Vec<u8>>> {
-        Platform::ecall_batch(self, id, calls, host)
-    }
-
-    fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()> {
-        Platform::set_transition_mode(self, id, mode)
-    }
-
-    fn configure_switchless(&mut self, id: EnclaveId, config: SwitchlessConfig) -> Result<()> {
-        Platform::configure_switchless(self, id, config)
-    }
-
-    fn transition_stats_of(&self, id: EnclaveId) -> Result<TransitionStats> {
-        Platform::transition_stats_of(self, id)
-    }
-
-    fn total_transition_stats(&self) -> TransitionStats {
-        Platform::total_transition_stats(self)
-    }
-
-    fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
-        Platform::counters_of(self, id)
-    }
-
-    fn attestor_counters(&self) -> Counters {
-        self.quoting_counters()
-    }
-
-    fn reset_counters(&mut self, id: EnclaveId) -> Result<()> {
-        Platform::reset_counters(self, id)
-    }
-
-    fn total_counters(&self) -> Counters {
-        Platform::total_counters(self)
-    }
-
-    fn measurement_of(&self, id: EnclaveId) -> Result<Measurement> {
-        Platform::measurement_of(self, id)
-    }
-
-    fn attestation_target_info(&self) -> TargetInfo {
-        self.quoting_target_info()
-    }
-
-    fn evidence(&mut self, report: &Report) -> Result<Evidence> {
-        Ok(Evidence::Epid(self.quote(report)?))
-    }
-
-    fn epc_free_pages(&self) -> usize {
-        Platform::epc_free_pages(self)
-    }
-}
-
 /// The backend factory: builds a platform named `name`, provisioned into
 /// `group` (the EPID group on SGX; its key doubles as the vendor root on
 /// a VM TEE), seeded with `seed`.
 ///
-/// All deployments — services, tests, examples — go through here rather
-/// than constructing `Platform` directly, so a backend switch is one
-/// argument.
+/// All deployments — services, tests, examples — go through here, so a
+/// backend switch is one argument; [`Platform::new`] turns that argument
+/// into the backend's prices, EPC capacity and attestation component.
 pub fn deploy_platform(
     backend: TeeBackend,
     name: &str,
     group: &EpidGroup,
     seed: u64,
 ) -> Result<Box<dyn TeePlatform>> {
-    match backend {
-        TeeBackend::Sgx => Ok(Box::new(Platform::new(name, group, seed))),
-        TeeBackend::VmTee => Ok(Box::new(VmTeePlatform::new(name, group, seed)?)),
-    }
+    Ok(Box::new(Platform::new(backend, name, group, seed)?))
 }
 
 #[cfg(test)]
@@ -418,21 +329,6 @@ mod tests {
             Evidence::Epid(parsed) => assert_eq!(parsed.body, q.body),
             Evidence::VmTee(_) => panic!("EPID bytes must parse as EPID"),
         }
-    }
-
-    #[test]
-    fn sgx_platform_implements_the_trait() {
-        let mut rng = SecureRng::seed_from_u64(5);
-        let group = EpidGroup::new(1, &mut rng).unwrap();
-        let boxed = deploy_platform(TeeBackend::Sgx, "trait-test", &group, 7).unwrap();
-        assert_eq!(boxed.backend(), TeeBackend::Sgx);
-        assert_eq!(boxed.platform_name(), "trait-test");
-        assert_eq!(boxed.model(), &CostModel::paper());
-        assert_eq!(
-            boxed.attestation_target_info().mrenclave,
-            crate::quote::quoting_enclave_measurement()
-        );
-        assert_eq!(boxed.attestor_counters(), Counters::new());
     }
 
     /// Every truncation and bit flip of valid EPID and VM-TEE evidence goes
@@ -498,6 +394,22 @@ mod tests {
             }
         }
         assert!(verified > 4_000, "{verified} damaged encodings parsed");
+    }
+
+    #[test]
+    fn sgx_platform_implements_the_trait() {
+        let mut rng = SecureRng::seed_from_u64(5);
+        let group = EpidGroup::new(1, &mut rng).unwrap();
+        let boxed = deploy_platform(TeeBackend::Sgx, "trait-test", &group, 7).unwrap();
+        assert_eq!(boxed.backend(), TeeBackend::Sgx);
+        assert_eq!(boxed.platform_name(), "trait-test");
+        assert_eq!(boxed.model(), &CostModel::paper());
+        assert_eq!(
+            boxed.attestation_target_info().mrenclave,
+            crate::quote::quoting_enclave_measurement()
+        );
+        assert_eq!(boxed.epc_free_pages(), crate::platform::DEFAULT_EPC_PAGES);
+        assert_eq!(boxed.attestor_counters(), Counters::new());
     }
 
     #[test]

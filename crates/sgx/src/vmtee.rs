@@ -1,5 +1,6 @@
-//! The VM-TEE backend: a TDX/SEV-SNP-style cost model behind the same
-//! [`TeePlatform`] surface as the SGX emulator.
+//! The VM-TEE backend's parts: a TDX/SEV-SNP-style platform is the same
+//! [`Platform`] as the SGX emulator, with other prices, more protected
+//! memory and another attestation component.
 //!
 //! A VM-level TEE changes the *shape* of trusted-execution costs, not the
 //! workloads:
@@ -21,24 +22,22 @@
 //!   attestation root serves both backends.
 //!
 //! Everything else — enclave lifecycle, measurements, sealing, switchless
-//! rings, counter accounting — is delegated to an inner SGX [`Platform`]
-//! re-priced with the VM-TEE cost model.
+//! rings, counter accounting — is the [`Platform`] code both backends
+//! share.
+//!
+//! [`Platform`]: crate::platform::Platform
 
 use teenet_crypto::schnorr::{SchnorrGroup, Signature, SigningKey, VerifyingKey};
 use teenet_crypto::sha256::sha256;
 use teenet_crypto::SecureRng;
 
 use crate::cost::{CostModel, Counters};
-use crate::enclave::{EnclaveId, EnclaveProgram};
 use crate::error::{Result, SgxError};
 use crate::keys::{derive_key, KeyRequest};
 use crate::measurement::Measurement;
-use crate::ocall::HostCalls;
-use crate::platform::Platform;
 use crate::quote::EpidGroup;
 use crate::report::{verify_report, Report, ReportBody, TargetInfo};
-use crate::switchless::{SwitchlessConfig, TransitionMode, TransitionStats};
-use crate::tee::{Evidence, TeeBackend, TeePlatform, VMTEE_EVIDENCE_SENTINEL};
+use crate::tee::VMTEE_EVIDENCE_SENTINEL;
 use crate::wire::{put_var, take, take_arr, take_var};
 
 /// Guest private-memory capacity of a VM TEE, in pages. Large enough that
@@ -230,157 +229,28 @@ impl SecurityProcessor {
     }
 }
 
-/// A VM-TEE machine: an inner SGX emulator re-priced with
-/// [`CostModel::vmtee`], with the quoting enclave replaced by a
-/// [`SecurityProcessor`].
-pub struct VmTeePlatform {
-    inner: Platform,
-    psp: SecurityProcessor,
-}
-
-impl VmTeePlatform {
-    /// Builds a VM-TEE platform named `name`, endorsed by `group`'s root
-    /// key, seeded with `seed`. Deterministic in `(name, seed)` like the
-    /// SGX platform.
-    pub fn new(name: &str, group: &EpidGroup, seed: u64) -> Result<Self> {
-        let mut inner = Platform::with_epc(name, group, seed, VMTEE_EPC_PAGES);
-        inner.model = CostModel::vmtee();
-        let mut psp_seed = Vec::from(name.as_bytes());
-        psp_seed.extend_from_slice(&seed.to_le_bytes());
-        psp_seed.extend_from_slice(b"vmtee-psp");
-        let psp = SecurityProcessor::new(group, SecureRng::from_seed(&psp_seed))?;
-        Ok(VmTeePlatform { inner, psp })
-    }
-}
-
-impl TeePlatform for VmTeePlatform {
-    fn backend(&self) -> TeeBackend {
-        TeeBackend::VmTee
-    }
-
-    fn platform_name(&self) -> &str {
-        &self.inner.name
-    }
-
-    fn model(&self) -> &CostModel {
-        &self.inner.model
-    }
-
-    fn create_signed(
-        &mut self,
-        program: Box<dyn EnclaveProgram>,
-        author: &SigningKey,
-        isv_svn: u16,
-    ) -> Result<EnclaveId> {
-        self.inner.create_signed(program, author, isv_svn)
-    }
-
-    fn destroy_enclave(&mut self, id: EnclaveId) -> Result<()> {
-        self.inner.destroy_enclave(id)
-    }
-
-    fn ecall(
-        &mut self,
-        id: EnclaveId,
-        fn_id: u64,
-        input: &[u8],
-        host: &mut dyn HostCalls,
-    ) -> Result<Vec<u8>> {
-        self.inner.ecall(id, fn_id, input, host)
-    }
-
-    fn ecall_batch(
-        &mut self,
-        id: EnclaveId,
-        calls: &[(u64, Vec<u8>)],
-        host: &mut dyn HostCalls,
-    ) -> Result<Vec<Vec<u8>>> {
-        self.inner.ecall_batch(id, calls, host)
-    }
-
-    fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()> {
-        self.inner.set_transition_mode(id, mode)
-    }
-
-    fn configure_switchless(&mut self, id: EnclaveId, config: SwitchlessConfig) -> Result<()> {
-        self.inner.configure_switchless(id, config)
-    }
-
-    fn transition_stats_of(&self, id: EnclaveId) -> Result<TransitionStats> {
-        self.inner.transition_stats_of(id)
-    }
-
-    fn total_transition_stats(&self) -> TransitionStats {
-        self.inner.total_transition_stats()
-    }
-
-    fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
-        self.inner.counters_of(id)
-    }
-
-    fn attestor_counters(&self) -> Counters {
-        self.psp.counters
-    }
-
-    fn reset_counters(&mut self, id: EnclaveId) -> Result<()> {
-        self.inner.reset_counters(id)
-    }
-
-    fn total_counters(&self) -> Counters {
-        let mut total = Counters::new();
-        // The inner platform's total includes its (idle) quoting enclave;
-        // the PSP's work is added on top.
-        let inner = self.inner.total_counters();
-        total.sgx(inner.sgx_instr);
-        total.normal(inner.normal_instr);
-        total.sgx(self.psp.counters.sgx_instr);
-        total.normal(self.psp.counters.normal_instr);
-        total
-    }
-
-    fn measurement_of(&self, id: EnclaveId) -> Result<Measurement> {
-        self.inner.measurement_of(id)
-    }
-
-    fn attestation_target_info(&self) -> TargetInfo {
-        self.psp.target_info()
-    }
-
-    fn evidence(&mut self, report: &Report) -> Result<Evidence> {
-        let model = self.inner.model.clone();
-        Ok(Evidence::VmTee(self.psp.attest(
-            self.inner.device_key(),
-            report,
-            &model,
-        )?))
-    }
-
-    fn epc_free_pages(&self) -> usize {
-        self.inner.epc_free_pages()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::Platform;
     use crate::report::{ereport, report_data_from};
-    use crate::tee::deploy_platform;
+    use crate::tee::{Evidence, TeeBackend, TeePlatform};
 
-    fn setup() -> (EpidGroup, VmTeePlatform) {
+    fn setup() -> (EpidGroup, Platform) {
         let mut rng = SecureRng::seed_from_u64(42);
         let group = EpidGroup::new(7, &mut rng).unwrap();
-        let p = VmTeePlatform::new("vm0", &group, 9).unwrap();
+        let p = Platform::new(TeeBackend::VmTee, "vm0", &group, 9).unwrap();
         (group, p)
     }
 
-    fn report_for_psp(p: &VmTeePlatform) -> Report {
+    fn report_for_psp(p: &Platform) -> Report {
         let body = ReportBody {
             mrenclave: Measurement([1u8; 32]),
             mrsigner: Measurement([2u8; 32]),
             isv_svn: 1,
             report_data: report_data_from(b"dh-pubkey-digest"),
         };
-        ereport(p.inner.device_key(), p.psp.target_info(), body)
+        ereport(p.device_key(), p.attestation_target_info(), body)
     }
 
     #[test]
@@ -453,7 +323,7 @@ mod tests {
         };
         // Targeted at some other enclave, not the PSP.
         let wrong_target = ereport(
-            p.inner.device_key(),
+            p.device_key(),
             TargetInfo {
                 mrenclave: Measurement([9u8; 32]),
             },
@@ -464,7 +334,7 @@ mod tests {
             Err(SgxError::QuoteInvalid(_))
         ));
         // MACed on a different platform (different device key).
-        let forged = ereport(&[6u8; 32], p.psp.target_info(), body);
+        let forged = ereport(&[6u8; 32], p.attestation_target_info(), body);
         assert!(matches!(
             p.evidence(&forged),
             Err(SgxError::ReportMacMismatch)
@@ -487,21 +357,22 @@ mod tests {
     fn vmtee_platform_is_priced_by_the_vmtee_profile() {
         let mut rng = SecureRng::seed_from_u64(5);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let p = deploy_platform(TeeBackend::VmTee, "vm1", &group, 3).unwrap();
+        let p = crate::tee::deploy_platform(TeeBackend::VmTee, "vm1", &group, 3).unwrap();
         assert_eq!(p.backend(), TeeBackend::VmTee);
         assert_eq!(p.platform_name(), "vm1");
         assert_eq!(p.model(), &CostModel::vmtee());
         assert_eq!(p.model().ecall_pair_sgx, 0);
         assert_eq!(p.attestation_target_info().mrenclave, psp_measurement());
-        assert!(p.epc_free_pages() >= VMTEE_EPC_PAGES - 64);
+        assert_eq!(p.epc_free_pages(), VMTEE_EPC_PAGES);
+        assert_eq!(p.attestor_counters(), Counters::new());
     }
 
     #[test]
     fn evidence_is_deterministic_in_name_and_seed() {
         let mut rng = SecureRng::seed_from_u64(42);
         let group = EpidGroup::new(7, &mut rng).unwrap();
-        let mut a = VmTeePlatform::new("vm0", &group, 9).unwrap();
-        let mut b = VmTeePlatform::new("vm0", &group, 9).unwrap();
+        let mut a = Platform::new(TeeBackend::VmTee, "vm0", &group, 9).unwrap();
+        let mut b = Platform::new(TeeBackend::VmTee, "vm0", &group, 9).unwrap();
         let ra = report_for_psp(&a);
         let rb = report_for_psp(&b);
         assert_eq!(
