@@ -5,17 +5,18 @@
 //! injection) are bit-for-bit reproducible — a requirement for reproducing
 //! the paper's instruction-count tables.
 //!
-//! The stream is RFC 7539's keystream, generated four blocks (256 bytes)
-//! per refill by `chacha20::blocks4`; `next_u64` and `next_u32` read
+//! The stream is RFC 7539's keystream, generated sixteen blocks (1 KiB)
+//! per refill by `chacha20::blocks16`; `next_u64` and `next_u32` read
 //! straight out of that buffer and reach `fill_bytes` only across a refill.
-//! A counter within three blocks of `u32::MAX`, where four would wrap it
-//! under the old nonce, refills one block at a time, so the nonce rolls
-//! after exactly block `u32::MAX`.
+//! The last sixteen blocks before `u32::MAX`, where sixteen would wrap the
+//! counter under the old nonce, are refilled one block at a time, so the
+//! nonce rolls after exactly block `u32::MAX`.
 
 use crate::chacha20::{self, COUNTER};
+use crate::sha256::Sha256;
 
-/// Bytes generated per refill: four ChaCha20 blocks.
-const BUF_LEN: usize = 256;
+/// Bytes generated per refill: sixteen ChaCha20 blocks.
+const BUF_LEN: usize = 1024;
 
 /// A seedable, deterministic cryptographically-strong PRNG.
 ///
@@ -33,9 +34,13 @@ pub struct SecureRng {
 impl SecureRng {
     /// Creates an RNG from an arbitrary-length seed.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let key = crate::sha256::sha256(seed);
+        Self::from_key(&crate::sha256::sha256(seed))
+    }
+
+    /// The RNG whose stream is the keystream of `key` from block 0.
+    fn from_key(key: &[u8; chacha20::KEY_LEN]) -> Self {
         SecureRng {
-            state: chacha20::state(&key, &[0u8; 12], 0),
+            state: chacha20::state(key, &[0u8; 12], 0),
             buffer: [0u8; BUF_LEN],
             used: BUF_LEN, // force refill on first use
         }
@@ -49,20 +54,23 @@ impl SecureRng {
     /// Derives an independent child RNG labelled by `label`.
     ///
     /// Children with distinct labels produce independent streams; the parent
-    /// stream is not perturbed.
+    /// stream is not perturbed. The child is `from_seed(key ‖ label)`, with
+    /// the parent's key as its 32 bytes, hashed without building that seed.
     pub fn fork(&self, label: &[u8]) -> Self {
-        let mut seed = Vec::with_capacity(32 + label.len());
-        for word in &self.state[4..COUNTER] {
-            seed.extend_from_slice(&word.to_le_bytes());
+        let mut key = [0u8; chacha20::KEY_LEN];
+        for (bytes, word) in key.chunks_exact_mut(4).zip(&self.state[4..COUNTER]) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
-        seed.extend_from_slice(label);
-        Self::from_seed(&seed)
+        let mut hasher = Sha256::new();
+        hasher.update(&key);
+        hasher.update(label);
+        Self::from_key(&hasher.finalize())
     }
 
     #[cold]
     fn refill(&mut self) {
-        if let Some(next) = self.state[COUNTER].checked_add(4) {
-            (self.buffer, self.used) = (chacha20::blocks4(&self.state), 0);
+        if let Some(next) = self.state[COUNTER].checked_add(16) {
+            (self.buffer, self.used) = (chacha20::blocks16(&self.state), 0);
             self.state[COUNTER] = next;
             return;
         }
@@ -219,8 +227,8 @@ mod tests {
     }
 
     // Word reads take their bytes in stream order, whether they come
-    // straight out of the buffer or straddle a refill (the 3-byte read
-    // puts the 32nd `next_u64` across byte 256).
+    // straight out of the buffer or straddle a refill (after the 3-byte
+    // read, the 128th `next_u64` straddles the refill at byte 1 024).
     #[test]
     fn mixed_reads_equal_the_stream_byte_by_byte() {
         let mut rng = SecureRng::seed_from_u64(42);
@@ -230,7 +238,7 @@ mod tests {
         let mut three = [0u8; 3];
         rng.fill_bytes(&mut three);
         mixed.extend(three);
-        for _ in 0..40 {
+        for _ in 0..140 {
             mixed.extend(rng.next_u64().to_le_bytes());
         }
         let mut bytewise = SecureRng::seed_from_u64(42);
@@ -243,16 +251,17 @@ mod tests {
 
     // Across the end of a nonce the stream is the one single-block refills
     // produced: block `u32::MAX` under the old nonce, then block 0 under
-    // the next — from every alignment of the four-block refill to the
-    // roll, and with a carry out of the nonce's low word.
+    // the next — from every alignment of the sixteen-block refill to the
+    // roll, through the first refill after it, and with a carry out of the
+    // nonce's low word.
     #[test]
     fn nonce_rolls_after_exactly_the_last_block() {
         let key = crate::sha256::sha256(&9u64.to_le_bytes());
         for nonce in [0u64, u64::from(u32::MAX)] {
-            for start in u32::MAX - 7..=u32::MAX {
+            for start in u32::MAX - 31..=u32::MAX {
                 let mut expected = Vec::new();
                 let (mut n, mut counter) = (nonce, start);
-                for _ in 0..16 {
+                for _ in 0..64 {
                     let mut nonce_bytes = [0u8; 12];
                     nonce_bytes[..8].copy_from_slice(&n.to_le_bytes());
                     expected.extend(chacha20::block(&key, &nonce_bytes, counter));
@@ -261,7 +270,7 @@ mod tests {
                         0
                     });
                 }
-                let mut bytes = [0u8; 1024];
+                let mut bytes = [0u8; 64 * 64];
                 SecureRng::positioned(9, nonce, start).fill_bytes(&mut bytes);
                 assert_eq!(
                     bytes.to_vec(),
@@ -299,6 +308,24 @@ mod tests {
         assert_ne!(c1.next_u64(), c2.next_u64());
         let mut c1_fresh = parent.fork(b"a");
         assert_eq!(c1_again.next_u64(), c1_fresh.next_u64());
+    }
+
+    // The hashed seed is the parent's key words, then the label: checked at
+    // label lengths either side of SHA-256's 64-byte block seam (32 + 31,
+    // 32 + 32, 32 + 33) and past it.
+    #[test]
+    fn fork_is_from_seed_of_key_then_label() {
+        let parent = SecureRng::seed_from_u64(7);
+        for len in [0, 1, 31, 32, 33, 64, 100] {
+            let label: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut seed: Vec<u8> = parent.state[4..COUNTER]
+                .iter()
+                .flat_map(|word| word.to_le_bytes())
+                .collect();
+            seed.extend(&label);
+            let (forked, seeded) = (parent.fork(&label), SecureRng::from_seed(&seed));
+            assert_eq!(forked.state, seeded.state, "label length {len}");
+        }
     }
 
     #[test]

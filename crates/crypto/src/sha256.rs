@@ -8,7 +8,7 @@
 //! extensions (`sha256rnds2`, `sha256msg1`, `sha256msg2`) when the CPU
 //! reports them at run time, else the portable FIPS 180-4 loop, which is
 //! also the oracle the tests hold the other to. The call into the SHA-NI
-//! kernel is the crate's second `unsafe` block (the first is ChaCha20's):
+//! kernel is one of the crate's four `unsafe` sites (ChaCha20 has two):
 //! rustc asks it of a `#[target_feature]` function, and it is sound
 //! because the call is made only after `is_x86_feature_detected!` has
 //! confirmed every feature the kernel enables. Inside, every intrinsic

@@ -198,12 +198,10 @@ fn injector_for(
     if faults.is_clean() {
         return None;
     }
-    let label = [
-        b"link".as_slice(),
-        &src.0.to_le_bytes(),
-        &dst.0.to_le_bytes(),
-    ]
-    .concat();
+    let mut label = [0u8; 12];
+    label[..4].copy_from_slice(b"link");
+    label[4..8].copy_from_slice(&src.0.to_le_bytes());
+    label[8..].copy_from_slice(&dst.0.to_le_bytes());
     let root = root.get_or_insert_with(|| SecureRng::seed_from_u64(seed));
     Some(FaultInjector::new(faults.clone(), root.fork(&label)))
 }

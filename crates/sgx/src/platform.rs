@@ -36,6 +36,15 @@ pub const DEFAULT_EPC_PAGES: usize = 24_576;
 /// Extra pages reserved per enclave for stack + static heap.
 const BASE_RUNTIME_PAGES: usize = 16;
 
+/// The label an ecall into `id` forks its RNG under: `"ecall"` then
+/// `id`, little-endian.
+fn ecall_label(id: EnclaveId) -> [u8; 13] {
+    let mut label = [0u8; 13];
+    label[..5].copy_from_slice(b"ecall");
+    label[5..].copy_from_slice(&id.to_le_bytes());
+    label
+}
+
 /// The component that turns a report into [`Evidence`]; which one a
 /// platform has is what makes it SGX or VM-TEE.
 enum Attestor {
@@ -228,9 +237,7 @@ impl TeePlatform for Platform {
         enclave.counters.normal(input.len() as u64 / 8 + 50);
         enclave.switchless.on_ecall_start();
 
-        let mut rng = self
-            .rng
-            .fork(&[b"ecall".as_slice(), &id.to_le_bytes()].concat());
+        let mut rng = self.rng.fork(&ecall_label(id));
         let result = {
             let mut ctx = EnclaveCtx {
                 counters: &mut enclave.counters,
@@ -288,9 +295,7 @@ impl TeePlatform for Platform {
         enclave.switchless.stats.elided += calls.len() as u64 - 1;
         enclave.switchless.on_ecall_start();
 
-        let mut rng = self
-            .rng
-            .fork(&[b"ecall".as_slice(), &id.to_le_bytes()].concat());
+        let mut rng = self.rng.fork(&ecall_label(id));
         let mut results = Vec::with_capacity(calls.len());
         let mut failure = None;
         {
