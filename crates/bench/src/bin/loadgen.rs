@@ -141,14 +141,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--sessions" => args.sessions = parse(value("--sessions")?, "--sessions")?,
             "--seed" => args.seed = parse(value("--seed")?, "--seed")?,
             "--mode" => args.mode = value("--mode")?.clone(),
-            "--rate" => args.rate = Some(parse(value("--rate")?, "--rate")?),
+            "--rate" => args.rate = Some(rate(value("--rate")?)?),
             "--concurrency" => args.concurrency = parse(value("--concurrency")?, "--concurrency")?,
             "--workers" => args.workers = parse(value("--workers")?, "--workers")?,
             "--clients" => args.clients = parse(value("--clients")?, "--clients")?,
             "--latency-us" => args.latency_us = parse(value("--latency-us")?, "--latency-us")?,
-            "--drop" => args.drop = parse(value("--drop")?, "--drop")?,
-            "--corrupt" => args.corrupt = parse(value("--corrupt")?, "--corrupt")?,
-            "--duplicate" => args.duplicate = parse(value("--duplicate")?, "--duplicate")?,
+            "--drop" => args.drop = chance(value("--drop")?, "--drop")?,
+            "--corrupt" => args.corrupt = chance(value("--corrupt")?, "--corrupt")?,
+            "--duplicate" => args.duplicate = chance(value("--duplicate")?, "--duplicate")?,
             "--switchless" => args.switchless = true,
             "--switchless-workers" => {
                 args.switchless_workers =
@@ -174,6 +174,27 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value for {flag}: {s}"))
+}
+
+/// An open-loop arrival rate: finite and above zero, or every report
+/// field derived from it (inter-arrival gaps, `rate_per_sec`) is garbage.
+fn rate(s: &str) -> Result<f64, String> {
+    let r: f64 = parse(s, "--rate")?;
+    if r.is_finite() && r > 0.0 {
+        Ok(r)
+    } else {
+        Err(format!("--rate must be a finite number above 0, not {s}"))
+    }
+}
+
+/// A per-packet fault probability in [0, 1]; NaN is rejected.
+fn chance(s: &str, flag: &str) -> Result<f64, String> {
+    let p: f64 = parse(s, flag)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("{flag} must be a probability in [0, 1], not {s}"))
+    }
 }
 
 /// The process's peak resident set (VmHWM) in bytes, from
@@ -303,4 +324,34 @@ fn main() -> ExitCode {
         report_rss();
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &[&str]) -> Result<Args, String> {
+        parse_args(&flags.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rate_must_be_finite_and_positive() {
+        for bad in ["nan", "NaN", "inf", "-inf", "0", "-5"] {
+            let err = args(&["--rate", bad]).err();
+            assert!(err.is_some_and(|e| e.contains("--rate")), "--rate {bad}");
+        }
+        assert_eq!(args(&["--rate", "250.5"]).unwrap().rate, Some(250.5));
+    }
+
+    #[test]
+    fn fault_chances_must_lie_in_the_unit_interval() {
+        for flag in ["--drop", "--corrupt", "--duplicate"] {
+            for bad in ["nan", "inf", "-0.1", "1.5"] {
+                let err = args(&[flag, bad]).err();
+                assert!(err.is_some_and(|e| e.contains(flag)), "{flag} {bad}");
+            }
+        }
+        let ok = args(&["--drop", "0", "--corrupt", "0.02", "--duplicate", "1"]).unwrap();
+        assert_eq!((ok.drop, ok.corrupt, ok.duplicate), (0.0, 0.02, 1.0));
+    }
 }

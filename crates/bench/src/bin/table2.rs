@@ -1,11 +1,12 @@
 //! Reproduces **Table 2**: number of instructions for a single packet
 //! transmission from inside an enclave — 1 packet vs a 100-packet batch,
-//! with and without symmetric encryption.
+//! with and without symmetric encryption — followed by the modelled
+//! amortisation sweep over batch sizes 1–100.
 //!
 //! Run: `cargo run --release -p teenet-bench --bin table2`
 
 use teenet::fmt;
-use teenet_bench::measure_packet_send;
+use teenet_bench::{measure_packet_send, BATCH_SWEEP};
 
 fn main() {
     let one_plain = measure_packet_send(1, false, 1);
@@ -38,4 +39,18 @@ fn main() {
         fmt::instr(per_packet_batched),
         per_packet_single / per_packet_batched.max(1)
     );
+
+    println!();
+    println!("Batch sweep (modelled, per packet; SGX(U) is for the whole batch):");
+    println!(" batch | SGX(U) | normal w/o crypto | normal crypto");
+    for n in BATCH_SWEEP {
+        let plain = measure_packet_send(n, false, 1);
+        let crypto = measure_packet_send(n, true, 1);
+        println!(
+            " {n:>5} | {:>6} | {:>17} | {:>13}",
+            plain.sgx_instr,
+            plain.normal_instr / u64::from(n),
+            crypto.normal_instr / u64::from(n)
+        );
+    }
 }

@@ -2,7 +2,7 @@
 #![forbid(unsafe_code)]
 
 //! Shared harness code for the table/figure reproduction binaries and the
-//! Criterion benches.
+//! benchmark's paper-reproduction workload (`benchmark/`).
 //!
 //! Each binary regenerates one artifact of the paper's evaluation (§5):
 //!
@@ -26,7 +26,7 @@ use teenet_sgx::{
 };
 
 /// A minimal attestation-target enclave (responder ecalls only) used by
-/// the Table 1 harness and the attestation benches.
+/// the Table 1 harness and the benchmark's paper-reproduction pass.
 pub struct AttestTarget {
     responder: AttestResponder,
 }
@@ -147,6 +147,9 @@ impl AttestBench {
     }
 }
 
+/// The batch sizes of Table 2's amortisation sweep (`--bin table2`).
+pub const BATCH_SWEEP: [u32; 7] = [1, 2, 5, 10, 20, 50, 100];
+
 /// Measures one batched packet send of `count` MTU packets; returns the
 /// counters attributable to the send itself (the triggering ecall's own
 /// entry cost is subtracted, since the paper measures the send operation).
@@ -219,6 +222,23 @@ mod tests {
             (950_000..990_000).contains(&hundred.normal_instr),
             "{hundred:?}"
         );
+
+        // The sweep `--bin table2` prints: two SGX(U) per packet plus four
+        // for the batch, and a per-packet normal cost that batching
+        // strictly amortises.
+        for encrypt in [false, true] {
+            let mut last_per_packet = u64::MAX;
+            for n in BATCH_SWEEP {
+                let c = measure_packet_send(n, encrypt, 2);
+                assert_eq!(c.sgx_instr, 2 * u64::from(n) + 4, "n={n} crypto={encrypt}");
+                let per_packet = c.normal_instr / u64::from(n);
+                assert!(
+                    per_packet < last_per_packet,
+                    "n={n} crypto={encrypt}: {c:?}"
+                );
+                last_per_packet = per_packet;
+            }
+        }
     }
 
     #[test]
