@@ -10,6 +10,8 @@
 //! Table 4 and the lower curve of Figure 3.
 
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::{panic, thread};
 
 use teenet::attest::AttestConfig;
 use teenet::ledger::{AttestKind, AttestLedger};
@@ -32,7 +34,7 @@ use crate::topology::{AsId, Topology};
 pub type Result<T> = core::result::Result<T, SgxError>;
 
 /// Counters split the way Table 4 reports them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdnReport {
     /// Steady-state counters of the inter-domain controller enclave.
     pub interdomain: Counters,
@@ -48,17 +50,20 @@ impl SdnReport {
     /// Average AS-local counters (the paper reports "the average of 30
     /// controllers").
     pub fn aslocal_avg(&self) -> Counters {
-        if self.aslocal.is_empty() {
-            return Counters::new();
-        }
-        let mut sum = Counters::new();
-        for c in &self.aslocal {
-            sum.merge(*c);
-        }
-        Counters {
-            sgx_instr: sum.sgx_instr / self.aslocal.len() as u64,
-            normal_instr: sum.normal_instr / self.aslocal.len() as u64,
-        }
+        average(&self.aslocal)
+    }
+}
+
+/// The per-controller average of `counters` (zero when empty).
+fn average(counters: &[Counters]) -> Counters {
+    let n = counters.len().max(1) as u64;
+    let mut sum = Counters::new();
+    for c in counters {
+        sum.merge(*c);
+    }
+    Counters {
+        sgx_instr: sum.sgx_instr / n,
+        normal_instr: sum.normal_instr / n,
     }
 }
 
@@ -153,40 +158,83 @@ impl SdnDeployment {
 
     /// Phase 1 (messages 1–4 of Figure 2): every AS-local controller
     /// attests the inter-domain controller and bootstraps its channel.
+    ///
+    /// The two sides run as a two-stage pipeline. A scoped thread serves
+    /// the controller's half (`ATTEST_BEGIN`, evidence, `ATTEST_FINISH`)
+    /// in AS order while this thread issues every AS's `CONNECT`, then
+    /// `COMPLETE`s the responses in order. Each platform sees the ecalls,
+    /// inputs and order of a serial loop, so every counter, nonce and
+    /// report byte is a serial loop's; the ledger records the ASes in
+    /// order, each once its `COMPLETE` succeeds. On one core it costs
+    /// about what the serial loop did.
+    ///
+    /// An `Err` is the one a serial loop returns: the lowest failing AS,
+    /// and within it the first failing step. By then later ASes may
+    /// already have run `CONNECT` and the controller their half, so the
+    /// deployment is not reused after an error. A panic on either thread
+    /// propagates.
     pub fn attest_all(&mut self) -> Result<()> {
         let qe_mr = self.controller_platform.attestation_target_info().mrenclave;
-        for i in 0..self.as_enclaves.len() {
-            // Message 1 from the AS-local enclave (the challenger).
-            let request =
-                self.as_platforms[i].ecall_nohost(self.as_enclaves[i], alc_fn::CONNECT, &[])?;
-            let nonce: [u8; 32] = request[..32].try_into().expect("nonce prefix");
-            self.as_nonces[i] = Some(nonce);
-            // Messages 2–4 on the controller platform.
-            let mut begin_input = request.clone();
-            begin_input.extend_from_slice(&qe_mr.0);
-            let report_bytes = self.controller_platform.ecall_nohost(
-                self.controller_enclave,
-                ic_fn::ATTEST_BEGIN,
-                &begin_input,
-            )?;
-            let report = Report::from_bytes(&report_bytes)?;
-            let evidence = self.controller_platform.evidence(&report)?;
-            let mut finish_input = nonce.to_vec();
-            finish_input.extend_from_slice(&evidence.to_bytes());
-            let response = self.controller_platform.ecall_nohost(
-                self.controller_enclave,
-                ic_fn::ATTEST_FINISH,
-                &finish_input,
-            )?;
-            // Message 9 back at the AS.
-            self.as_platforms[i].ecall_nohost(self.as_enclaves[i], alc_fn::COMPLETE, &response)?;
-            self.ledger.record(
-                AttestKind::InterdomainController,
-                i as u64,
-                u64::MAX, // the one controller
-            );
-        }
-        Ok(())
+        let controller = &mut *self.controller_platform;
+        let controller_enclave = self.controller_enclave;
+        let (request_tx, request_rx) = mpsc::channel::<([u8; 32], Vec<u8>)>();
+        let (response_tx, response_rx) = mpsc::channel();
+        thread::scope(|scope| {
+            let controller_side = scope.spawn(move || {
+                for (nonce, begin_input) in request_rx {
+                    let response =
+                        attest_on_controller(controller, controller_enclave, nonce, &begin_input);
+                    let failed = response.is_err();
+                    // Stop at the first error, or once the AS side has
+                    // stopped listening (a `COMPLETE` failed).
+                    if response_tx.send(response).is_err() || failed {
+                        break;
+                    }
+                }
+            });
+            // Message 1 from every AS-local enclave (the challenger).
+            let mut connect_error = None;
+            for i in 0..self.as_enclaves.len() {
+                let connect =
+                    self.as_platforms[i].ecall_nohost(self.as_enclaves[i], alc_fn::CONNECT, &[]);
+                let mut request = match connect {
+                    Ok(request) => request,
+                    Err(e) => {
+                        connect_error = Some(e);
+                        break;
+                    }
+                };
+                let nonce: [u8; 32] = request[..32].try_into().expect("nonce prefix");
+                self.as_nonces[i] = Some(nonce);
+                request.extend_from_slice(&qe_mr.0);
+                if request_tx.send((nonce, request)).is_err() {
+                    break; // the controller side stopped at an error
+                }
+            }
+            drop(request_tx);
+            // Message 9 back at each AS, in order.
+            let completed = response_rx
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, response)| {
+                    self.as_platforms[i].ecall_nohost(
+                        self.as_enclaves[i],
+                        alc_fn::COMPLETE,
+                        &response?,
+                    )?;
+                    self.ledger.record(
+                        AttestKind::InterdomainController,
+                        i as u64,
+                        u64::MAX, // the one controller
+                    );
+                    Ok(())
+                });
+            drop(response_rx);
+            if let Err(panic) = controller_side.join() {
+                panic::resume_unwind(panic);
+            }
+            completed.and(connect_error.map_or(Ok(()), Err))
+        })
     }
 
     /// Excludes setup costs, as the paper's Table 4 does ("we exclude the
@@ -379,6 +427,23 @@ impl SdnDeployment {
     }
 }
 
+/// The controller's half of one attestation (messages 2–4 of Figure 2).
+/// `begin_input` is the AS's request followed by the quoting enclave's
+/// measurement; returns the response the AS `COMPLETE`s.
+fn attest_on_controller(
+    platform: &mut dyn TeePlatform,
+    enclave: EnclaveId,
+    nonce: [u8; 32],
+    begin_input: &[u8],
+) -> Result<Vec<u8>> {
+    let report_bytes = platform.ecall_nohost(enclave, ic_fn::ATTEST_BEGIN, begin_input)?;
+    let report = Report::from_bytes(&report_bytes)?;
+    let evidence = platform.evidence(&report)?;
+    let mut finish_input = nonce.to_vec();
+    finish_input.extend_from_slice(&evidence.to_bytes());
+    platform.ecall_nohost(enclave, ic_fn::ATTEST_FINISH, &finish_input)
+}
+
 /// Counters for the native (non-SGX) baseline of Table 4.
 #[derive(Debug, Clone)]
 pub struct NativeReport {
@@ -394,17 +459,7 @@ pub struct NativeReport {
 impl NativeReport {
     /// Average AS-local counters.
     pub fn aslocal_avg(&self) -> Counters {
-        if self.aslocal.is_empty() {
-            return Counters::new();
-        }
-        let mut sum = Counters::new();
-        for c in &self.aslocal {
-            sum.merge(*c);
-        }
-        Counters {
-            sgx_instr: 0,
-            normal_instr: sum.normal_instr / self.aslocal.len() as u64,
-        }
+        average(&self.aslocal)
     }
 }
 
@@ -426,5 +481,201 @@ pub fn run_native(topology: &Topology, policies: &HashMap<AsId, LocalPolicy>) ->
         interdomain,
         aslocal,
         outcome,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use teenet_sgx::{EnclaveCtx, EnclaveProgram, Measurement};
+
+    const SEED: u64 = 42;
+
+    fn deployment(n: u32) -> SdnDeployment {
+        let t = Topology::random(n, &mut SecureRng::seed_from_u64(9));
+        SdnDeployment::new(&t, &crate::default_policies(&t), AttestConfig::fast(), SEED).unwrap()
+    }
+
+    fn author() -> SigningKey {
+        SigningKey::generate(&SchnorrGroup::small(), &mut SecureRng::seed_from_u64(7)).unwrap()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// An enclave that answers every ecall with the same result.
+    struct Canned(core::result::Result<Vec<u8>, SgxError>);
+
+    impl EnclaveProgram for Canned {
+        fn code_image(&self) -> Vec<u8> {
+            b"canned".to_vec()
+        }
+
+        fn ecall(&mut self, _: &mut EnclaveCtx<'_>, _: u64, _: &[u8]) -> Result<Vec<u8>> {
+            self.0.clone()
+        }
+    }
+
+    /// An enclave whose every ecall panics.
+    struct Panics;
+
+    impl EnclaveProgram for Panics {
+        fn code_image(&self) -> Vec<u8> {
+            b"panics".to_vec()
+        }
+
+        fn ecall(&mut self, _: &mut EnclaveCtx<'_>, _: u64, _: &[u8]) -> Result<Vec<u8>> {
+            panic!("enclave panicked")
+        }
+    }
+
+    /// One way for AS `k`'s attestation to go wrong.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// AS `k`'s `CONNECT` fails.
+        Connect,
+        /// The controller rejects AS `k`'s request (`ATTEST_BEGIN`).
+        Controller,
+        /// AS `k` expects another controller measurement, so its
+        /// `COMPLETE` fails.
+        Complete,
+    }
+
+    fn with_fault(d: &mut SdnDeployment, k: usize, fault: Fault) {
+        let epid = EpidGroup::new(1, &mut SecureRng::seed_from_u64(SEED)).unwrap();
+        let program: Box<dyn EnclaveProgram> = match fault {
+            Fault::Connect => Box::new(Canned(Err(SgxError::EcallRejected("refused")))),
+            Fault::Controller => Box::new(Canned(Ok(vec![0; 64]))),
+            Fault::Complete => Box::new(AsLocalController::new(
+                LocalPolicy::new(AsId(k as u32)),
+                Vec::new(),
+                AttestConfig::fast(),
+                Measurement([0xaa; 32]),
+                epid.public_key(),
+            )),
+        };
+        d.as_enclaves[k] = d.as_platforms[k]
+            .create_signed(program, &author(), 1)
+            .unwrap();
+    }
+
+    /// Runs `attest_all` on another thread and fails the test if it has
+    /// not returned within a minute. A panic inside comes back as `Err`.
+    fn attest_with_deadline(mut d: SdnDeployment) -> thread::Result<(Result<()>, SdnDeployment)> {
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let outcome = d.attest_all();
+            let _ = tx.send(());
+            (outcome, d)
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("attest_all did not return"),
+            _ => runner.join(),
+        }
+    }
+
+    /// Platform state after `attest_all` at seed 42 on a 10-AS topology,
+    /// as the serial loop left it: every ecall, RNG draw and counter of
+    /// the pipelined one must match.
+    #[test]
+    fn attest_all_leaves_pinned_platform_state() {
+        const NONCES: [&str; 10] = [
+            "66282c0620f488207c2e542336d572a31807d674f488299af868b03068ed0db3",
+            "315523ca256b2d31c7b0c923c4a9d069431c3a67cfd756bfde3c93affa130581",
+            "a9be55517bfc4205aa495bf7aec7a71e14a213cca11c5c3c8b5033bafa3dd574",
+            "0253923694cf223329421d4749fbf69ce8c011af4b2fbbf4c25fa4633c6984ed",
+            "138eb5e66c38d29c1432f078d3d3314e64b335d14fb4e5653f7443d8e2200b57",
+            "302f82aa0f02af3867670c831f493ff1ed891b870539864f37afa6fb8a9d8294",
+            "5a776f1a84455cbc4b3f19d18d71472449e9ba40d3ab1116936f964bc09409ac",
+            "92f02c22e3f74397f0f5b263ae99d00461014abe8d87a84147c1873c7d02d3c0",
+            "b0549964de17680aec24a127fc82d1183ff816c4462b7700419d52da9ff43743",
+            "c15bd0fe1d0d10e151c51b38edfc5a47daaa94db9176d0b5243a7333b39bd085",
+        ];
+        let (outcome, d) = attest_with_deadline(deployment(10)).expect("no panic");
+        outcome.unwrap();
+        let controller = d.controller_enclave;
+        assert_eq!(
+            d.controller_platform.counters_of(controller).unwrap(),
+            Counters {
+                sgx_instr: 60,
+                normal_instr: 42_085_020_560,
+            }
+        );
+        assert_eq!(
+            d.controller_platform
+                .transition_stats_of(controller)
+                .unwrap(),
+            TransitionStats {
+                taken: 20,
+                ..TransitionStats::new()
+            }
+        );
+        for (i, platform) in d.as_platforms.iter().enumerate() {
+            assert_eq!(
+                platform.counters_of(d.as_enclaves[i]).unwrap(),
+                Counters {
+                    sgx_instr: 12,
+                    normal_instr: 218_500_486,
+                },
+                "AS{i}"
+            );
+        }
+        let nonces: Vec<String> = d.as_nonces.iter().map(|n| hex(&n.unwrap())).collect();
+        assert_eq!(nonces, NONCES);
+        assert_eq!(d.ledger.rows(), [(AttestKind::InterdomainController, 10)]);
+        assert_eq!(d.ledger.repeats_avoided(), 0);
+        assert_eq!(
+            d.transition_stats().unwrap(),
+            TransitionStats {
+                taken: 40,
+                ..TransitionStats::new()
+            }
+        );
+    }
+
+    /// Faults at one AS, and at two where the lower one must win.
+    #[test]
+    fn a_failed_attestation_returns_the_serial_loops_error() {
+        let bad_request = SgxError::EcallRejected("bad AttestRequest");
+        let mismatch = SgxError::EcallRejected("controller attestation failed");
+        let refused = SgxError::EcallRejected("refused");
+        let cases: [(&[(usize, Fault)], &SgxError); 8] = [
+            (&[(0, Fault::Connect)], &refused),
+            (&[(0, Fault::Controller)], &bad_request),
+            (&[(0, Fault::Complete)], &mismatch),
+            (&[(5, Fault::Connect)], &refused),
+            (&[(5, Fault::Controller)], &bad_request),
+            (&[(5, Fault::Complete)], &mismatch),
+            (&[(2, Fault::Complete), (5, Fault::Connect)], &mismatch),
+            (&[(2, Fault::Controller), (5, Fault::Connect)], &bad_request),
+        ];
+        for (faults, expected) in cases {
+            let mut d = deployment(10);
+            for &(k, fault) in faults {
+                with_fault(&mut d, k, fault);
+            }
+            let (outcome, d) = attest_with_deadline(d).expect("no panic");
+            assert_eq!(outcome.as_ref(), Err(expected), "{faults:?}");
+            assert_eq!(d.ledger.total(), faults[0].0 as u64, "{faults:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_either_side_propagates() {
+        let mut as_side = deployment(10);
+        as_side.as_enclaves[5] = as_side.as_platforms[5]
+            .create_signed(Box::new(Panics), &author(), 1)
+            .unwrap();
+        let mut controller_side = deployment(10);
+        controller_side.controller_enclave = controller_side
+            .controller_platform
+            .create_signed(Box::new(Panics), &author(), 1)
+            .unwrap();
+        for d in [as_side, controller_side] {
+            let payload = attest_with_deadline(d).err().expect("a panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"enclave panicked"));
+        }
     }
 }

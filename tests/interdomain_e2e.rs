@@ -149,12 +149,8 @@ fn deployment_is_deterministic() {
     let policies = default_policies(&t);
     let run = |seed| {
         let mut d = SdnDeployment::new(&t, &policies, AttestConfig::fast(), seed).unwrap();
-        let r = d.run().unwrap();
-        (
-            r.interdomain.normal_instr,
-            r.interdomain.sgx_instr,
-            r.routes_installed,
-        )
+        let report = d.run().unwrap();
+        (report, d.transition_stats().unwrap())
     };
     assert_eq!(run(42), run(42));
 }
