@@ -620,10 +620,8 @@ fn index_is_static(index: &[&Token]) -> bool {
     })
 }
 
-/// The original token-adjacency engine: a secret identifier literally
-/// inside a sink's argument list. Kept as the first layer of the flow
-/// rule and exported (via [`secret_egress_adjacency_scan`]) so a test
-/// can prove what the flow upgrade catches that this engine misses.
+/// The first layer of the flow rule, token adjacency: a secret identifier
+/// literally inside a sink's argument list.
 fn rule_secret_egress_adjacent(
     config: &AnalyzeConfig,
     sig: &[&Token],
@@ -671,20 +669,6 @@ fn rule_secret_egress_adjacent(
             j += 1;
         }
     }
-}
-
-/// Runs only the pre-flow token-adjacency secret-egress engine over
-/// `src`, returning the lines it flags. Exists solely so tests can
-/// demonstrate the flow upgrade's delta against the old engine.
-pub fn secret_egress_adjacency_scan(config: &AnalyzeConfig, src: &str) -> Vec<u32> {
-    let tokens = lex(src);
-    let sig: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::Comment(_)))
-        .collect();
-    let mut out = Vec::new();
-    rule_secret_egress_adjacent(config, &sig, &mut out);
-    out.into_iter().map(|(line, _, _)| line).collect()
 }
 
 /// L2, flow-aware: the adjacency layer above, plus taint propagation —
@@ -1683,14 +1667,13 @@ mod tests {
     // ---- flow-aware secret-egress --------------------------------------
 
     #[test]
-    fn renamed_secret_caught_by_flow_missed_by_adjacency() {
+    fn renamed_secret_is_caught_through_its_binding() {
+        // No secret-named token sits next to the sink: only taint tracked
+        // through the `let` finds the leak.
         let src = "fn stage(device_key: &[u8], ctx: &mut Ctx) {\n\
                        let staged = device_key.to_vec();\n\
                        ctx.ocall(\"persist\", &staged);\n\
                    }\n";
-        // The old token-adjacency engine misses the renamed binding…
-        assert_eq!(secret_egress_adjacency_scan(&cfg(), src), Vec::<u32>::new());
-        // …the flow engine does not.
         let f = scan_file(&cfg(), "host.rs", src);
         let hits: Vec<&Finding> = f.iter().filter(|x| x.rule == rule::SECRET_EGRESS).collect();
         assert_eq!(hits.len(), 1, "{f:?}");

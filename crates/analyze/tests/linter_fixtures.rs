@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use teenet_analyze::config::AnalyzeConfig;
 use teenet_analyze::report::LintReport;
-use teenet_analyze::rules::{rule, scan_file, secret_egress_adjacency_scan, Finding};
+use teenet_analyze::rules::{rule, scan_file, Finding};
 use teenet_analyze::scan_workspace;
 
 fn fixtures_root() -> PathBuf {
@@ -187,20 +187,11 @@ fn nonce_reuse_good_fixture_has_zero_findings() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-/// The tentpole's delta proof: both engines run over the renamed-secret
-/// fixture. The old token-adjacency engine sees nothing (no secret
-/// identifier is adjacent to a sink), the flow engine tracks the taint
-/// through the rebinding and reports both leaks.
+/// The renamed-secret fixture: no secret identifier is adjacent to a
+/// sink, so only the flow engine, tracking the taint through the
+/// rebindings, reports the two leaks.
 #[test]
-fn egress_taint_fixture_proves_flow_over_adjacency() {
-    let src = fs::read_to_string(fixtures_root().join("egress_taint_bad.rs")).expect("fixture");
-    let adjacency = secret_egress_adjacency_scan(&fixture_config(), &src);
-    assert_eq!(
-        adjacency,
-        Vec::<u32>::new(),
-        "adjacency must miss the renames"
-    );
-
+fn egress_taint_fixture_flags_both_renamed_leaks() {
     let f = scan("egress_taint_bad.rs");
     assert!(
         f.iter()

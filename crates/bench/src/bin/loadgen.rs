@@ -11,12 +11,10 @@
 //! concurrency, with optional link fault injection. Same scenario + seed
 //! ⇒ byte-identical `--json` output.
 //!
-//! The default engine is the streaming one — sessions generated lazily
-//! and retired as they finish, memory O(live sessions) — so `--sessions
-//! 1000000` runs in a few megabytes of RSS. `--reference` switches to the
-//! retained oracle engine (every session materialised, O(sessions)
-//! memory), whose reports are byte-identical; CI diffs the two. `--rss`
-//! prints the process's peak RSS to stderr after the run.
+//! The engine generates sessions lazily and retires them as they finish,
+//! memory O(live sessions), so `--sessions 1000000` runs in a few
+//! megabytes of RSS. `--rss` prints the process's peak RSS to stderr after
+//! the run.
 //!
 //! `--shards N` switches to the sharded replay model (`teenet-load`'s
 //! [`shard`](teenet_load::shard) module): sessions replay independently
@@ -66,10 +64,7 @@ OPTIONS:
                            charges on I/O crossings, PSP attestation)
     --shards <n>           replay with the sharded model across n OS
                            threads (report byte-identical for every n;
-                           default: the serial streaming engine)
-    --reference            serial runs only: use the retained reference
-                           engine (O(sessions) memory) instead of the
-                           streaming one — reports are byte-identical
+                           default: the serial engine)
     --rss                  print `peak_rss_bytes=<n>` (VmHWM) to stderr
                            after the run
     --json                 emit the byte-stable JSON report instead of text
@@ -95,7 +90,6 @@ struct Args {
     spin_budget: u32,
     backend: TeeBackend,
     shards: Option<u32>,
-    reference: bool,
     rss: bool,
     json: bool,
     list: bool,
@@ -121,7 +115,6 @@ impl Default for Args {
             spin_budget: 0,
             backend: TeeBackend::Sgx,
             shards: None,
-            reference: false,
             rss: false,
             json: false,
             list: false,
@@ -161,7 +154,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or_else(|| format!("bad value for --backend: {raw} (sgx or vmtee)"))?;
             }
             "--shards" => args.shards = Some(parse(value("--shards")?, "--shards")?),
-            "--reference" => args.reference = true,
             "--rss" => args.rss = true,
             "--json" => args.json = true,
             "--list" => args.list = true,
@@ -243,12 +235,6 @@ fn main() -> ExitCode {
         eprintln!("error: --scenario is required (one of {NAMES:?})\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    if args.reference && args.shards.is_some() {
-        eprintln!(
-            "error: --reference is the serial oracle engine; it cannot combine with --shards"
-        );
-        return ExitCode::FAILURE;
-    }
     let transition_mode = if args.switchless {
         TransitionMode::Switchless
     } else {
@@ -306,13 +292,6 @@ fn main() -> ExitCode {
 
     let report = match args.shards {
         Some(n) => runner.run_sharded(scenario.name(), &calibration, n.max(1)),
-        None if args.reference => match runner.run_reference(scenario.name(), &calibration) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
         None => runner.run(scenario.name(), &calibration),
     };
     if args.json {

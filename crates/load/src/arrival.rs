@@ -47,16 +47,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Number of sessions handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Total sessions this process will issue.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Next arrival time, or `None` when exhausted.
     ///
     /// Open loop: exponential gaps via inverse-CDF sampling. Closed loop:

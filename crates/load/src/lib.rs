@@ -31,8 +31,7 @@
 //!   queueing), timeouts, and deterministic event ordering. Sessions are
 //!   generated lazily into a ring indexed by session id and retired as
 //!   they finish, so memory is O(span of live ids) — a million-session run
-//!   fits in a bounded footprint. A retained reference engine
-//!   ([`LoadRunner::run_reference`]) is kept as the byte-identity oracle.
+//!   fits in a bounded footprint.
 //! * [`shard`] — the sharded replay model: per-session independent
 //!   replay partitioned across OS threads, with reports byte-identical
 //!   for every thread count.
@@ -52,7 +51,7 @@ pub use arrival::{Arrival, ArrivalProcess};
 pub use hist::Histogram;
 pub use metrics::{Counter, Gauge, PhaseRollup, RunMetrics};
 pub use report::RunReport;
-pub use runner::{EngineStats, LoadConfig, LoadError, LoadMode, LoadRunner};
+pub use runner::{EngineStats, LoadConfig, LoadMode, LoadRunner};
 pub use scenario::{Calibration, OpProfile, Scenario};
 pub use scenarios::{ScenarioEntry, ServiceScenario, NAMES, REGISTRY};
 pub use shard::ShardPlan;

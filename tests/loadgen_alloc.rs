@@ -7,10 +7,9 @@
 //! an inbox, so a message allocates nothing at all. What a replay does
 //! allocate is bookkeeping that stops growing once the run reaches its
 //! high-water marks: network, slab, index, event queues, the report. This
-//! test pins that with a counting global allocator, on the streaming
-//! engine and on the retained reference engine alike (both frame and
-//! dispatch through the same code): 1 600 messages fit in the constant
-//! that used to be allowed *on top of* one allocation per message.
+//! test pins that with a counting global allocator: 1 600 messages fit in
+//! the constant that used to be allowed *on top of* one allocation per
+//! message.
 //!
 //! The same test differences two sharded runs to pin the pooled shard
 //! engine's per-session cost: one more session allocates (almost) nothing
@@ -111,28 +110,21 @@ fn a_message_allocates_nothing_whatever_its_frame_size() {
     let cfg = LoadConfig::new(sessions, 7, LoadMode::Closed { concurrency: 16 });
     let runner = LoadRunner::new(cfg);
 
-    // Warm both paths once so lazily initialised process state (stdio,
-    // cost-model tables) doesn't land in either counted window.
-    let warm_stream = runner.run("toy", &cal);
-    let warm_ref = runner.run_reference("toy", &cal).unwrap();
-    assert_eq!(warm_stream.json(), warm_ref.json());
+    // Warm once so lazily initialised process state (stdio, cost-model
+    // tables) doesn't land in the counted window.
+    let warm = runner.run("toy", &cal);
 
-    let (stream_report, stream_allocs) = allocs_during(|| runner.run("toy", &cal));
-    let (ref_report, ref_allocs) = allocs_during(|| runner.run_reference("toy", &cal).unwrap());
-    assert_eq!(stream_report.json(), ref_report.json());
-    assert_eq!(stream_report.completed, sessions);
+    let (report, allocs) = allocs_during(|| runner.run("toy", &cal));
+    assert_eq!(report.json(), warm.json());
+    assert_eq!(report.completed, sessions);
 
     // Bookkeeping only, none of it per message: network, slab, index and
-    // event queues growing to their high-water marks, the report. The
-    // retained engine's session `Vec` is sized up front, so it is bounded
-    // the same.
+    // event queues growing to their high-water marks, the report.
     let bookkeeping = 100;
-    for (engine, allocs) in [("streaming", stream_allocs), ("reference", ref_allocs)] {
-        assert!(
-            allocs <= bookkeeping,
-            "{engine} engine allocates per message: {allocs} allocs for {messages} messages"
-        );
-    }
+    assert!(
+        allocs <= bookkeeping,
+        "the engine allocates per message: {allocs} allocs for {messages} messages"
+    );
 
     // Sharded arm. Thread start-up, the per-shard engine and its one set
     // of metrics are the same in a 200- and a 400-session run, so their

@@ -106,6 +106,35 @@ fn run_json_same_instant(latency: SimDuration) -> String {
     LoadRunner::new(config).run("toy", &calibration).json()
 }
 
+/// The fault-mix matrix: every scenario in both transition modes, open
+/// loop at the auto rate and closed loop at concurrency 8, 150 sessions at
+/// seed 23 over links that drop, corrupt and duplicate datagrams — so
+/// retransmissions, stale timeouts and duplicate deliveries all reach the
+/// engine's session table in both arrival disciplines.
+const MIX_SEED: u64 = 23;
+const MIX_SESSIONS: u64 = 150;
+const MIX_LOAD_MODES: [(&str, LoadMode); 2] = [
+    ("open", LoadMode::Open { rate_per_sec: None }),
+    ("closed", LoadMode::Closed { concurrency: 8 }),
+];
+
+fn mix_config(mode: LoadMode) -> LoadConfig {
+    let mut config = LoadConfig::new(MIX_SESSIONS, MIX_SEED, mode);
+    config.faults = FaultConfig {
+        drop_chance: 0.04,
+        corrupt_chance: 0.03,
+        duplicate_chance: 0.02,
+        ..FaultConfig::default()
+    };
+    config
+}
+
+fn mix_fixture_path(name: &str, mode: TransitionMode, load: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/loadgen")
+        .join(format!("{name}.{}.{load}-mix.json", mode.as_str()))
+}
+
 fn fixture_path(name: &str, mode: TransitionMode) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/fixtures/loadgen")
@@ -249,6 +278,32 @@ fn same_instant_deliveries_match_golden() {
 }
 
 #[test]
+fn every_fault_mix_cell_matches_golden() {
+    for name in NAMES {
+        for mode in [TransitionMode::Classic, TransitionMode::Switchless] {
+            let mut scenario = by_name_mode(name, MIX_SEED, mode).expect("known scenario");
+            let calibration = scenario.calibrate();
+            for (load, lmode) in MIX_LOAD_MODES {
+                let report = LoadRunner::new(mix_config(lmode)).run(scenario.name(), &calibration);
+                let what = format!("scenario {name} ({}) {load} loop, fault mix", mode.as_str());
+                assert_eq!(
+                    report.completed + report.failed,
+                    MIX_SESSIONS,
+                    "{what}: every session must resolve"
+                );
+                // The run must exercise what it exists to pin: every fault
+                // kind reaching the engine.
+                assert!(
+                    report.retries > 0 && report.corrupt_rx > 0 && report.net.duplicated > 0,
+                    "{what}: a fault kind never fired"
+                );
+                assert_golden(&report.json(), &mix_fixture_path(name, mode, load), &what);
+            }
+        }
+    }
+}
+
+#[test]
 fn every_scenario_has_a_fixture() {
     for name in NAMES {
         for mode in [TransitionMode::Classic, TransitionMode::Switchless] {
@@ -258,6 +313,14 @@ fn every_scenario_has_a_fixture() {
                 "no golden fixture for {name} ({})",
                 mode.as_str()
             );
+            for (load, _) in MIX_LOAD_MODES {
+                assert!(
+                    mix_fixture_path(name, mode, load).exists()
+                        || std::env::var_os("UPDATE_LOADGEN_GOLDEN").is_some(),
+                    "no fault-mix fixture for {name} ({}) {load} loop",
+                    mode.as_str()
+                );
+            }
         }
     }
 }
