@@ -5,12 +5,12 @@
 //! four per-application `driver.rs` files: lifecycle ordering, uniform
 //! instruction/transition metering around each step, the batched-ecall
 //! marginal-cost measurement for switchless calibration, and assembly of
-//! the final [`WorkProfile`].
+//! the final [`Calibration`].
 
 use teenet_sgx::cost::Counters;
 use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode, TransitionStats};
 
-use crate::profile::{WorkProfile, WorkStep};
+use crate::profile::{Calibration, OpProfile};
 use crate::service::{
     AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepOutcome, StepRequest,
     StepSpec,
@@ -44,51 +44,30 @@ impl Meters {
 }
 
 /// The generic calibrator: drives an [`EnclaveService`] through its
-/// lifecycle and meters every step into a replayable [`WorkProfile`].
+/// lifecycle and meters every step into a replayable [`Calibration`].
 #[derive(Debug)]
 pub struct AppHarness {
     env: ServiceEnv,
 }
 
 impl AppHarness {
-    /// A harness for one calibration run at `seed` under `mode`, on the
-    /// SGX backend.
-    pub fn new(seed: u64, mode: TransitionMode) -> Self {
-        AppHarness {
-            env: ServiceEnv::new(seed, mode),
-        }
-    }
-
-    /// A harness calibrating against `backend`.
-    pub fn with_backend(seed: u64, mode: TransitionMode, backend: TeeBackend) -> Self {
-        AppHarness {
-            env: ServiceEnv::with_backend(seed, mode, backend),
-        }
-    }
-
-    /// A harness calibrating with an explicit switchless worker-pool
-    /// configuration.
-    pub fn with_switchless(
+    /// A harness for one calibration run at `seed` under `mode`, against
+    /// `backend`, with the `switchless` worker-pool configuration.
+    pub fn new(
         seed: u64,
         mode: TransitionMode,
         backend: TeeBackend,
         switchless: SwitchlessConfig,
     ) -> Self {
         AppHarness {
-            env: ServiceEnv::with_switchless(seed, mode, backend, switchless),
+            env: ServiceEnv::new(seed, mode, backend, switchless),
         }
-    }
-
-    /// The environment the harness wires into the service (readable after
-    /// calibration, e.g. for ledger accounting).
-    pub fn env(&self) -> &ServiceEnv {
-        &self.env
     }
 
     /// Runs the full lifecycle — deploy, provision, mode switch, setup
     /// metering, per-step calibration, teardown — and returns the
-    /// calibrated profile.
-    pub fn calibrate<S: EnclaveService>(&mut self, svc: &mut S) -> Result<WorkProfile, S::Error> {
+    /// calibration.
+    pub fn calibrate<S: EnclaveService>(&mut self, svc: &mut S) -> Result<Calibration, S::Error> {
         svc.deploy(&mut self.env)?;
         svc.provision(&mut self.env)?;
         svc.set_transition_mode(self.env.mode, self.env.switchless)?;
@@ -99,13 +78,13 @@ impl AppHarness {
             return Err(AppError::Harness("session script must not be empty").into());
         }
 
-        let mut steps = Vec::new();
+        let mut ops = Vec::new();
         for spec in &script {
             match spec.kind {
-                StepKind::Repeat(n) => self.repeat_step(svc, spec, n, &mut steps)?,
-                StepKind::AmortisedBatch(n) => self.amortised_step(svc, spec, n, &mut steps)?,
+                StepKind::Repeat(n) => self.repeat_step(svc, spec, n, &mut ops)?,
+                StepKind::AmortisedBatch(n) => self.amortised_step(svc, spec, n, &mut ops)?,
                 StepKind::Computed => match svc.run_step(spec, StepRequest::Once, &mut self.env)? {
-                    StepOutcome::Computed(step) => steps.push(step),
+                    StepOutcome::Computed(op) => ops.push(op),
                     StepOutcome::Executed(_) => {
                         return Err(AppError::Harness(
                             "computed step returned an executed outcome",
@@ -117,9 +96,12 @@ impl AppHarness {
         }
 
         svc.teardown(&mut self.env)?;
-        Ok(WorkProfile {
+        // `ops` grew by pushes; a calibration outlives the run that built
+        // it (a replay holds it for its whole length), so it keeps no slack.
+        ops.shrink_to_fit();
+        Ok(Calibration {
             setup,
-            steps,
+            ops,
             mode: self.env.mode,
             backend: self.env.backend,
             switchless: self.env.switchless,
@@ -132,7 +114,7 @@ impl AppHarness {
         svc: &mut S,
         spec: &StepSpec,
         n: u32,
-        steps: &mut Vec<WorkStep>,
+        ops: &mut Vec<OpProfile>,
     ) -> Result<(), S::Error> {
         if n == 0 {
             return Err(AppError::Calibration("step repeat must be at least 1").into());
@@ -140,23 +122,23 @@ impl AppHarness {
         let before = Meters::read(svc)?;
         let exec = self.executed(svc, spec, StepRequest::Once)?;
         let delta = Meters::read(svc)?.since(&before);
-        let step = assemble(spec, &delta, &exec);
+        let op = assemble(spec, &delta, &exec)?;
         for _ in 0..n {
-            steps.push(step);
+            ops.push(op);
         }
         Ok(())
     }
 
     /// The batched-ecall marginal-cost measurement: a batch of one pays
     /// the full per-batch boundary cost; a batch of two reveals the pure
-    /// marginal per-operation cost. The profile carries the batch-of-one
-    /// step once and the marginal step `n - 1` times.
+    /// marginal per-operation cost. The calibration carries the
+    /// batch-of-one step once and the marginal step `n - 1` times.
     fn amortised_step<S: EnclaveService>(
         &mut self,
         svc: &mut S,
         spec: &StepSpec,
         n: u32,
-        steps: &mut Vec<WorkStep>,
+        ops: &mut Vec<OpProfile>,
     ) -> Result<(), S::Error> {
         if n == 0 {
             return Err(AppError::Calibration("step repeat must be at least 1").into());
@@ -164,7 +146,7 @@ impl AppHarness {
         let before_one = Meters::read(svc)?;
         let exec_one = self.executed(svc, spec, StepRequest::Batch(1))?;
         let delta_one = Meters::read(svc)?.since(&before_one);
-        let first = assemble(spec, &delta_one, &exec_one);
+        let first = assemble(spec, &delta_one, &exec_one)?;
 
         let before_two = Meters::read(svc)?;
         let exec_two = self.executed(svc, spec, StepRequest::Batch(2))?;
@@ -172,7 +154,8 @@ impl AppHarness {
 
         // Marginal cost of one more operation inside the same batch:
         // batch-of-two minus batch-of-one, on every meter.
-        let marginal = WorkStep {
+        // batch-of-two minus batch-of-one, on every meter.
+        let marginal = OpProfile {
             name: spec.name,
             client: {
                 let mut two = delta_two.client;
@@ -182,14 +165,14 @@ impl AppHarness {
                 two.since(one)
             },
             server: delta_two.server.since(delta_one.server),
-            request_bytes: exec_two.request_bytes,
-            response_bytes: exec_two.response_bytes,
+            request_bytes: wire_bytes(exec_two.request_bytes)?,
+            response_bytes: wire_bytes(exec_two.response_bytes)?,
             transitions: delta_two.transitions.since(delta_one.transitions),
         };
 
-        steps.push(first);
+        ops.push(first);
         for _ in 1..n {
-            steps.push(marginal);
+            ops.push(marginal);
         }
         Ok(())
     }
@@ -210,19 +193,24 @@ impl AppHarness {
     }
 }
 
-/// Builds a profile step from a metered delta plus the service's
+/// Builds a calibrated op from a metered delta plus the service's
 /// execution report.
-fn assemble(spec: &StepSpec, delta: &Meters, exec: &StepExecution) -> WorkStep {
+fn assemble(spec: &StepSpec, delta: &Meters, exec: &StepExecution) -> Result<OpProfile, AppError> {
     let mut client = delta.client;
     client.merge(exec.client);
-    WorkStep {
+    Ok(OpProfile {
         name: spec.name,
         client,
         server: delta.server,
-        request_bytes: exec.request_bytes,
-        response_bytes: exec.response_bytes,
+        request_bytes: wire_bytes(exec.request_bytes)?,
+        response_bytes: wire_bytes(exec.response_bytes)?,
         transitions: delta.transitions,
-    }
+    })
+}
+
+/// A step's frame size in the 32 bits an [`OpProfile`] keeps.
+fn wire_bytes(bytes: usize) -> Result<u32, AppError> {
+    u32::try_from(bytes).map_err(|_| AppError::Calibration("a step's frame exceeds 4 GiB"))
 }
 
 #[cfg(test)]
@@ -240,6 +228,7 @@ mod tests {
         client: Counters,
         transitions: TransitionStats,
         script: Vec<StepSpec>,
+        request_bytes: usize,
         torn_down: bool,
     }
 
@@ -253,6 +242,7 @@ mod tests {
                 client: Counters::new(),
                 transitions: TransitionStats::new(),
                 script,
+                request_bytes: 16,
                 torn_down: false,
             }
         }
@@ -325,7 +315,7 @@ mod tests {
             match request {
                 StepRequest::Once => {
                     if spec.kind == StepKind::Computed {
-                        return Ok(StepOutcome::Computed(WorkStep {
+                        return Ok(StepOutcome::Computed(OpProfile {
                             name: spec.name,
                             client: Counters::new(),
                             server: Counters {
@@ -341,7 +331,7 @@ mod tests {
                     let mut client = Counters::new();
                     client.normal(env.model.hmac_short);
                     Ok(StepOutcome::Executed(StepExecution {
-                        request_bytes: 16,
+                        request_bytes: self.request_bytes,
                         response_bytes: 8,
                         client,
                     }))
@@ -351,7 +341,7 @@ mod tests {
                     let mut client = Counters::new();
                     client.normal(u64::from(k) * env.model.hmac_short);
                     Ok(StepOutcome::Executed(StepExecution {
-                        request_bytes: 16,
+                        request_bytes: self.request_bytes,
                         response_bytes: 8,
                         client,
                     }))
@@ -365,20 +355,24 @@ mod tests {
         }
     }
 
+    fn harness(mode: TransitionMode) -> AppHarness {
+        AppHarness::new(7, mode, TeeBackend::Sgx, SwitchlessConfig::default())
+    }
+
     #[test]
     fn lifecycle_runs_in_order_and_meters_setup() {
         let mut svc = FakeService::new(vec![StepSpec::repeat("op", 3)]);
-        let profile = AppHarness::new(7, TransitionMode::Classic)
+        let cal = harness(TransitionMode::Classic)
             .calibrate(&mut svc)
             .unwrap();
         assert!(svc.deployed && svc.provisioned && svc.torn_down);
         assert_eq!(svc.mode, Some(TransitionMode::Classic));
         // Setup = deploy (1000) + provision (500), nothing else.
-        assert_eq!(profile.setup.sgx_instr, 1500);
-        assert_eq!(profile.steps.len(), 3);
+        assert_eq!(cal.setup.sgx_instr, 1500);
+        assert_eq!(cal.ops.len(), 3);
         // Each repeated step carries the single real measurement:
         // per-batch 40 + per-op 100 sgx server-side.
-        for s in &profile.steps {
+        for s in &cal.ops {
             assert_eq!(s.server.sgx_instr, 140);
             assert_eq!(s.server.normal_instr, 10);
             assert_eq!(s.transitions.taken, 1);
@@ -389,15 +383,15 @@ mod tests {
     #[test]
     fn amortised_batch_isolates_marginal_cost() {
         let mut svc = FakeService::new(vec![StepSpec::amortised("rec", 4)]);
-        let profile = AppHarness::new(7, TransitionMode::Switchless)
+        let cal = harness(TransitionMode::Switchless)
             .calibrate(&mut svc)
             .unwrap();
-        assert_eq!(profile.steps.len(), 4);
+        assert_eq!(cal.ops.len(), 4);
         // First step: full batch-of-one cost (40 fixed + 100 marginal).
-        assert_eq!(profile.steps[0].server.sgx_instr, 140);
-        assert_eq!(profile.steps[0].transitions.taken, 1);
+        assert_eq!(cal.ops[0].server.sgx_instr, 140);
+        assert_eq!(cal.ops[0].transitions.taken, 1);
         // Remaining steps: pure marginal cost, no boundary crossing.
-        for s in &profile.steps[1..] {
+        for s in &cal.ops[1..] {
             assert_eq!(s.server.sgx_instr, 100);
             assert_eq!(s.server.normal_instr, 10);
             assert_eq!(s.transitions.taken, 0);
@@ -407,17 +401,17 @@ mod tests {
     #[test]
     fn computed_steps_pass_through() {
         let mut svc = FakeService::new(vec![StepSpec::computed("model", 42)]);
-        let profile = AppHarness::new(7, TransitionMode::Classic)
+        let cal = harness(TransitionMode::Classic)
             .calibrate(&mut svc)
             .unwrap();
-        assert_eq!(profile.steps.len(), 1);
-        assert_eq!(profile.steps[0].server.sgx_instr, 42);
+        assert_eq!(cal.ops.len(), 1);
+        assert_eq!(cal.ops[0].server.sgx_instr, 42);
     }
 
     #[test]
     fn empty_script_is_a_harness_error() {
         let mut svc = FakeService::new(Vec::new());
-        let err = AppHarness::new(7, TransitionMode::Classic)
+        let err = harness(TransitionMode::Classic)
             .calibrate(&mut svc)
             .unwrap_err();
         assert!(matches!(err, SgxError::EcallRejected(_)));
@@ -426,9 +420,22 @@ mod tests {
     #[test]
     fn zero_repeat_is_a_calibration_error() {
         let mut svc = FakeService::new(vec![StepSpec::repeat("op", 0)]);
-        let err = AppHarness::new(7, TransitionMode::Classic)
+        let err = harness(TransitionMode::Classic)
             .calibrate(&mut svc)
             .unwrap_err();
         assert!(matches!(err, SgxError::EcallRejected(_)));
+    }
+
+    #[test]
+    fn a_frame_past_32_bits_is_a_calibration_error() {
+        let mut svc = FakeService::new(vec![StepSpec::repeat("op", 1)]);
+        svc.request_bytes = u32::MAX as usize + 1;
+        let err = harness(TransitionMode::Classic)
+            .calibrate(&mut svc)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AppError::Calibration("a step's frame exceeds 4 GiB").into()
+        );
     }
 }

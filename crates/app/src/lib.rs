@@ -10,7 +10,7 @@
 //! middleboxes). This crate is that abstraction's harness side: the
 //! machinery every workload needs — deployment, attestation-gated
 //! provisioning, transition-mode plumbing, uniform instruction and
-//! transition metering, and calibration into replayable work profiles —
+//! transition metering, and calibration into a replayable op script —
 //! written once, so an application crate only implements the
 //! [`EnclaveService`] trait.
 //!
@@ -21,15 +21,14 @@
 //!   provision → transition-mode switch → setup metering → per-step
 //!   calibration (including the batched-ecall marginal-cost measurement
 //!   used under [`teenet_sgx::TransitionMode::Switchless`]).
-//! * [`profile`] — [`WorkProfile`]/[`WorkStep`], the calibrated output
-//!   every load scenario replays (moved here from `teenet::driver` so
-//!   application crates no longer depend on the attestation core just
-//!   for profile structs).
-//! * [`ledger`] — attestation accounting (moved here from `teenet` for
-//!   the same layering reason; the harness wires a fresh ledger into
-//!   every calibration).
+//! * [`profile`] — [`Calibration`]/[`OpProfile`], what
+//!   [`AppHarness::calibrate`] returns and every load scenario replays
+//!   (here, below both the attestation core and the load driver, so an
+//!   application crate depends on neither for its calibration).
+//! * [`ledger`] — attestation accounting (here for the same layering
+//!   reason; the harness wires a fresh ledger into every calibration).
 //!
-//! Adding a fifth workload is one [`EnclaveService`] impl plus a registry
+//! Adding a sixth workload is one [`EnclaveService`] impl plus a registry
 //! entry in `teenet-load` — no new deploy/provision/calibrate code.
 
 pub mod harness;
@@ -39,7 +38,7 @@ pub mod service;
 
 pub use harness::AppHarness;
 pub use ledger::{AttestKind, AttestLedger};
-pub use profile::{WorkProfile, WorkStep};
+pub use profile::{Calibration, OpProfile};
 pub use service::{
     AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepOutcome, StepRequest,
     StepSpec,

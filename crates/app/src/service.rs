@@ -4,11 +4,11 @@
 //! Every paper workload used to re-implement the same lifecycle by hand:
 //! deploy enclaves, attest and provision, switch the transition mode,
 //! snapshot counters around each protocol step, and assemble a
-//! [`crate::WorkProfile`]. The trait splits that lifecycle into the parts
+//! [`crate::Calibration`]. The trait splits that lifecycle into the parts
 //! only the application knows (what to deploy, how to provision, how to
 //! run one step) and leaves the cross-cutting parts — ordering, metering,
-//! the switchless marginal-cost measurement, profile assembly — to the
-//! harness.
+//! the switchless marginal-cost measurement, calibration assembly — to
+//! the harness.
 
 use core::fmt;
 
@@ -16,7 +16,7 @@ use teenet_sgx::cost::{CostModel, Counters};
 use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode, TransitionStats};
 
 use crate::ledger::AttestLedger;
-use crate::profile::WorkStep;
+use crate::profile::OpProfile;
 
 /// Harness-side failures surfaced through a service's own error type
 /// (every [`EnclaveService::Error`] must be `From<AppError>`).
@@ -66,7 +66,7 @@ impl From<AppError> for teenet_sgx::SgxError {
 #[derive(Debug)]
 pub struct ServiceEnv {
     /// Seed for all service-side randomness (services derive their own
-    /// [`teenet_crypto`-style] rngs from it so profiles are deterministic).
+    /// rngs from it so calibrations are deterministic).
     pub seed: u64,
     /// The transition mode this calibration runs under.
     pub mode: TransitionMode,
@@ -83,19 +83,9 @@ pub struct ServiceEnv {
 }
 
 impl ServiceEnv {
-    /// A fresh environment for one calibration run on the SGX backend.
-    pub fn new(seed: u64, mode: TransitionMode) -> Self {
-        Self::with_backend(seed, mode, TeeBackend::Sgx)
-    }
-
-    /// A fresh environment for one calibration run on `backend`.
-    pub fn with_backend(seed: u64, mode: TransitionMode, backend: TeeBackend) -> Self {
-        Self::with_switchless(seed, mode, backend, SwitchlessConfig::default())
-    }
-
-    /// A fresh environment with an explicit switchless worker-pool
-    /// configuration.
-    pub fn with_switchless(
+    /// A fresh environment for one calibration run on `backend`, with the
+    /// `switchless` worker-pool configuration.
+    pub fn new(
         seed: u64,
         mode: TransitionMode,
         backend: TeeBackend,
@@ -112,20 +102,20 @@ impl ServiceEnv {
     }
 }
 
-/// How the harness turns one scripted step into profile steps.
+/// How the harness turns one scripted step into calibrated ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepKind {
     /// Execute once ([`StepRequest::Once`]), meter the delta, and emit
-    /// the measured step `n` times (one real measurement replayed —
+    /// the measured op `n` times (one real measurement replayed —
     /// exact, because the cost model is deterministic per operation).
     Repeat(u32),
     /// The batched-ecall marginal-cost measurement: execute a batch of
     /// one then a batch of two ([`StepRequest::Batch`]); the first
-    /// profile step is the batch-of-one cost (it carries the batch's
+    /// calibrated op is the batch-of-one cost (it carries the batch's
     /// lone transition pair), and the marginal cost (batch-of-two minus
     /// batch-of-one) is emitted `n - 1` times.
     AmortisedBatch(u32),
-    /// The service derives the full [`WorkStep`] from the cost model
+    /// The service derives the full [`OpProfile`] from the cost model
     /// itself (for paths that run outside the counter-instrumented
     /// platform, e.g. Tor's per-cell relay loop).
     Computed,
@@ -202,7 +192,7 @@ pub enum StepOutcome {
     Executed(StepExecution),
     /// The service computed the full step from the cost model
     /// ([`StepKind::Computed`] only).
-    Computed(WorkStep),
+    Computed(OpProfile),
 }
 
 /// An enclave application the [`crate::AppHarness`] can deploy,

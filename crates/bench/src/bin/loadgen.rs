@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use teenet_load::scenarios::{by_name, by_name_switchless, NAMES};
+use teenet_load::scenarios::{by_name_switchless, NAMES, REGISTRY};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
 use teenet_netsim::fault::FaultConfig;
 use teenet_netsim::SimDuration;
@@ -224,9 +224,8 @@ fn main() -> ExitCode {
     };
 
     if args.list {
-        for name in NAMES {
-            let s = by_name(name, 0).expect("listed scenario exists");
-            println!("{:<8} {}", s.name(), s.describe());
+        for entry in &REGISTRY {
+            println!("{:<8} {}", entry.name, entry.describe);
         }
         return ExitCode::SUCCESS;
     }

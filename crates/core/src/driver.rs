@@ -6,10 +6,10 @@
 //! the real protocol message by message so the calibrated wire sizes are
 //! the true ones, not estimates.
 //!
-//! The profile types ([`WorkProfile`]/[`WorkStep`]) and the generic
-//! calibrator live in `teenet-app`; this module only implements the
-//! service contract — calibrate by driving [`AttestService`] through
-//! [`AppHarness`].
+//! The calibration types and the generic calibrator live in
+//! `teenet-app`; this module only implements the service contract —
+//! calibrate by driving [`AttestService`] through
+//! [`AppHarness`](teenet_app::AppHarness).
 
 use teenet_app::{
     AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
@@ -26,8 +26,6 @@ use crate::attest::{AttestConfig, AttestResponse, Challenger};
 use crate::error::{Result, TeenetError};
 use crate::identity::IdentityPolicy;
 use crate::responder::AttestResponder;
-
-pub use teenet_app::{WorkProfile, WorkStep};
 
 /// Minimal attestation-target enclave for calibration.
 struct AttestTarget {
@@ -236,10 +234,11 @@ impl From<AppError> for TeenetError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_app::AppHarness;
+    use teenet_app::{AppHarness, Calibration};
+    use teenet_sgx::TeeBackend;
 
-    fn calibrate(config: &AttestConfig, seed: u64, mode: TransitionMode) -> WorkProfile {
-        AppHarness::new(seed, mode)
+    fn calibrate(config: &AttestConfig, seed: u64, mode: TransitionMode) -> Calibration {
+        AppHarness::new(seed, mode, TeeBackend::Sgx, SwitchlessConfig::default())
             .calibrate(&mut AttestService::new(config.clone()))
             .unwrap()
     }
@@ -247,8 +246,8 @@ mod tests {
     #[test]
     fn attest_profile_matches_table1_shape() {
         let profile = calibrate(&AttestConfig::fast(), 42, TransitionMode::Classic);
-        assert_eq!(profile.steps.len(), 1);
-        let step = &profile.steps[0];
+        assert_eq!(profile.ops.len(), 1);
+        let step = &profile.ops[0];
         // With DH the target dominates the challenger (paper: 4463M vs
         // 348M at 1024 bits; the ratio holds at the fast 768-bit group).
         assert!(step.server.normal_instr > 2 * step.client.normal_instr);
@@ -261,17 +260,21 @@ mod tests {
 
     #[test]
     fn attest_service_calibrates_on_vmtee() {
-        use teenet_sgx::TeeBackend;
         let sgx = calibrate(&AttestConfig::fast(), 7, TransitionMode::Classic);
-        let vm = AppHarness::with_backend(7, TransitionMode::Classic, TeeBackend::VmTee)
-            .calibrate(&mut AttestService::new(AttestConfig::fast()))
-            .unwrap();
+        let vm = AppHarness::new(
+            7,
+            TransitionMode::Classic,
+            TeeBackend::VmTee,
+            SwitchlessConfig::default(),
+        )
+        .calibrate(&mut AttestService::new(AttestConfig::fast()))
+        .unwrap();
         assert_eq!(vm.backend, TeeBackend::VmTee);
-        assert_eq!(vm.steps.len(), sgx.steps.len());
+        assert_eq!(vm.ops.len(), sgx.ops.len());
         // Same protocol either way; the VM-TEE evidence carries an
         // endorsement chain, so its response is strictly longer.
-        assert_eq!(vm.steps[0].request_bytes, sgx.steps[0].request_bytes);
-        assert!(vm.steps[0].response_bytes > sgx.steps[0].response_bytes);
+        assert_eq!(vm.ops[0].request_bytes, sgx.ops[0].request_bytes);
+        assert!(vm.ops[0].response_bytes > sgx.ops[0].response_bytes);
     }
 
     #[test]
@@ -280,7 +283,7 @@ mod tests {
         let config = AttestConfig::no_dh(teenet_crypto::dh::DhGroup::modp768());
         let without = calibrate(&config, 1, TransitionMode::Classic);
         assert!(
-            with_dh.steps[0].server.normal_instr > 5 * without.steps[0].server.normal_instr,
+            with_dh.ops[0].server.normal_instr > 5 * without.ops[0].server.normal_instr,
             "DH must dominate the target cost"
         );
     }

@@ -44,7 +44,7 @@ pub use attest::{
     AttestConfig, AttestOutcome, AttestRequest, AttestResponse, Challenger, TargetAttestor,
 };
 pub use channel::SecureChannel;
-pub use driver::{AttestService, WorkProfile, WorkStep};
+pub use driver::AttestService;
 pub use error::{Result, TeenetError};
 pub use identity::{IdentityPolicy, SoftwareCertificate};
 pub use ledger::{AttestKind, AttestLedger};

@@ -26,8 +26,6 @@ use teenet_sgx::{SgxError, SwitchlessConfig, TransitionMode, TransitionStats};
 use crate::deployment::{Result, SdnDeployment};
 use crate::topology::Topology;
 
-pub use teenet_app::{WorkProfile, WorkStep};
-
 /// The BGP announcement-churn workload on a random three-tier topology of
 /// `n_ases` ASes, driven through [`teenet_app::AppHarness`].
 pub struct BgpService {
@@ -179,32 +177,23 @@ impl EnclaveService for BgpService {
     }
 }
 
-/// `Counters` total across both steps of one session (convenience for
-/// tests and reports).
-pub fn session_total(profile: &WorkProfile) -> Counters {
-    let mut total = Counters::new();
-    for s in &profile.steps {
-        total.merge(s.client);
-        total.merge(s.server);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_app::AppHarness;
+    use teenet_app::{AppHarness, Calibration};
+    use teenet_sgx::TeeBackend;
 
-    fn calibrate(seed: u64, n_ases: u32, mode: TransitionMode) -> Result<WorkProfile> {
-        AppHarness::new(seed, mode).calibrate(&mut BgpService::new(n_ases))
+    fn calibrate(seed: u64, n_ases: u32, mode: TransitionMode) -> Result<Calibration> {
+        AppHarness::new(seed, mode, TeeBackend::Sgx, SwitchlessConfig::default())
+            .calibrate(&mut BgpService::new(n_ases))
     }
 
     #[test]
     fn bgp_profile_shape() {
         let profile = calibrate(21, 8, TransitionMode::Classic).unwrap();
-        assert_eq!(profile.steps.len(), 2);
-        let announce = &profile.steps[0];
-        let pull = &profile.steps[1];
+        assert_eq!(profile.ops.len(), 2);
+        let announce = &profile.ops[0];
+        let pull = &profile.ops[1];
         // The announce step includes a full path recomputation inside the
         // controller enclave — it must dominate the pull.
         assert!(announce.server.normal_instr > pull.server.normal_instr);
@@ -214,7 +203,9 @@ mod tests {
         assert!(announce.request_bytes > 0);
         assert!(pull.response_bytes > 0);
         // Bootstrapping (attestation of every AS) dwarfs one churn round.
-        assert!(profile.setup.normal_instr > session_total(&profile).normal_instr);
+        let mut session = profile.session_server_cost();
+        session.merge(profile.session_client_cost());
+        assert!(profile.setup.normal_instr > session.normal_instr);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The `revoke` step doubles as a security self-check: after rotating
 //! the worker to a fresh epoch it replays the *superseded* sealed blob
 //! and requires the worker to reject it with
-//! [`worker::ROLLBACK_REJECTED`] — a worker that accepts the stale blob
+//! [`ROLLBACK_REJECTED`] — a worker that accepts the stale blob
 //! fails the whole calibration with
 //! [`KeystoreError::RollbackNotEnforced`]. Rollback rejection is thus
 //! exercised deterministically in every report, not just in tests.
@@ -426,26 +426,28 @@ impl EnclaveService for KeystoreService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_app::{AppHarness, WorkProfile};
+    use teenet_app::{AppHarness, Calibration};
+    use teenet_sgx::TeeBackend;
 
-    fn calibrate(seed: u64, fleet: u32, jobs: u32, mode: TransitionMode) -> Result<WorkProfile> {
-        AppHarness::new(seed, mode).calibrate(&mut KeystoreService::new(fleet, jobs))
+    fn calibrate(seed: u64, fleet: u32, jobs: u32, mode: TransitionMode) -> Result<Calibration> {
+        AppHarness::new(seed, mode, TeeBackend::Sgx, SwitchlessConfig::default())
+            .calibrate(&mut KeystoreService::new(fleet, jobs))
     }
 
     #[test]
     fn keystore_profile_shape() {
         let profile = calibrate(7, 4, 4, TransitionMode::Classic).unwrap();
         // attest + provision + 4×release + revoke.
-        assert_eq!(profile.steps.len(), 7);
-        assert_eq!(profile.steps[0].name, "attest");
-        assert_eq!(profile.steps[1].name, "provision");
-        assert!(profile.steps[2..6].iter().all(|s| s.name == "release"));
-        assert_eq!(profile.steps[6].name, "revoke");
+        assert_eq!(profile.ops.len(), 7);
+        assert_eq!(profile.ops[0].name, "attest");
+        assert_eq!(profile.ops[1].name, "provision");
+        assert!(profile.ops[2..6].iter().all(|s| s.name == "release"));
+        assert_eq!(profile.ops[6].name, "revoke");
         // Setup bootstraps the whole fleet: it dwarfs one session step.
-        assert!(profile.setup.normal_instr > profile.steps[1].server.normal_instr);
+        assert!(profile.setup.normal_instr > profile.ops[1].server.normal_instr);
         // The attest step is the expensive one (quote verify on the
         // coordinator side, quote sign on the worker platform).
-        assert!(profile.steps[0].client.normal_instr > profile.steps[2].client.normal_instr);
+        assert!(profile.ops[0].client.normal_instr > profile.ops[2].client.normal_instr);
     }
 
     #[test]
@@ -461,7 +463,12 @@ mod tests {
     #[test]
     fn attestation_storm_is_ledgered() {
         let mut svc = KeystoreService::new(5, 1);
-        let mut env = ServiceEnv::new(3, TransitionMode::Classic);
+        let mut env = ServiceEnv::new(
+            3,
+            TransitionMode::Classic,
+            TeeBackend::Sgx,
+            SwitchlessConfig::default(),
+        );
         svc.deploy(&mut env).unwrap();
         svc.provision(&mut env).unwrap();
         assert_eq!(env.ledger.count(AttestKind::KeystoreWorker), 5);
@@ -491,7 +498,8 @@ mod tests {
         let sw = calibrate(9, 3, 4, TransitionMode::Switchless).unwrap();
         assert_eq!(classic.session_transitions().elided, 0);
         assert!(sw.session_transitions().elided > 0);
-        let sgx = |p: &WorkProfile| p.session_server().sgx_instr + p.session_client().sgx_instr;
+        let sgx =
+            |p: &Calibration| p.session_server_cost().sgx_instr + p.session_client_cost().sgx_instr;
         assert!(sgx(&sw) < sgx(&classic));
     }
 }

@@ -4,8 +4,8 @@
 //! # teenet-load
 //!
 //! Scenario-driven load generation and metrics for stress-testing the
-//! paper's three applications at scale — the substrate every perf PR
-//! measures itself against.
+//! paper's applications at scale — the substrate every performance
+//! change measures itself against.
 //!
 //! The repo's experiment binaries (`table1..table4`, `fig3`) are
 //! single-shot: they run one protocol instance and print the paper's
@@ -17,14 +17,16 @@
 //! * [`metrics`] — monotonic counters, gauges, per-phase SGX cost rollups.
 //! * [`arrival`] — seeded open-loop (Poisson) and closed-loop arrival
 //!   processes.
-//! * [`scenario`] — the workload abstraction: calibrated operation
-//!   profiles replayed at scale (calibrate-then-replay, the standard
+//! * [`scenario`] — the workload abstraction: a [`Scenario`] calibrates
+//!   into the `teenet-app` [`Calibration`] (one [`OpProfile`] per round
+//!   trip) that is replayed at scale (calibrate-then-replay, the standard
 //!   trace-driven-load technique; exact here because the cost model is
 //!   deterministic per operation).
-//! * [`scenarios`] — the four paper workloads (attestation storms,
+//! * [`scenarios`] — the five registered workloads (attestation storms,
 //!   TLS-middlebox record traffic, Tor circuit+stream traffic, BGP
-//!   announcement churn), each a `teenet-app` [`EnclaveService`] wrapped
-//!   in the generic [`scenarios::ServiceScenario`] and registered in
+//!   announcement churn, keystore key churn), each a `teenet-app`
+//!   [`EnclaveService`] wrapped in the generic
+//!   [`scenarios::ServiceScenario`] and registered in
 //!   [`scenarios::REGISTRY`].
 //! * [`runner`] — the virtual-time engine: a multi-worker service queue
 //!   behind `teenet-netsim` links (with faults, bandwidth and FIFO

@@ -1235,6 +1235,28 @@ mod tests {
         assert!(report.retries > 0, "the faults fired");
     }
 
+    /// Open-loop arrival `i` carries seq `i` and every other driver event
+    /// a seq past the arrival block, so an arrival tied with a service
+    /// completion at the same instant pops first.
+    #[test]
+    fn open_loop_arrival_pops_before_a_driver_event_at_its_instant() {
+        let cfg = LoadConfig::new(16, 5, LoadMode::Open { rate_per_sec: None });
+        let cal = toy_calibration();
+        let model = cal.cost_model();
+        let mut engine = Engine::new(&cfg, &cal, &model);
+        engine.prime();
+        let first = engine.queue.pop().expect("the first arrival is primed");
+        assert_eq!(first.ev, Ev::Arrive { session: 0 });
+        let next = engine
+            .schedule_next_arrival()
+            .expect("a second arrival is due");
+        engine.push(next, Ev::ServiceDone { session: 0, op: 0 });
+        let popped = engine.queue.pop().expect("two events are queued");
+        assert_eq!((popped.at, popped.ev), (next, Ev::Arrive { session: 1 }));
+        let popped = engine.queue.pop().expect("the completion is still queued");
+        assert_eq!(popped.ev, Ev::ServiceDone { session: 0, op: 0 });
+    }
+
     fn tagged(op: u32) -> Session {
         Session {
             arrived_at: SimTime::ZERO,

@@ -1,11 +1,12 @@
-//! The four paper workloads as load scenarios, all driven through one
-//! generic [`ServiceScenario`].
+//! The five registered workloads (the paper's four plus the keystore
+//! fleet) as load scenarios, all driven through one generic
+//! [`ServiceScenario`].
 //!
 //! Each workload crate implements [`EnclaveService`]; this module only
 //! wraps a service in the calibrate-then-replay [`Scenario`] contract and
-//! registers it in [`REGISTRY`], from which [`NAMES`] and the `by_name`
-//! lookups derive. Adding a fifth workload is one service impl plus one
-//! registry entry — no new scenario struct.
+//! registers it in [`REGISTRY`], from which [`NAMES`] and the
+//! [`by_name_switchless`] lookup derive. Adding a sixth workload is one
+//! service impl plus one registry entry — no new scenario struct.
 
 use teenet::driver::AttestService;
 use teenet_app::{AppHarness, EnclaveService};
@@ -28,25 +29,9 @@ pub struct ServiceScenario<S: EnclaveService> {
 }
 
 impl<S: EnclaveService> ServiceScenario<S> {
-    /// Wraps `service`, calibrating at `seed` in classic mode on SGX.
-    pub fn new(service: S, seed: u64) -> Self {
-        Self::with_mode(service, seed, TransitionMode::Classic)
-    }
-
-    /// Same, under an explicit transition mode (`loadgen --switchless`).
-    pub fn with_mode(service: S, seed: u64, mode: TransitionMode) -> Self {
-        Self::with_backend(service, seed, mode, TeeBackend::Sgx)
-    }
-
-    /// Same, deployed against an explicit TEE backend
-    /// (`loadgen --backend vmtee`).
-    pub fn with_backend(service: S, seed: u64, mode: TransitionMode, backend: TeeBackend) -> Self {
-        Self::with_switchless(service, seed, mode, backend, SwitchlessConfig::default())
-    }
-
-    /// Same, with an explicit switchless worker-pool configuration
-    /// (`loadgen --switchless-workers N --spin-budget K`).
-    pub fn with_switchless(
+    /// Wraps `service`, calibrating at `seed` under `mode` against
+    /// `backend` with the `switchless` worker-pool configuration.
+    pub fn new(
         service: S,
         seed: u64,
         mode: TransitionMode,
@@ -73,10 +58,9 @@ impl<S: EnclaveService> Scenario for ServiceScenario<S> {
     }
 
     fn calibrate(&mut self) -> Calibration {
-        AppHarness::with_switchless(self.seed, self.mode, self.backend, self.switchless)
+        AppHarness::new(self.seed, self.mode, self.backend, self.switchless)
             .calibrate(&mut self.service)
             .expect("calibration cannot fail on an honest deployment")
-            .into()
     }
 }
 
@@ -90,23 +74,8 @@ pub struct ScenarioEntry {
 }
 
 impl ScenarioEntry {
-    /// Builds this entry's scenario with its default shape on SGX.
-    pub fn build(&self, seed: u64, mode: TransitionMode) -> Box<dyn Scenario> {
-        self.build_backend(seed, mode, TeeBackend::Sgx)
-    }
-
-    /// [`ScenarioEntry::build`] against an explicit TEE backend.
-    pub fn build_backend(
-        &self,
-        seed: u64,
-        mode: TransitionMode,
-        backend: TeeBackend,
-    ) -> Box<dyn Scenario> {
-        self.build_switchless(seed, mode, backend, SwitchlessConfig::default())
-    }
-
-    /// [`ScenarioEntry::build_backend`] with an explicit switchless
-    /// worker-pool configuration.
+    /// Builds this entry's scenario, calibrating at `seed` under `mode`
+    /// against `backend` with the `switchless` worker-pool configuration.
     pub fn build_switchless(
         &self,
         seed: u64,
@@ -118,74 +87,16 @@ impl ScenarioEntry {
     }
 }
 
-fn build_attest(
+/// The [`ScenarioEntry`] builder of every registered service: its
+/// default shape, wrapped in a [`ServiceScenario`].
+fn build<S: EnclaveService + Default + 'static>(
     seed: u64,
     mode: TransitionMode,
     backend: TeeBackend,
     switchless: SwitchlessConfig,
 ) -> Box<dyn Scenario> {
-    Box::new(ServiceScenario::with_switchless(
-        AttestService::default(),
-        seed,
-        mode,
-        backend,
-        switchless,
-    ))
-}
-
-fn build_tls(
-    seed: u64,
-    mode: TransitionMode,
-    backend: TeeBackend,
-    switchless: SwitchlessConfig,
-) -> Box<dyn Scenario> {
-    Box::new(ServiceScenario::with_switchless(
-        TlsMboxService::default(),
-        seed,
-        mode,
-        backend,
-        switchless,
-    ))
-}
-
-fn build_tor(
-    seed: u64,
-    mode: TransitionMode,
-    backend: TeeBackend,
-    switchless: SwitchlessConfig,
-) -> Box<dyn Scenario> {
-    Box::new(ServiceScenario::with_switchless(
-        TorService::default(),
-        seed,
-        mode,
-        backend,
-        switchless,
-    ))
-}
-
-fn build_bgp(
-    seed: u64,
-    mode: TransitionMode,
-    backend: TeeBackend,
-    switchless: SwitchlessConfig,
-) -> Box<dyn Scenario> {
-    Box::new(ServiceScenario::with_switchless(
-        BgpService::default(),
-        seed,
-        mode,
-        backend,
-        switchless,
-    ))
-}
-
-fn build_keystore(
-    seed: u64,
-    mode: TransitionMode,
-    backend: TeeBackend,
-    switchless: SwitchlessConfig,
-) -> Box<dyn Scenario> {
-    Box::new(ServiceScenario::with_switchless(
-        KeystoreService::default(),
+    Box::new(ServiceScenario::new(
+        S::default(),
         seed,
         mode,
         backend,
@@ -198,27 +109,27 @@ pub const REGISTRY: [ScenarioEntry; 5] = [
     ScenarioEntry {
         name: "attest",
         describe: "remote attestation storm: one Figure-1 attestation per session",
-        build: build_attest,
+        build: build::<AttestService>,
     },
     ScenarioEntry {
         name: "tls",
         describe: "TLS middlebox record traffic: in-enclave DPI on provisioned sessions",
-        build: build_tls,
+        build: build::<TlsMboxService>,
     },
     ScenarioEntry {
         name: "tor",
         describe: "Tor circuit + stream traffic through attested SGX onion routers",
-        build: build_tor,
+        build: build::<TorService>,
     },
     ScenarioEntry {
         name: "bgp",
         describe: "BGP announcement churn against the SGX inter-domain controller",
-        build: build_bgp,
+        build: build::<BgpService>,
     },
     ScenarioEntry {
         name: "keystore",
         describe: "attested coordinator/worker keystore: sealed key churn across an enclave fleet",
-        build: build_keystore,
+        build: build::<KeystoreService>,
     },
 ];
 
@@ -233,28 +144,8 @@ pub const NAMES: [&str; REGISTRY.len()] = {
     names
 };
 
-/// Builds a scenario by name with its default shape, seeded with `seed`.
-pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn Scenario>> {
-    by_name_mode(name, seed, TransitionMode::Classic)
-}
-
-/// [`by_name`] with an explicit transition mode (`loadgen --switchless`).
-pub fn by_name_mode(name: &str, seed: u64, mode: TransitionMode) -> Option<Box<dyn Scenario>> {
-    by_name_backend(name, seed, mode, TeeBackend::Sgx)
-}
-
-/// [`by_name_mode`] against an explicit TEE backend (`loadgen --backend`).
-pub fn by_name_backend(
-    name: &str,
-    seed: u64,
-    mode: TransitionMode,
-    backend: TeeBackend,
-) -> Option<Box<dyn Scenario>> {
-    by_name_switchless(name, seed, mode, backend, SwitchlessConfig::default())
-}
-
-/// [`by_name_backend`] with an explicit switchless worker-pool
-/// configuration (`loadgen --switchless-workers` / `--spin-budget`).
+/// Builds the registered scenario called `name` (see
+/// [`ScenarioEntry::build_switchless`]); `None` for an unknown name.
 pub fn by_name_switchless(
     name: &str,
     seed: u64,
@@ -272,20 +163,32 @@ pub fn by_name_switchless(
 mod tests {
     use super::*;
 
+    /// The registered scenario `name` on SGX with the default ring.
+    fn on_sgx(name: &str, seed: u64, mode: TransitionMode) -> Option<Box<dyn Scenario>> {
+        by_name_switchless(
+            name,
+            seed,
+            mode,
+            TeeBackend::Sgx,
+            SwitchlessConfig::default(),
+        )
+    }
+
     #[test]
     fn every_registered_service_resolves_and_round_trips_its_name() {
         for entry in &REGISTRY {
-            let scenario = by_name(entry.name, 1).expect("registered name must resolve");
+            let scenario = on_sgx(entry.name, 1, TransitionMode::Classic)
+                .expect("registered name must resolve");
             assert_eq!(scenario.name(), entry.name);
             assert_eq!(scenario.describe(), entry.describe);
         }
         assert_eq!(NAMES, ["attest", "tls", "tor", "bgp", "keystore"]);
-        assert!(by_name("nonesuch", 1).is_none());
+        assert!(on_sgx("nonesuch", 1, TransitionMode::Classic).is_none());
     }
 
     #[test]
-    fn by_name_mode_tags_the_calibration() {
-        let mut s = by_name_mode("attest", 1, TransitionMode::Switchless).unwrap();
+    fn switchless_mode_tags_the_calibration() {
+        let mut s = on_sgx("attest", 1, TransitionMode::Switchless).unwrap();
         let cal = s.calibrate();
         assert_eq!(cal.mode, TransitionMode::Switchless);
         assert_eq!(cal.backend, TeeBackend::Sgx);
@@ -294,10 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn by_name_backend_tags_and_reprices_the_calibration() {
+    fn backend_tags_and_reprices_the_calibration() {
         let classic = TransitionMode::Classic;
-        let mut sgx = by_name_backend("attest", 1, classic, TeeBackend::Sgx).unwrap();
-        let mut vm = by_name_backend("attest", 1, classic, TeeBackend::VmTee).unwrap();
+        let default = SwitchlessConfig::default();
+        let mut sgx = by_name_switchless("attest", 1, classic, TeeBackend::Sgx, default).unwrap();
+        let mut vm = by_name_switchless("attest", 1, classic, TeeBackend::VmTee, default).unwrap();
         let sgx_cal = sgx.calibrate();
         let vm_cal = vm.calibrate();
         assert_eq!(vm_cal.backend, TeeBackend::VmTee);
@@ -331,8 +235,8 @@ mod tests {
         );
 
         // The default single-worker/zero-spin shape burns nothing, and its
-        // calibration is identical to the pre-refactor `by_name_mode` path.
-        let mut single = by_name_mode("tls", 1, TransitionMode::Switchless).unwrap();
+        // calibration is the default ring's.
+        let mut single = on_sgx("tls", 1, TransitionMode::Switchless).unwrap();
         let single_cal = single.calibrate();
         assert_eq!(single_cal.switchless, SwitchlessConfig::default());
         assert_eq!(single_cal.session_transitions().idle_spins, 0);
@@ -346,26 +250,26 @@ mod tests {
 
     #[test]
     fn default_shapes_calibrate() {
-        let mut tls = by_name("tls", 2).unwrap();
+        let mut tls = on_sgx("tls", 2, TransitionMode::Classic).unwrap();
         let cal = tls.calibrate();
         assert_eq!(cal.ops.len(), 4);
         assert!(cal.ops.iter().all(|op| op.name == "record"));
         assert!(cal.ops[0].request_bytes > 1024);
 
-        let mut tor = by_name("tor", 3).unwrap();
+        let mut tor = on_sgx("tor", 3, TransitionMode::Classic).unwrap();
         let cal = tor.calibrate();
         assert_eq!(cal.ops.len(), 5);
         assert_eq!(cal.ops[0].name, "extend");
         assert!(cal.setup.sgx_instr > 0);
 
-        let mut bgp = by_name("bgp", 4).unwrap();
+        let mut bgp = on_sgx("bgp", 4, TransitionMode::Classic).unwrap();
         let cal = bgp.calibrate();
         assert_eq!(cal.ops.len(), 2);
         assert_eq!(cal.ops[0].name, "announce");
         assert_eq!(cal.ops[1].name, "pull");
         assert!(cal.ops[0].server.normal_instr > cal.ops[1].server.normal_instr);
 
-        let mut keystore = by_name("keystore", 5).unwrap();
+        let mut keystore = on_sgx("keystore", 5, TransitionMode::Classic).unwrap();
         let cal = keystore.calibrate();
         // attest + provision + 4×release + revoke.
         assert_eq!(cal.ops.len(), 7);
@@ -373,5 +277,27 @@ mod tests {
         assert_eq!(cal.ops[6].name, "revoke");
         // Fleet bootstrap (4 attestations + provisions) dominates setup.
         assert!(cal.setup.sgx_instr > 0);
+    }
+
+    #[test]
+    fn every_calibration_holds_its_ops_at_exact_capacity() {
+        // A replay holds its calibration for its whole length: each op
+        // keeps its frame sizes in 32 bits, and `ops` keeps no slack.
+        assert!(std::mem::size_of::<crate::OpProfile>() <= 88);
+        for entry in &REGISTRY {
+            for mode in [TransitionMode::Classic, TransitionMode::Switchless] {
+                for backend in [TeeBackend::Sgx, TeeBackend::VmTee] {
+                    let cal = entry
+                        .build_switchless(1, mode, backend, SwitchlessConfig::default())
+                        .calibrate();
+                    assert_eq!(
+                        cal.ops.len(),
+                        cal.ops.capacity(),
+                        "{} {mode:?} {backend:?}",
+                        entry.name
+                    );
+                }
+            }
+        }
     }
 }

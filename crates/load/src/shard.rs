@@ -19,9 +19,10 @@
 //!   faults) is identical no matter which thread runs it.
 //! * **Scheduling** — open loop draws the global Poisson arrival times
 //!   exactly as the serial engine does (each shard re-derives the stream
-//!   and [`ArrivalProcess::skip`]s to its own range) and places session
-//!   `i`'s completion at `arrival_i + duration_i`; closed loop assigns
-//!   session `i` to lane `i mod concurrency` and runs each lane
+//!   and skips it to its own range with
+//!   [`ArrivalProcess::skip`](crate::ArrivalProcess::skip)) and places
+//!   session `i`'s completion at `arrival_i + duration_i`; closed loop
+//!   assigns session `i` to lane `i mod concurrency` and runs each lane
 //!   back-to-back. Both reduce *as the shard streams through its range*:
 //!   open loop keeps only the latest completion seen, closed loop keeps
 //!   per-lane partial busy-time sums — no shard (and no merge step) ever

@@ -31,8 +31,6 @@ use crate::provision::EndpointRole;
 use crate::scenarios::{MiddleboxHost, ProcessResult};
 use crate::{MboxError, Result};
 
-pub use teenet_app::{WorkProfile, WorkStep};
-
 struct Deployed {
     gateway: MiddleboxHost,
     rng: SecureRng,
@@ -268,23 +266,24 @@ fn tls_err(_e: teenet_tls::TlsError) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_app::AppHarness;
+    use teenet_app::{AppHarness, Calibration};
+    use teenet_sgx::TeeBackend;
 
     fn calibrate(
         seed: u64,
         record_bytes: usize,
         records_per_session: u32,
         mode: TransitionMode,
-    ) -> Result<WorkProfile> {
-        AppHarness::new(seed, mode)
+    ) -> Result<Calibration> {
+        AppHarness::new(seed, mode, TeeBackend::Sgx, SwitchlessConfig::default())
             .calibrate(&mut TlsMboxService::new(record_bytes, records_per_session))
     }
 
     #[test]
     fn mbox_profile_shape() {
         let profile = calibrate(3, 1024, 4, TransitionMode::Classic).unwrap();
-        assert_eq!(profile.steps.len(), 4);
-        let step = &profile.steps[0];
+        assert_eq!(profile.ops.len(), 4);
+        let step = &profile.ops[0];
         // Provisioning includes an attestation, so setup dwarfs a record.
         assert!(profile.setup.normal_instr > step.server.normal_instr);
         // In-enclave processing costs SGX instructions (ecall transitions).
@@ -309,9 +308,9 @@ mod tests {
         let small = calibrate(5, 256, 1, TransitionMode::Classic).unwrap();
         let large = calibrate(5, 4096, 1, TransitionMode::Classic).unwrap();
         assert!(
-            large.steps[0].server.normal_instr > small.steps[0].server.normal_instr,
+            large.ops[0].server.normal_instr > small.ops[0].server.normal_instr,
             "DPI over a longer record must cost more"
         );
-        assert!(large.steps[0].client.normal_instr > small.steps[0].client.normal_instr);
+        assert!(large.ops[0].client.normal_instr > small.ops[0].client.normal_instr);
     }
 }

@@ -275,7 +275,7 @@ impl Network {
     /// it per session.
     ///
     /// Determinism: an injector's RNG is a pure function of the seed and
-    /// the link's endpoints ([`injector_for`]), so re-deriving here
+    /// the link's endpoints (`injector_for`), so re-deriving here
     /// reproduces exactly what [`Network::add_link`] derives on a fresh
     /// network — and a reset over clean links hashes nothing.
     pub fn reset(&mut self, seed: u64) {

@@ -16,7 +16,7 @@
 //! steady state anyway.
 
 use teenet_app::{
-    AppError, EnclaveService, ServiceEnv, StepKind, StepOutcome, StepRequest, StepSpec,
+    AppError, EnclaveService, OpProfile, ServiceEnv, StepKind, StepOutcome, StepRequest, StepSpec,
 };
 use teenet_sgx::cost::{CostModel, Counters};
 use teenet_sgx::{SwitchlessConfig, TransitionMode, TransitionStats};
@@ -25,7 +25,8 @@ use crate::cell::CELL_LEN;
 use crate::deployment::{Phase, TorDeployment, TorSpec};
 use crate::error::{Result, TorError};
 
-pub use teenet_app::{WorkProfile, WorkStep};
+/// A cell's size on the wire, as a calibrated op carries it.
+const CELL_WIRE: u32 = CELL_LEN as u32;
 
 /// Number of hops in the calibrated circuit (guard, middle, exit).
 pub const HOPS: u64 = 3;
@@ -167,12 +168,12 @@ impl EnclaveService for TorService {
                 let mut server = Counters::new();
                 let transitions = cell_crossings(model, self.mode, self.switchless, &mut server, 1);
                 server.normal(2 * model.modexp(768) + model.aes_bytes(cell));
-                WorkStep {
+                OpProfile {
                     name: spec.name,
                     client,
                     server,
-                    request_bytes: cell,
-                    response_bytes: cell,
+                    request_bytes: CELL_WIRE,
+                    response_bytes: CELL_WIRE,
                     transitions,
                 }
             }
@@ -186,12 +187,12 @@ impl EnclaveService for TorService {
                 let transitions =
                     cell_crossings(model, self.mode, self.switchless, &mut server, HOPS);
                 server.normal(HOPS * model.aes_bytes(cell));
-                WorkStep {
+                OpProfile {
                     name: spec.name,
                     client,
                     server,
-                    request_bytes: cell,
-                    response_bytes: cell,
+                    request_bytes: CELL_WIRE,
+                    response_bytes: CELL_WIRE,
                     transitions,
                 }
             }
@@ -250,10 +251,11 @@ impl From<AppError> for TorError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_app::AppHarness;
+    use teenet_app::{AppHarness, Calibration};
+    use teenet_sgx::TeeBackend;
 
-    fn calibrate(seed: u64, mode: TransitionMode) -> WorkProfile {
-        AppHarness::new(seed, mode)
+    fn calibrate(seed: u64, mode: TransitionMode) -> Calibration {
+        AppHarness::new(seed, mode, TeeBackend::Sgx, SwitchlessConfig::default())
             .calibrate(&mut TorService::new())
             .unwrap()
     }
@@ -261,23 +263,23 @@ mod tests {
     #[test]
     fn tor_profile_shape() {
         let profile = calibrate(11, TransitionMode::Classic);
-        assert_eq!(profile.steps.len(), 5);
-        assert_eq!(profile.steps[0].name, "extend");
-        assert_eq!(profile.steps[4].name, "data");
+        assert_eq!(profile.ops.len(), 5);
+        assert_eq!(profile.ops[0].name, "extend");
+        assert_eq!(profile.ops[4].name, "data");
         // Admission attests 6 relays: the setup dwarfs any single cell.
         assert!(profile.setup.sgx_instr > 0);
-        assert!(profile.setup.normal_instr > profile.steps[0].server.normal_instr);
+        assert!(profile.setup.normal_instr > profile.ops[0].server.normal_instr);
         // Extends carry DH work; data cells are symmetric-only and cheaper.
-        assert!(profile.steps[0].server.normal_instr > profile.steps[4].server.normal_instr);
-        assert!(profile.steps.iter().all(|s| s.request_bytes == CELL_LEN));
+        assert!(profile.ops[0].server.normal_instr > profile.ops[4].server.normal_instr);
+        assert!(profile.ops.iter().all(|s| s.request_bytes == CELL_WIRE));
     }
 
     #[test]
     fn switchless_tor_removes_cell_transitions() {
         let classic = calibrate(11, TransitionMode::Classic);
         let sw = calibrate(11, TransitionMode::Switchless);
-        let data_c = &classic.steps[4];
-        let data_s = &sw.steps[4];
+        let data_c = &classic.ops[4];
+        let data_s = &sw.ops[4];
         assert_eq!(data_c.transitions.taken, HOPS);
         assert_eq!(data_s.transitions.taken, 0);
         assert_eq!(data_s.transitions.elided, HOPS);

@@ -10,12 +10,19 @@
 use teenet::driver::AttestService;
 use teenet_load::{LoadConfig, LoadMode, LoadRunner, Scenario, ServiceScenario};
 use teenet_netsim::fault::FaultConfig;
+use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode};
 
 fn main() {
     // Calibrate once against the real enclave stack: one full Figure-1
     // attestation is executed and its instruction counters and wire sizes
     // captured. Everything after this line runs on virtual time.
-    let mut scenario = ServiceScenario::new(AttestService::default(), 42);
+    let mut scenario = ServiceScenario::new(
+        AttestService::default(),
+        42,
+        TransitionMode::Classic,
+        TeeBackend::Sgx,
+        SwitchlessConfig::default(),
+    );
     let calibration = scenario.calibrate();
     println!(
         "calibrated: {} op(s), server cost {} SGX + {} normal instructions/session\n",

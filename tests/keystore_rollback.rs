@@ -19,11 +19,11 @@ use teenet_keystore::worker::{
     WorkerEnclave, FN_ACTIVATE, FN_ATTEST_BEGIN, FN_ATTEST_FINISH, FN_STAGE, ROLLBACK_REJECTED,
 };
 use teenet_keystore::KeystoreError;
-use teenet_load::scenarios::by_name_mode;
+use teenet_load::scenarios::by_name_switchless;
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
 use teenet_sgx::{
-    deploy_platform, EnclaveId, EpidGroup, Report, SgxError, TeeBackend, TeePlatform,
-    TransitionMode,
+    deploy_platform, EnclaveId, EpidGroup, Report, SgxError, SwitchlessConfig, TeeBackend,
+    TeePlatform, TransitionMode,
 };
 
 use teenet::attest::{AttestConfig, AttestRequest};
@@ -173,7 +173,14 @@ fn rollback_rejection_is_deterministic_under_replay() {
     for mode in [TransitionMode::Classic, TransitionMode::Switchless] {
         let mut reports = Vec::new();
         for _ in 0..2 {
-            let mut scenario = by_name_mode("keystore", 23, mode).expect("keystore registered");
+            let mut scenario = by_name_switchless(
+                "keystore",
+                23,
+                mode,
+                TeeBackend::Sgx,
+                SwitchlessConfig::default(),
+            )
+            .expect("keystore registered");
             let calibration = scenario.calibrate();
             let config = LoadConfig::new(40, 23, LoadMode::Closed { concurrency: 8 });
             reports.push(

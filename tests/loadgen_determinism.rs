@@ -3,12 +3,25 @@
 //! calibration (real enclaves, real crypto), virtual-time replay, fault
 //! injection, and report formatting.
 
-use teenet_load::scenarios::{by_name, NAMES};
-use teenet_load::{LoadConfig, LoadMode, LoadRunner};
+use teenet_load::scenarios::{by_name_switchless, NAMES};
+use teenet_load::{LoadConfig, LoadMode, LoadRunner, Scenario};
 use teenet_netsim::fault::FaultConfig;
+use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode};
+
+/// The registered scenario `name` at `seed`: classic mode on SGX.
+fn scenario(name: &str, seed: u64) -> Box<dyn Scenario> {
+    by_name_switchless(
+        name,
+        seed,
+        TransitionMode::Classic,
+        TeeBackend::Sgx,
+        SwitchlessConfig::default(),
+    )
+    .expect("known scenario")
+}
 
 fn run_json(name: &str, seed: u64, sessions: u64, faults: FaultConfig) -> String {
-    let mut scenario = by_name(name, seed).expect("known scenario");
+    let mut scenario = scenario(name, seed);
     let calibration = scenario.calibrate();
     let mut config = LoadConfig::new(sessions, seed, LoadMode::Open { rate_per_sec: None });
     config.faults = faults;
@@ -49,7 +62,7 @@ fn different_seeds_produce_different_runs() {
 
 #[test]
 fn closed_loop_bgp_completes_with_loss() {
-    let mut scenario = by_name("bgp", 5).expect("bgp exists");
+    let mut scenario = scenario("bgp", 5);
     let calibration = scenario.calibrate();
     let mut config = LoadConfig::new(120, 5, LoadMode::Closed { concurrency: 12 });
     config.faults = FaultConfig {

@@ -16,29 +16,25 @@
 use std::path::{Path, PathBuf};
 
 use teenet_load::scenario::{Calibration, OpProfile};
-use teenet_load::scenarios::{by_name_backend, by_name_mode, NAMES};
-use teenet_load::{LoadConfig, LoadMode, LoadRunner};
+use teenet_load::scenarios::{by_name_switchless, NAMES};
+use teenet_load::{LoadConfig, LoadMode, LoadRunner, Scenario};
 use teenet_netsim::{FaultConfig, SimDuration};
 use teenet_sgx::cost::Counters;
-use teenet_sgx::{TeeBackend, TransitionMode, TransitionStats};
+use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode, TransitionStats};
 
 /// Fixed shape of every golden run: open loop at the auto rate, default
 /// links, 60 sessions at seed 11.
 const SESSIONS: u64 = 60;
 const SEED: u64 = 11;
 
-fn run_json(name: &str, mode: TransitionMode) -> String {
-    let mut scenario = by_name_mode(name, SEED, mode).expect("known scenario");
-    let calibration = scenario.calibrate();
-    let config = LoadConfig::new(SESSIONS, SEED, LoadMode::Open { rate_per_sec: None });
-    LoadRunner::new(config)
-        .run(scenario.name(), &calibration)
-        .json()
+/// The registered scenario `name` at `seed`, with the default ring.
+fn scenario(name: &str, seed: u64, mode: TransitionMode, backend: TeeBackend) -> Box<dyn Scenario> {
+    by_name_switchless(name, seed, mode, backend, SwitchlessConfig::default())
+        .expect("known scenario")
 }
 
-fn run_json_vmtee(name: &str, mode: TransitionMode) -> String {
-    let mut scenario =
-        by_name_backend(name, SEED, mode, TeeBackend::VmTee).expect("known scenario");
+fn run_json(name: &str, mode: TransitionMode, backend: TeeBackend) -> String {
+    let mut scenario = scenario(name, SEED, mode, backend);
     let calibration = scenario.calibrate();
     let config = LoadConfig::new(SESSIONS, SEED, LoadMode::Open { rate_per_sec: None });
     LoadRunner::new(config)
@@ -52,7 +48,7 @@ fn run_json_vmtee(name: &str, mode: TransitionMode) -> String {
 /// exhausted and sessions fail, and the order in which timeouts, service
 /// completions and replacement arrivals interleave is pinned.
 fn run_json_closed_faulty() -> String {
-    let mut scenario = by_name_mode("tls", SEED, TransitionMode::Classic).expect("known scenario");
+    let mut scenario = scenario("tls", SEED, TransitionMode::Classic, TeeBackend::Sgx);
     let calibration = scenario.calibrate();
     let mut config = LoadConfig::new(200, SEED, LoadMode::Closed { concurrency: 16 });
     config.faults = FaultConfig {
@@ -168,17 +164,18 @@ fn assert_golden(got: &str, path: &Path, what: &str) {
 
 fn check(name: &str, mode: TransitionMode) {
     let what = format!("scenario {name} ({})", mode.as_str());
-    assert_golden(&run_json(name, mode), &fixture_path(name, mode), &what);
+    let got = run_json(name, mode, TeeBackend::Sgx);
+    assert_golden(&got, &fixture_path(name, mode), &what);
 }
 
 fn check_vmtee(name: &str, mode: TransitionMode) {
-    let got = run_json_vmtee(name, mode);
+    let got = run_json(name, mode, TeeBackend::VmTee);
     let what = format!("vmtee scenario {name} ({})", mode.as_str());
     assert_golden(&got, &vmtee_fixture_path(name, mode), &what);
     // The VM-TEE profile must actually reprice the run: a fixture equal to
     // the SGX one would mean the backend never reached the cost model.
     assert!(got.contains("\"backend\":\"vmtee\""));
-    assert_ne!(got, run_json(name, mode));
+    assert_ne!(got, run_json(name, mode, TeeBackend::Sgx));
 }
 
 #[test]
@@ -281,7 +278,7 @@ fn same_instant_deliveries_match_golden() {
 fn every_fault_mix_cell_matches_golden() {
     for name in NAMES {
         for mode in [TransitionMode::Classic, TransitionMode::Switchless] {
-            let mut scenario = by_name_mode(name, MIX_SEED, mode).expect("known scenario");
+            let mut scenario = scenario(name, MIX_SEED, mode, TeeBackend::Sgx);
             let calibration = scenario.calibrate();
             for (load, lmode) in MIX_LOAD_MODES {
                 let report = LoadRunner::new(mix_config(lmode)).run(scenario.name(), &calibration);

@@ -11,7 +11,7 @@ use teenet_load::scenario::Calibration;
 use teenet_load::scenarios::REGISTRY;
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
 use teenet_sgx::cost::Counters;
-use teenet_sgx::{TeeBackend, TransitionMode};
+use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode};
 
 /// Compile-time regression: the platform layer and the boxed scenario
 /// type must stay `Send`, so a load shard can own its own deployment on
@@ -28,17 +28,11 @@ fn calibrate(
     entry: &teenet_load::scenarios::ScenarioEntry,
     seed: u64,
     mode: TransitionMode,
-) -> Calibration {
-    entry.build(seed, mode).calibrate()
-}
-
-fn calibrate_backend(
-    entry: &teenet_load::scenarios::ScenarioEntry,
-    seed: u64,
-    mode: TransitionMode,
     backend: TeeBackend,
 ) -> Calibration {
-    entry.build_backend(seed, mode, backend).calibrate()
+    entry
+        .build_switchless(seed, mode, backend, SwitchlessConfig::default())
+        .calibrate()
 }
 
 /// One session's total SGX instructions, both sides of the wire.
@@ -56,7 +50,7 @@ fn every_registered_service_conforms() {
         let name = entry.name;
 
         // A calibrated session must actually do work.
-        let classic = calibrate(entry, seed, TransitionMode::Classic);
+        let classic = calibrate(entry, seed, TransitionMode::Classic, TeeBackend::Sgx);
         assert!(
             !classic.ops.is_empty(),
             "{name}: session script must produce steps"
@@ -79,7 +73,7 @@ fn every_registered_service_conforms() {
 
         // Determinism: the same seed must reproduce the identical
         // calibration, setup included.
-        let again = calibrate(entry, seed, TransitionMode::Classic);
+        let again = calibrate(entry, seed, TransitionMode::Classic, TeeBackend::Sgx);
         assert_eq!(
             classic, again,
             "{name}: same-seed calibrations must be identical"
@@ -87,7 +81,7 @@ fn every_registered_service_conforms() {
 
         // Switchless must strictly lower per-session SGX instructions by
         // eliding transitions; classic must elide none.
-        let sw = calibrate(entry, seed, TransitionMode::Switchless);
+        let sw = calibrate(entry, seed, TransitionMode::Switchless, TeeBackend::Sgx);
         assert_eq!(sw.mode, TransitionMode::Switchless);
         assert_eq!(sw.ops.len(), classic.ops.len(), "{name}: step count");
         assert!(
@@ -120,7 +114,7 @@ fn every_registered_service_conforms_on_vmtee() {
         let seed = 3 + 2 * i as u64;
         let name = entry.name;
 
-        let classic = calibrate_backend(entry, seed, TransitionMode::Classic, TeeBackend::VmTee);
+        let classic = calibrate(entry, seed, TransitionMode::Classic, TeeBackend::VmTee);
         assert!(
             !classic.ops.is_empty(),
             "{name}: vmtee session script must produce steps"
@@ -145,7 +139,7 @@ fn every_registered_service_conforms_on_vmtee() {
         );
 
         // Same-seed determinism on the new backend.
-        let again = calibrate_backend(entry, seed, TransitionMode::Classic, TeeBackend::VmTee);
+        let again = calibrate(entry, seed, TransitionMode::Classic, TeeBackend::VmTee);
         assert_eq!(
             classic, again,
             "{name}: same-seed vmtee calibrations must be identical"
@@ -168,7 +162,7 @@ fn shard_counts_agree_per_backend() {
     for (i, entry) in REGISTRY.iter().enumerate() {
         let seed = 5 + 2 * i as u64;
         for backend in [TeeBackend::Sgx, TeeBackend::VmTee] {
-            let cal = calibrate_backend(entry, seed, TransitionMode::Classic, backend);
+            let cal = calibrate(entry, seed, TransitionMode::Classic, backend);
             let config = LoadConfig::new(40, seed, LoadMode::Open { rate_per_sec: None });
             let runner = LoadRunner::new(config);
             let one = runner.run_sharded(entry.name, &cal, 1);

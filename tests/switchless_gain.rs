@@ -6,15 +6,22 @@
 //! worse than classic — and the byte-stable-JSON contract must hold per
 //! mode.
 
-use teenet_load::scenarios::{by_name_mode, NAMES};
+use teenet_load::scenarios::{by_name_switchless, NAMES};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner, RunReport};
-use teenet_sgx::TransitionMode;
+use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode};
 
 /// Closed-loop run: same arrival schedule in both modes (open-loop auto
 /// rate derives from calibrated capacity, which differs per mode and
 /// would make the latency comparison unsound).
 fn run(name: &str, seed: u64, sessions: u64, mode: TransitionMode) -> RunReport {
-    let mut scenario = by_name_mode(name, seed, mode).expect("known scenario");
+    let mut scenario = by_name_switchless(
+        name,
+        seed,
+        mode,
+        TeeBackend::Sgx,
+        SwitchlessConfig::default(),
+    )
+    .expect("known scenario");
     let calibration = scenario.calibrate();
     let config = LoadConfig::new(sessions, seed, LoadMode::Closed { concurrency: 8 });
     LoadRunner::new(config).run(scenario.name(), &calibration)
