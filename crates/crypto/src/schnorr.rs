@@ -20,11 +20,13 @@
 //! `g = 4 = 2^2`, so `g^k` is the comb's `2^(2k)` and never squares for
 //! the generator. `verify` is the textbook `g^s * y^(-e)`. Every clone of
 //! a verifying key shares one `Arc` holding `y^-1` — `g^(q-x)` out of
-//! `generate`, one `mod_inv` at a parsed key's first verification — and,
-//! from its second verification on, a comb of `y^-1` over the 256 bits of
-//! a challenge: `y^(-e)` then rides the generator's steps, and `verify`
-//! squares no more than `sign`. The first verification, and a challenge
-//! wider than the comb, take a 4-bit window instead.
+//! `generate`, one [`BigUint::mod_inv`] at a parsed key's first
+//! verification (a binary extended GCD in place, 15–20 µs at 1 024 bits,
+//! variable-time, as a public key allows) — and, from its second
+//! verification on, a comb of `y^-1` over the 256 bits of a challenge:
+//! `y^(-e)` then rides the generator's steps, and `verify` squares no
+//! more than `sign`. The first verification, and a challenge wider than
+//! the comb, take a 4-bit window instead.
 
 use crate::bignum::{Base, BigUint, Comb, Montgomery};
 use crate::dh::DhGroup;
@@ -127,8 +129,9 @@ const CHALLENGE_BITS: usize = 256;
 /// `y^-1` and its comb, filled in as a key verifies.
 #[derive(Debug, Default)]
 struct Inverse {
-    /// `y^-1 mod p`. A parsed key fills it in at its first verification:
-    /// half of them never verify.
+    /// `y^-1 mod p`. A parsed key fills it in at its first verification
+    /// (half of them never verify) by [`BigUint::mod_inv`], whose variable
+    /// time is safe here: `y` is public.
     y_inv: OnceLock<BigUint>,
     /// Set by the first verification. It publishes no data (the comb has
     /// its own lock), so `Relaxed` suffices.
@@ -470,6 +473,27 @@ mod tests {
         }
         let y_inv = key.inverse.y_inv.get().expect("inverted by verify");
         key.y.mod_mul(y_inv, &key.group.p).unwrap().is_one()
+    }
+
+    /// In both groups a parsed key's first verification, whatever its
+    /// verdict, leaves the `y^-1` its generated twin holds: `g^(q-x)`.
+    #[test]
+    fn a_parsed_key_inverts_to_the_generated_keys_g_to_the_q_minus_x() {
+        let mut rng = SecureRng::seed_from_u64(43);
+        for group in [SchnorrGroup::small(), SchnorrGroup::standard()] {
+            for _ in 0..8 {
+                let key = SigningKey::generate(&group, &mut rng).unwrap();
+                let sig = key.sign(b"msg", &mut rng).unwrap();
+                let g_inv = group.g_pow(&group.q.checked_sub(&key.x).unwrap(), None);
+                assert_eq!(key.public.inverse.y_inv.get(), Some(&g_inv));
+                for msg in [&b"msg"[..], b"other"] {
+                    let parsed = VerifyingKey::from_bytes(&group, &key.public.to_bytes()).unwrap();
+                    assert!(parsed.inverse.y_inv.get().is_none());
+                    assert_eq!(parsed.verify(msg, &sig).is_ok(), msg == b"msg");
+                    assert_eq!(parsed.inverse.y_inv.get(), Some(&g_inv));
+                }
+            }
+        }
     }
 
     /// Thirty clones of a key, generated or parsed, share one `y^-1` and
