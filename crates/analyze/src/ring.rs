@@ -53,7 +53,7 @@
 //!   `taken`, `elided` and `fallbacks` partition the posted pairs (see
 //!   [`ModelCounters::as_transition_stats`]),
 //! * wake accounting: `wakes_delivered == wakes_posted` — every wake
-//!   the poster paid for (each one is a charged `switchless_wake`)
+//!   the poster paid for (each one a charged `Op::SwitchlessWake`)
 //!   actually moved a worker from asleep to spinning. A wake consumed by
 //!   an already-awake worker is capacity the enclave paid for and never
 //!   received.
@@ -203,7 +203,7 @@ struct State {
     workers: Vec<Worker>,
     /// Wake signals posted but not yet consumed by any worker.
     wake_pending: u8,
-    /// Wakes the poster paid for (each one a charged `switchless_wake`).
+    /// Wakes the poster paid for (each one a charged `Op::SwitchlessWake`).
     wakes_posted: u8,
     /// Wakes that actually moved a worker from asleep to spinning.
     wakes_delivered: u8,
@@ -485,7 +485,7 @@ pub const MODEL_TOPICS: [ModelTopic; 4] = [
         summary: "seeded mutation: awake worker steals the wake meant for a sleeper",
         rationale: "With N >= 2 workers the wake path is a semaphore, and a spinning worker \
                     that grabs the token leaves the intended sleeper parked: the enclave paid \
-                    switchless_wake for pool capacity it never received. The model counts \
+                    a SwitchlessWake for pool capacity it never received. The model counts \
                     wakes_posted vs wakes_delivered and rejects any terminal where they \
                     differ — the thundering-herd bug the single-worker model could never \
                     express.",

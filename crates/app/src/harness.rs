@@ -216,6 +216,7 @@ fn wire_bytes(bytes: usize) -> Result<u32, AppError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teenet_sgx::cost::{Op, OpCounts};
     use teenet_sgx::SgxError;
 
     /// A synthetic service whose meters advance by fixed amounts per
@@ -328,22 +329,18 @@ mod tests {
                         }));
                     }
                     self.advance(1);
-                    let mut client = Counters::new();
-                    client.normal(env.model.hmac_short);
                     Ok(StepOutcome::Executed(StepExecution {
                         request_bytes: self.request_bytes,
                         response_bytes: 8,
-                        client,
+                        client: hmacs(1, env),
                     }))
                 }
                 StepRequest::Batch(k) => {
                     self.advance(u64::from(k));
-                    let mut client = Counters::new();
-                    client.normal(u64::from(k) * env.model.hmac_short);
                     Ok(StepOutcome::Executed(StepExecution {
                         request_bytes: self.request_bytes,
                         response_bytes: 8,
-                        client,
+                        client: hmacs(u64::from(k), env),
                     }))
                 }
             }
@@ -353,6 +350,13 @@ mod tests {
             self.torn_down = true;
             Ok(())
         }
+    }
+
+    /// The modelled client side of `n` operations: one HMAC each.
+    fn hmacs(n: u64, env: &ServiceEnv) -> Counters {
+        let mut counts = OpCounts::new();
+        counts.charge(Op::HmacShort, n);
+        counts.price(&env.model)
     }
 
     fn harness(mode: TransitionMode) -> AppHarness {

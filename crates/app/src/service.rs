@@ -61,7 +61,7 @@ impl From<AppError> for teenet_sgx::SgxError {
 }
 
 /// Cross-cutting state the harness wires into every calibration: the
-/// seed, the transition mode under test, the paper cost model, and a
+/// seed, the transition mode under test, the backend's cost model, and a
 /// fresh attestation ledger for provisioning accounting.
 #[derive(Debug)]
 pub struct ServiceEnv {
@@ -76,7 +76,8 @@ pub struct ServiceEnv {
     /// steady-state enclaves (pool size, spin budget, scaling policy).
     /// Irrelevant under [`TransitionMode::Classic`].
     pub switchless: SwitchlessConfig,
-    /// The backend's calibrated cost model (client-side modelled costs).
+    /// The backend's cost model: prices the op counts a service models
+    /// outside the metered platforms into its op profiles.
     pub model: CostModel,
     /// Attestation accounting for the provisioning phase.
     pub ledger: AttestLedger,

@@ -19,7 +19,8 @@ use teenet::identity::IdentityPolicy;
 use teenet::responder::{attest_enclave, AttestResponder};
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::{CostModel, Counters};
+use teenet_sgx::cost::{Counters, Op, OpCounts};
+use teenet_sgx::enclave::BATCH_CROSSINGS;
 use teenet_sgx::{
     deploy_platform, EnclaveCtx, EnclaveId, EnclaveProgram, EpidGroup, SgxError, TeeBackend,
     TeePlatform,
@@ -95,8 +96,6 @@ pub struct AttestBench {
     pub epid: EpidGroup,
     /// Challenger-side RNG.
     pub rng: SecureRng,
-    /// The cost model.
-    pub model: CostModel,
 }
 
 impl AttestBench {
@@ -115,19 +114,18 @@ impl AttestBench {
             enclave,
             epid,
             rng,
-            model: CostModel::paper(),
         }
     }
 
     /// Runs one full remote attestation; returns
-    /// (target counters delta, quoting counters delta, challenger counters).
+    /// (target counters delta, quoting counters delta, challenger counters),
+    /// all priced by the target platform's model.
     pub fn run_once(&mut self, config: &AttestConfig) -> (Counters, Counters, Counters) {
         let target_before = self.platform.counters_of(self.enclave).expect("counters");
         let quoting_before = self.platform.attestor_counters();
         let (outcome, _) = attest_enclave(
             IdentityPolicy::AcceptAny,
             config.clone(),
-            &self.model,
             &mut self.rng,
             self.platform.as_mut(),
             self.enclave,
@@ -143,7 +141,8 @@ impl AttestBench {
             .expect("counters")
             .since(target_before);
         let quoting = self.platform.attestor_counters().since(quoting_before);
-        (target, quoting, outcome.counters)
+        let challenger = outcome.counts.price(self.platform.model());
+        (target, quoting, challenger)
     }
 }
 
@@ -174,16 +173,11 @@ pub fn measure_packet_send(count: u32, encrypt: bool, seed: u64) -> Counters {
         .counters_of(enclave)
         .expect("counters")
         .since(before);
-    let ecall_overhead = Counters {
-        sgx_instr: zero_call.sgx_instr - platform.model().io_batch_sgx,
-        normal_instr: zero_call.normal_instr
-            - platform.model().send_base
-            - if encrypt {
-                platform.model().aes_key_schedule
-            } else {
-                0
-            },
-    };
+    let mut batch_fixed = OpCounts::new();
+    batch_fixed.charge(Op::HostCrossing, BATCH_CROSSINGS);
+    batch_fixed.charge(Op::SendBase, 1);
+    batch_fixed.charge(Op::AesKeySchedule, u64::from(encrypt));
+    let ecall_overhead = zero_call.since(batch_fixed.price(platform.model()));
 
     let mut input = count.to_le_bytes().to_vec();
     input.push(encrypt as u8);

@@ -28,7 +28,7 @@ use teenet_crypto::dh::{DhGroup, DhKeyPair};
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::sha256::Sha256;
 use teenet_crypto::{BigUint, SecureRng};
-use teenet_sgx::cost::{CostModel, Counters};
+use teenet_sgx::cost::{Op, OpCounts};
 use teenet_sgx::report::{report_data_from, Report, TargetInfo, REPORT_DATA_LEN};
 use teenet_sgx::{EnclaveCtx, Evidence};
 
@@ -181,9 +181,8 @@ pub struct Challenger {
     config: AttestConfig,
     nonce: [u8; 32],
     dh: Option<DhKeyPair>,
-    /// Instructions spent by the challenger (Table 1's challenger column).
-    pub counters: Counters,
-    model: CostModel,
+    /// Ops the challenger performed (Table 1's challenger column).
+    pub counts: OpCounts,
 }
 
 /// Successful attestation outcome on the challenger side.
@@ -194,9 +193,15 @@ pub struct AttestOutcome {
     pub body: teenet_sgx::ReportBody,
     /// Secure channel to the target (when DH was enabled).
     pub channel: Option<SecureChannel>,
-    /// Total instructions the challenger spent (Table 1's challenger
-    /// column).
-    pub counters: Counters,
+    /// Every op the challenger performed (Table 1's challenger column),
+    /// priced by whoever meters the challenger: its caller's cost model,
+    /// or the enclave it runs in.
+    pub counts: OpCounts,
+}
+
+/// The modexp op of the configured DH group's width.
+fn modexp_op(config: &AttestConfig) -> Result<Op> {
+    Op::modexp(config.group.bits).ok_or(TeenetError::Protocol("DH group of an unpriced width"))
 }
 
 impl Challenger {
@@ -204,19 +209,17 @@ impl Challenger {
     pub fn start(
         policy: IdentityPolicy,
         config: AttestConfig,
-        model: &CostModel,
         rng: &mut SecureRng,
     ) -> Result<(Self, AttestRequest)> {
-        let mut counters = Counters::new();
-        counters.normal(model.attest_challenger_base);
+        let mut counts = OpCounts::new();
+        counts.charge(Op::AttestChallengerBase, 1);
         // The challenger runs in its own enclave: entering it and sending
-        // message 1 costs one protocol leg of TEE transitions (four SGX(U)
-        // instructions on SGX; a VM TEE charges fewer).
-        counters.sgx(model.challenger_entry_sgx);
+        // message 1 costs one protocol leg of TEE transitions.
+        counts.charge(Op::ChallengerEntry, 1);
         let mut nonce = [0u8; 32];
         rng.fill_bytes(&mut nonce);
         let (dh, challenger_dh_pub) = if config.with_dh {
-            counters.normal(model.modexp(config.group.bits)); // keygen
+            counts.charge(modexp_op(&config)?, 1); // keygen
             let kp = DhKeyPair::generate(&config.group, rng)?;
             let pubkey = kp.public_bytes();
             (Some(kp), pubkey)
@@ -229,8 +232,7 @@ impl Challenger {
                 config,
                 nonce,
                 dh,
-                counters,
-                model: model.clone(),
+                counts,
             },
             AttestRequest {
                 nonce,
@@ -248,12 +250,10 @@ impl Challenger {
         certificate: Option<&SoftwareCertificate>,
     ) -> Result<AttestOutcome> {
         // Receiving messages 5-8 re-enters the challenger enclave.
-        self.counters.sgx(self.model.challenger_entry_sgx);
-        // Signature check (challenger pays the backend's verification
-        // cost: one quote_verify on SGX, two on a VM TEE).
-        response
-            .evidence
-            .verify(group_public, &mut self.counters, &self.model)?;
+        self.counts.charge(Op::ChallengerEntry, 1);
+        // Signature check (one verification for an EPID quote, two for a
+        // VM-TEE endorsement chain).
+        response.evidence.verify(group_public, &mut self.counts)?;
         // Identity policy.
         self.policy.check(response.evidence.body(), certificate)?;
         // Session binding: the quoted report_data must commit to our nonce
@@ -270,8 +270,7 @@ impl Challenger {
         // Channel derivation.
         let channel = match &self.dh {
             Some(kp) => {
-                self.counters
-                    .normal(self.model.modexp(self.config.group.bits));
+                self.counts.charge(modexp_op(&self.config)?, 1);
                 let shared = kp
                     .shared_secret(&BigUint::from_bytes_be(&response.target_dh_pub))
                     .map_err(TeenetError::Crypto)?;
@@ -286,13 +285,8 @@ impl Challenger {
         Ok(AttestOutcome {
             body: response.evidence.body().clone(),
             channel,
-            counters: self.counters,
+            counts: self.counts,
         })
-    }
-
-    /// Instructions spent so far (for reporting even before `verify`).
-    pub fn counters(&self) -> Counters {
-        self.counters
     }
 }
 
@@ -316,15 +310,15 @@ impl TargetAttestor {
         qe_target: TargetInfo,
         config: AttestConfig,
     ) -> Result<(Self, Report)> {
-        ctx.charge(ctx.model.attest_target_base);
+        ctx.charge(Op::AttestTargetBase, 1);
         let mut rng_seed = [0u8; 32];
         ctx.random(&mut rng_seed);
         let mut rng = SecureRng::from_seed(&rng_seed);
         let (dh, target_pub) = if config.with_dh {
             // The paper's prototype generates DH parameters inside the
             // target — the dominant cost in Table 1's target column.
-            ctx.charge(ctx.model.dh_param_gen);
-            ctx.charge(ctx.model.modexp(config.group.bits)); // keygen
+            ctx.charge(Op::DhParamGen, 1);
+            ctx.charge(modexp_op(&config)?, 1); // keygen
             let kp = DhKeyPair::generate(&config.group, &mut rng).map_err(TeenetError::Crypto)?;
             let pubkey = kp.public_bytes();
             (Some(kp), pubkey)
@@ -359,7 +353,7 @@ impl TargetAttestor {
                 if self.challenger_pub.is_empty() {
                     return Err(TeenetError::Protocol("challenger sent no DH share"));
                 }
-                ctx.charge(ctx.model.modexp(self.config.group.bits)); // shared secret
+                ctx.charge(modexp_op(&self.config)?, 1); // shared secret
                 let shared = kp
                     .shared_secret(&BigUint::from_bytes_be(&self.challenger_pub))
                     .map_err(TeenetError::Crypto)?;
@@ -454,7 +448,6 @@ mod tests {
         enclave: teenet_sgx::EnclaveId,
         group_public: VerifyingKey,
         rng: SecureRng,
-        model: CostModel,
     }
 
     fn setup(config: AttestConfig) -> World {
@@ -477,13 +470,11 @@ mod tests {
                 1,
             )
             .unwrap();
-        let model = backend.cost_model();
         World {
             platform,
             enclave,
             group_public: epid.public_key(),
             rng,
-            model,
         }
     }
 
@@ -493,8 +484,7 @@ mod tests {
         policy: IdentityPolicy,
         config: AttestConfig,
     ) -> Result<AttestOutcome> {
-        let (challenger, request) =
-            Challenger::start(policy, config, &world.model, &mut world.rng)?;
+        let (challenger, request) = Challenger::start(policy, config, &mut world.rng)?;
         // Host ferries msg 1 into the target enclave.
         let mut input = request.to_bytes();
         input.extend_from_slice(&world.platform.attestation_target_info().mrenclave.0);
@@ -544,8 +534,9 @@ mod tests {
         assert_eq!(channel.open(&reply).unwrap(), b"echo: hello guest");
         // The challenger paid the VM-TEE verification shape: two signature
         // checks, cheaper protocol-leg transitions.
-        assert!(outcome.counters.normal_instr >= 2 * world.model.quote_verify);
-        assert_eq!(world.model.challenger_entry_sgx, 2);
+        assert_eq!(outcome.counts.count(Op::QuoteVerify), 2);
+        let priced = outcome.counts.price(world.platform.model());
+        assert_eq!(priced.sgx_instr, 2 * 2, "two legs of two VM exits");
     }
 
     #[test]
@@ -576,13 +567,8 @@ mod tests {
         // quoted report_data committed to the genuine share.
         let config = AttestConfig::fast();
         let mut world = setup(config.clone());
-        let (challenger, request) = Challenger::start(
-            IdentityPolicy::AcceptAny,
-            config.clone(),
-            &world.model,
-            &mut world.rng,
-        )
-        .unwrap();
+        let (challenger, request) =
+            Challenger::start(IdentityPolicy::AcceptAny, config.clone(), &mut world.rng).unwrap();
         let mut input = request.to_bytes();
         input.extend_from_slice(&world.platform.attestation_target_info().mrenclave.0);
         let report_bytes = world
@@ -612,13 +598,8 @@ mod tests {
         let config = AttestConfig::fast();
         let mut world = setup(config.clone());
         // First, an honest run captured by the adversary.
-        let (challenger1, request1) = Challenger::start(
-            IdentityPolicy::AcceptAny,
-            config.clone(),
-            &world.model,
-            &mut world.rng,
-        )
-        .unwrap();
+        let (challenger1, request1) =
+            Challenger::start(IdentityPolicy::AcceptAny, config.clone(), &mut world.rng).unwrap();
         let mut input = request1.to_bytes();
         input.extend_from_slice(&world.platform.attestation_target_info().mrenclave.0);
         let report_bytes = world
@@ -634,13 +615,8 @@ mod tests {
         let response = AttestResponse::from_bytes(&response_bytes).unwrap();
         drop(challenger1);
         // Fresh challenge; replayed response must fail.
-        let (challenger2, _) = Challenger::start(
-            IdentityPolicy::AcceptAny,
-            config,
-            &world.model,
-            &mut world.rng,
-        )
-        .unwrap();
+        let (challenger2, _) =
+            Challenger::start(IdentityPolicy::AcceptAny, config, &mut world.rng).unwrap();
         let err = challenger2
             .verify(&response, &world.group_public, None)
             .map(|_| ())

@@ -192,12 +192,8 @@ impl EnclaveService for AttestService {
 
         // One real attestation, driven message by message so the wire
         // sizes are the true ones, not estimates.
-        let (challenger, request) = Challenger::start(
-            IdentityPolicy::AcceptAny,
-            config,
-            &env.model,
-            &mut state.rng,
-        )?;
+        let (challenger, request) =
+            Challenger::start(IdentityPolicy::AcceptAny, config, &mut state.rng)?;
         let request_wire = request.to_bytes();
 
         let mut begin_input = request_wire.clone();
@@ -220,7 +216,7 @@ impl EnclaveService for AttestService {
         Ok(StepOutcome::Executed(StepExecution {
             request_bytes: request_wire.len(),
             response_bytes: response_wire.len(),
-            client: outcome.counters,
+            client: outcome.counts.price(&env.model),
         }))
     }
 }

@@ -13,7 +13,6 @@
 
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::CostModel;
 use teenet_sgx::{EnclaveId, ReportBody, TeePlatform};
 
 use crate::attest::AttestConfig;
@@ -63,14 +62,12 @@ pub fn mutual_attest(
     a: &mut Party<'_>,
     b: &mut Party<'_>,
     config: AttestConfig,
-    model: &CostModel,
     rng: &mut SecureRng,
 ) -> Result<MutualOutcome> {
     // Direction 1: A challenges B.
     let (outcome_ab, nonce_ab) = attest_enclave(
         a.expects.clone(),
         config.clone(),
-        model,
         rng,
         b.platform,
         b.enclave,
@@ -83,7 +80,6 @@ pub fn mutual_attest(
     let (outcome_ba, nonce_ba) = attest_enclave(
         b.expects.clone(),
         config,
-        model,
         rng,
         a.platform,
         a.enclave,
@@ -191,7 +187,6 @@ mod tests {
         let (mut pa, ea, mut pb, eb, mut rng, gk) = setup(1, 2);
         let ma = pa.measurement_of(ea).unwrap();
         let mb = pb.measurement_of(eb).unwrap();
-        let model = CostModel::paper();
         let outcome = mutual_attest(
             &mut Party {
                 platform: pa.as_mut(),
@@ -212,7 +207,6 @@ mod tests {
                 group_public: &gk,
             },
             AttestConfig::fast(),
-            &model,
             &mut rng,
         )
         .unwrap();
@@ -227,7 +221,6 @@ mod tests {
     fn mutual_attestation_fails_if_either_side_lies() {
         let (mut pa, ea, mut pb, eb, mut rng, gk) = setup(3, 4);
         let ma = pa.measurement_of(ea).unwrap();
-        let model = CostModel::paper();
         // A expects the wrong identity of B.
         let result = mutual_attest(
             &mut Party {
@@ -249,7 +242,6 @@ mod tests {
                 group_public: &gk,
             },
             AttestConfig::fast(),
-            &model,
             &mut rng,
         );
         assert!(result.is_err());

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::CostModel;
 use teenet_sgx::report::TargetInfo;
 use teenet_sgx::{EnclaveCtx, EnclaveId, Evidence, Measurement, Report, SgxError, TeePlatform};
 
@@ -138,7 +137,6 @@ impl AttestResponder {
 pub fn attest_enclave(
     policy: IdentityPolicy,
     config: AttestConfig,
-    model: &CostModel,
     rng: &mut SecureRng,
     platform: &mut dyn TeePlatform,
     enclave: EnclaveId,
@@ -147,7 +145,7 @@ pub fn attest_enclave(
     group_public: &VerifyingKey,
     certificate: Option<&SoftwareCertificate>,
 ) -> Result<(AttestOutcome, SessionNonce)> {
-    let (challenger, request) = Challenger::start(policy, config, model, rng)?;
+    let (challenger, request) = Challenger::start(policy, config, rng)?;
     let nonce = request.nonce;
     let mut begin_input = request.to_bytes();
     begin_input.extend_from_slice(&platform.attestation_target_info().mrenclave.0);
@@ -219,11 +217,9 @@ mod tests {
                 1,
             )
             .unwrap();
-        let model = backend.cost_model();
         let (outcome, nonce) = attest_enclave(
             IdentityPolicy::Mrenclave(platform.measurement_of(enclave).unwrap()),
             AttestConfig::fast(),
-            &model,
             &mut rng,
             platform.as_mut(),
             enclave,
@@ -286,11 +282,9 @@ mod tests {
                 1,
             )
             .unwrap();
-        let model = CostModel::paper();
         let result = attest_enclave(
             IdentityPolicy::Mrenclave(Measurement([0xaa; 32])),
             AttestConfig::fast(),
-            &model,
             &mut rng,
             platform.as_mut(),
             enclave,

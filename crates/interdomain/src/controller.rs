@@ -17,16 +17,26 @@ use teenet::channel::SecureChannel;
 use teenet::identity::IdentityPolicy;
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
+use teenet_sgx::cost::Op;
 use teenet_sgx::report::TargetInfo;
 use teenet_sgx::{EnclaveCtx, EnclaveProgram, Evidence, Measurement, SgxError};
 
 use crate::compute::{compute_routes, RoutingOutcome};
-use crate::cost;
 use crate::policy::LocalPolicy;
 use crate::predicate::Predicate;
 use crate::topology::{AsId, EdgeKind, EdgeList, Topology};
 use crate::verify::{VerificationModule, VerifyStatus};
 use crate::wire;
+
+/// Heap bytes one BGP work unit allocates inside the enclave (candidate
+/// route clones, path vectors, RIB entries). Drives the page-extension
+/// traps that dominate the controller's SGX-instruction count (Table 4
+/// reports 1448 SGX(U) instructions for the 30-AS run).
+const HEAP_BYTES_PER_WORK_UNIT: usize = 560;
+
+/// Heap bytes one installed route allocates in the AS-local controller's
+/// FIB (Table 4 reports 42 SGX(U) instructions per AS-local controller).
+const HEAP_BYTES_PER_ROUTE: usize = 2_048;
 
 /// Ecall function ids of the inter-domain controller.
 pub mod ic_fn {
@@ -213,8 +223,7 @@ impl EnclaveProgram for InterdomainController {
             }
             ic_fn::SUBMIT => {
                 let (nonce, sealed) = nonce_of(input)?;
-                let model_aes = ctx.model.aes_key_schedule + ctx.model.aes_bytes(sealed.len());
-                ctx.charge(model_aes + ctx.model.hmac_short);
+                ctx.counts.channel_record(sealed.len());
                 let session = self.session_mut(&nonce)?;
                 let plain = session
                     .channel
@@ -266,13 +275,14 @@ impl EnclaveProgram for InterdomainController {
                 let outcome = compute_routes(&topology, &policies);
                 // Application cost: per work unit, native work plus the
                 // in-enclave amplification (allocation + marshalling).
-                ctx.charge(outcome.work_units * (cost::ROUTE_EVAL_COST + cost::SGX_EVAL_OVERHEAD));
+                ctx.charge(Op::RouteEval, outcome.work_units);
+                ctx.charge(Op::EvalOverhead, outcome.work_units);
                 // Heap growth: each work unit clones candidate routes,
                 // path vectors and RIB entries (~560 B), allocated through
                 // the in-enclave allocator so page-extension traps are
                 // charged as they occur.
                 for _ in 0..outcome.work_units {
-                    ctx.malloc(cost::HEAP_BYTES_PER_WORK_UNIT)?;
+                    ctx.malloc(HEAP_BYTES_PER_WORK_UNIT)?;
                 }
                 self.outcome = Some(outcome);
                 Ok(Vec::new())
@@ -292,11 +302,7 @@ impl EnclaveProgram for InterdomainController {
                     .ok_or(SgxError::EcallRejected("no submission for session"))?;
                 let routes = outcome.routes_of(as_id);
                 let plain = wire::encode_routes(&routes);
-                ctx.charge(
-                    ctx.model.aes_key_schedule
-                        + ctx.model.aes_bytes(plain.len())
-                        + ctx.model.hmac_short,
-                );
+                ctx.counts.channel_record(plain.len());
                 let sealed = session.channel.seal(&plain);
                 // Route delivery is enclave I/O.
                 ctx.send_packets(&[&sealed], false);
@@ -304,7 +310,7 @@ impl EnclaveProgram for InterdomainController {
             }
             ic_fn::VERIFY => {
                 let (nonce, sealed) = nonce_of(input)?;
-                ctx.charge(ctx.model.aes_key_schedule + ctx.model.aes_bytes(sealed.len()));
+                ctx.counts.keyed_aes(sealed.len());
                 let outcome = self.outcome.as_ref();
                 let session = self
                     .sessions
@@ -418,7 +424,6 @@ impl EnclaveProgram for AsLocalController {
                 let (challenger, request) = Challenger::start(
                     IdentityPolicy::Mrenclave(self.expected_controller),
                     self.attest_config.clone(),
-                    ctx.model,
                     &mut rng,
                 )
                 .map_err(|_| SgxError::EcallRejected("challenger start failed"))?;
@@ -436,7 +441,7 @@ impl EnclaveProgram for AsLocalController {
                     .verify(&response, &self.group_public, None)
                     .map_err(|_| SgxError::EcallRejected("controller attestation failed"))?;
                 // The challenger's crypto work happened inside this enclave.
-                ctx.counters.merge(outcome.counters);
+                ctx.counts.merge(&outcome.counts);
                 let channel = outcome
                     .channel
                     .ok_or(SgxError::EcallRejected("no channel"))?;
@@ -444,21 +449,16 @@ impl EnclaveProgram for AsLocalController {
                 Ok(Vec::new())
             }
             alc_fn::SUBMIT_POLICY => {
-                ctx.charge(cost::ASLOCAL_BASE_COST);
+                ctx.charge(Op::AslocalBase, 1);
                 let plain = wire::encode_submission(&self.policy, &self.local_edges);
-                ctx.charge(
-                    ctx.model.aes_key_schedule
-                        + ctx.model.aes_bytes(plain.len())
-                        + ctx.model.hmac_short,
-                );
+                ctx.counts.channel_record(plain.len());
                 let channel = self.channel_mut()?;
                 let sealed = channel.seal(&plain);
                 ctx.send_packets(&[&sealed], false);
                 Ok(sealed)
             }
             alc_fn::INSTALL_ROUTES => {
-                let aes = ctx.model.aes_key_schedule + ctx.model.aes_bytes(input.len());
-                ctx.charge(aes + ctx.model.hmac_short);
+                ctx.counts.channel_record(input.len());
                 let channel = self.channel_mut()?;
                 let plain = channel
                     .open(input)
@@ -467,11 +467,10 @@ impl EnclaveProgram for AsLocalController {
                     .ok_or(SgxError::EcallRejected("malformed routes"))?;
                 // FIB installation: the dominant steady-state cost, with
                 // the in-enclave amplification per route.
-                ctx.charge(
-                    routes.len() as u64 * (cost::FIB_INSTALL_COST + cost::ASLOCAL_SGX_PER_ROUTE),
-                );
+                ctx.charge(Op::FibInstall, routes.len() as u64);
+                ctx.charge(Op::AslocalPerRoute, routes.len() as u64);
                 for _ in 0..routes.len() {
-                    ctx.malloc(cost::HEAP_BYTES_PER_ROUTE)?;
+                    ctx.malloc(HEAP_BYTES_PER_ROUTE)?;
                 }
                 let count = routes.len() as u32;
                 self.installed_routes = routes;

@@ -17,7 +17,7 @@ use teenet::attest::AttestConfig;
 use teenet::ledger::{AttestKind, AttestLedger};
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::{CostModel, Counters, Op, OpCounts};
 use teenet_sgx::{
     deploy_platform, EnclaveId, EpidGroup, Report, SgxError, SwitchlessConfig, TeeBackend,
     TeePlatform, TransitionMode, TransitionStats,
@@ -25,7 +25,6 @@ use teenet_sgx::{
 
 use crate::compute::{compute_routes, RoutingOutcome};
 use crate::controller::{alc_fn, ic_fn, AsLocalController, InterdomainController};
-use crate::cost;
 use crate::policy::LocalPolicy;
 use crate::predicate::Predicate;
 use crate::topology::{AsId, Topology};
@@ -464,21 +463,22 @@ impl NativeReport {
 }
 
 /// Executes the identical routing workload natively ("w/o SGX"): same
-/// computation, same per-unit costs, no enclave overheads.
+/// computation, same per-unit costs, no enclave overheads, priced at the
+/// paper row.
 pub fn run_native(topology: &Topology, policies: &HashMap<AsId, LocalPolicy>) -> NativeReport {
     let outcome = compute_routes(topology, policies);
-    let mut interdomain = Counters::new();
-    interdomain.normal(outcome.work_units * cost::ROUTE_EVAL_COST);
+    let model = CostModel::paper();
+    let mut interdomain = OpCounts::new();
+    interdomain.charge(Op::RouteEval, outcome.work_units);
     let mut aslocal = Vec::with_capacity(topology.len());
     for as_id in topology.ases() {
-        let mut c = Counters::new();
-        c.normal(cost::ASLOCAL_BASE_COST);
-        let n_routes = outcome.routes_of(as_id).len() as u64;
-        c.normal(n_routes * cost::FIB_INSTALL_COST);
-        aslocal.push(c);
+        let mut c = OpCounts::new();
+        c.charge(Op::AslocalBase, 1);
+        c.charge(Op::FibInstall, outcome.routes_of(as_id).len() as u64);
+        aslocal.push(c.price(&model));
     }
     NativeReport {
-        interdomain,
+        interdomain: interdomain.price(&model),
         aslocal,
         outcome,
     }

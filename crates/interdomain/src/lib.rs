@@ -23,7 +23,6 @@
 
 pub mod compute;
 pub mod controller;
-pub mod cost;
 pub mod deployment;
 pub mod driver;
 pub mod policy;

@@ -24,7 +24,7 @@ use teenet::responder::SessionNonce;
 use teenet_crypto::hmac::hmac_sha256;
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::CostModel;
+use teenet_sgx::cost::{CostModel, Op};
 use teenet_sgx::{EnclaveCtx, EnclaveProgram, Measurement, SgxError};
 
 use crate::record::{Job, ProvisionRecord, KEY_LEN};
@@ -55,7 +55,6 @@ pub struct CoordinatorEnclave {
     config: AttestConfig,
     expected: Measurement,
     group_public: VerifyingKey,
-    model: CostModel,
     rng: SecureRng,
     master: [u8; 32],
     pending: HashMap<u32, Challenger>,
@@ -80,7 +79,6 @@ impl CoordinatorEnclave {
             config,
             expected,
             group_public,
-            model: CostModel::paper(),
             rng,
             master,
             pending: HashMap::new(),
@@ -109,7 +107,6 @@ impl CoordinatorEnclave {
         let (challenger, request) = Challenger::start(
             IdentityPolicy::Mrenclave(self.expected),
             self.config.clone(),
-            &self.model,
             &mut self.rng,
         )
         .map_err(|_| SgxError::EcallRejected("challenger start failed"))?;
@@ -146,8 +143,10 @@ impl CoordinatorEnclave {
             }
         };
         // The challenger's crypto ran inside this enclave; its real
-        // transitions are already metered by the platform.
-        ctx.charge(outcome.counters.normal_instr);
+        // transitions are already metered by the platform. Its normal work
+        // is priced at the paper row whatever this platform's backend.
+        ctx.counts
+            .charge_priced_normal(&outcome.counts, &CostModel::paper());
         let channel = outcome
             .channel
             .ok_or(SgxError::EcallRejected("attestation derived no channel"))?;
@@ -181,7 +180,8 @@ impl CoordinatorEnclave {
         };
         let plain = record.to_bytes();
         // One key derivation plus the channel seal (encrypt + MAC).
-        ctx.charge(2 * self.model.hmac_short + self.model.aes_bytes(plain.len()));
+        ctx.charge(Op::HmacShort, 2);
+        ctx.counts.aes(plain.len());
         let channel = self
             .channels
             .get_mut(&worker)
@@ -207,7 +207,8 @@ impl CoordinatorEnclave {
             .ok_or(SgxError::EcallRejected(NO_EPOCH))?;
         let job_id = self.jobs_minted;
         self.jobs_minted += 1;
-        ctx.charge(self.model.hmac_short + self.model.sha256_bytes(payload.len()));
+        ctx.charge(Op::HmacShort, 1);
+        ctx.counts.sha256(payload.len());
         let job = Job::mint(
             &self.epoch_key(worker, epoch),
             epoch,

@@ -22,7 +22,7 @@
 use teenet::responder::AttestResponder;
 use teenet::AttestConfig;
 use teenet_crypto::hmac::{hmac_sha256, hmac_verify};
-use teenet_sgx::cost::CostModel;
+use teenet_sgx::cost::Op;
 use teenet_sgx::keys::KeyRequest;
 use teenet_sgx::seal::SealedBlob;
 use teenet_sgx::{EnclaveCtx, EnclaveProgram, SgxError};
@@ -62,7 +62,6 @@ struct ActiveSlot {
 /// The worker enclave program.
 pub struct WorkerEnclave {
     responder: AttestResponder,
-    model: CostModel,
     last_counter: u64,
     active: Option<ActiveSlot>,
 }
@@ -72,7 +71,6 @@ impl WorkerEnclave {
     pub fn new(config: AttestConfig) -> Self {
         WorkerEnclave {
             responder: AttestResponder::new(config),
-            model: CostModel::paper(),
             last_counter: 0,
             active: None,
         }
@@ -92,7 +90,8 @@ impl WorkerEnclave {
             .map_err(|_| SgxError::EcallRejected("bad session nonce"))?;
         // The record arrives over the attested channel of that session;
         // opening it costs one decrypt + MAC check.
-        ctx.charge(self.model.aes_bytes(sealed_msg.len()) + self.model.hmac_short);
+        ctx.counts.aes(sealed_msg.len());
+        ctx.charge(Op::HmacShort, 1);
         let channel = self.responder.channel_mut(&nonce)?;
         let plain = channel
             .open(sealed_msg)
@@ -152,7 +151,10 @@ impl WorkerEnclave {
             return Err(SgxError::EcallRejected(EPOCH_REVOKED));
         }
         // Verify the job, then produce the keyed execution receipt.
-        ctx.charge(2 * (self.model.hmac_short + self.model.sha256_bytes(job.payload.len())));
+        for _ in 0..2 {
+            ctx.charge(Op::HmacShort, 1);
+            ctx.counts.sha256(job.payload.len());
+        }
         if !hmac_verify(
             &slot.material,
             &Job::mac_input(job.epoch, job.job_id, &job.payload),

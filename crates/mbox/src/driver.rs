@@ -20,7 +20,7 @@ use teenet_app::{
     AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
 };
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::{Counters, Op, OpCounts};
 use teenet_sgx::{EpidGroup, SwitchlessConfig, TransitionMode, TransitionStats};
 use teenet_tls::handshake::{handshake, TlsConfig};
 use teenet_tls::TlsSession;
@@ -228,17 +228,19 @@ impl EnclaveService for TlsMboxService {
             }
         }
 
-        // Client-side cost under the paper's model: one record encryption
-        // per record in the batch.
-        let mut client_cost = Counters::new();
-        client_cost
-            .normal(u64::from(count) * (env.model.aes_bytes(record_len) + env.model.hmac_short));
+        // Modelled client side: one record encryption and its MAC per
+        // record in the batch.
+        let mut client = OpCounts::new();
+        for _ in 0..count {
+            client.aes(record_len);
+        }
+        client.charge(Op::HmacShort, u64::from(count));
         Ok(StepOutcome::Executed(StepExecution {
             request_bytes: record_len,
             // The middlebox forwards the record onward; model the
             // ack/continue signal back to the sender as a bare status byte.
             response_bytes: 1,
-            client: client_cost,
+            client: client.price(&env.model),
         }))
     }
 }

@@ -147,7 +147,7 @@ impl EnclaveProgram for MiddleboxEnclave {
                 let nonce: [u8; 32] = nonce
                     .try_into()
                     .map_err(|_| SgxError::EcallRejected("bad session nonce"))?;
-                ctx.charge(ctx.model.aes_key_schedule + ctx.model.aes_bytes(sealed.len()));
+                ctx.counts.keyed_aes(sealed.len());
                 let channel = self.responder.channel_mut(&nonce)?;
                 let plain = channel
                     .open(sealed)
@@ -189,7 +189,9 @@ impl EnclaveProgram for MiddleboxEnclave {
                     .map_err(|_| SgxError::EcallRejected("bad session id"))?;
                 let direction = input[8];
                 let record = &input[9..];
-                ctx.charge(ctx.model.aes_key_schedule + 2 * ctx.model.aes_bytes(record.len()));
+                // Decrypt for inspection, re-encrypt to forward.
+                ctx.counts.keyed_aes(record.len());
+                ctx.counts.aes(record.len());
                 let session = self
                     .sessions
                     .get_mut(&sid)

@@ -99,7 +99,6 @@ impl MiddleboxHost {
         rng: &mut SecureRng,
         ledger: &mut AttestLedger,
     ) -> Result<([u8; 8], bool)> {
-        let model = self.platform.model().clone();
         // Ledger target id: derived from the pinned identity so distinct
         // middleboxes count separately even across platforms.
         let target_tag = u64::from_le_bytes(self.expected.0[..8].try_into().expect("8"));
@@ -107,7 +106,6 @@ impl MiddleboxHost {
         let (outcome, nonce) = attest_enclave(
             IdentityPolicy::Mrenclave(self.expected),
             self.attest.clone(),
-            &model,
             rng,
             self.platform.as_mut(),
             self.enclave,

@@ -8,8 +8,12 @@
 //! reproduction.
 //!
 //! Design follows the event-driven poll model of embedded network stacks
-//! (smoltcp): no threads, no wall clock, explicit [`sim::Network::run_until`]
-//! progression, so every experiment replays bit-for-bit from its seed.
+//! (smoltcp): no threads, no wall clock, explicit progression, so every
+//! experiment replays bit-for-bit from its seed. Replay advances one
+//! delivery at a time with [`sim::Network::deliver_next`], which lends
+//! each packet in place; [`sim::Network::run_until`] and
+//! [`sim::Network::run_to_idle`] instead fill node inboxes, the path only
+//! Tor's network pump still uses.
 //!
 //! * [`sim::Network`] — nodes, configurable links (latency, bandwidth,
 //!   FIFO serialisation), datagram delivery.

@@ -2,8 +2,8 @@
 //!
 //! Minimal ARQ in the smoltcp spirit: sequence numbers, cumulative acks,
 //! retransmission on timeout, a checksum to reject corrupted segments, and
-//! receive-side reassembly of out-of-order data. The Tor and middlebox
-//! case studies run their framed protocols over this.
+//! receive-side reassembly of out-of-order data. No case study runs over
+//! it: its users are a property test and `examples/fault_injection.rs`.
 //!
 //! The endpoint is driven explicitly (poll model): the application drains
 //! its node inbox, feeds packets to [`StreamConn::handle_packet`], then

@@ -10,7 +10,7 @@
 
 use teenet_crypto::SecureRng;
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::{Op, OpCounts};
 use crate::epc::{Epc, PageType};
 use crate::error::{Result, SgxError};
 use crate::keys::{derive_key, KeyRequest};
@@ -18,10 +18,15 @@ use crate::measurement::{Measurement, PAGE_SIZE};
 use crate::ocall::HostCalls;
 use crate::report::{ereport, Report, ReportBody, TargetInfo, REPORT_DATA_LEN};
 use crate::seal::{seal, unseal, SealedBlob};
-use crate::switchless::{Post, SwitchlessState, TransitionMode, TransitionStats};
+use crate::switchless::{Post, SwitchlessState};
 
 /// Identifier of a loaded enclave within one platform.
 pub type EnclaveId = u64;
+
+/// Host crossings a packet-send batch pays besides its per-packet ones:
+/// the batch's setup and its completion (Table 2: 6 SGX(U) for one
+/// packet, 204 for 100).
+pub const BATCH_CROSSINGS: u64 = 2;
 
 /// Application logic executed inside an enclave.
 ///
@@ -51,8 +56,8 @@ pub struct Enclave {
     pub mrsigner: Measurement,
     /// Security version from the SIGSTRUCT.
     pub isv_svn: u16,
-    /// Instructions executed inside (and on behalf of) this enclave.
-    pub counters: Counters,
+    /// Ops performed inside (and on behalf of) this enclave.
+    pub counts: OpCounts,
     /// Transition mode, call ring and crossing statistics.
     pub switchless: SwitchlessState,
     pub(crate) program: Option<Box<dyn EnclaveProgram>>,
@@ -65,10 +70,8 @@ pub struct Enclave {
 /// interface (EGETKEY, EREPORT, randomness), the cost accounting, dynamic
 /// memory, and the untrusted host (ocalls).
 pub struct EnclaveCtx<'a> {
-    /// Cost counters of the running enclave (charged as the program runs).
-    pub counters: &'a mut Counters,
-    /// The platform cost model.
-    pub model: &'a CostModel,
+    /// Op meter of the running enclave (charged as the program runs).
+    pub counts: &'a mut OpCounts,
     /// The running enclave's own identity.
     pub mrenclave: Measurement,
     /// The running enclave's author identity.
@@ -86,50 +89,38 @@ pub struct EnclaveCtx<'a> {
 }
 
 impl<'a> EnclaveCtx<'a> {
-    /// Charges `n` modelled normal instructions of application work.
-    pub fn charge(&mut self, n: u64) {
-        self.counters.normal(n);
+    /// Charges `n` occurrences of `op` to the running enclave.
+    pub fn charge(&mut self, op: Op, n: u64) {
+        self.counts.charge(op, n);
     }
 
-    /// The enclave's current transition mode.
-    pub fn transition_mode(&self) -> TransitionMode {
-        self.switchless.mode
-    }
-
-    /// Crossing statistics accumulated so far.
-    pub fn transition_stats(&self) -> TransitionStats {
-        self.switchless.stats
-    }
-
-    /// Routes a would-be host crossing of `sgx_instr` SGX instructions
-    /// (`sgx_instr / 2` EEXIT/EENTER pairs) through the transition layer.
+    /// Routes `pairs` would-be host crossings ([`Op::HostCrossing`])
+    /// through the transition layer.
     ///
-    /// Classic mode charges the SGX instructions as-is. Switchless mode
-    /// posts the request to the shared call ring instead — ring-post plus
-    /// worker-poll normal instructions per pair, zero SGX instructions —
-    /// unless the worker is asleep or the ring is full, in which case one
-    /// real transition is taken as a fallback. Returns `true` when the
-    /// crossing was elided.
-    fn host_transition(&mut self, sgx_instr: u64) -> bool {
-        let pairs = (sgx_instr / 2).max(1);
+    /// Classic mode charges the crossings as-is. Switchless mode posts the
+    /// request to the shared call ring instead — a ring post plus a worker
+    /// poll per pair, zero SGX instructions — unless the worker is asleep
+    /// or the ring is full, in which case the real crossings are taken as
+    /// a fallback. Returns `true` when the crossing was elided.
+    fn host_transition(&mut self, pairs: u64) -> bool {
         match self.switchless.post(pairs) {
             Post::Classic => {
-                self.counters.sgx(sgx_instr);
+                self.counts.charge(Op::HostCrossing, pairs);
                 self.switchless.stats.taken += pairs;
                 false
             }
             Post::Elided => {
-                self.counters
-                    .normal(pairs * (self.model.switchless_post + self.model.switchless_poll));
+                self.counts.charge(Op::SwitchlessPost, pairs);
+                self.counts.charge(Op::SwitchlessPoll, pairs);
                 self.switchless.stats.elided += pairs;
                 true
             }
             Post::Fallback { woke } => {
-                self.counters.sgx(sgx_instr);
+                self.counts.charge(Op::HostCrossing, pairs);
                 self.switchless.stats.taken += pairs;
                 self.switchless.stats.fallbacks += 1;
                 if woke {
-                    self.counters.normal(self.model.switchless_wake);
+                    self.counts.charge(Op::SwitchlessWake, 1);
                 }
                 false
             }
@@ -138,17 +129,17 @@ impl<'a> EnclaveCtx<'a> {
 
     /// EGETKEY: derives a key bound to this enclave's identity.
     pub fn egetkey(&mut self, request: KeyRequest) -> [u8; 32] {
-        self.counters.sgx(1);
+        self.counts.charge(Op::Egetkey, 1);
         derive_key(self.device_key, request, &self.mrenclave, &self.mrsigner)
     }
 
     /// EREPORT: produces a REPORT about this enclave for `target`,
     /// embedding `data` (truncated/zero-padded to 64 bytes).
     pub fn ereport(&mut self, target: TargetInfo, data: &[u8; REPORT_DATA_LEN]) -> Report {
-        self.counters.sgx(1);
+        self.counts.charge(Op::Ereport, 1);
         // MAC computation happens in microcode, but the marshalling around
         // it is ordinary work.
-        self.counters.normal(self.model.hmac_short);
+        self.counts.charge(Op::HmacShort, 1);
         let body = ReportBody {
             mrenclave: self.mrenclave,
             mrsigner: self.mrsigner,
@@ -160,51 +151,22 @@ impl<'a> EnclaveCtx<'a> {
 
     /// RDRAND-style randomness (deterministic per platform seed).
     pub fn random(&mut self, dest: &mut [u8]) {
-        self.counters.normal(10 * dest.len() as u64);
+        self.counts.charge(Op::RandomByte, dest.len() as u64);
         self.rng.fill_bytes(dest);
     }
 
-    /// Dynamic in-enclave memory allocation.
+    /// Dynamic in-enclave memory allocation, heap-style: byte-granular,
+    /// extending the EPC only when the cumulative heap crosses a page
+    /// boundary.
     ///
     /// Models what the paper blames for much of the steady-state overhead:
     /// "mainly due to in-enclave I/O and dynamic memory allocation that
-    /// cause context switches" (§5). Each allocation charges the model's
-    /// base cost; every new EPC page adds a page cost and an
-    /// exit/re-enter pair.
-    pub fn alloc(&mut self, bytes: usize) -> Result<()> {
-        let pages = bytes.div_ceil(PAGE_SIZE);
-        self.counters.normal(self.model.alloc_base);
-        if pages > 0 {
-            self.ensure_epc_room(pages)?;
-            self.epc.add_pages(
-                self.enclave_id,
-                *self.next_alloc_offset,
-                pages,
-                PageType::Regular,
-            )?;
-            *self.next_alloc_offset += pages * PAGE_SIZE;
-            self.counters.normal(self.model.alloc_page * pages as u64);
-            // Per-page acceptance cost (PVALIDATE/EACCEPT) — zero on the
-            // SGX profile, where paging costs live in alloc_page/ewb_page.
-            self.counters.normal(self.model.page_accept * pages as u64);
-            // Page extension traps to the host (EEXIT + EENTER per request)
-            // — elidable through the switchless ring.
-            self.host_transition(2);
-        }
-        Ok(())
-    }
-
-    /// Heap-style dynamic allocation: byte-granular, extending the EPC
-    /// only when the cumulative heap crosses a page boundary.
-    ///
-    /// Every call charges the allocator's base cost; a page-boundary
-    /// crossing additionally traps to the host for page extension (one
-    /// EEXIT/EENTER pair plus the per-page cost), which is the
-    /// context-switch behaviour the paper blames for much of the
-    /// steady-state overhead (§5). Use [`EnclaveCtx::alloc`] for
-    /// page-granular reservations instead.
+    /// cause context switches" (§5). Every call charges [`Op::AllocBase`];
+    /// a page-boundary crossing adds each new page's cost and acceptance
+    /// (free on the SGX row) and one page-extension trap to the host — an
+    /// exit/re-enter pair, elidable through the switchless ring.
     pub fn malloc(&mut self, bytes: usize) -> Result<()> {
-        self.counters.normal(self.model.alloc_base);
+        self.counts.charge(Op::AllocBase, 1);
         let backed = self.heap_used.div_ceil(PAGE_SIZE);
         *self.heap_used += bytes;
         let required = self.heap_used.div_ceil(PAGE_SIZE);
@@ -218,13 +180,9 @@ impl<'a> EnclaveCtx<'a> {
                 PageType::Regular,
             )?;
             *self.next_alloc_offset += count * PAGE_SIZE;
-            self.counters.normal(self.model.alloc_page * count as u64);
-            // Per-page acceptance cost (PVALIDATE/EACCEPT) — zero on the
-            // SGX profile.
-            self.counters.normal(self.model.page_accept * count as u64);
-            // One page-extension trap (exit + re-enter) — elidable through
-            // the switchless ring.
-            self.host_transition(2);
+            self.counts.charge(Op::AllocPage, count as u64);
+            self.counts.charge(Op::PageAccept, count as u64);
+            self.host_transition(1);
         }
         Ok(())
     }
@@ -248,8 +206,8 @@ impl<'a> EnclaveCtx<'a> {
                 free: self.epc.free_pages(),
             });
         }
-        self.counters.normal(self.model.ewb_page * evicted as u64);
-        self.counters.sgx(2 * evicted as u64); // AEX + ERESUME per page
+        self.counts.charge(Op::EwbPage, evicted as u64);
+        self.counts.charge(Op::AexResume, evicted as u64);
         Ok(())
     }
 
@@ -259,10 +217,9 @@ impl<'a> EnclaveCtx<'a> {
     /// The returned bytes are **untrusted**; pass them through
     /// [`crate::ocall::checked`] before use.
     pub fn ocall(&mut self, name: &str, payload: &[u8]) -> Vec<u8> {
-        self.host_transition(2);
+        self.host_transition(1);
         let reply = self.host.ocall(name, payload);
-        self.counters
-            .normal(((payload.len() + reply.len()) as u64) / 8 + 50);
+        self.counts.marshal(payload.len() + reply.len());
         reply
     }
 
@@ -271,36 +228,35 @@ impl<'a> EnclaveCtx<'a> {
         let key = self.egetkey(policy);
         let mut nonce = [0u8; 16];
         self.random(&mut nonce);
-        self.counters
-            .normal(self.model.aes_key_schedule + self.model.aes_bytes(plaintext.len()));
+        self.counts.keyed_aes(plaintext.len());
         seal(&key, label, nonce, plaintext)
     }
 
     /// Unseals a blob sealed under the same policy by an eligible enclave.
     pub fn unseal(&mut self, policy: KeyRequest, blob: &SealedBlob) -> Result<Vec<u8>> {
         let key = self.egetkey(policy);
-        self.counters
-            .normal(self.model.aes_key_schedule + self.model.aes_bytes(blob.ciphertext.len()));
+        self.counts.keyed_aes(blob.ciphertext.len());
         unseal(&key, blob)
     }
 
     /// Sends packets to the host for transmission, optionally encrypting
     /// them first — the Table 2 I/O model.
     ///
-    /// One batch costs `io_batch_sgx` SGX instructions plus `io_packet_sgx`
-    /// per packet, `send_base` normal instructions plus a copy per packet,
-    /// and if `encrypt` is set one AES key schedule plus per-byte AES work.
+    /// One batch costs [`BATCH_CROSSINGS`] host crossings (setup and
+    /// completion) plus one per packet, [`Op::SendBase`] plus a
+    /// [`Op::PacketCopy`] per packet, and if `encrypt` is set one AES key
+    /// schedule plus AES over each packet.
     pub fn send_packets(&mut self, packets: &[&[u8]], encrypt: bool) {
-        self.host_transition(self.model.io_batch_sgx);
-        self.counters.normal(self.model.send_base);
+        self.host_transition(BATCH_CROSSINGS);
+        self.counts.charge(Op::SendBase, 1);
         if encrypt {
-            self.counters.normal(self.model.aes_key_schedule);
+            self.counts.charge(Op::AesKeySchedule, 1);
         }
         for p in packets {
-            self.host_transition(self.model.io_packet_sgx);
-            self.counters.normal(self.model.packet_copy);
+            self.host_transition(1);
+            self.counts.charge(Op::PacketCopy, 1);
             if encrypt {
-                self.counters.normal(self.model.aes_bytes(p.len()));
+                self.counts.aes(p.len());
             }
             // The actual transmission is a host service; its reply (bytes
             // written) goes through an Iago check by the caller if used.

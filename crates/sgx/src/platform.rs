@@ -18,7 +18,7 @@ use teenet_crypto::schnorr::SigningKey;
 use teenet_crypto::sha256::sha256;
 use teenet_crypto::SecureRng;
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::{CostModel, Counters, Op, OpCounts};
 use crate::enclave::{Enclave, EnclaveCtx, EnclaveId, EnclaveProgram};
 use crate::epc::{Epc, PageType};
 use crate::error::{Result, SgxError};
@@ -138,7 +138,7 @@ impl Platform {
             mrenclave: sigstruct.mrenclave,
             mrsigner,
             isv_svn: sigstruct.isv_svn,
-            counters: Counters::new(),
+            counts: OpCounts::new(),
             switchless: SwitchlessState::new(),
             program: Some(program),
             next_alloc_offset: (image_pages + BASE_RUNTIME_PAGES) * PAGE_SIZE,
@@ -160,6 +160,73 @@ impl Platform {
     fn with_epc(mut self, epc_pages: usize) -> Self {
         self.epc = Epc::new(epc_pages);
         self
+    }
+
+    /// Runs `calls` inside enclave `id` under one EENTER/EEXIT pair: the
+    /// body of [`TeePlatform::ecall`] (one call) and
+    /// [`TeePlatform::ecall_batch`]. `op` names the entry point in errors.
+    ///
+    /// The pair is paid once per entry — only batching amortises it, the
+    /// other `calls.len() - 1` would-be pairs counting as elided — and the
+    /// switchless ring absorbs only ocall-shaped crossings made while
+    /// inside. On a VM-TEE row the pair costs zero instructions but still
+    /// counts as a taken crossing. Each call pays its own marshalling; a
+    /// failing call aborts the rest and returns its error.
+    fn enter<'i>(
+        &mut self,
+        id: EnclaveId,
+        op: &'static str,
+        calls: impl ExactSizeIterator<Item = (u64, &'i [u8])>,
+        host: &mut dyn HostCalls,
+    ) -> Result<Vec<Vec<u8>>> {
+        let enclave = self
+            .enclaves
+            .get_mut(id as usize)
+            .ok_or(SgxError::NoSuchEnclave(id))?;
+        enclave.check_alive(op)?;
+        let mut program = enclave.program.take().ok_or(SgxError::NoSuchEnclave(id))?;
+        enclave.counts.charge(Op::EcallPair, 1);
+        enclave.switchless.stats.taken += 1;
+        enclave.switchless.stats.elided += calls.len() as u64 - 1;
+        enclave.switchless.on_ecall_start();
+
+        let mut rng = self.rng.fork(&ecall_label(id));
+        let mut ctx = EnclaveCtx {
+            counts: &mut enclave.counts,
+            mrenclave: enclave.mrenclave,
+            mrsigner: enclave.mrsigner,
+            isv_svn: enclave.isv_svn,
+            device_key: &self.device_key,
+            rng: &mut rng,
+            host,
+            epc: &mut self.epc,
+            enclave_id: id,
+            next_alloc_offset: &mut enclave.next_alloc_offset,
+            heap_used: &mut enclave.heap_used,
+            switchless: &mut enclave.switchless,
+        };
+        let replies = calls
+            .map(|(fn_id, input)| {
+                ctx.counts.marshal(input.len());
+                let reply = program.ecall(&mut ctx, fn_id, input)?;
+                ctx.charge(Op::MarshalWord, reply.len() as u64 / 8);
+                Ok(reply)
+            })
+            .collect();
+        let idle_spins = enclave.switchless.on_ecall_end();
+        enclave.counts.charge(Op::IdleSpin, idle_spins);
+        // Keep the platform RNG moving so successive ecalls differ.
+        self.rng = self.rng.fork(b"step");
+        enclave.program = Some(program);
+        replies
+    }
+
+    /// The attestation component's op meter.
+    fn attestor_counts(&self) -> &OpCounts {
+        match &self.attestor {
+            Attestor::Quoting(qe) => &qe.counts,
+            Attestor::Psp(psp) => &psp.counts,
+        }
     }
 
     fn enclave_ref(&self, id: EnclaveId) -> Result<&Enclave> {
@@ -219,56 +286,8 @@ impl TeePlatform for Platform {
         input: &[u8],
         host: &mut dyn HostCalls,
     ) -> Result<Vec<u8>> {
-        let model = self.model.clone();
-        let enclave = self
-            .enclaves
-            .get_mut(id as usize)
-            .ok_or(SgxError::NoSuchEnclave(id))?;
-        enclave.check_alive("ecall")?;
-        let mut program = enclave.program.take().ok_or(SgxError::NoSuchEnclave(id))?;
-
-        // EENTER + eventual EEXIT, plus input marshalling. Ecalls always
-        // pay their own pair (only *batching* amortises it); the ring only
-        // absorbs ocall-shaped crossings made while inside. On a VM-TEE
-        // profile the pair costs zero instructions — a guest call is an
-        // ordinary call — but it still counts as a taken crossing.
-        enclave.counters.sgx(model.ecall_pair_sgx);
-        enclave.switchless.stats.taken += 1;
-        enclave.counters.normal(input.len() as u64 / 8 + 50);
-        enclave.switchless.on_ecall_start();
-
-        let mut rng = self.rng.fork(&ecall_label(id));
-        let result = {
-            let mut ctx = EnclaveCtx {
-                counters: &mut enclave.counters,
-                model: &model,
-                mrenclave: enclave.mrenclave,
-                mrsigner: enclave.mrsigner,
-                isv_svn: enclave.isv_svn,
-                device_key: &self.device_key,
-                rng: &mut rng,
-                host,
-                epc: &mut self.epc,
-                enclave_id: id,
-                next_alloc_offset: &mut enclave.next_alloc_offset,
-                heap_used: &mut enclave.heap_used,
-                switchless: &mut enclave.switchless,
-            };
-            program.ecall(&mut ctx, fn_id, input)
-        };
-        let idle_spins = enclave.switchless.on_ecall_end();
-        if idle_spins > 0 {
-            enclave
-                .counters
-                .normal(idle_spins.saturating_mul(model.switchless_idle_spin));
-        }
-        // Keep the platform RNG moving so successive ecalls differ.
-        self.rng = self.rng.fork(b"step");
-        enclave
-            .counters
-            .normal(result.as_ref().map(|r| r.len() as u64).unwrap_or(0) / 8);
-        enclave.program = Some(program);
-        result
+        let mut replies = self.enter(id, "ecall", std::iter::once((fn_id, input)), host)?;
+        Ok(replies.pop().unwrap_or_default())
     }
 
     fn ecall_batch(
@@ -280,66 +299,10 @@ impl TeePlatform for Platform {
         if calls.is_empty() {
             return Ok(Vec::new());
         }
-        let model = self.model.clone();
-        let enclave = self
-            .enclaves
-            .get_mut(id as usize)
-            .ok_or(SgxError::NoSuchEnclave(id))?;
-        enclave.check_alive("ecall_batch")?;
-        let mut program = enclave.program.take().ok_or(SgxError::NoSuchEnclave(id))?;
-
-        // One transition pair for the whole batch; the other N-1 would-be
-        // pairs are elided by the queue.
-        enclave.counters.sgx(model.ecall_pair_sgx);
-        enclave.switchless.stats.taken += 1;
-        enclave.switchless.stats.elided += calls.len() as u64 - 1;
-        enclave.switchless.on_ecall_start();
-
-        let mut rng = self.rng.fork(&ecall_label(id));
-        let mut results = Vec::with_capacity(calls.len());
-        let mut failure = None;
-        {
-            let mut ctx = EnclaveCtx {
-                counters: &mut enclave.counters,
-                model: &model,
-                mrenclave: enclave.mrenclave,
-                mrsigner: enclave.mrsigner,
-                isv_svn: enclave.isv_svn,
-                device_key: &self.device_key,
-                rng: &mut rng,
-                host,
-                epc: &mut self.epc,
-                enclave_id: id,
-                next_alloc_offset: &mut enclave.next_alloc_offset,
-                heap_used: &mut enclave.heap_used,
-                switchless: &mut enclave.switchless,
-            };
-            for (fn_id, input) in calls {
-                ctx.counters.normal(input.len() as u64 / 8 + 50);
-                match program.ecall(&mut ctx, *fn_id, input) {
-                    Ok(reply) => {
-                        ctx.counters.normal(reply.len() as u64 / 8);
-                        results.push(reply);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        let idle_spins = enclave.switchless.on_ecall_end();
-        if idle_spins > 0 {
-            enclave
-                .counters
-                .normal(idle_spins.saturating_mul(model.switchless_idle_spin));
-        }
-        self.rng = self.rng.fork(b"step");
-        enclave.program = Some(program);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(results),
-        }
+        let calls = calls
+            .iter()
+            .map(|(fn_id, input)| (*fn_id, input.as_slice()));
+        self.enter(id, "ecall_batch", calls, host)
     }
 
     fn set_transition_mode(&mut self, id: EnclaveId, mode: TransitionMode) -> Result<()> {
@@ -365,27 +328,24 @@ impl TeePlatform for Platform {
     }
 
     fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
-        Ok(self.enclave_ref(id)?.counters)
+        Ok(self.enclave_ref(id)?.counts.price(&self.model))
     }
 
     fn attestor_counters(&self) -> Counters {
-        match &self.attestor {
-            Attestor::Quoting(qe) => qe.counters,
-            Attestor::Psp(psp) => psp.counters,
-        }
+        self.attestor_counts().price(&self.model)
     }
 
     fn reset_counters(&mut self, id: EnclaveId) -> Result<()> {
-        self.enclave_mut(id)?.counters = Counters::new();
+        self.enclave_mut(id)?.counts = OpCounts::new();
         Ok(())
     }
 
     fn total_counters(&self) -> Counters {
-        let mut total = self.attestor_counters();
+        let mut total = *self.attestor_counts();
         for e in &self.enclaves {
-            total.merge(e.counters);
+            total.merge(&e.counts);
         }
-        total
+        total.price(&self.model)
     }
 
     fn measurement_of(&self, id: EnclaveId) -> Result<Measurement> {
@@ -400,10 +360,10 @@ impl TeePlatform for Platform {
     }
 
     fn evidence(&mut self, report: &Report) -> Result<Evidence> {
-        let (key, model) = (&self.device_key, &self.model);
+        let key = &self.device_key;
         match &mut self.attestor {
-            Attestor::Quoting(qe) => Ok(Evidence::Epid(qe.quote(key, report, model)?)),
-            Attestor::Psp(psp) => Ok(Evidence::VmTee(psp.attest(key, report, model)?)),
+            Attestor::Quoting(qe) => Ok(Evidence::Epid(qe.quote(key, report)?)),
+            Attestor::Psp(psp) => Ok(Evidence::VmTee(psp.attest(key, report)?)),
         }
     }
 
@@ -447,7 +407,7 @@ mod tests {
                     ctx.unseal(KeyRequest::SealEnclave, &blob)
                 }
                 3 => {
-                    ctx.alloc(10_000)?;
+                    ctx.malloc(10_000)?;
                     Ok(Vec::new())
                 }
                 _ => Err(SgxError::EcallRejected("unknown fn")),
@@ -600,7 +560,7 @@ mod tests {
             sum.merge(p.attestor_counters());
             assert_eq!(p.total_counters(), sum, "{backend}");
             evidence
-                .verify(&group.public_key(), &mut Counters::new(), p.model())
+                .verify(&group.public_key(), &mut OpCounts::new())
                 .unwrap();
             assert_eq!(evidence.backend(), p.backend());
             assert_eq!(evidence.body().mrenclave, p.measurement_of(id).unwrap());
@@ -689,14 +649,19 @@ mod paging_tests {
         // 24 pages total; the enclave base takes 17, leaving 7 free. A
         // 40 KiB allocation (10 pages) must succeed by evicting.
         let (mut p, id) = tiny_platform(24);
-        let before = p.counters_of(id).unwrap();
+        let before = p.enclave_ref(id).unwrap().counts;
         p.ecall_nohost(id, 0, &(40_960u32).to_le_bytes()).unwrap();
-        let delta = p.counters_of(id).unwrap().since(before);
+        let after = p.enclave_ref(id).unwrap().counts;
         // At least 3 pages were evicted: EWB cost + AEX pairs charged.
-        assert!(delta.normal_instr >= 3 * p.model.ewb_page);
+        let evicted = after.count(Op::EwbPage) - before.count(Op::EwbPage);
+        assert!(evicted >= 3, "{evicted}");
+        assert_eq!(
+            after.count(Op::AexResume) - before.count(Op::AexResume),
+            evicted
+        );
         assert!(
-            delta.sgx_instr >= 2 + 6,
-            "page-extension trap + 3 AEX pairs"
+            after.count(Op::HostCrossing) > before.count(Op::HostCrossing),
+            "page-extension trap"
         );
     }
 

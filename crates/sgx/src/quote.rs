@@ -17,7 +17,7 @@ use teenet_crypto::schnorr::{SchnorrGroup, Signature, SigningKey, VerifyingKey};
 use teenet_crypto::sha256::sha256;
 use teenet_crypto::SecureRng;
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::{Op, OpCounts};
 use crate::error::{Result, SgxError};
 use crate::keys::{derive_key, KeyRequest};
 use crate::measurement::Measurement;
@@ -75,14 +75,9 @@ impl Quote {
     }
 
     /// Verifies the group signature; charges the challenger's verification
-    /// cost to `counters`.
-    pub fn verify(
-        &self,
-        group_public: &VerifyingKey,
-        counters: &mut Counters,
-        model: &CostModel,
-    ) -> Result<()> {
-        counters.normal(model.quote_verify);
+    /// to `counts`.
+    pub fn verify(&self, group_public: &VerifyingKey, counts: &mut OpCounts) -> Result<()> {
+        counts.charge(Op::QuoteVerify, 1);
         group_public
             .verify(&Self::message(self.group_id, &self.body), &self.signature)
             .map_err(|_| SgxError::QuoteInvalid("group signature"))
@@ -91,8 +86,8 @@ impl Quote {
 
 /// The per-platform quoting enclave.
 pub struct QuotingEnclave {
-    /// Instructions executed by the quoting enclave.
-    pub counters: Counters,
+    /// Ops performed by the quoting enclave.
+    pub counts: OpCounts,
     group_id: u64,
     attestation_key: SigningKey,
     rng: SecureRng,
@@ -102,7 +97,7 @@ impl QuotingEnclave {
     /// Provisions the quoting enclave with the group's attestation key.
     pub fn new(group: &EpidGroup, rng: SecureRng) -> Self {
         QuotingEnclave {
-            counters: Counters::new(),
+            counts: OpCounts::new(),
             group_id: group.group_id,
             attestation_key: group.signing_key(),
             rng,
@@ -122,39 +117,34 @@ impl QuotingEnclave {
     /// key, MAC verification — then signs. Instruction accounting follows
     /// Table 1's quoting-enclave column: entering/exiting the QE, EGETKEY,
     /// and the dominant signature cost.
-    pub fn quote(
-        &mut self,
-        device_key: &[u8; 32],
-        report: &Report,
-        model: &CostModel,
-    ) -> Result<Quote> {
+    pub fn quote(&mut self, device_key: &[u8; 32], report: &Report) -> Result<Quote> {
         // Host enters the QE with the report (EENTER ... EEXIT at the end);
         // the report/quote are moved over socket ocalls (recv report, send
         // verification, recv ack, send quote = 4 exits + 4 re-entries),
         // and intra-attestation is mutual (the QE EREPORTs back to the
-        // target, Sec. 2.2), adding one EREPORT and a second entry pair.
-        self.counters.sgx(2);
-        self.counters.sgx(8); // socket ocalls
-        self.counters.sgx(2); // second entry pair for the mutual phase
-        self.counters.sgx(1); // QE's own EREPORT toward the target
-        self.counters.sgx(1); // EGETKEY for the launch key check
-        self.counters.sgx(2); // final acknowledgement round trip
+        // target, Sec. 2.2), adding one EREPORT, an EGETKEY for the launch
+        // key check, a second entry pair and a final acknowledgement round
+        // trip.
+        self.counts.charge(Op::EcallPair, 2);
+        self.counts.charge(Op::HostCrossing, 4 + 1);
+        self.counts.charge(Op::Ereport, 1);
+        self.counts.charge(Op::Egetkey, 1);
         if report.target.mrenclave != quoting_enclave_measurement() {
             return Err(SgxError::QuoteInvalid("report not targeted at QE"));
         }
         // EGETKEY: the QE obtains its own report key.
-        self.counters.sgx(1);
+        self.counts.charge(Op::Egetkey, 1);
         let report_key = derive_key(
             device_key,
             KeyRequest::Report,
             &quoting_enclave_measurement(),
             &Measurement([0u8; 32]),
         );
-        self.counters.normal(model.hmac_short);
+        self.counts.charge(Op::HmacShort, 1);
         verify_report(&report_key, report)?;
         // Sign the quote with the group attestation key.
-        self.counters.normal(model.quote_sign);
-        self.counters.normal(model.attest_quote_base);
+        self.counts.charge(Op::QuoteSign, 1);
+        self.counts.charge(Op::AttestQuoteBase, 1);
         let msg = Quote::message(self.group_id, &report.body);
         let signature = self
             .attestation_key
@@ -171,17 +161,18 @@ impl QuotingEnclave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::report::{ereport, report_data_from};
 
     fn m(b: u8) -> Measurement {
         Measurement([b; 32])
     }
 
-    fn setup() -> (EpidGroup, QuotingEnclave, [u8; 32], CostModel) {
+    fn setup() -> (EpidGroup, QuotingEnclave, [u8; 32]) {
         let mut rng = SecureRng::seed_from_u64(42);
         let group = EpidGroup::new(7, &mut rng).unwrap();
         let qe = QuotingEnclave::new(&group, rng.fork(b"qe"));
-        (group, qe, [3u8; 32], CostModel::paper())
+        (group, qe, [3u8; 32])
     }
 
     fn report_for_qe(device_key: &[u8; 32], qe: &QuotingEnclave) -> Report {
@@ -196,33 +187,31 @@ mod tests {
 
     #[test]
     fn quote_roundtrip() {
-        let (group, mut qe, dk, model) = setup();
+        let (group, mut qe, dk) = setup();
         let report = report_for_qe(&dk, &qe);
-        let quote = qe.quote(&dk, &report, &model).unwrap();
-        let mut counters = Counters::new();
-        quote
-            .verify(&group.public_key(), &mut counters, &model)
-            .unwrap();
+        let quote = qe.quote(&dk, &report).unwrap();
+        let mut counts = OpCounts::new();
+        quote.verify(&group.public_key(), &mut counts).unwrap();
         assert_eq!(quote.body.mrenclave, m(1));
-        assert_eq!(counters.normal_instr, model.quote_verify);
+        assert_eq!(counts.count(Op::QuoteVerify), 1);
     }
 
     #[test]
     fn quote_rejects_wrong_group_key() {
-        let (_, mut qe, dk, model) = setup();
+        let (_, mut qe, dk) = setup();
         let mut rng = SecureRng::seed_from_u64(99);
         let other_group = EpidGroup::new(8, &mut rng).unwrap();
         let report = report_for_qe(&dk, &qe);
-        let quote = qe.quote(&dk, &report, &model).unwrap();
-        let mut counters = Counters::new();
+        let quote = qe.quote(&dk, &report).unwrap();
+        let mut counts = OpCounts::new();
         assert!(quote
-            .verify(&other_group.public_key(), &mut counters, &model)
+            .verify(&other_group.public_key(), &mut counts)
             .is_err());
     }
 
     #[test]
     fn quote_rejects_report_for_other_target() {
-        let (_, mut qe, dk, model) = setup();
+        let (_, mut qe, dk) = setup();
         let body = ReportBody {
             mrenclave: m(1),
             mrsigner: m(2),
@@ -231,30 +220,28 @@ mod tests {
         };
         // Report targeted at some other enclave, not the QE.
         let report = ereport(&dk, TargetInfo { mrenclave: m(9) }, body);
-        assert!(qe.quote(&dk, &report, &model).is_err());
+        assert!(qe.quote(&dk, &report).is_err());
     }
 
     #[test]
     fn quote_rejects_forged_report_mac() {
-        let (_, mut qe, dk, model) = setup();
+        let (_, mut qe, dk) = setup();
         let mut report = report_for_qe(&dk, &qe);
         report.body.mrenclave = m(66); // lie about identity after MACing
         assert!(matches!(
-            qe.quote(&dk, &report, &model),
+            qe.quote(&dk, &report),
             Err(SgxError::ReportMacMismatch)
         ));
     }
 
     #[test]
     fn tampered_quote_body_fails_verification() {
-        let (group, mut qe, dk, model) = setup();
+        let (group, mut qe, dk) = setup();
         let report = report_for_qe(&dk, &qe);
-        let mut quote = qe.quote(&dk, &report, &model).unwrap();
+        let mut quote = qe.quote(&dk, &report).unwrap();
         quote.body.report_data[0] ^= 1;
-        let mut counters = Counters::new();
-        assert!(quote
-            .verify(&group.public_key(), &mut counters, &model)
-            .is_err());
+        let mut counts = OpCounts::new();
+        assert!(quote.verify(&group.public_key(), &mut counts).is_err());
     }
 
     #[test]
@@ -263,26 +250,26 @@ mod tests {
         // platforms in one group verify under the same public key.
         let mut rng = SecureRng::seed_from_u64(1);
         let group = EpidGroup::new(7, &mut rng).unwrap();
-        let model = CostModel::paper();
         let mut qe_a = QuotingEnclave::new(&group, rng.fork(b"a"));
         let mut qe_b = QuotingEnclave::new(&group, rng.fork(b"b"));
         let dk_a = [1u8; 32];
         let dk_b = [2u8; 32];
         let ra = report_for_qe(&dk_a, &qe_a);
         let rb = report_for_qe(&dk_b, &qe_b);
-        let qa = qe_a.quote(&dk_a, &ra, &model).unwrap();
-        let qb = qe_b.quote(&dk_b, &rb, &model).unwrap();
-        let mut c = Counters::new();
-        qa.verify(&group.public_key(), &mut c, &model).unwrap();
-        qb.verify(&group.public_key(), &mut c, &model).unwrap();
+        let qa = qe_a.quote(&dk_a, &ra).unwrap();
+        let qb = qe_b.quote(&dk_b, &rb).unwrap();
+        let mut c = OpCounts::new();
+        qa.verify(&group.public_key(), &mut c).unwrap();
+        qb.verify(&group.public_key(), &mut c).unwrap();
     }
 
     #[test]
     fn qe_counts_instructions() {
-        let (_, mut qe, dk, model) = setup();
+        let (_, mut qe, dk) = setup();
         let report = report_for_qe(&dk, &qe);
-        qe.quote(&dk, &report, &model).unwrap();
-        assert!(qe.counters.sgx_instr >= 3); // EENTER/EEXIT + EGETKEY
-        assert!(qe.counters.normal_instr >= model.quote_sign);
+        qe.quote(&dk, &report).unwrap();
+        // Table 1's quoting column: 17 SGX(U) and one quote signature.
+        assert_eq!(qe.counts.price(&CostModel::paper()).sgx_instr, 17);
+        assert_eq!(qe.counts.count(Op::QuoteSign), 1);
     }
 }

@@ -15,9 +15,9 @@
 //! The emulated model, per would-be transition pair:
 //!
 //! * **Elided** — at least one worker is awake and the ring has a free
-//!   slot: charge [`crate::cost::CostModel::switchless_post`] +
-//!   [`crate::cost::CostModel::switchless_poll`] normal instructions and
-//!   zero SGX instructions.
+//!   slot: charge one [`crate::cost::Op::SwitchlessPost`] and one
+//!   [`crate::cost::Op::SwitchlessPoll`] (normal instructions) and zero
+//!   SGX instructions.
 //! * **Fallback: ring full** — the ring has no free slot; the enclave
 //!   takes a real transition (which drains the ring while the host runs).
 //!   Under [`WorkerScaling::Adaptive`] the fallback also wakes one more
@@ -25,16 +25,15 @@
 //! * **Fallback: workers asleep** — the pool exhausted its spin budget
 //!   ([`SwitchlessConfig::worker_spin_ecalls`] consecutive ecalls with no
 //!   switchless traffic) and went to sleep; the enclave takes a real
-//!   transition and pays [`crate::cost::CostModel::switchless_wake`] to
+//!   transition and pays [`crate::cost::Op::SwitchlessWake`] to
 //!   wake it.
 //!
 //! ## The idle-spin economy
 //!
 //! Spinning workers are not free: every awake worker that finds nothing
 //! to service burns [`SwitchlessConfig::spin_budget`] spin units per
-//! ecall, each charged [`crate::cost::CostModel::switchless_idle_spin`]
-//! normal instructions and accumulated in
-//! [`TransitionStats::idle_spins`]. More workers drain bursts faster
+//! ecall, each charged as one [`crate::cost::Op::IdleSpin`] and
+//! accumulated in [`TransitionStats::idle_spins`]. More workers drain bursts faster
 //! (each extra awake worker retires one ring entry per post interval, so
 //! fewer ring-full fallbacks), but every surplus worker is a pure
 //! idle-spin tax — an over-provisioned pool can make switchless *lose*
@@ -106,10 +105,9 @@ pub struct SwitchlessConfig {
     /// Host worker threads in the pool (≥ 1; 0 is treated as 1). The
     /// default of 1 reproduces the original single-worker model exactly.
     pub workers: usize,
-    /// Spin units each awake-but-idle worker burns per ecall, charged at
-    /// [`crate::cost::CostModel::switchless_idle_spin`] normal
-    /// instructions per unit. `0` (the default) keeps idle spinning free,
-    /// i.e. the pre-pool accounting.
+    /// Spin units each awake-but-idle worker burns per ecall, each
+    /// charged as one [`crate::cost::Op::IdleSpin`]. `0` (the default)
+    /// keeps idle spinning free, i.e. the pre-pool accounting.
     pub spin_budget: u32,
     /// Worker scaling policy (fixed pool vs adaptive `[min, max]`).
     pub scaling: WorkerScaling,
@@ -176,7 +174,7 @@ pub struct TransitionStats {
     /// (ring full or workers asleep). Always a subset of `taken`.
     pub fallbacks: u64,
     /// Spin units burned by awake workers that found nothing to service
-    /// (charged at `switchless_idle_spin` normal instructions each) —
+    /// (charged at [`crate::cost::Op::IdleSpin`] each) —
     /// the honest cost of keeping the pool hot.
     pub idle_spins: u64,
 }
@@ -299,7 +297,7 @@ impl SwitchlessState {
     /// workers that had nothing to service this ecall — an idle ecall
     /// idles the whole awake set, a posting ecall idles everyone beyond
     /// the one worker the traffic keeps busy. The caller charges them at
-    /// [`crate::cost::CostModel::switchless_idle_spin`] each.
+    /// [`crate::cost::Op::IdleSpin`] each.
     pub(crate) fn on_ecall_end(&mut self) -> u64 {
         if self.mode != TransitionMode::Switchless {
             return 0;

@@ -24,7 +24,7 @@
 
 use teenet_crypto::schnorr::{SigningKey, VerifyingKey};
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::{CostModel, Counters, OpCounts};
 use crate::enclave::{EnclaveId, EnclaveProgram};
 use crate::error::Result;
 use crate::measurement::Measurement;
@@ -119,19 +119,14 @@ impl Evidence {
 
     /// Verifies the evidence against the attestation root (the EPID group
     /// public key, doubling as the VM-TEE vendor root), charging the
-    /// verification cost to `counters`.
+    /// verification to `counts`.
     ///
     /// EPID evidence costs one signature verification; VM-TEE evidence
     /// costs two (the endorsement link, then the report signature).
-    pub fn verify(
-        &self,
-        root: &VerifyingKey,
-        counters: &mut Counters,
-        model: &CostModel,
-    ) -> Result<()> {
+    pub fn verify(&self, root: &VerifyingKey, counts: &mut OpCounts) -> Result<()> {
         match self {
-            Evidence::Epid(q) => q.verify(root, counters, model),
-            Evidence::VmTee(e) => e.verify(root, counters, model),
+            Evidence::Epid(q) => q.verify(root, counts),
+            Evidence::VmTee(e) => e.verify(root, counts),
         }
     }
 
@@ -346,7 +341,7 @@ mod tests {
 
         let mut rng = SecureRng::seed_from_u64(21);
         let group = EpidGroup::new(1, &mut rng).unwrap();
-        let (model, device_key) = (CostModel::paper(), [5u8; 32]);
+        let device_key = [5u8; 32];
         let body = ReportBody {
             mrenclave: Measurement([1u8; 32]),
             mrsigner: Measurement([2u8; 32]),
@@ -355,18 +350,17 @@ mod tests {
         };
         let mut qe = QuotingEnclave::new(&group, rng.fork(b"qe"));
         let report = ereport(&device_key, qe.target_info(), body.clone());
-        let epid = Evidence::Epid(qe.quote(&device_key, &report, &model).unwrap());
+        let epid = Evidence::Epid(qe.quote(&device_key, &report).unwrap());
         let mut psp = SecurityProcessor::new(&group, rng.fork(b"psp")).unwrap();
         let target = TargetInfo {
             mrenclave: psp_measurement(),
         };
         let report = ereport(&device_key, target, body);
-        let vm = Evidence::VmTee(psp.attest(&device_key, &report, &model).unwrap());
+        let vm = Evidence::VmTee(psp.attest(&device_key, &report).unwrap());
 
         let root = group.public_key();
-        let verify = |ev: &Evidence, root: &VerifyingKey| {
-            ev.verify(root, &mut Counters::new(), &model).is_ok()
-        };
+        let verify =
+            |ev: &Evidence, root: &VerifyingKey| ev.verify(root, &mut OpCounts::new()).is_ok();
         assert!(
             verify(&epid, &root) && verify(&vm, &root),
             "the root has its comb"

@@ -7,13 +7,13 @@
 //!
 //! * **No world switch per guest call.** Code inside the guest calls
 //!   trusted code directly — [`CostModel::vmtee`] prices the per-ecall
-//!   transition pair at zero (`ecall_pair_sgx = 0`). Crossings that leave
+//!   transition pair ([`Op::EcallPair`]) at zero. Crossings that leave
 //!   the guest (ocalls, packet I/O) still cost VM exits, charged in the
 //!   cheaper `sgx_instr_cycles` of the VM-TEE profile.
 //! * **Page acceptance instead of EPC paging.** Guest private memory is
 //!   large enough that eviction never fires ([`VMTEE_EPC_PAGES`]), but
 //!   every newly accepted page pays a PVALIDATE/EACCEPT-style cost
-//!   (`page_accept`).
+//!   ([`Op::PageAccept`]).
 //! * **A security processor instead of a quoting enclave.** Attestation
 //!   reports are signed by the platform [`SecurityProcessor`] under a
 //!   per-chip key (VCEK) whose endorsement — a vendor-root signature over
@@ -26,12 +26,13 @@
 //! share.
 //!
 //! [`Platform`]: crate::platform::Platform
+//! [`CostModel::vmtee`]: crate::cost::CostModel::vmtee
 
 use teenet_crypto::schnorr::{SchnorrGroup, Signature, SigningKey, VerifyingKey};
 use teenet_crypto::sha256::sha256;
 use teenet_crypto::SecureRng;
 
-use crate::cost::{CostModel, Counters};
+use crate::cost::{Op, OpCounts};
 use crate::error::{Result, SgxError};
 use crate::keys::{derive_key, KeyRequest};
 use crate::measurement::Measurement;
@@ -84,20 +85,15 @@ pub struct VmEvidence {
 
 impl VmEvidence {
     /// Verifies the endorsement chain and then the report signature,
-    /// charging both verifications to `counters`.
+    /// charging both verifications to `counts`.
     ///
     /// `root` is the vendor root — the same public key that verifies EPID
     /// quotes, so challengers hold one attestation root per deployment.
-    pub fn verify(
-        &self,
-        root: &VerifyingKey,
-        counters: &mut Counters,
-        model: &CostModel,
-    ) -> Result<()> {
-        counters.normal(model.quote_verify);
+    pub fn verify(&self, root: &VerifyingKey, counts: &mut OpCounts) -> Result<()> {
+        counts.charge(Op::QuoteVerify, 1);
         root.verify(&endorsement_message(&self.signing_pub), &self.endorsement)
             .map_err(|_| SgxError::EndorsementInvalid("vendor root signature over VCEK"))?;
-        counters.normal(model.quote_verify);
+        counts.charge(Op::QuoteVerify, 1);
         self.signing_pub
             .verify(&report_message(&self.body), &self.report_sig)
             .map_err(|_| SgxError::QuoteInvalid("VCEK report signature"))
@@ -153,8 +149,8 @@ impl VmEvidence {
 /// The platform security processor: holds the per-chip VCEK and its
 /// vendor-root endorsement, and turns REPORTs into [`VmEvidence`].
 pub struct SecurityProcessor {
-    /// Instructions executed by (and on behalf of) the PSP.
-    pub counters: Counters,
+    /// Ops performed by (and on behalf of) the PSP.
+    pub counts: OpCounts,
     vcek: SigningKey,
     endorsement: Signature,
     rng: SecureRng,
@@ -171,7 +167,7 @@ impl SecurityProcessor {
             .sign(&endorsement_message(&vcek.verifying_key()), &mut rng)
             .map_err(SgxError::Crypto)?;
         Ok(SecurityProcessor {
-            counters: Counters::new(),
+            counts: OpCounts::new(),
             vcek,
             endorsement,
             rng,
@@ -194,15 +190,10 @@ impl SecurityProcessor {
     /// EPID socket shuffle and no mutual intra-attestation phase — the
     /// PSP is hardware, not a peer enclave — which is why VM-TEE
     /// attestation is cheaper in transitions but still pays the signature.
-    pub fn attest(
-        &mut self,
-        device_key: &[u8; 32],
-        report: &Report,
-        model: &CostModel,
-    ) -> Result<VmEvidence> {
+    pub fn attest(&mut self, device_key: &[u8; 32], report: &Report) -> Result<VmEvidence> {
         // Guest writes the report into the PSP mailbox and reads the
         // evidence back: one crossing pair.
-        self.counters.sgx(2);
+        self.counts.charge(Op::HostCrossing, 1);
         if report.target.mrenclave != psp_measurement() {
             return Err(SgxError::QuoteInvalid("report not targeted at PSP"));
         }
@@ -212,10 +203,10 @@ impl SecurityProcessor {
             &psp_measurement(),
             &Measurement([0u8; 32]),
         );
-        self.counters.normal(model.hmac_short);
+        self.counts.charge(Op::HmacShort, 1);
         verify_report(&report_key, report)?;
-        self.counters.normal(model.quote_sign);
-        self.counters.normal(model.attest_quote_base);
+        self.counts.charge(Op::QuoteSign, 1);
+        self.counts.charge(Op::AttestQuoteBase, 1);
         let report_sig = self
             .vcek
             .sign(&report_message(&report.body), &mut self.rng)
@@ -232,6 +223,7 @@ impl SecurityProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{CostModel, Counters};
     use crate::platform::Platform;
     use crate::report::{ereport, report_data_from};
     use crate::tee::{Evidence, TeeBackend, TeePlatform};
@@ -258,11 +250,10 @@ mod tests {
         let (group, mut p) = setup();
         let report = report_for_psp(&p);
         let ev = p.evidence(&report).unwrap();
-        let model = CostModel::vmtee();
-        let mut c = Counters::new();
-        ev.verify(&group.public_key(), &mut c, &model).unwrap();
+        let mut c = OpCounts::new();
+        ev.verify(&group.public_key(), &mut c).unwrap();
         // Endorsement check + report signature check.
-        assert_eq!(c.normal_instr, 2 * model.quote_verify);
+        assert_eq!(c.count(Op::QuoteVerify), 2);
         assert_eq!(ev.backend(), TeeBackend::VmTee);
         assert_eq!(ev.body().mrenclave, Measurement([1u8; 32]));
     }
@@ -276,9 +267,9 @@ mod tests {
         let parsed = Evidence::from_bytes(&bytes).unwrap();
         assert_eq!(parsed.backend(), TeeBackend::VmTee);
         assert_eq!(parsed.body(), ev.body());
-        let model = CostModel::vmtee();
-        let mut c = Counters::new();
-        parsed.verify(&group.public_key(), &mut c, &model).unwrap();
+        parsed
+            .verify(&group.public_key(), &mut OpCounts::new())
+            .unwrap();
         assert_eq!(parsed.to_bytes(), bytes, "canonical re-encoding");
     }
 
@@ -289,9 +280,8 @@ mod tests {
         let other = EpidGroup::new(8, &mut rng).unwrap();
         let report = report_for_psp(&p);
         let ev = p.evidence(&report).unwrap();
-        let mut c = Counters::new();
         assert!(matches!(
-            ev.verify(&other.public_key(), &mut c, &CostModel::vmtee()),
+            ev.verify(&other.public_key(), &mut OpCounts::new()),
             Err(SgxError::EndorsementInvalid(_))
         ));
     }
@@ -305,9 +295,8 @@ mod tests {
             panic!("vm evidence expected")
         };
         vm.body.report_data[0] ^= 1;
-        let mut c = Counters::new();
         assert!(matches!(
-            vm.verify(&group.public_key(), &mut c, &CostModel::vmtee()),
+            vm.verify(&group.public_key(), &mut OpCounts::new()),
             Err(SgxError::QuoteInvalid(_))
         ));
     }
@@ -361,7 +350,6 @@ mod tests {
         assert_eq!(p.backend(), TeeBackend::VmTee);
         assert_eq!(p.platform_name(), "vm1");
         assert_eq!(p.model(), &CostModel::vmtee());
-        assert_eq!(p.model().ecall_pair_sgx, 0);
         assert_eq!(p.attestation_target_info().mrenclave, psp_measurement());
         assert_eq!(p.epc_free_pages(), VMTEE_EPC_PAGES);
         assert_eq!(p.attestor_counters(), Counters::new());

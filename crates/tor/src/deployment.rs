@@ -19,7 +19,6 @@ use teenet::responder::{attest_enclave, AttestResponder};
 use teenet_crypto::dh::DhGroup;
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::CostModel;
 use teenet_sgx::{
     deploy_platform, measure_image, EnclaveCtx, EnclaveId, EnclaveProgram, EpidGroup, Measurement,
     SgxError, TeeBackend, TeePlatform,
@@ -292,7 +291,6 @@ pub struct TorDeployment {
     pub client: usize,
     /// Index of the built-in destination server.
     pub server: usize,
-    model: CostModel,
     rng: SecureRng,
 }
 
@@ -401,7 +399,6 @@ impl TorDeployment {
         }
 
         let foundation_public = foundation.verifying_key();
-        let model = spec.backend.cost_model();
         Ok(TorDeployment {
             spec,
             network,
@@ -414,7 +411,6 @@ impl TorDeployment {
             ledger: AttestLedger::new(),
             client,
             server,
-            model,
             rng,
         })
     }
@@ -431,7 +427,6 @@ impl TorDeployment {
                 authority: self.foundation_public.clone(),
             },
             self.spec.attest.clone(),
-            &self.model,
             &mut self.rng,
             platform.as_mut(),
             *enclave,
@@ -454,7 +449,6 @@ impl TorDeployment {
                 authority: self.foundation_public.clone(),
             },
             self.spec.attest.clone(),
-            &self.model,
             &mut self.rng,
             platform.as_mut(),
             *enclave,

@@ -18,7 +18,7 @@
 use teenet_app::{
     AppError, EnclaveService, OpProfile, ServiceEnv, StepKind, StepOutcome, StepRequest, StepSpec,
 };
-use teenet_sgx::cost::{CostModel, Counters};
+use teenet_sgx::cost::{Counters, Op, OpCounts};
 use teenet_sgx::{SwitchlessConfig, TransitionMode, TransitionStats};
 
 use crate::cell::CELL_LEN;
@@ -154,89 +154,76 @@ impl EnclaveService for TorService {
         _request: StepRequest,
         env: &mut ServiceEnv,
     ) -> Result<StepOutcome> {
-        let model = &env.model;
-        let cell = CELL_LEN;
-        let step = match spec.kind {
+        let (mut client, mut server) = (OpCounts::new(), OpCounts::new());
+        let transitions = match spec.kind {
             StepKind::Computed if spec.name == "extend" => {
                 // Telescoping extend to hop N: the client runs a fresh DH
                 // exchange (two modexps) and onion-wraps the cell once per
                 // hop already in the circuit; the target relay runs its DH
                 // half inside the enclave and unwraps one layer.
-                let hop = spec.arg;
-                let mut client = Counters::new();
-                client.normal(2 * model.modexp(768) + (hop + 1) * model.aes_bytes(cell));
-                let mut server = Counters::new();
-                let transitions = cell_crossings(model, self.mode, self.switchless, &mut server, 1);
-                server.normal(2 * model.modexp(768) + model.aes_bytes(cell));
-                OpProfile {
-                    name: spec.name,
-                    client,
-                    server,
-                    request_bytes: CELL_WIRE,
-                    response_bytes: CELL_WIRE,
-                    transitions,
+                client.charge(Op::Modexp768, 2);
+                for _ in 0..=spec.arg {
+                    client.aes(CELL_LEN);
                 }
+                server.charge(Op::Modexp768, 2);
+                server.aes(CELL_LEN);
+                cell_crossings(self.mode, self.switchless, &mut server, 1)
             }
             StepKind::Computed => {
                 // A relayed cell: the client adds all three onion layers;
                 // each of the three relays enters its enclave and strips
                 // one.
-                let mut client = Counters::new();
-                client.normal(HOPS * model.aes_bytes(cell));
-                let mut server = Counters::new();
-                let transitions =
-                    cell_crossings(model, self.mode, self.switchless, &mut server, HOPS);
-                server.normal(HOPS * model.aes_bytes(cell));
-                OpProfile {
-                    name: spec.name,
-                    client,
-                    server,
-                    request_bytes: CELL_WIRE,
-                    response_bytes: CELL_WIRE,
-                    transitions,
+                for _ in 0..HOPS {
+                    client.aes(CELL_LEN);
+                    server.aes(CELL_LEN);
                 }
+                cell_crossings(self.mode, self.switchless, &mut server, HOPS)
             }
             _ => return Err(TorError::CircuitState("tor steps are model-derived")),
         };
-        Ok(StepOutcome::Computed(step))
+        Ok(StepOutcome::Computed(OpProfile {
+            name: spec.name,
+            client: client.price(&env.model),
+            server: server.price(&env.model),
+            request_bytes: CELL_WIRE,
+            response_bytes: CELL_WIRE,
+            transitions,
+        }))
     }
 }
 
-/// Charges `crossings` per-cell enclave crossings to `server`: real
-/// transitions in classic mode, ring-post + worker-poll normal work in
-/// switchless mode (the relay's cell loop keeps the worker spinning).
+/// Charges `crossings` per-cell enclave crossings (one host crossing
+/// each) to `server`: real transitions in classic mode, a ring post and a
+/// worker poll in switchless mode (the relay's cell loop keeps the worker
+/// spinning).
 /// With a multi-worker pool, every worker beyond the one servicing the
 /// post idles through its spin budget per posted pair — modelled exactly
 /// like the metered ring's idle-spin charge, so over-provisioned Tor
 /// relays pay for their extra spinners too.
 fn cell_crossings(
-    model: &CostModel,
     mode: TransitionMode,
     switchless: SwitchlessConfig,
-    server: &mut Counters,
-    crossings: u64,
+    server: &mut OpCounts,
+    pairs: u64,
 ) -> TransitionStats {
-    let pairs = crossings * (model.io_packet_sgx / 2).max(1);
     match mode {
         TransitionMode::Classic => {
-            server.sgx(crossings * model.io_packet_sgx);
+            server.charge(Op::HostCrossing, pairs);
             TransitionStats {
                 taken: pairs,
-                elided: 0,
-                fallbacks: 0,
-                idle_spins: 0,
+                ..TransitionStats::new()
             }
         }
         TransitionMode::Switchless => {
             let idle_workers = switchless.workers.max(1) as u64 - 1;
             let idle_spins = pairs * idle_workers * u64::from(switchless.spin_budget);
-            server.normal(pairs * (model.switchless_post + model.switchless_poll));
-            server.normal(idle_spins * model.switchless_idle_spin);
+            server.charge(Op::SwitchlessPost, pairs);
+            server.charge(Op::SwitchlessPoll, pairs);
+            server.charge(Op::IdleSpin, idle_spins);
             TransitionStats {
-                taken: 0,
                 elided: pairs,
-                fallbacks: 0,
                 idle_spins,
+                ..TransitionStats::new()
             }
         }
     }

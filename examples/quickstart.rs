@@ -82,7 +82,6 @@ fn main() {
     let (outcome, nonce) = attest_enclave(
         IdentityPolicy::Mrenclave(expected),
         config,
-        &model,
         &mut rng,
         platform.as_mut(),
         enclave,
@@ -92,9 +91,10 @@ fn main() {
         None,
     )
     .expect("attestation");
+    let challenger = outcome.counts.price(&model);
     println!(
         "attestation verified: identity ok, challenger spent {} SGX / {} normal instructions",
-        outcome.counters.sgx_instr, outcome.counters.normal_instr
+        challenger.sgx_instr, challenger.normal_instr
     );
 
     // --- Talk over the channel: the host only ever sees ciphertext.

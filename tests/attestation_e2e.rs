@@ -7,7 +7,6 @@ use teenet::responder::{attest_enclave, AttestResponder, SessionNonce};
 use teenet::TeenetError;
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::CostModel;
 use teenet_sgx::{deploy_platform, EnclaveCtx, EnclaveProgram, EpidGroup, SgxError, TeeBackend};
 
 struct EchoService {
@@ -56,7 +55,6 @@ fn cross_platform_attestation_and_channel() {
     let mut rng = SecureRng::seed_from_u64(1);
     let epid = EpidGroup::new(1, &mut rng).unwrap();
     let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
-    let model = CostModel::paper();
 
     for (name, seed) in [("host-a", 10u64), ("host-b", 20)] {
         let mut platform = deploy_platform(TeeBackend::Sgx, name, &epid, seed).unwrap();
@@ -65,7 +63,6 @@ fn cross_platform_attestation_and_channel() {
         let (outcome, nonce) = attest_enclave(
             IdentityPolicy::Mrenclave(expected),
             AttestConfig::fast(),
-            &model,
             &mut rng,
             platform.as_mut(),
             enclave,
@@ -91,7 +88,6 @@ fn certificate_gated_attestation() {
     let epid = EpidGroup::new(1, &mut rng).unwrap();
     let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
     let foundation = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
-    let model = CostModel::paper();
 
     let v1_measurement = teenet_sgx::measure_image(&service(1).code_image());
     let cert = SoftwareCertificate::issue(
@@ -113,7 +109,6 @@ fn certificate_gated_attestation() {
     assert!(attest_enclave(
         policy.clone(),
         AttestConfig::fast(),
-        &model,
         &mut rng,
         platform.as_mut(),
         v1,
@@ -127,7 +122,6 @@ fn certificate_gated_attestation() {
     let err = attest_enclave(
         policy,
         AttestConfig::fast(),
-        &model,
         &mut rng,
         platform.as_mut(),
         v2,
@@ -149,14 +143,12 @@ fn quotes_do_not_verify_under_foreign_group() {
     let group_a = EpidGroup::new(1, &mut rng).unwrap();
     let group_b = EpidGroup::new(2, &mut rng).unwrap();
     let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
-    let model = CostModel::paper();
 
     let mut platform = deploy_platform(TeeBackend::Sgx, "host", &group_a, 4).unwrap();
     let enclave = platform.create_signed(service(1), &author, 1).unwrap();
     let err = attest_enclave(
         IdentityPolicy::AcceptAny,
         AttestConfig::fast(),
-        &model,
         &mut rng,
         platform.as_mut(),
         enclave,
@@ -175,13 +167,11 @@ fn channel_messages_survive_many_rounds() {
     let mut rng = SecureRng::seed_from_u64(4);
     let epid = EpidGroup::new(1, &mut rng).unwrap();
     let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
-    let model = CostModel::paper();
     let mut platform = deploy_platform(TeeBackend::Sgx, "host", &epid, 5).unwrap();
     let enclave = platform.create_signed(service(1), &author, 1).unwrap();
     let (outcome, nonce) = attest_enclave(
         IdentityPolicy::AcceptAny,
         AttestConfig::fast(),
-        &model,
         &mut rng,
         platform.as_mut(),
         enclave,
@@ -210,7 +200,6 @@ fn two_independent_sessions_to_one_enclave() {
     let mut rng = SecureRng::seed_from_u64(6);
     let epid = EpidGroup::new(1, &mut rng).unwrap();
     let author = SigningKey::generate(&SchnorrGroup::small(), &mut rng).unwrap();
-    let model = CostModel::paper();
     let mut platform = deploy_platform(TeeBackend::Sgx, "host", &epid, 6).unwrap();
     let enclave = platform.create_signed(service(1), &author, 1).unwrap();
 
@@ -219,7 +208,6 @@ fn two_independent_sessions_to_one_enclave() {
         let (outcome, nonce) = attest_enclave(
             IdentityPolicy::AcceptAny,
             AttestConfig::fast(),
-            &model,
             &mut rng,
             platform.as_mut(),
             enclave,

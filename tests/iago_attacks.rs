@@ -116,7 +116,6 @@ fn malicious_host_cannot_break_attestation() {
     use teenet::attest::AttestConfig;
     use teenet::identity::IdentityPolicy;
     use teenet::responder::AttestResponder;
-    use teenet_sgx::cost::CostModel;
 
     struct Svc {
         responder: AttestResponder,
@@ -154,11 +153,9 @@ fn malicious_host_cannot_break_attestation() {
         .unwrap();
 
     // Drive the attestation manually with a hostile ocall table.
-    let model = CostModel::paper();
     let (challenger, request) = teenet::attest::Challenger::start(
         IdentityPolicy::AcceptAny,
         AttestConfig::fast(),
-        &model,
         &mut rng,
     )
     .unwrap();
