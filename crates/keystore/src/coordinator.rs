@@ -180,8 +180,8 @@ impl CoordinatorEnclave {
         };
         let plain = record.to_bytes();
         // One key derivation plus the channel seal (encrypt + MAC).
-        ctx.charge(Op::HmacShort, 2);
-        ctx.counts.aes(plain.len());
+        ctx.charge(Op::HmacShort, 1);
+        ctx.counts.aes_hmac(plain.len());
         let channel = self
             .channels
             .get_mut(&worker)
@@ -207,8 +207,7 @@ impl CoordinatorEnclave {
             .ok_or(SgxError::EcallRejected(NO_EPOCH))?;
         let job_id = self.jobs_minted;
         self.jobs_minted += 1;
-        ctx.charge(Op::HmacShort, 1);
-        ctx.counts.sha256(payload.len());
+        ctx.counts.hmac(payload.len());
         let job = Job::mint(
             &self.epoch_key(worker, epoch),
             epoch,

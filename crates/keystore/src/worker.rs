@@ -22,7 +22,6 @@
 use teenet::responder::AttestResponder;
 use teenet::AttestConfig;
 use teenet_crypto::hmac::{hmac_sha256, hmac_verify};
-use teenet_sgx::cost::Op;
 use teenet_sgx::keys::KeyRequest;
 use teenet_sgx::seal::SealedBlob;
 use teenet_sgx::{EnclaveCtx, EnclaveProgram, SgxError};
@@ -90,8 +89,7 @@ impl WorkerEnclave {
             .map_err(|_| SgxError::EcallRejected("bad session nonce"))?;
         // The record arrives over the attested channel of that session;
         // opening it costs one decrypt + MAC check.
-        ctx.counts.aes(sealed_msg.len());
-        ctx.charge(Op::HmacShort, 1);
+        ctx.counts.aes_hmac(sealed_msg.len());
         let channel = self.responder.channel_mut(&nonce)?;
         let plain = channel
             .open(sealed_msg)
@@ -151,10 +149,8 @@ impl WorkerEnclave {
             return Err(SgxError::EcallRejected(EPOCH_REVOKED));
         }
         // Verify the job, then produce the keyed execution receipt.
-        for _ in 0..2 {
-            ctx.charge(Op::HmacShort, 1);
-            ctx.counts.sha256(job.payload.len());
-        }
+        ctx.counts.hmac(job.payload.len());
+        ctx.counts.hmac(job.payload.len());
         if !hmac_verify(
             &slot.material,
             &Job::mac_input(job.epoch, job.job_id, &job.payload),

@@ -20,7 +20,7 @@ use teenet_app::{
     AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
 };
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::{Counters, Op, OpCounts};
+use teenet_sgx::cost::{Counters, OpCounts};
 use teenet_sgx::{EpidGroup, SwitchlessConfig, TransitionMode, TransitionStats};
 use teenet_tls::handshake::{handshake, TlsConfig};
 use teenet_tls::TlsSession;
@@ -232,9 +232,8 @@ impl EnclaveService for TlsMboxService {
         // record in the batch.
         let mut client = OpCounts::new();
         for _ in 0..count {
-            client.aes(record_len);
+            client.aes_hmac(record_len);
         }
-        client.charge(Op::HmacShort, u64::from(count));
         Ok(StepOutcome::Executed(StepExecution {
             request_bytes: record_len,
             // The middlebox forwards the record onward; model the

@@ -424,17 +424,26 @@ impl OpCounts {
         self.aes(len);
     }
 
-    /// Sealing or opening one `len`-byte secure-channel record: key
-    /// schedule, AES over the record and its HMAC.
-    pub fn channel_record(&mut self, len: usize) {
-        self.keyed_aes(len);
+    /// Sealing or opening one `len`-byte record under an already
+    /// scheduled key: AES over the record and its HMAC.
+    pub fn aes_hmac(&mut self, len: usize) {
+        self.aes(len);
         self.charge(Op::HmacShort, 1);
     }
 
-    /// SHA-256 over `len` bytes: one compression per 64-byte block plus
-    /// one for padding.
-    pub fn sha256(&mut self, len: usize) {
+    /// Sealing or opening one `len`-byte secure-channel record: a fresh
+    /// key schedule, then [`OpCounts::aes_hmac`].
+    pub fn channel_record(&mut self, len: usize) {
+        self.charge(Op::AesKeySchedule, 1);
+        self.aes_hmac(len);
+    }
+
+    /// An HMAC-SHA256 over a `len`-byte payload: SHA-256 over the payload
+    /// (one compression per 64-byte block plus one for padding) and the
+    /// short-message HMAC around it.
+    pub fn hmac(&mut self, len: usize) {
         self.charge(Op::Sha256Block, len as u64 / 64 + 1);
+        self.charge(Op::HmacShort, 1);
     }
 
     /// Marshalling `len` bytes across the boundary with the per-call fixed
