@@ -917,3 +917,311 @@ mod sealing_tests {
         assert!(platform.ecall_nohost(evil, 3, &blob).is_err());
     }
 }
+
+/// Pins what an admission leaves behind, case by case: the verdicts, the
+/// ledger, every platform's counters, crossings and next sealed blob
+/// (which moves if a platform saw its ecalls in another order), and the
+/// deployment's next RNG draw. Each case runs under a deadline, so a
+/// stalled admission fails instead of hanging the suite.
+#[cfg(test)]
+mod admission_pin {
+    use super::*;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+    use teenet_crypto::sha256::sha256;
+
+    /// An enclave whose every ecall fails.
+    struct Refuses;
+
+    impl EnclaveProgram for Refuses {
+        fn code_image(&self) -> Vec<u8> {
+            b"refuses".to_vec()
+        }
+
+        fn ecall(
+            &mut self,
+            _: &mut EnclaveCtx<'_>,
+            _: u64,
+            _: &[u8],
+        ) -> core::result::Result<Vec<u8>, SgxError> {
+            Err(SgxError::EcallRejected("refused"))
+        }
+    }
+
+    /// An enclave whose every ecall panics.
+    struct Panics;
+
+    impl EnclaveProgram for Panics {
+        fn code_image(&self) -> Vec<u8> {
+            b"panics".to_vec()
+        }
+
+        fn ecall(
+            &mut self,
+            _: &mut EnclaveCtx<'_>,
+            _: u64,
+            _: &[u8],
+        ) -> core::result::Result<Vec<u8>, SgxError> {
+            panic!("enclave panicked")
+        }
+    }
+
+    /// Which platform a case swaps an enclave on.
+    #[derive(Clone, Copy)]
+    enum Swap {
+        None,
+        Relay(usize, fn() -> Box<dyn EnclaveProgram>),
+        Authority(usize, fn() -> Box<dyn EnclaveProgram>),
+    }
+
+    fn refuses() -> Box<dyn EnclaveProgram> {
+        Box::new(Refuses)
+    }
+
+    fn panics() -> Box<dyn EnclaveProgram> {
+        Box::new(Panics)
+    }
+
+    fn spec(phase: Phase, edit: impl FnOnce(&mut TorSpec)) -> TorSpec {
+        let mut spec = TorSpec::fast(phase, 17);
+        edit(&mut spec);
+        spec
+    }
+
+    fn swap_in(dep: &mut TorDeployment, swap: Swap) {
+        let (slot, program) = match swap {
+            Swap::None => return,
+            Swap::Relay(i, program) => (&mut dep.relay_platforms[i], program),
+            Swap::Authority(i, program) => (&mut dep.authority_platforms[i], program),
+        };
+        let author =
+            SigningKey::generate(&SchnorrGroup::small(), &mut SecureRng::seed_from_u64(3)).unwrap();
+        let (platform, enclave) = slot.as_mut().expect("a TEE platform");
+        *enclave = platform.create_signed(program(), &author, 1).unwrap();
+    }
+
+    /// Builds `spec`, swaps the enclave, runs the admission on another
+    /// thread and fails the test if it has not returned within a minute.
+    /// A panic inside comes back as `Err`.
+    fn admit_with_deadline(
+        spec: TorSpec,
+        swap: Swap,
+    ) -> thread::Result<(Result<Admission>, TorDeployment)> {
+        let mut dep = TorDeployment::build(spec).unwrap();
+        swap_in(&mut dep, swap);
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let admission = dep.run_admission();
+            let _ = tx.send(());
+            (admission, dep)
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("run_admission did not return"),
+            _ => runner.join(),
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One platform's line: counters, crossings, and the first bytes of
+    /// the digest of the state blob it seals next.
+    fn platform_line(name: &str, slot: &mut Option<(Box<dyn TeePlatform>, EnclaveId)>) -> String {
+        let Some((platform, enclave)) = slot.as_mut() else {
+            return String::new();
+        };
+        let c = platform.counters_of(*enclave).unwrap();
+        let t = platform.transition_stats_of(*enclave).unwrap();
+        let blob = platform
+            .ecall_nohost(*enclave, 2, b"pin")
+            .map_or_else(|_| "refused".to_string(), |b| hex(&sha256(&b)[..6]));
+        format!(
+            "{name} {}/{} {}/{}/{}/{} {blob}\n",
+            c.sgx_instr, c.normal_instr, t.taken, t.elided, t.fallbacks, t.idle_spins
+        )
+    }
+
+    fn fingerprint(admission: &Admission, dep: &mut TorDeployment) -> String {
+        let ids = |d: &[RouterDescriptor]| d.iter().map(|d| d.relay_id).collect::<Vec<_>>();
+        let mut out = format!(
+            "admitted {:?} rejected {:?}\nledger {:?} repeats {}\nrng {:016x}\n",
+            ids(&admission.admitted),
+            admission.rejected,
+            dep.ledger.rows(),
+            dep.ledger.repeats_avoided(),
+            dep.rng.next_u64(),
+        );
+        for (i, slot) in dep.relay_platforms.iter_mut().enumerate() {
+            out += &platform_line(&format!("r{i}"), slot);
+        }
+        for (i, slot) in dep.authority_platforms.iter_mut().enumerate() {
+            out += &platform_line(&format!("a{i}"), slot);
+        }
+        out
+    }
+
+    fn check(spec: TorSpec, swap: Swap, expected: &str) {
+        let (admission, mut dep) = admit_with_deadline(spec, swap).expect("no panic");
+        let got = fingerprint(&admission.unwrap(), &mut dep);
+        assert_eq!(got, expected, "\n{got}");
+    }
+
+    #[test]
+    fn vanilla_admission_is_pinned() {
+        check(
+            spec(Phase::Vanilla, |_| {}),
+            Swap::None,
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [] repeats 0\n\
+             rng 5ae099f8e8855316\n",
+        );
+    }
+
+    #[test]
+    fn sgx_directory_admission_is_pinned() {
+        check(
+            spec(Phase::SgxDirectory, |_| {}),
+            Swap::None,
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorAuthorityPeer, 6), (TorClientCircuit, 3)] repeats 0\n\
+             rng c7db1bcb3c60ac65\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a1 60/12625507434 27/0/0/0 e67aab2ca60e\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+        check(
+            spec(Phase::SgxDirectory, |s| s.compromised_authorities = vec![1]),
+            Swap::None,
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorAuthorityPeer, 6), (TorClientCircuit, 3)] repeats 0\n\
+             rng 49adc14d120dbc77\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a1 60/12625507434 27/0/0/0 0c9f7421d042\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+        check(
+            spec(Phase::SgxDirectory, |_| {}),
+            Swap::Authority(1, refuses),
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorAuthorityPeer, 6), (TorClientCircuit, 3)] repeats 0\n\
+             rng 49adc14d120dbc77\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a1 6/210 3/0/0/0 refused\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+    }
+
+    #[test]
+    fn incremental_admission_is_pinned() {
+        check(
+            spec(Phase::IncrementalOrs, |s| s.sgx_relay_count = 4),
+            Swap::None,
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorAuthorityPeer, 6), (TorRouterAdmission, 4), (TorClientCircuit, 3)] repeats 0\n\
+             rng dc2568d0435ccc3c\n\
+             r0 20/4208502478 9/0/0/0 6e9627d5fa1c\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a1 60/12625507434 27/0/0/0 e67aab2ca60e\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+        check(
+            spec(Phase::IncrementalOrs, |s| {
+                s.bad_apples = vec![0];
+                s.compromised_authorities = vec![0];
+            }),
+            Swap::None,
+            "admitted [1, 2, 3, 4, 5] rejected [0]\n\
+             ledger [(TorAuthorityPeer, 6), (TorRouterAdmission, 6), (TorClientCircuit, 3)] repeats 0\n\
+             rng d1cedaf307afb386\n\
+             r0 20/4208502478 9/0/0/0 b40ff7bdada6\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
+             r4 20/4208502478 9/0/0/0 792eaab1d6ce\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n\
+             a0 60/12625507434 27/0/0/0 1d510b576d60\n\
+             a1 60/12625507434 27/0/0/0 e67aab2ca60e\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+        check(
+            spec(Phase::IncrementalOrs, |_| {}),
+            Swap::Relay(2, refuses),
+            "admitted [0, 1, 3, 4, 5] rejected [2]\n\
+             ledger [(TorAuthorityPeer, 6), (TorRouterAdmission, 6), (TorClientCircuit, 3)] repeats 0\n\
+             rng 9271da0461d1a253\n\
+             r0 20/4208502478 9/0/0/0 6e9627d5fa1c\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 2/70 1/0/0/0 refused\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
+             r4 20/4208502478 9/0/0/0 792eaab1d6ce\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a1 60/12625507434 27/0/0/0 e67aab2ca60e\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
+    }
+
+    #[test]
+    fn full_sgx_admission_is_pinned() {
+        check(
+            spec(Phase::FullSgx, |_| {}),
+            Swap::None,
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorRouterAdmission, 6), (TorClientCircuit, 6)] repeats 0\n\
+             rng db3a75438ddc94a9\n\
+             r0 20/4208502478 9/0/0/0 6e9627d5fa1c\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
+             r4 20/4208502478 9/0/0/0 792eaab1d6ce\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n",
+        );
+        check(
+            spec(Phase::FullSgx, |s| s.bad_apples = vec![0, 4]),
+            Swap::None,
+            "admitted [1, 2, 3, 5] rejected [0, 4]\n\
+             ledger [(TorRouterAdmission, 6), (TorClientCircuit, 6)] repeats 0\n\
+             rng db3a75438ddc94a9\n\
+             r0 20/4208502478 9/0/0/0 b40ff7bdada6\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
+             r4 20/4208502478 9/0/0/0 8d9290f0cafc\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n",
+        );
+        check(
+            spec(Phase::FullSgx, |_| {}),
+            Swap::Relay(3, refuses),
+            "admitted [0, 1, 2, 4, 5] rejected [3]\n\
+             ledger [(TorRouterAdmission, 6), (TorClientCircuit, 6)] repeats 0\n\
+             rng db3a75438ddc94a9\n\
+             r0 20/4208502478 9/0/0/0 6e9627d5fa1c\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 2/70 1/0/0/0 refused\n\
+             r4 20/4208502478 9/0/0/0 792eaab1d6ce\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n",
+        );
+    }
+
+    /// A target enclave that panics mid-list, as an authority and as a
+    /// relay: the panic reaches the caller with its payload.
+    #[test]
+    fn a_panic_in_a_target_enclave_propagates() {
+        for (phase, swap) in [
+            (Phase::SgxDirectory, Swap::Authority(1, panics)),
+            (Phase::IncrementalOrs, Swap::Relay(2, panics)),
+            (Phase::FullSgx, Swap::Relay(3, panics)),
+        ] {
+            let payload = admit_with_deadline(spec(phase, |_| {}), swap)
+                .err()
+                .expect("a panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"enclave panicked"));
+        }
+    }
+}
