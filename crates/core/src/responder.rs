@@ -6,9 +6,13 @@
 //! pending [`TargetAttestor`]s and the established channels, keyed by the
 //! challenger's nonce. [`attest_enclave`] is the matching host-side driver
 //! that ferries the four messages between a challenger and a platform
-//! enclave exposing the two responder ecalls.
+//! enclave exposing the two responder ecalls; [`serve_attestation`] is its
+//! target-side half, and [`attest_pipelined`] runs a burst of attestations
+//! with that half on a second thread.
 
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::{iter, panic, thread};
 
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
@@ -147,21 +151,113 @@ pub fn attest_enclave(
 ) -> Result<(AttestOutcome, SessionNonce)> {
     let (challenger, request) = Challenger::start(policy, config, rng)?;
     let nonce = request.nonce;
-    let mut begin_input = request.to_bytes();
-    begin_input.extend_from_slice(&platform.attestation_target_info().mrenclave.0);
-    let report_bytes = platform
-        .ecall_nohost(enclave, begin_fn, &begin_input)
-        .map_err(TeenetError::Sgx)?;
-    let report = Report::from_bytes(&report_bytes).map_err(TeenetError::Sgx)?;
-    let evidence = platform.evidence(&report).map_err(TeenetError::Sgx)?;
-    let mut finish_input = nonce.to_vec();
-    finish_input.extend_from_slice(&evidence.to_bytes());
-    let response_bytes = platform
-        .ecall_nohost(enclave, finish_fn, &finish_input)
-        .map_err(TeenetError::Sgx)?;
-    let response = AttestResponse::from_bytes(&response_bytes)?;
+    let response = serve_attestation(
+        platform,
+        enclave,
+        (begin_fn, finish_fn),
+        &nonce,
+        request.to_bytes(),
+    )
+    .map_err(TeenetError::Sgx)?;
+    let response = AttestResponse::from_bytes(&response)?;
     let outcome = challenger.verify(&response, group_public, certificate)?;
     Ok((outcome, nonce))
+}
+
+/// The target platform's half of one attestation: the `begin` ecall on
+/// `request` (a serialized [`AttestRequest`] under `nonce`) with the
+/// platform's attestation-target measurement appended, the evidence for
+/// the REPORT it returns, and the `finish` ecall. Returns the serialized
+/// [`AttestResponse`]; stops at the first step that fails.
+pub fn serve_attestation(
+    platform: &mut dyn TeePlatform,
+    enclave: EnclaveId,
+    (begin_fn, finish_fn): (u64, u64),
+    nonce: &SessionNonce,
+    mut request: Vec<u8>,
+) -> core::result::Result<Vec<u8>, SgxError> {
+    request.extend_from_slice(&platform.attestation_target_info().mrenclave.0);
+    let report_bytes = platform.ecall_nohost(enclave, begin_fn, &request)?;
+    let report = Report::from_bytes(&report_bytes)?;
+    let evidence = platform.evidence(&report)?;
+    let mut finish_input = nonce.to_vec();
+    finish_input.extend_from_slice(&evidence.to_bytes());
+    platform.ecall_nohost(enclave, finish_fn, &finish_input)
+}
+
+/// Runs a burst of attestations as a two-stage pipeline: this thread
+/// `open`s every item in order (the challenger's side of message 1, with
+/// whatever RNG draws and ecalls that takes), one scoped thread `serve`s
+/// them in order (the target side, typically [`serve_attestation`]), and
+/// this thread then `complete`s each with its response in order (message
+/// 9). While the target works on item `i`, the challenger opens later
+/// items, so two cores share the burst.
+///
+/// Each stage sees its items in the serial loop's order, so as long as
+/// `open` and `complete` touch only the challenger's state and `serve`
+/// only the targets', every platform sees a serial loop's ecalls and
+/// every RNG a serial loop's draws. With no items, no thread is spawned.
+///
+/// An `Err` is the one a serial loop returns: the lowest failing item, and
+/// within it the first failing stage. Each stage stops at its first
+/// error; by then later items may already be open. A panic on either
+/// thread propagates with its payload.
+pub fn attest_pipelined<I, C, Q, R, E>(
+    items: impl IntoIterator<Item = I>,
+    mut open: impl FnMut(I) -> core::result::Result<(C, Q), E>,
+    mut serve: impl FnMut(Q) -> core::result::Result<R, E> + Send,
+    mut complete: impl FnMut(C, R) -> core::result::Result<(), E>,
+) -> core::result::Result<(), E>
+where
+    Q: Send,
+    R: Send,
+    E: Send,
+{
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Ok(());
+    };
+    let (request_tx, request_rx) = mpsc::channel();
+    let (response_tx, response_rx) = mpsc::channel();
+    thread::scope(|scope| {
+        let target_side = scope.spawn(move || {
+            for request in request_rx {
+                let response = serve(request);
+                let failed = response.is_err();
+                // Stop at the first error, or once this thread's caller
+                // has stopped listening (a `complete` failed).
+                if response_tx.send(response).is_err() || failed {
+                    break;
+                }
+            }
+        });
+        let mut opened = Vec::new();
+        let mut open_error = None;
+        for item in iter::once(first).chain(items) {
+            match open(item) {
+                Ok((state, request)) => {
+                    opened.push(state);
+                    if request_tx.send(request).is_err() {
+                        break; // the target side stopped at an error
+                    }
+                }
+                Err(e) => {
+                    open_error = Some(e);
+                    break;
+                }
+            }
+        }
+        drop(request_tx);
+        let completed = opened
+            .into_iter()
+            .zip(response_rx.iter())
+            .try_for_each(|(state, response)| complete(state, response?));
+        drop(response_rx);
+        if let Err(panic) = target_side.join() {
+            panic::resume_unwind(panic);
+        }
+        completed.and(open_error.map_or(Ok(()), Err))
+    })
 }
 
 #[cfg(test)]

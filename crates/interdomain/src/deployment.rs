@@ -10,17 +10,16 @@
 //! Table 4 and the lower curve of Figure 3.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::{panic, thread};
 
 use teenet::attest::AttestConfig;
 use teenet::ledger::{AttestKind, AttestLedger};
+use teenet::responder::{attest_pipelined, serve_attestation};
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
 use teenet_sgx::cost::{CostModel, Counters, Op, OpCounts};
 use teenet_sgx::{
-    deploy_platform, EnclaveId, EpidGroup, Report, SgxError, SwitchlessConfig, TeeBackend,
-    TeePlatform, TransitionMode, TransitionStats,
+    deploy_platform, EnclaveId, EpidGroup, SgxError, SwitchlessConfig, TeeBackend, TeePlatform,
+    TransitionMode, TransitionStats,
 };
 
 use crate::compute::{compute_routes, RoutingOutcome};
@@ -158,14 +157,11 @@ impl SdnDeployment {
     /// Phase 1 (messages 1–4 of Figure 2): every AS-local controller
     /// attests the inter-domain controller and bootstraps its channel.
     ///
-    /// The two sides run as a two-stage pipeline. A scoped thread serves
-    /// the controller's half (`ATTEST_BEGIN`, evidence, `ATTEST_FINISH`)
-    /// in AS order while this thread issues every AS's `CONNECT`, then
-    /// `COMPLETE`s the responses in order. Each platform sees the ecalls,
-    /// inputs and order of a serial loop, so every counter, nonce and
-    /// report byte is a serial loop's; the ledger records the ASes in
-    /// order, each once its `COMPLETE` succeeds. On one core it costs
-    /// about what the serial loop did.
+    /// The ASes are one [`attest_pipelined`] burst: this thread issues
+    /// every AS's `CONNECT`, then `COMPLETE`s the responses in order, while
+    /// a scoped thread serves the controller's half in AS order. Every
+    /// counter, nonce and report byte is a serial loop's; the ledger
+    /// records each AS once its `COMPLETE` succeeds.
     ///
     /// An `Err` is the one a serial loop returns: the lowest failing AS,
     /// and within it the first failing step. By then later ASes may
@@ -173,67 +169,44 @@ impl SdnDeployment {
     /// deployment is not reused after an error. A panic on either thread
     /// propagates.
     pub fn attest_all(&mut self) -> Result<()> {
-        let qe_mr = self.controller_platform.attestation_target_info().mrenclave;
         let controller = &mut *self.controller_platform;
         let controller_enclave = self.controller_enclave;
-        let (request_tx, request_rx) = mpsc::channel::<([u8; 32], Vec<u8>)>();
-        let (response_tx, response_rx) = mpsc::channel();
-        thread::scope(|scope| {
-            let controller_side = scope.spawn(move || {
-                for (nonce, begin_input) in request_rx {
-                    let response =
-                        attest_on_controller(controller, controller_enclave, nonce, &begin_input);
-                    let failed = response.is_err();
-                    // Stop at the first error, or once the AS side has
-                    // stopped listening (a `COMPLETE` failed).
-                    if response_tx.send(response).is_err() || failed {
-                        break;
-                    }
-                }
-            });
-            // Message 1 from every AS-local enclave (the challenger).
-            let mut connect_error = None;
-            for i in 0..self.as_enclaves.len() {
-                let connect =
-                    self.as_platforms[i].ecall_nohost(self.as_enclaves[i], alc_fn::CONNECT, &[]);
-                let mut request = match connect {
-                    Ok(request) => request,
-                    Err(e) => {
-                        connect_error = Some(e);
-                        break;
-                    }
-                };
+        let ledger = &mut self.ledger;
+        let ases = self
+            .as_platforms
+            .iter_mut()
+            .zip(&self.as_enclaves)
+            .zip(&mut self.as_nonces)
+            .enumerate();
+        attest_pipelined(
+            ases,
+            // Message 1 from the AS-local enclave (the challenger).
+            |(i, ((platform, &enclave), nonce_slot))| {
+                let request = platform.ecall_nohost(enclave, alc_fn::CONNECT, &[])?;
                 let nonce: [u8; 32] = request[..32].try_into().expect("nonce prefix");
-                self.as_nonces[i] = Some(nonce);
-                request.extend_from_slice(&qe_mr.0);
-                if request_tx.send((nonce, request)).is_err() {
-                    break; // the controller side stopped at an error
-                }
-            }
-            drop(request_tx);
-            // Message 9 back at each AS, in order.
-            let completed = response_rx
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, response)| {
-                    self.as_platforms[i].ecall_nohost(
-                        self.as_enclaves[i],
-                        alc_fn::COMPLETE,
-                        &response?,
-                    )?;
-                    self.ledger.record(
-                        AttestKind::InterdomainController,
-                        i as u64,
-                        u64::MAX, // the one controller
-                    );
-                    Ok(())
-                });
-            drop(response_rx);
-            if let Err(panic) = controller_side.join() {
-                panic::resume_unwind(panic);
-            }
-            completed.and(connect_error.map_or(Ok(()), Err))
-        })
+                *nonce_slot = Some(nonce);
+                Ok(((i, platform, enclave), (nonce, request)))
+            },
+            |(nonce, request)| {
+                serve_attestation(
+                    controller,
+                    controller_enclave,
+                    (ic_fn::ATTEST_BEGIN, ic_fn::ATTEST_FINISH),
+                    &nonce,
+                    request,
+                )
+            },
+            // Message 9 back at the AS.
+            |(i, platform, enclave), response| {
+                platform.ecall_nohost(enclave, alc_fn::COMPLETE, &response)?;
+                ledger.record(
+                    AttestKind::InterdomainController,
+                    i as u64,
+                    u64::MAX, // the one controller
+                );
+                Ok(())
+            },
+        )
     }
 
     /// Excludes setup costs, as the paper's Table 4 does ("we exclude the
@@ -426,23 +399,6 @@ impl SdnDeployment {
     }
 }
 
-/// The controller's half of one attestation (messages 2–4 of Figure 2).
-/// `begin_input` is the AS's request followed by the quoting enclave's
-/// measurement; returns the response the AS `COMPLETE`s.
-fn attest_on_controller(
-    platform: &mut dyn TeePlatform,
-    enclave: EnclaveId,
-    nonce: [u8; 32],
-    begin_input: &[u8],
-) -> Result<Vec<u8>> {
-    let report_bytes = platform.ecall_nohost(enclave, ic_fn::ATTEST_BEGIN, begin_input)?;
-    let report = Report::from_bytes(&report_bytes)?;
-    let evidence = platform.evidence(&report)?;
-    let mut finish_input = nonce.to_vec();
-    finish_input.extend_from_slice(&evidence.to_bytes());
-    platform.ecall_nohost(enclave, ic_fn::ATTEST_FINISH, &finish_input)
-}
-
 /// Counters for the native (non-SGX) baseline of Table 4.
 #[derive(Debug, Clone)]
 pub struct NativeReport {
@@ -487,6 +443,8 @@ pub fn run_native(topology: &Topology, policies: &HashMap<AsId, LocalPolicy>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
     use std::time::Duration;
     use teenet_sgx::{EnclaveCtx, EnclaveProgram, Measurement};
 

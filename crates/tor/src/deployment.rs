@@ -11,11 +11,12 @@
 
 // teenet-analyze: allow-file(enclave-index) -- deployment harness: every index is into vectors this file builds itself (one platform per spec relay/authority, gen_range is len-bounded); no wire bytes select an index
 use std::collections::HashMap;
+use std::convert::Infallible;
 
-use teenet::attest::AttestConfig;
+use teenet::attest::{AttestConfig, AttestRequest, AttestResponse, Challenger};
 use teenet::identity::{IdentityPolicy, SoftwareCertificate};
 use teenet::ledger::{AttestKind, AttestLedger};
-use teenet::responder::{attest_enclave, AttestResponder};
+use teenet::responder::{attest_pipelined, serve_attestation, AttestResponder};
 use teenet_crypto::dh::DhGroup;
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
@@ -415,49 +416,72 @@ impl TorDeployment {
         })
     }
 
-    /// Attests the enclave of relay `i`; returns whether it passed.
-    fn attest_relay(&mut self, challenger: u64, i: usize) -> bool {
-        let Some((platform, enclave)) = self.relay_platforms[i].as_mut() else {
-            return false;
+    /// Attests each target in order as one [`attest_pipelined`] burst:
+    /// this thread starts every challenge from `self.rng` and verifies
+    /// every response against the foundation's certificate, while a second
+    /// thread serves the targets' enclaves. Returns one verdict per target,
+    /// `None` for a target without a TEE platform, which draws nothing. A
+    /// failed attestation is a `false` verdict, not an abort.
+    fn attest(&mut self, targets: &[Target]) -> Vec<Option<bool>> {
+        let policy = IdentityPolicy::Certified {
+            authority: self.foundation_public.clone(),
         };
-        self.ledger
-            .record(AttestKind::TorRouterAdmission, challenger, i as u64);
-        attest_enclave(
-            IdentityPolicy::Certified {
-                authority: self.foundation_public.clone(),
+        let group_public = self.epid.public_key();
+        let TorDeployment {
+            spec,
+            relay_platforms,
+            authority_platforms,
+            certificate,
+            rng,
+            ..
+        } = self;
+        let present: Vec<bool> = targets
+            .iter()
+            .map(|t| t.platform(relay_platforms, authority_platforms).is_some())
+            .collect();
+        let mut passed = Vec::with_capacity(targets.len());
+        let Ok(()) = attest_pipelined(
+            targets.iter().zip(&present),
+            |(&target, &present)| {
+                let started = present
+                    .then(|| Challenger::start(policy.clone(), spec.attest.clone(), rng).ok())
+                    .flatten();
+                Ok::<_, Infallible>(match started {
+                    Some((challenger, request)) => (Some(challenger), Some((target, request))),
+                    None => (None, None),
+                })
             },
-            self.spec.attest.clone(),
-            &mut self.rng,
-            platform.as_mut(),
-            *enclave,
-            0,
-            1,
-            &self.epid.public_key(),
-            Some(&self.certificate),
-        )
-        .is_ok()
-    }
-
-    /// Attests the enclave of authority `i` on behalf of `challenger`.
-    fn attest_authority(&mut self, kind: AttestKind, challenger: u64, i: usize) -> bool {
-        let Some((platform, enclave)) = self.authority_platforms[i].as_mut() else {
-            return false;
-        };
-        self.ledger.record(kind, challenger, 10_000 + i as u64);
-        attest_enclave(
-            IdentityPolicy::Certified {
-                authority: self.foundation_public.clone(),
+            |request: Option<(Target, AttestRequest)>| {
+                let served = request.and_then(|(target, request)| {
+                    let (platform, enclave) =
+                        target.platform(relay_platforms, authority_platforms)?;
+                    Some(serve_attestation(
+                        platform.as_mut(),
+                        *enclave,
+                        (0, 1),
+                        &request.nonce,
+                        request.to_bytes(),
+                    ))
+                });
+                Ok(served)
             },
-            self.spec.attest.clone(),
-            &mut self.rng,
-            platform.as_mut(),
-            *enclave,
-            0,
-            1,
-            &self.epid.public_key(),
-            Some(&self.certificate),
-        )
-        .is_ok()
+            |challenger, response| {
+                passed.push(match (challenger, response) {
+                    (Some(challenger), Some(Ok(response))) => AttestResponse::from_bytes(&response)
+                        .and_then(|response| {
+                            challenger.verify(&response, &group_public, Some(certificate))
+                        })
+                        .is_ok(),
+                    _ => false,
+                });
+                Ok(())
+            },
+        );
+        passed
+            .into_iter()
+            .zip(present)
+            .map(|(ok, present)| present.then_some(ok))
+            .collect()
     }
 
     /// Router descriptors as self-published.
@@ -479,6 +503,12 @@ impl TorDeployment {
     }
 
     /// Runs the phase-appropriate admission process.
+    ///
+    /// Every attestation of a phase is one two-stage burst on two threads
+    /// (see [`attest_pipelined`]); Vanilla attests nothing and spawns
+    /// nothing. Verdicts, ledger entries, platform counters and the
+    /// deployment's RNG draws are those of attesting one target after
+    /// another.
     pub fn run_admission(&mut self) -> Result<Admission> {
         let descriptors = self.descriptors();
         match self.spec.phase {
@@ -495,46 +525,67 @@ impl TorDeployment {
         sgx_directory: bool,
         attest_relays: bool,
     ) -> Result<Admission> {
-        // Which authorities get to vote?
-        let mut voters: Vec<usize> = (0..self.authorities.len()).collect();
-        if sgx_directory {
-            // Authorities mutually attest; those failing (tampered voting
-            // logic) are excluded from the consensus process.
-            let mut passed = vec![true; self.authorities.len()];
-            for a in 0..self.authorities.len() {
-                for (b, pass) in passed.iter_mut().enumerate() {
-                    if a != b && !self.attest_authority(AttestKind::TorAuthorityPeer, a as u64, b) {
-                        *pass = false;
-                    }
-                }
-            }
-            voters.retain(|&i| passed[i]);
-            // Clients verify the directory too ("Tor network (Client):
-            // number of authority nodes", Table 3).
-            for i in 0..self.authorities.len() {
-                self.attest_authority(AttestKind::TorClientCircuit, 90_000, i);
+        // With an SGX directory, every authority `a` attests every other
+        // `b`, and clients verify each authority ("Tor network (Client):
+        // number of authority nodes", Table 3); in the incremental phase
+        // every SGX relay is then checked for admission.
+        let n = self.authorities.len();
+        let (peers, clients): (Vec<(usize, usize)>, _) = match sgx_directory {
+            true => (
+                (0..n)
+                    .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                    .collect(),
+                0..n,
+            ),
+            false => (Vec::new(), 0..0),
+        };
+        let relays: Vec<usize> = match attest_relays {
+            true => (self.relay_platforms.iter().enumerate())
+                .filter_map(|(i, slot)| slot.as_ref().map(|_| i))
+                .collect(),
+            false => Vec::new(),
+        };
+        let targets: Vec<Target> = peers
+            .iter()
+            .map(|&(_, b)| Target::Authority(b))
+            .chain(clients.clone().map(Target::Authority))
+            .chain(relays.iter().map(|&i| Target::Relay(i)))
+            .collect();
+        let mut outcomes = self.attest(&targets).into_iter();
+        let ledger = &mut self.ledger;
+        let mut verdict = |kind, challenger: u64, target: u64| {
+            record(ledger, outcomes.next().flatten(), kind, challenger, target)
+        };
+
+        // Authorities failing (tampered voting logic) are excluded from the
+        // consensus process.
+        let mut excluded = Vec::new();
+        for (a, b) in peers {
+            if !verdict(AttestKind::TorAuthorityPeer, a as u64, 10_000 + b as u64) {
+                excluded.push(b);
             }
         }
+        let voters: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
+        for i in clients {
+            verdict(AttestKind::TorClientCircuit, 90_000, 10_000 + i as u64);
+        }
 
-        // Attestation verdicts for relays (incremental phase).
+        // Attestation verdicts for relays (incremental phase), checked by
+        // the lowest-id voting authority.
+        let challenger = voters.first().copied().unwrap_or(0) as u64;
         let mut rejected = Vec::new();
-        let verdicts: Option<HashMap<u32, bool>> = if attest_relays {
-            let mut map = HashMap::new();
-            for i in 0..self.network.relays.len() {
-                if self.relay_platforms[i].is_some() {
-                    // The lowest-id voting authority performs admission.
-                    let challenger = voters.first().copied().unwrap_or(0) as u64;
-                    let ok = self.attest_relay(challenger, i);
-                    map.insert(i as u32, ok);
+        let verdicts: Option<HashMap<u32, bool>> = attest_relays.then(|| {
+            relays
+                .iter()
+                .map(|&i| {
+                    let ok = verdict(AttestKind::TorRouterAdmission, challenger, i as u64);
                     if !ok {
                         rejected.push(i as u32);
                     }
-                }
-            }
-            Some(map)
-        } else {
-            None
-        };
+                    (i as u32, ok)
+                })
+                .collect()
+        });
 
         let mut votes: Vec<Vote> = Vec::with_capacity(voters.len());
         for &i in &voters {
@@ -558,11 +609,19 @@ impl TorDeployment {
         // No directory: every relay is attested directly (here by the
         // client; "problematic Tor nodes are excluded during the remote
         // attestation") and admitted members form a Chord ring.
+        let targets: Vec<Target> = (0..descriptors.len()).map(Target::Relay).collect();
+        let outcomes = self.attest(&targets);
         let mut ring = ChordRing::new();
         let mut admitted = Vec::new();
         let mut rejected = Vec::new();
-        for (i, desc) in descriptors.iter().enumerate() {
-            let ok = self.attest_relay(90_000, i);
+        for ((i, desc), outcome) in descriptors.iter().enumerate().zip(outcomes) {
+            let ok = record(
+                &mut self.ledger,
+                outcome,
+                AttestKind::TorRouterAdmission,
+                90_000,
+                i as u64,
+            );
             self.ledger
                 .record(AttestKind::TorClientCircuit, 90_000, i as u64);
             if ok {
@@ -644,6 +703,49 @@ impl TorDeployment {
             .map(|d| d.to_vec())
             .ok_or(TorError::CircuitState("no reply received"))
     }
+}
+
+/// A TEE platform slot: the platform and its service enclave, or `None`
+/// where the entity is not TEE-capable.
+type TeeSlot = Option<(Box<dyn TeePlatform>, EnclaveId)>;
+
+/// Whose enclave an admission attestation targets.
+#[derive(Clone, Copy)]
+enum Target {
+    /// Relay `i`'s.
+    Relay(usize),
+    /// Authority `i`'s.
+    Authority(usize),
+}
+
+impl Target {
+    /// The target's platform and enclave, if it has a TEE platform.
+    fn platform<'a>(
+        self,
+        relays: &'a mut [TeeSlot],
+        authorities: &'a mut [TeeSlot],
+    ) -> Option<&'a mut (Box<dyn TeePlatform>, EnclaveId)> {
+        let (slots, i) = match self {
+            Target::Relay(i) => (relays, i),
+            Target::Authority(i) => (authorities, i),
+        };
+        slots.get_mut(i)?.as_mut()
+    }
+}
+
+/// Records an attested target's entry in `ledger` and returns its verdict;
+/// a target without a TEE platform (`None`) was not attested and fails.
+fn record(
+    ledger: &mut AttestLedger,
+    verdict: Option<bool>,
+    kind: AttestKind,
+    challenger: u64,
+    target: u64,
+) -> bool {
+    if verdict.is_some() {
+        ledger.record(kind, challenger, target);
+    }
+    verdict == Some(true)
 }
 
 /// The relay id compromised authorities try to force-admit (no descriptor
