@@ -44,6 +44,9 @@ pub(super) struct Modulus {
     two_n: Vec<u64>,
     /// `-n^-1 mod 2^52`.
     n0inv: u64,
+    /// `n = -1 (mod 2^52)`, as in every MODP prime: `n0inv = 1`, so the
+    /// kernel takes its MODP-shaped body.
+    modp: bool,
 }
 
 impl Modulus {
@@ -63,6 +66,7 @@ impl Modulus {
             n: Vec::new(),
             two_n: Vec::new(),
             n0inv: n_prime & MASK,
+            modp: n.limbs[0] & MASK == MASK,
         };
         (m.n, m.two_n) = (m.digits(n), m.digits(&n.add(n)));
         Some(m)
@@ -145,9 +149,11 @@ impl Modulus {
     /// `acc = acc * b * R^-1` (`acc^2 * R^-1` without `b`), below `2n`.
     #[cfg(target_arch = "x86_64")]
     fn amm(&self, acc: &mut [u64], b: Option<&[u64]>) {
-        let kernel: Kernel = match self.k {
-            15 => amm::<15, 2>,
-            _ => amm::<20, 3>,
+        let kernel: Kernel = match (self.k, self.modp) {
+            (15, false) => amm::<15, 2, false>,
+            (15, true) => amm::<15, 2, true>,
+            (_, false) => amm::<20, 3, false>,
+            (_, true) => amm::<20, 3, true>,
         };
         // SAFETY: a `Modulus` exists only where `detected` confirmed
         // `avx512f` and `avx512ifma`, all that the kernel enables.
@@ -221,18 +227,29 @@ fn down<const V: usize>(x: [__m512i; V]) -> [__m512i; V] {
     std::array::from_fn(|r| _mm512_alignr_epi64::<1>(above(r), x[r]))
 }
 
-/// The kernel at `K` digits in `V` vectors.
+/// The kernel at `K` digits in `V` vectors; `MODP` says `n[0] = 2^52 - 1`.
 ///
 /// Scalar bookkeeping per step, with `p = a[0] * b[i]`: `t = s0 + lo(p)`
 /// is the lowest digit, `y = t * n0inv` clears it, and the carry out of
 /// `t + lo(y * n[0])` plus the high halves of `p` and `y * n[0]` join
 /// digit 1 — `s1` and the low halves of `a[1] * b[i]` and `y * n[1]` — to
-/// make the next `s0`. The next `s1` is digit 2 of the vector before this
-/// `y`'s products, read ahead, plus `lo(y * n[2]) + hi(y * n[1])`. The
-/// vector's lane 0 lacks the carries and is replaced by `s0` at the end.
+/// make the next `s0`. Under `MODP`, `n0inv = 1` makes `y` the low 52 bits
+/// of `t`, and `y * n[0] = y * 2^52 - y` makes that carry `(t >> 52) + y`:
+/// no multiply on the chain from one `y` to the next. The next `s1` is
+/// digit 2 of the vector before this `y`'s products, read ahead, plus
+/// `lo(y * n[2]) + hi(y * n[1])`. The vector's lane 0 lacks the carries and
+/// is replaced by `s0` at the end. The vector adds `lo(y * n)` to the
+/// `b[i]` products and `hi(y * n)` to the shifted sum as two independent
+/// multiply-adds, joined by one add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn amm<const K: usize, const V: usize>(acc: &mut [u64], b: Option<&[u64]>, n: &[u64], n0inv: u64) {
+fn amm<const K: usize, const V: usize, const MODP: bool>(
+    acc: &mut [u64],
+    b: Option<&[u64]>,
+    n: &[u64],
+    n0inv: u64,
+) {
+    debug_assert!(!MODP || n[0] == MASK);
     let zero = _mm512_setzero_si512();
     let a: [__m512i; V] = std::array::from_fn(|r| load(acc, r));
     let nv: [__m512i; V] = std::array::from_fn(|r| load(n, r));
@@ -254,12 +271,18 @@ fn amm<const K: usize, const V: usize>(acc: &mut [u64], b: Option<&[u64]>, n: &[
         );
         let p = a0 as u128 * bi as u128;
         let t = s0 + (p as u64 & MASK);
-        let y = t.wrapping_mul(n0inv) & MASK;
-        let (yn0, yn1) = (n0 as u128 * y as u128, n1 as u128 * y as u128);
+        let (y, carry) = match MODP {
+            true => (t & MASK, (t >> DIGIT) + (t & MASK)),
+            false => {
+                let y = t.wrapping_mul(n0inv) & MASK;
+                let yn0 = n0 as u128 * y as u128;
+                (y, ((t + (yn0 as u64 & MASK)) >> DIGIT) + (yn0 >> DIGIT) as u64)
+            }
+        };
+        let yn1 = n1 as u128 * y as u128;
         s0 = s1
-            + ((t + (yn0 as u64 & MASK)) >> DIGIT)
+            + carry
             + (p >> DIGIT) as u64
-            + (yn0 >> DIGIT) as u64
             + (a1.wrapping_mul(bi) & MASK)
             + (yn1 as u64 & MASK);
         s1 = _mm_extract_epi64::<1>(ahead) as u64
@@ -267,8 +290,10 @@ fn amm<const K: usize, const V: usize>(acc: &mut [u64], b: Option<&[u64]>, n: &[
             + (yn1 >> DIGIT) as u64;
         let yv = _mm512_set1_epi64(y as i64);
         x = std::array::from_fn(|r| {
-            let by_y = _mm512_madd52lo_epu64(by_b[r], n_next[r], yv);
-            _mm512_add_epi64(shifted[r], _mm512_madd52hi_epu64(by_y, nv[r], yv))
+            _mm512_add_epi64(
+                _mm512_madd52lo_epu64(by_b[r], n_next[r], yv),
+                _mm512_madd52hi_epu64(shifted[r], nv[r], yv),
+            )
         });
     }
     x[0] = _mm512_mask_set1_epi64(x[0], 1, s0 as i64);
@@ -312,6 +337,7 @@ fn normalize<const V: usize>(x: [__m512i; V]) -> [__m512i; V] {
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
+    use crate::dh::DhGroup;
 
     /// [`normalize`] on `V` vectors of `lanes`, or `None` on a CPU
     /// without the engine.
@@ -335,6 +361,77 @@ mod tests {
         lanes.iter().rev().fold(BigUint::zero(), |acc, &lane| {
             acc.shl(DIGIT).add(&BigUint::from_u64(lane))
         })
+    }
+
+    /// The two MODP primes the kernel runs and, at each width, a modulus
+    /// whose lowest limb is all ones only in its low 52 bits (`n0inv` is
+    /// still 1) and one whose lowest digit is `2^52 - 3`, with whether
+    /// each takes the MODP-shaped body.
+    fn selection_moduli() -> Vec<(BigUint, bool)> {
+        let mut out = Vec::new();
+        for p in [DhGroup::modp768().p, DhGroup::modp1024().p] {
+            let with_low = |limb: u64| {
+                let mut limbs = p.limbs.clone();
+                limbs[0] = limb;
+                BigUint { limbs }
+            };
+            out.push((with_low(0x123f_ffff_ffff_ffff), true));
+            out.push((with_low(0xffff_ffff_ffff_fffd), false));
+            out.push((p, true));
+        }
+        out
+    }
+
+    /// Each MODP prime takes the MODP-shaped body, and so does any modulus
+    /// of `2^52 - 1` in its lowest digit; a 12- or 16-limb modulus whose
+    /// lowest digit is anything else takes the general body. Products of
+    /// both, below `2n`, are `a * b * R^-1 mod n`, and a whole
+    /// exponentiation matches the `u64` engine's.
+    #[test]
+    fn modp_moduli_take_the_modp_body_and_others_the_general_one() {
+        use super::super::{Engine, Montgomery};
+        let Some(_) = Modulus::new(&DhGroup::modp768().p, 1) else {
+            return eprintln!("no IFMA engine on this CPU: kernel selection not run");
+        };
+        for (n, modp) in selection_moduli() {
+            let m = Modulus::new(&n, super::super::neg_inv(n.limbs[0])).expect("detected");
+            assert_eq!(m.modp, modp, "{} limbs, low limb {:x}", n.limbs.len(), n.limbs[0]);
+            let r = BigUint::one().shl(m.r_bits());
+            let r_inv = r.rem(&n).unwrap().mod_inv(&n).unwrap();
+            let two_n = n.add(&n);
+            let one = BigUint::one();
+            let operands = [
+                BigUint::zero(),
+                one.clone(),
+                n.checked_sub(&one).unwrap(),
+                n.clone(),
+                two_n.checked_sub(&one).unwrap(),
+                n.shr(3).add(&BigUint::from_u64(0x1234_5678)),
+                n.shr(1).add(&n.shr(7)),
+            ];
+            for a in &operands {
+                for b in &operands {
+                    let (mut product, mut square) = (m.digits(a), m.digits(a));
+                    m.mul(&mut product, &m.digits(b));
+                    m.sqr(&mut square);
+                    for (got, t) in [(product, a.mul(b)), (square, a.mul(a))] {
+                        let got = m.value(&got);
+                        assert!(got < two_n, "{a:?} * {b:?} mod {n:?} out of range");
+                        assert_eq!(
+                            got.rem(&n).unwrap(),
+                            t.mul(&r_inv).rem(&n).unwrap(),
+                            "{a:?} * {b:?} mod {n:?}"
+                        );
+                    }
+                }
+            }
+            let (base, exp) = (n.shr(5).add(&BigUint::from_u64(7)), n.shr(9));
+            let on = |engine| {
+                let context = |n: &BigUint| Montgomery::on(engine, n).expect("runs n");
+                BigUint::multi_exp_on(&[(&base, &exp)], &n, context).unwrap()
+            };
+            assert_eq!(on(Engine::Ifma), on(Engine::U64), "{n:?}");
+        }
     }
 
     /// Crafted lanes, each laid out in two and in three vectors: a carry
