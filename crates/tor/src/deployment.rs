@@ -1069,12 +1069,16 @@ mod admission_pin {
         }
     }
 
-    /// Which platform a case swaps an enclave on.
+    /// Which platform a case swaps an enclave on, or takes away.
     #[derive(Clone, Copy)]
     enum Swap {
         None,
         Relay(usize, fn() -> Box<dyn EnclaveProgram>),
         Authority(usize, fn() -> Box<dyn EnclaveProgram>),
+        /// The relay loses its TEE platform.
+        RelayOff(usize),
+        /// The authority loses its TEE platform.
+        AuthorityOff(usize),
     }
 
     fn refuses() -> Box<dyn EnclaveProgram> {
@@ -1094,8 +1098,14 @@ mod admission_pin {
     fn swap_in(dep: &mut TorDeployment, swap: Swap) {
         let (slot, program) = match swap {
             Swap::None => return,
-            Swap::Relay(i, program) => (&mut dep.relay_platforms[i], program),
-            Swap::Authority(i, program) => (&mut dep.authority_platforms[i], program),
+            Swap::Relay(i, program) => (&mut dep.relay_platforms[i], Some(program)),
+            Swap::Authority(i, program) => (&mut dep.authority_platforms[i], Some(program)),
+            Swap::RelayOff(i) => (&mut dep.relay_platforms[i], None),
+            Swap::AuthorityOff(i) => (&mut dep.authority_platforms[i], None),
+        };
+        let Some(program) = program else {
+            *slot = None;
+            return;
         };
         let author =
             SigningKey::generate(&SchnorrGroup::small(), &mut SecureRng::seed_from_u64(3)).unwrap();
@@ -1213,6 +1223,15 @@ mod admission_pin {
              a1 6/210 3/0/0/0 refused\n\
              a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
         );
+        check(
+            spec(Phase::SgxDirectory, |_| {}),
+            Swap::AuthorityOff(1),
+            "admitted [0, 1, 2, 3, 4, 5] rejected []\n\
+             ledger [(TorAuthorityPeer, 4), (TorClientCircuit, 2)] repeats 0\n\
+             rng 6f2c59eb8b490190\n\
+             a0 60/12625507434 27/0/0/0 8aca10875b08\n\
+             a2 60/12625507434 27/0/0/0 3790ab25a64f\n",
+        );
     }
 
     #[test]
@@ -1307,6 +1326,18 @@ mod admission_pin {
              r2 20/4208502478 9/0/0/0 644853e666d5\n\
              r3 2/70 1/0/0/0 refused\n\
              r4 20/4208502478 9/0/0/0 792eaab1d6ce\n\
+             r5 20/4208502478 9/0/0/0 a2c06627b81c\n",
+        );
+        check(
+            spec(Phase::FullSgx, |_| {}),
+            Swap::RelayOff(4),
+            "admitted [0, 1, 2, 3, 5] rejected [4]\n\
+             ledger [(TorRouterAdmission, 5), (TorClientCircuit, 6)] repeats 0\n\
+             rng fe53512837b305c1\n\
+             r0 20/4208502478 9/0/0/0 6e9627d5fa1c\n\
+             r1 20/4208502478 9/0/0/0 8e2aa8ed7a67\n\
+             r2 20/4208502478 9/0/0/0 644853e666d5\n\
+             r3 20/4208502478 9/0/0/0 6b2cf7e36529\n\
              r5 20/4208502478 9/0/0/0 a2c06627b81c\n",
         );
     }
