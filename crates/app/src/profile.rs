@@ -161,4 +161,21 @@ mod tests {
             }
         );
     }
+
+    #[test]
+    fn cycles_round_up_to_nanos() {
+        // 1 cycle at 3 GHz is a fraction of a nanosecond — still ≥ 1ns.
+        assert_eq!(cycles_to_nanos(1, 3_000_000_000), 1);
+        assert_eq!(cycles_to_nanos(3, 3_000_000_000), 1);
+        assert_eq!(cycles_to_nanos(4, 3_000_000_000), 2);
+        assert_eq!(cycles_to_nanos(3_000_000_000, 3_000_000_000), 1_000_000_000);
+        assert_eq!(cycles_to_nanos(0, 3_000_000_000), 0);
+    }
+
+    #[test]
+    fn service_nanos_uses_paper_model() {
+        // One SGX instruction = 10_000 cycles, 10_000 ns at 1 GHz.
+        let op = op("x", Counters::new(), c(1, 0));
+        assert_eq!(op.service_nanos(&CostModel::paper(), 1_000_000_000), 10_000);
+    }
 }
