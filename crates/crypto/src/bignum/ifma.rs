@@ -276,15 +276,14 @@ fn amm<const K: usize, const V: usize, const MODP: bool>(
             false => {
                 let y = t.wrapping_mul(n0inv) & MASK;
                 let yn0 = n0 as u128 * y as u128;
-                (y, ((t + (yn0 as u64 & MASK)) >> DIGIT) + (yn0 >> DIGIT) as u64)
+                (
+                    y,
+                    ((t + (yn0 as u64 & MASK)) >> DIGIT) + (yn0 >> DIGIT) as u64,
+                )
             }
         };
         let yn1 = n1 as u128 * y as u128;
-        s0 = s1
-            + carry
-            + (p >> DIGIT) as u64
-            + (a1.wrapping_mul(bi) & MASK)
-            + (yn1 as u64 & MASK);
+        s0 = s1 + carry + (p >> DIGIT) as u64 + (a1.wrapping_mul(bi) & MASK) + (yn1 as u64 & MASK);
         s1 = _mm_extract_epi64::<1>(ahead) as u64
             + (n2.wrapping_mul(y) & MASK)
             + (yn1 >> DIGIT) as u64;
@@ -395,7 +394,13 @@ mod tests {
         };
         for (n, modp) in selection_moduli() {
             let m = Modulus::new(&n, super::super::neg_inv(n.limbs[0])).expect("detected");
-            assert_eq!(m.modp, modp, "{} limbs, low limb {:x}", n.limbs.len(), n.limbs[0]);
+            assert_eq!(
+                m.modp,
+                modp,
+                "{} limbs, low limb {:x}",
+                n.limbs.len(),
+                n.limbs[0]
+            );
             let r = BigUint::one().shl(m.r_bits());
             let r_inv = r.rem(&n).unwrap().mod_inv(&n).unwrap();
             let two_n = n.add(&n);
