@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::{iter, panic, thread};
+use std::{panic, thread};
 
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
@@ -213,10 +213,10 @@ where
     R: Send,
     E: Send,
 {
-    let mut items = items.into_iter();
-    let Some(first) = items.next() else {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_none() {
         return Ok(());
-    };
+    }
     let (request_tx, request_rx) = mpsc::channel();
     let (response_tx, response_rx) = mpsc::channel();
     thread::scope(|scope| {
@@ -233,7 +233,7 @@ where
         });
         let mut opened = Vec::new();
         let mut open_error = None;
-        for item in iter::once(first).chain(items) {
+        for item in items {
             match open(item) {
                 Ok((state, request)) => {
                     opened.push(state);
