@@ -332,6 +332,81 @@ mod tests {
         assert_eq!(channel.open(&reply).unwrap(), b"ping");
     }
 
+    /// One stage of [`attest_pipelined`] and the item it ran.
+    type Step = (&'static str, u32);
+
+    /// Runs six items through the pipeline, failing each `(stage, item)`
+    /// in `faults` and panicking at `panic_at`, on another thread with a
+    /// one-minute deadline. Returns the outcome and every stage's log.
+    fn pipeline(
+        faults: &'static [Step],
+        panic_at: Option<Step>,
+    ) -> std::thread::Result<(core::result::Result<(), Step>, Vec<Step>)> {
+        let (done_tx, done_rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let log = std::sync::Mutex::new(Vec::new());
+            let step = |stage: &'static str, item: u32| {
+                log.lock()
+                    .expect("no panic while logging")
+                    .push((stage, item));
+                if panic_at == Some((stage, item)) {
+                    panic!("stage panicked");
+                }
+                match faults.contains(&(stage, item)) {
+                    true => Err((stage, item)),
+                    false => Ok(item),
+                }
+            };
+            let outcome = attest_pipelined(
+                0..6,
+                |i| step("open", i).map(|i| (i, i)),
+                |i| step("serve", i),
+                |i, served| {
+                    assert_eq!(i, served, "completed with another item's response");
+                    step("complete", i).map(drop)
+                },
+            );
+            let _ = done_tx.send(());
+            (outcome, log.into_inner().expect("no panic while logging"))
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("attest_pipelined did not return"),
+            _ => runner.join(),
+        }
+    }
+
+    /// Each stage sees the items in order; an error is the lowest failing
+    /// item's first failing stage, and later items complete no further;
+    /// a panic on either side comes back with its payload.
+    #[test]
+    fn pipeline_keeps_the_serial_order_and_error() {
+        let stage = |log: &[Step], name| -> Vec<u32> {
+            log.iter().filter(|s| s.0 == name).map(|s| s.1).collect()
+        };
+        let (outcome, log) = pipeline(&[], None).expect("no panic");
+        assert_eq!(outcome, Ok(()));
+        for name in ["open", "serve", "complete"] {
+            assert_eq!(stage(&log, name), [0, 1, 2, 3, 4, 5], "{name}");
+        }
+        let cases: [(&'static [Step], Step, usize); 6] = [
+            (&[("open", 2)], ("open", 2), 2),
+            (&[("serve", 3)], ("serve", 3), 3),
+            (&[("complete", 1)], ("complete", 1), 2),
+            (&[("serve", 2), ("open", 4)], ("serve", 2), 2),
+            (&[("complete", 1), ("serve", 3)], ("complete", 1), 2),
+            (&[("open", 3), ("serve", 3)], ("open", 3), 3),
+        ];
+        for (faults, expected, completed) in cases {
+            let (outcome, log) = pipeline(faults, None).expect("no panic");
+            assert_eq!(outcome, Err(expected), "{faults:?}");
+            assert_eq!(stage(&log, "complete").len(), completed, "{faults:?}");
+        }
+        for at in [("open", 3), ("serve", 3), ("complete", 3)] {
+            let payload = pipeline(&[], Some(at)).expect_err("a panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"stage panicked"));
+        }
+    }
+
     #[test]
     fn responder_flow_end_to_end() {
         run_responder_flow(TeeBackend::Sgx);
