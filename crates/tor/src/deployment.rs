@@ -540,7 +540,10 @@ impl TorDeployment {
             false => (Vec::new(), 0..0),
         };
         let relays: Vec<usize> = match attest_relays {
-            true => (self.relay_platforms.iter().enumerate())
+            true => self
+                .relay_platforms
+                .iter()
+                .enumerate()
                 .filter_map(|(i, slot)| slot.as_ref().map(|_| i))
                 .collect(),
             false => Vec::new(),
