@@ -163,6 +163,26 @@ mod tests {
     }
 
     #[test]
+    fn session_costs_sum_over_ops() {
+        let cal = Calibration {
+            setup: c(1, 10),
+            ops: vec![op("a", c(0, 100), c(2, 200)), op("b", c(1, 50), c(3, 300))],
+            mode: TransitionMode::Classic,
+            backend: TeeBackend::Sgx,
+            switchless: SwitchlessConfig::default(),
+        };
+        assert_eq!(cal.session_server_cost(), c(5, 500));
+        assert_eq!(cal.session_client_cost(), c(1, 150));
+        // At 1 GHz a nanosecond is a cycle, so the per-op service times
+        // sum to the summed server cost, priced once.
+        let model = cal.cost_model();
+        assert_eq!(
+            cal.session_service_nanos(&model, 1_000_000_000),
+            cal.session_server_cost().cycles(&model)
+        );
+    }
+
+    #[test]
     fn cycles_round_up_to_nanos() {
         // 1 cycle at 3 GHz is a fraction of a nanosecond — still ≥ 1ns.
         assert_eq!(cycles_to_nanos(1, 3_000_000_000), 1);
