@@ -4,7 +4,10 @@
 //! event queue popped in `(time, sequence)` order so identical inputs
 //! replay identically. Nodes exchange datagrams over configured
 //! links with latency, bandwidth-derived serialisation delay, and optional
-//! fault injection.
+//! fault injection. A consumer takes each delivery either as it happens,
+//! lent in place by [`Network::deliver_next`], or in rounds: it runs the
+//! network to quiescence with [`Network::run_to_idle`], which fills each
+//! node's inbox, and then drains the inboxes with [`Network::recv`].
 
 use std::collections::VecDeque;
 use std::mem::ManuallyDrop;
@@ -80,14 +83,6 @@ struct Link {
     /// When the link is next free to begin serialising (FIFO queueing).
     next_free: SimTime,
     stats: LinkStats,
-}
-
-#[derive(Default)]
-struct Node {
-    /// Packets `run_until` delivered, until a `recv*` takes them.
-    inbox: VecDeque<(SimTime, Packet)>,
-    /// Deepest the inbox has ever been (queue-depth high-watermark).
-    max_depth: usize,
 }
 
 #[derive(PartialEq, Eq)]
@@ -218,7 +213,9 @@ fn link_position(links: &[Vec<(NodeId, Link)>], src: NodeId, dst: NodeId) -> Opt
 /// The simulated network.
 pub struct Network {
     now: SimTime,
-    nodes: Vec<Node>,
+    /// Each node's inbox: packets `run_to_idle` delivered, until `recv`
+    /// takes them.
+    inboxes: Vec<VecDeque<Packet>>,
     /// Outgoing links per source node: `links[src]` holds `(dst, link)`
     /// pairs. A node has a handful of neighbours, so the per-packet
     /// lookup is an index plus a short scan — no hashing.
@@ -241,7 +238,7 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             now: SimTime::ZERO,
-            nodes: Vec::new(),
+            inboxes: Vec::new(),
             links: Vec::new(),
             queue: EventQueue::new(),
             next_packet_id: 0,
@@ -286,9 +283,8 @@ impl Network {
         self.seed = seed;
         self.root = None;
         self.trace.clear();
-        for node in &mut self.nodes {
-            node.inbox.clear();
-            node.max_depth = 0;
+        for inbox in &mut self.inboxes {
+            inbox.clear();
         }
         for (src, out) in self.links.iter_mut().enumerate() {
             let src = NodeId(src as u32);
@@ -305,14 +301,14 @@ impl Network {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::default());
+        let id = NodeId(self.inboxes.len() as u32);
+        self.inboxes.push(VecDeque::new());
         id
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.inboxes.len()
     }
 
     /// Configures the unidirectional link `src → dst`, replacing any
@@ -344,7 +340,7 @@ impl Network {
 
     /// Fully connects all current nodes with `config` links.
     pub fn connect_all(&mut self, config: LinkConfig) {
-        let n = self.nodes.len() as u32;
+        let n = self.inboxes.len() as u32;
         for i in 0..n {
             for j in 0..n {
                 if i != j {
@@ -535,7 +531,7 @@ impl Network {
     /// clock to its arrival, traces and counts it, and lends the packet to
     /// `handle` where it lies in the queue — for an event loop dispatching
     /// on `packet.dst` itself, instead of an inbox. The packet is dropped
-    /// once `handle` returns. [`Network::run_until`] is this, into the
+    /// once `handle` returns. [`Network::run_to_idle`] is this, into the
     /// inboxes.
     #[inline(always)]
     pub fn deliver_next<R>(&mut self, handle: impl FnOnce(SimTime, &Packet) -> R) -> Option<R> {
@@ -579,13 +575,12 @@ impl Network {
 
     /// Processes events up to and including `until` into the destination
     /// inboxes, advancing the clock.
-    pub fn run_until(&mut self, until: SimTime) {
+    fn run_until(&mut self, until: SimTime) {
         while self.next_event_at().is_some_and(|at| at <= until) {
             self.arrive();
-            let Delivery { at, packet, .. } = self.queue.take_front().expect("arrived");
-            if let Some(node) = self.nodes.get_mut(packet.dst.0 as usize) {
-                node.inbox.push_back((at, packet));
-                node.max_depth = node.max_depth.max(node.inbox.len());
+            let Delivery { packet, .. } = self.queue.take_front().expect("arrived");
+            if let Some(inbox) = self.inboxes.get_mut(packet.dst.0 as usize) {
+                inbox.push_back(packet);
             }
         }
         self.now = self.now.max(until);
@@ -599,46 +594,17 @@ impl Network {
         self.now = self.now.max(to);
     }
 
-    /// Processes all queued events (runs the network to quiescence).
+    /// Processes all queued events into the destination inboxes (runs the
+    /// network to quiescence).
     pub fn run_to_idle(&mut self) {
         while let Some(at) = self.next_event_at() {
             self.run_until(at);
         }
     }
 
-    /// Pops the next delivered packet at `node`, if any.
+    /// Pops the oldest packet delivered to `node`'s inbox, if any.
     pub fn recv(&mut self, node: NodeId) -> Option<Packet> {
-        self.recv_timed(node).map(|(_, p)| p)
-    }
-
-    /// Pops the next delivered packet at `node` with its delivery time.
-    pub fn recv_timed(&mut self, node: NodeId) -> Option<(SimTime, Packet)> {
-        self.nodes.get_mut(node.0 as usize)?.inbox.pop_front()
-    }
-
-    /// Drains all delivered packets at `node`.
-    pub fn recv_all(&mut self, node: NodeId) -> Vec<Packet> {
-        match self.nodes.get_mut(node.0 as usize) {
-            Some(n) => n.inbox.drain(..).map(|(_, p)| p).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Number of packets waiting at `node`.
-    pub fn pending(&self, node: NodeId) -> usize {
-        self.nodes.get(node.0 as usize).map_or(0, |n| n.inbox.len())
-    }
-
-    /// Current inbox depth at `node` (alias of [`Network::pending`], named
-    /// for observability dashboards).
-    pub fn queue_depth(&self, node: NodeId) -> usize {
-        self.pending(node)
-    }
-
-    /// The deepest `node`'s inbox has ever been. Packets taken with
-    /// [`Network::deliver_next`] never enter an inbox and do not count.
-    pub fn max_queue_depth(&self, node: NodeId) -> usize {
-        self.nodes.get(node.0 as usize).map_or(0, |n| n.max_depth)
+        self.inboxes.get_mut(node.0 as usize)?.pop_front()
     }
 
     /// Delivery/fault counters of the link `src → dst`, if configured.
@@ -679,6 +645,11 @@ mod tests {
         (net, a, b)
     }
 
+    /// Everything waiting in `node`'s inbox, oldest first.
+    fn drain(net: &mut Network, node: NodeId) -> Vec<Packet> {
+        std::iter::from_fn(|| net.recv(node)).collect()
+    }
+
     fn faulty_link() -> LinkConfig {
         LinkConfig {
             faults: FaultConfig {
@@ -692,18 +663,17 @@ mod tests {
     }
 
     /// Sends 50 datagrams `a → b` and returns everything observable:
-    /// delivered payloads (fault outcomes included), link totals, queue
-    /// watermark, clock, trace volume.
+    /// delivered payloads (fault outcomes included), link totals, clock,
+    /// trace volume.
     fn drive(net: &mut Network, a: NodeId, b: NodeId) -> impl PartialEq + std::fmt::Debug {
         for i in 0..50u8 {
             net.send(a, b, vec![i; 16]);
             net.run_to_idle();
         }
-        let payloads: Vec<Vec<u8>> = net.recv_all(b).iter().map(|p| p.payload.to_vec()).collect();
+        let payloads: Vec<Vec<u8>> = drain(net, b).iter().map(|p| p.payload.to_vec()).collect();
         (
             payloads,
             net.fault_totals(),
-            net.max_queue_depth(b),
             net.now(),
             net.trace.records().len(),
         )
@@ -797,12 +767,14 @@ mod tests {
             ..Default::default()
         });
         net.send(a, b, &b"hello"[..]);
-        net.run_until(SimTime::ZERO + SimDuration::from_millis(4));
-        assert_eq!(net.pending(b), 0, "not yet arrived");
-        net.run_until(SimTime::ZERO + SimDuration::from_millis(5));
+        let at = SimTime::ZERO + SimDuration::from_millis(5);
+        assert_eq!(net.next_event_at(), Some(at));
+        assert!(net.recv(b).is_none(), "not yet arrived");
+        net.run_to_idle();
         let p = net.recv(b).expect("delivered");
         assert_eq!(&p.payload[..], b"hello");
-        assert_eq!(net.now(), SimTime::ZERO + SimDuration::from_millis(5));
+        assert_eq!(net.now(), at);
+        assert_eq!(net.next_event_at(), None, "quiescent again");
     }
 
     #[test]
@@ -811,8 +783,9 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         assert_eq!(net.send(a, b, &b"x"[..]), None);
+        assert_eq!(net.next_event_at(), None);
         net.run_to_idle();
-        assert_eq!(net.pending(b), 0);
+        assert!(net.recv(b).is_none());
         assert_eq!(net.trace.count(TraceEvent::Dropped), 1);
     }
 
@@ -825,10 +798,9 @@ mod tests {
             ..Default::default()
         });
         net.send(a, b, vec![0u8; 1000]);
-        net.run_until(SimTime::ZERO + SimDuration::from_micros(1_999));
-        assert_eq!(net.pending(b), 0);
-        net.run_until(SimTime::ZERO + SimDuration::from_millis(2));
-        assert_eq!(net.pending(b), 1);
+        let at = SimTime::ZERO + SimDuration::from_millis(2);
+        assert_eq!(net.next_event_at(), Some(at));
+        assert_eq!(net.deliver_next(|at, p| (at, p.len())), Some((at, 1000)));
     }
 
     #[test]
@@ -842,13 +814,17 @@ mod tests {
         });
         net.send(a, b, vec![1u8; 1000]);
         net.send(a, b, vec![2u8; 1000]);
-        net.run_until(SimTime::ZERO + SimDuration::from_millis(1));
-        assert_eq!(net.pending(b), 1);
-        net.run_until(SimTime::ZERO + SimDuration::from_millis(2));
-        assert_eq!(net.pending(b), 2);
-        // Order preserved.
-        assert_eq!(net.recv(b).unwrap().payload[0], 1);
-        assert_eq!(net.recv(b).unwrap().payload[0], 2);
+        // Order preserved, one serialisation delay apart.
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        assert_eq!(
+            net.deliver_next(|at, p| (at, p.payload[0])),
+            Some((ms(1), 1))
+        );
+        assert_eq!(
+            net.deliver_next(|at, p| (at, p.payload[0])),
+            Some((ms(2), 2))
+        );
+        assert_eq!(net.next_event_at(), None);
     }
 
     #[test]
@@ -858,7 +834,7 @@ mod tests {
             net.send(a, b, vec![i]);
         }
         net.run_to_idle();
-        assert_eq!(net.recv_all(b).len(), 10);
+        assert_eq!(drain(&mut net, b).len(), 10);
     }
 
     #[test]
@@ -872,7 +848,7 @@ mod tests {
         });
         net.send(a, b, &b"doomed"[..]);
         net.run_to_idle();
-        assert_eq!(net.pending(b), 0);
+        assert!(net.recv(b).is_none());
         assert_eq!(net.trace.count(TraceEvent::Dropped), 1);
     }
 
@@ -904,7 +880,7 @@ mod tests {
         });
         net.send(a, b, &b"twice"[..]);
         net.run_to_idle();
-        assert_eq!(net.pending(b), 2);
+        assert_eq!(drain(&mut net, b).len(), 2);
     }
 
     #[test]
@@ -923,7 +899,7 @@ mod tests {
             net.send(a, b, &b"p"[..]);
         }
         net.run_to_idle();
-        assert_eq!(net.pending(b), 3);
+        assert_eq!(drain(&mut net, b).len(), 3);
     }
 
     // The decisions of link `0 → 1` under seed 1 and the benchmark's
@@ -992,7 +968,7 @@ mod tests {
                 net.send(a, b, vec![i]);
             }
             net.run_to_idle();
-            net.recv_all(b)
+            drain(&mut net, b)
                 .iter()
                 .map(|p| p.payload.to_vec())
                 .collect::<Vec<_>>()
@@ -1025,7 +1001,7 @@ mod tests {
         }
         net.run_to_idle();
         for &n in &nodes {
-            assert_eq!(net.pending(n), 3);
+            assert_eq!(drain(&mut net, n).len(), 3);
         }
     }
 
@@ -1046,75 +1022,104 @@ mod tests {
         assert!(net.link_stats(b, NodeId(99)).is_none());
     }
 
-    #[test]
-    fn link_stats_track_fault_outcomes() {
-        let (mut net, a, b) = two_node_net(LinkConfig {
-            faults: FaultConfig {
-                drop_chance: 0.3,
-                corrupt_chance: 0.2,
-                duplicate_chance: 0.2,
+    proptest! {
+        /// Every datagram meets exactly one fate, and its link counts it.
+        /// Over a link with every fault kind (rates as high as a session
+        /// must survive), per packet id: a dropped packet never arrives, a
+        /// duplicated one arrives twice as sent, a corrupted one once with
+        /// exactly one bit flipped, and any other once as sent. The link's
+        /// counters are those fates, `delivered = sent − dropped +
+        /// duplicated`, and the network's totals are the one busy link's.
+        #[test]
+        fn link_stats_track_fault_outcomes(
+            count in 1usize..200,
+            drop in 0.0f64..0.35,
+            corrupt in 0.0f64..0.25,
+            duplicate in 0.0f64..0.25,
+            reorder in 0.0f64..0.3,
+            seed in 0u64..1000,
+        ) {
+            let mut net = Network::new(seed);
+            let (a, b) = (net.add_node(), net.add_node());
+            net.add_duplex_link(a, b, LinkConfig {
+                faults: FaultConfig {
+                    drop_chance: drop,
+                    corrupt_chance: corrupt,
+                    duplicate_chance: duplicate,
+                    reorder_chance: reorder,
+                    max_delay: SimDuration::from_millis(15),
+                    rate_limit: None,
+                },
                 ..Default::default()
-            },
-            ..Default::default()
-        });
-        for i in 0..200u8 {
-            net.send(a, b, vec![i]);
+            });
+            let sent: Vec<Vec<u8>> = (0..count).map(|i| vec![i as u8; 16]).collect();
+            for (id, bytes) in sent.iter().enumerate() {
+                prop_assert_eq!(net.send(a, b, bytes.clone()), Some(id as u64));
+            }
+            let mut arrived = vec![Vec::new(); count];
+            while let Some((id, bytes)) = net.deliver_next(|_, p| (p.id, p.payload.to_vec())) {
+                arrived[id as usize].push(bytes);
+            }
+            // The trace names each packet's fault, if it met one.
+            let mut fates = vec![TraceEvent::Delivered; count];
+            for r in net.trace.records() {
+                if matches!(
+                    r.event,
+                    TraceEvent::Dropped | TraceEvent::Corrupted | TraceEvent::Duplicated
+                ) {
+                    fates[r.packet_id as usize] = r.event;
+                }
+            }
+            let stats = net.link_stats(a, b).expect("configured");
+            let mut seen = LinkStats {
+                sent: count as u64,
+                delayed: stats.delayed,
+                ..Default::default()
+            };
+            for ((copies, want), fate) in arrived.iter().zip(&sent).zip(fates) {
+                seen.delivered += copies.len() as u64;
+                match fate {
+                    TraceEvent::Dropped => {
+                        prop_assert!(copies.is_empty());
+                        seen.dropped += 1;
+                    }
+                    TraceEvent::Duplicated => {
+                        prop_assert_eq!(copies, &[want.clone(), want.clone()]);
+                        seen.duplicated += 1;
+                    }
+                    TraceEvent::Corrupted => {
+                        prop_assert_eq!(copies.len(), 1);
+                        let flipped: u32 = copies[0]
+                            .iter()
+                            .zip(want)
+                            .map(|(got, sent)| (got ^ sent).count_ones())
+                            .sum();
+                        prop_assert_eq!((copies[0].len(), flipped), (want.len(), 1));
+                        seen.corrupted += 1;
+                    }
+                    _ => prop_assert_eq!(copies, std::slice::from_ref(want)),
+                }
+            }
+            prop_assert_eq!(stats, seen);
+            prop_assert_eq!(stats.delivered, stats.sent - stats.dropped + stats.duplicated);
+            prop_assert_eq!(net.fault_totals(), stats);
         }
-        net.run_to_idle();
-        let stats = net.link_stats(a, b).unwrap();
-        assert_eq!(stats.sent, 200);
-        assert!(stats.dropped > 0, "{stats:?}");
-        assert!(stats.corrupted > 0, "{stats:?}");
-        assert!(stats.duplicated > 0, "{stats:?}");
-        // Every sent packet either dropped or delivered; duplicates add
-        // extra deliveries on top.
-        assert_eq!(
-            stats.delivered,
-            stats.sent - stats.dropped + stats.duplicated
-        );
-        assert_eq!(net.fault_totals(), stats, "only one active link");
-    }
-
-    #[test]
-    fn queue_depth_watermark_persists_after_drain() {
-        let (mut net, a, b) = two_node_net(LinkConfig::default());
-        for i in 0..7u8 {
-            net.send(a, b, vec![i]);
-        }
-        net.run_to_idle();
-        assert_eq!(net.queue_depth(b), 7);
-        assert_eq!(net.max_queue_depth(b), 7);
-        net.recv_all(b);
-        assert_eq!(net.queue_depth(b), 0);
-        assert_eq!(net.max_queue_depth(b), 7, "watermark survives drain");
-        assert_eq!(net.max_queue_depth(a), 0);
-    }
-
-    #[test]
-    fn recv_timed_reports_delivery_time() {
-        let (mut net, a, b) = two_node_net(LinkConfig {
-            latency: SimDuration::from_millis(3),
-            ..Default::default()
-        });
-        net.send(a, b, &b"x"[..]);
-        assert_eq!(
-            net.next_event_at(),
-            Some(SimTime::ZERO + SimDuration::from_millis(3))
-        );
-        net.run_to_idle();
-        let (at, p) = net.recv_timed(b).unwrap();
-        assert_eq!(at, SimTime::ZERO + SimDuration::from_millis(3));
-        assert_eq!(&p.payload[..], b"x");
-        assert_eq!(net.next_event_at(), None, "quiescent again");
     }
 
     /// `send_padded(header, n)` is `send(header ++ zeros(n))` with the
     /// zeros left out of memory: on a same-seed twin network, over a link
     /// with every fault kind and finite bandwidth, both deliver at the same
-    /// times with the same wire lengths, link counters, queue watermark
-    /// and clock, and the stored bytes are the materialised frame's head.
+    /// times with the same wire lengths, link counters and clock, and the
+    /// stored bytes are the materialised frame's head.
     #[test]
     fn padded_send_matches_the_materialised_frame() {
+        // Every delivery due by `until`, with its arrival time.
+        fn take(net: &mut Network, until: SimTime, out: &mut Vec<(SimTime, Packet)>) {
+            while net.next_event_at().is_some_and(|at| at <= until) {
+                out.extend(net.deliver_next(|at, p| (at, p.clone())));
+            }
+        }
+
         let lossy = LinkConfig {
             latency: SimDuration::from_micros(300),
             bandwidth_bps: Some(1_000_000),
@@ -1128,7 +1133,7 @@ mod tests {
         };
         let (mut whole, a, b) = two_node_net(lossy.clone());
         let (mut split, a2, b2) = two_node_net(lossy);
-        let mut in_padding = 0;
+        let (mut wholes, mut splits) = (Vec::new(), Vec::new());
         for i in 0..200usize {
             let header = [i as u8; 8];
             let pad = (i * 37) % 1200;
@@ -1140,31 +1145,28 @@ mod tests {
             );
             if i % 3 == 0 {
                 let until = whole.now() + SimDuration::from_micros(700);
-                whole.run_until(until);
-                split.run_until(until);
+                take(&mut whole, until, &mut wholes);
+                take(&mut split, until, &mut splits);
+                whole.advance_to(until);
+                split.advance_to(until);
             }
         }
-        whole.run_to_idle();
-        split.run_to_idle();
+        take(&mut whole, SimTime(u64::MAX), &mut wholes);
+        take(&mut split, SimTime(u64::MAX), &mut splits);
         assert_eq!(whole.now(), split.now());
         assert_eq!(whole.link_stats(a, b), split.link_stats(a2, b2));
-        assert_eq!(whole.max_queue_depth(b), split.max_queue_depth(b2));
         assert_eq!(whole.trace.records(), split.trace.records());
         let stats = split.link_stats(a2, b2).unwrap();
         assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.delayed > 0);
-        loop {
-            match (whole.recv_timed(b), split.recv_timed(b2)) {
-                (None, None) => break,
-                (Some((at, w)), Some((at2, s))) => {
-                    assert_eq!((at, w.id, w.len()), (at2, s.id, s.len()));
-                    assert_eq!((w.pad, s.payload.len()), (0, 8));
-                    assert_eq!(w.payload[..8], s.payload[..]);
-                    // A flip in the tail of the materialised frame is the
-                    // one thing the padded packet cannot show.
-                    in_padding += usize::from(w.payload[8..].iter().any(|&x| x != 0));
-                }
-                (w, s) => panic!("one side delivered more: {w:?} vs {s:?}"),
-            }
+        assert_eq!(wholes.len(), splits.len(), "one side delivered more");
+        let mut in_padding = 0;
+        for ((at, w), (at2, s)) in wholes.iter().zip(&splits) {
+            assert_eq!((at, w.id, w.len()), (at2, s.id, s.len()));
+            assert_eq!((w.pad, s.payload.len()), (0, 8));
+            assert_eq!(w.payload[..8], s.payload[..]);
+            // A flip in the tail of the materialised frame is the one
+            // thing the padded packet cannot show.
+            in_padding += usize::from(w.payload[8..].iter().any(|&x| x != 0));
         }
         assert!(in_padding > 0, "some corruption must have hit the padding");
         assert!(in_padding < stats.corrupted as usize, "and some the header");
@@ -1199,9 +1201,9 @@ mod tests {
         /// inboxes: on same-seed twin networks over a duplex link with
         /// every fault kind and finite bandwidth, any interleaving of
         /// sends in both directions and clock advances delivers the same
-        /// `(time, id, dst, bytes, wire length)` sequence per node, and
-        /// leaves the same link counters, clock and trace. Only the inbox
-        /// watermark differs: handed-off packets never enter an inbox.
+        /// `(id, dst, bytes, wire length)` sequence per node, and leaves
+        /// the same link counters, clock and trace (which holds each
+        /// delivery's time).
         #[test]
         fn hand_off_delivers_what_the_inboxes_receive(
             steps in proptest::collection::vec(0u64..4_800, 1..200),
@@ -1226,7 +1228,7 @@ mod tests {
             };
             let (mut inboxes, a, b) = twin();
             let (mut handed, ..) = twin();
-            let seen = |at: SimTime, p: &Packet| (at, p.id, p.dst, p.payload.to_vec(), p.len());
+            let seen = |p: &Packet| (p.id, p.dst, p.payload.to_vec(), p.len());
             let (mut want, mut got) = (Vec::new(), Vec::new());
             // One draw → a send (either way, `size` bytes of padding) or
             // an advance of `size` µs; a last advance past every delay.
@@ -1244,19 +1246,19 @@ mod tests {
                 let until = inboxes.now() + SimDuration::from_micros(size);
                 inboxes.run_until(until);
                 for node in [a, b] {
-                    while let Some((at, p)) = inboxes.recv_timed(node) {
-                        want.push(seen(at, &p));
+                    while let Some(p) = inboxes.recv(node) {
+                        want.push(seen(&p));
                     }
                 }
                 let round = got.len();
                 while handed.next_event_at().is_some_and(|at| at <= until) {
                     let now = handed.now();
-                    let (at, p) = handed.deliver_next(|at, p| (at, seen(at, p))).expect("peeked");
+                    let (at, p) = handed.deliver_next(|at, p| (at, seen(p))).expect("peeked");
                     prop_assert!(now <= at && handed.now() == at);
                     got.push(p);
                 }
                 handed.advance_to(until);
-                got[round..].sort_by_key(|&(_, _, dst, ..)| dst); // a's, then b's
+                got[round..].sort_by_key(|&(_, dst, ..)| dst); // a's, then b's
                 prop_assert_eq!(inboxes.now(), handed.now());
             }
             prop_assert_eq!(&got, &want);
@@ -1266,7 +1268,6 @@ mod tests {
             }
             prop_assert_eq!(inboxes.trace.records(), handed.trace.records());
             prop_assert_eq!(inboxes.trace.to_pcap(), handed.trace.to_pcap());
-            prop_assert_eq!(handed.max_queue_depth(a) + handed.max_queue_depth(b), 0);
         }
     }
 
@@ -1314,7 +1315,7 @@ mod tests {
         net.run_to_idle();
         assert_eq!(net.link_stats(a, b).unwrap().corrupted, 20);
         assert_eq!(net.trace.count(TraceEvent::Corrupted), 20);
-        for p in net.recv_all(b) {
+        for p in drain(&mut net, b) {
             assert_eq!((&p.payload[..], p.len()), (&b"x"[..], (1 << 20) + 1));
         }
     }

@@ -1,8 +1,6 @@
 //! Link framing, destination servers, and the network pump that drives a
 //! whole Tor deployment over the deterministic simulator.
 
-use std::collections::HashMap;
-
 use teenet_netsim::{LinkConfig, Network, NodeId};
 
 use crate::cell::Cell;
@@ -73,6 +71,7 @@ impl EchoServer {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Entity {
     Relay(usize),
     Client(usize),
@@ -90,7 +89,9 @@ pub struct TorNetwork {
     pub clients: Vec<TorClient>,
     /// Destination servers.
     pub servers: Vec<EchoServer>,
-    index: HashMap<NodeId, Entity>,
+    /// What sits at each network node, indexed by node id: every node is
+    /// added with its entity, so the ids are dense.
+    entities: Vec<Entity>,
     link: LinkConfig,
 }
 
@@ -102,7 +103,7 @@ impl TorNetwork {
             relays: Vec::new(),
             clients: Vec::new(),
             servers: Vec::new(),
-            index: HashMap::new(),
+            entities: Vec::new(),
             link: LinkConfig::default(),
         }
     }
@@ -112,8 +113,10 @@ impl TorNetwork {
         self.link = link;
     }
 
-    fn add_node(&mut self) -> NodeId {
+    fn add_node(&mut self, entity: Entity) -> NodeId {
         let node = self.net.add_node();
+        debug_assert_eq!(node.0 as usize, self.entities.len());
+        self.entities.push(entity);
         // Fully connect the newcomer to all existing nodes (overlay links).
         for other in 0..node.0 {
             self.net
@@ -124,28 +127,25 @@ impl TorNetwork {
 
     /// Adds a relay built by `make` from its assigned network node.
     pub fn add_relay(&mut self, make: impl FnOnce(NodeId) -> OnionRouter) -> usize {
-        let node = self.add_node();
+        let node = self.add_node(Entity::Relay(self.relays.len()));
         let relay = make(node);
         debug_assert_eq!(relay.net_node, node);
-        self.index.insert(node, Entity::Relay(self.relays.len()));
         self.relays.push(relay);
         self.relays.len() - 1
     }
 
     /// Adds a client built by `make` from its assigned network node.
     pub fn add_client(&mut self, make: impl FnOnce(NodeId) -> TorClient) -> usize {
-        let node = self.add_node();
+        let node = self.add_node(Entity::Client(self.clients.len()));
         let client = make(node);
         debug_assert_eq!(client.net_node, node);
-        self.index.insert(node, Entity::Client(self.clients.len()));
         self.clients.push(client);
         self.clients.len() - 1
     }
 
     /// Adds a destination server.
     pub fn add_server(&mut self) -> usize {
-        let node = self.add_node();
-        self.index.insert(node, Entity::Server(self.servers.len()));
+        let node = self.add_node(Entity::Server(self.servers.len()));
         self.servers.push(EchoServer::new(node));
         self.servers.len() - 1
     }
@@ -159,28 +159,23 @@ impl TorNetwork {
 
     /// Delivers traffic and dispatches handlers until the network
     /// quiesces or `max_rounds` elapse. Returns `true` on quiescence.
+    ///
+    /// A round delivers everything in flight into the node inboxes, then
+    /// dispatches node by node in ascending id. A handler only sends, so
+    /// its output waits for the next round and never joins an inbox that
+    /// is being drained.
     pub fn pump(&mut self, max_rounds: usize) -> bool {
         for _ in 0..max_rounds {
             self.net.run_to_idle();
             let mut any = false;
-            let nodes: Vec<NodeId> = self.index.keys().copied().collect();
-            let mut sorted = nodes;
-            sorted.sort();
-            for node in sorted {
-                let packets = self.net.recv_all(node);
-                for packet in packets {
+            for i in 0..self.entities.len() {
+                let node = NodeId(i as u32);
+                while let Some(packet) = self.net.recv(node) {
                     any = true;
-                    let outputs = match self.index.get(&node) {
-                        Some(Entity::Relay(i)) => {
-                            self.relays[*i].handle(packet.src, &packet.payload)
-                        }
-                        Some(Entity::Client(i)) => {
-                            self.clients[*i].handle(packet.src, &packet.payload)
-                        }
-                        Some(Entity::Server(i)) => {
-                            self.servers[*i].handle(packet.src, &packet.payload)
-                        }
-                        None => Vec::new(),
+                    let outputs = match self.entities[i] {
+                        Entity::Relay(i) => self.relays[i].handle(packet.src, &packet.payload),
+                        Entity::Client(i) => self.clients[i].handle(packet.src, &packet.payload),
+                        Entity::Server(i) => self.servers[i].handle(packet.src, &packet.payload),
                     };
                     self.transmit(node, outputs);
                 }

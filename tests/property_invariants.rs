@@ -1,13 +1,12 @@
-//! Property-based invariants across the workspace: reliable delivery under
-//! arbitrary faults, onion-layer algebra at arbitrary depths, channel and
-//! record-layer round trips, DHT lookup correctness, and parser robustness
-//! against arbitrary bytes (no panics, no false accepts).
+//! Property-based invariants across the workspace: onion-layer algebra at
+//! arbitrary depths, channel and record-layer round trips, DHT lookup
+//! correctness, and parser robustness against arbitrary bytes (no panics,
+//! no false accepts). Datagram delivery under faults is netsim's own
+//! property (`sim::tests::link_stats_track_fault_outcomes`).
 
 use proptest::prelude::*;
 use teenet::channel::SecureChannel;
 use teenet_crypto::SecureRng;
-use teenet_netsim::stream::drive_pair;
-use teenet_netsim::{FaultConfig, LinkConfig, Network, SimDuration, StreamConn};
 use teenet_tls::record::{DirectionKeys, RecordProtection};
 use teenet_tls::CipherSuite;
 use teenet_tor::cell::PAYLOAD_LEN;
@@ -16,39 +15,6 @@ use teenet_tor::dht::ChordRing;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The reliable stream delivers arbitrary data exactly once, in order,
-    /// under arbitrary (bounded) loss, corruption, duplication and
-    /// reordering.
-    #[test]
-    fn stream_delivers_under_arbitrary_faults(
-        data in proptest::collection::vec(any::<u8>(), 1..3000),
-        drop in 0.0f64..0.35,
-        corrupt in 0.0f64..0.25,
-        duplicate in 0.0f64..0.25,
-        reorder in 0.0f64..0.3,
-        seed in 0u64..1000,
-    ) {
-        let mut net = Network::new(seed);
-        let a = net.add_node();
-        let b = net.add_node();
-        net.add_duplex_link(a, b, LinkConfig {
-            faults: FaultConfig {
-                drop_chance: drop,
-                corrupt_chance: corrupt,
-                duplicate_chance: duplicate,
-                reorder_chance: reorder,
-                max_delay: SimDuration::from_millis(15),
-                rate_limit: None,
-            },
-            ..Default::default()
-        });
-        let mut tx = StreamConn::new(a, b);
-        let mut rx = StreamConn::new(b, a);
-        tx.send(&data);
-        prop_assert!(drive_pair(&mut tx, &mut rx, &mut net, 3000), "did not complete");
-        prop_assert_eq!(rx.read(), data);
-    }
 
     /// Onion layering: encrypt through N hops client-side, strip through
     /// the same N hops relay-side, recover the payload bit for bit; any
