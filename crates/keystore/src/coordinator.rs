@@ -24,7 +24,7 @@ use teenet::responder::SessionNonce;
 use teenet_crypto::hmac::hmac_sha256;
 use teenet_crypto::schnorr::VerifyingKey;
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::{CostModel, Op};
+use teenet_sgx::cost::{Kind, Op};
 use teenet_sgx::{EnclaveCtx, EnclaveProgram, Measurement, SgxError};
 
 use crate::record::{Job, ProvisionRecord, KEY_LEN};
@@ -142,11 +142,12 @@ impl CoordinatorEnclave {
                 return Err(SgxError::EcallRejected(ATTEST_REJECTED));
             }
         };
-        // The challenger's crypto ran inside this enclave; its real
-        // transitions are already metered by the platform. Its normal work
-        // is priced at the paper row whatever this platform's backend.
-        ctx.counts
-            .charge_priced_normal(&outcome.counts, &CostModel::paper());
+        // The challenger's crypto ran inside this enclave, so its normal
+        // work joins this enclave's meter and is priced at the platform's
+        // row; its real transitions are already metered by the platform.
+        for op in Op::ALL.into_iter().filter(|op| op.kind() == Kind::Normal) {
+            ctx.counts.charge(op, outcome.counts.count(op));
+        }
         let channel = outcome
             .channel
             .ok_or(SgxError::EcallRejected("attestation derived no channel"))?;

@@ -261,10 +261,6 @@ price_table! {
     /// allocation-heavy parsing), fitted to Table 4's 69 % AS-local
     /// overhead.
     AslocalPerRoute: Normal 370_000;
-
-    /// One normal instruction priced before it reached this meter, by
-    /// [`OpCounts::charge_priced_normal`].
-    PrePriced: Normal 1;
 }
 
 /// Paper-row price of a `bits`-wide modexp: 112 M (Table 1's 1024-bit
@@ -276,7 +272,7 @@ const fn cubic_modexp(bits: u128) -> u64 {
 
 impl Op {
     /// Number of ops (the length of a price row).
-    pub const COUNT: usize = Op::PrePriced as usize + 1;
+    pub const COUNT: usize = Op::AslocalPerRoute as usize + 1;
 
     /// Which counter this op's price lands in.
     pub const fn kind(self) -> Kind {
@@ -451,15 +447,6 @@ impl OpCounts {
     pub fn marshal(&mut self, len: usize) {
         self.charge(Op::MarshalWord, len as u64 / 8);
         self.charge(Op::MarshalBase, 1);
-    }
-
-    /// The normal instructions of `counts` priced under `row`, recorded as
-    /// [`Op::PrePriced`]: work priced by another row than the one this
-    /// meter will be priced with. The keystore coordinator's in-enclave
-    /// challenger is priced this way at the paper row whatever its
-    /// platform's backend.
-    pub fn charge_priced_normal(&mut self, counts: &OpCounts, row: &CostModel) {
-        self.charge(Op::PrePriced, counts.price(row).normal_instr);
     }
 }
 
