@@ -64,15 +64,7 @@ fn main() {
         match copies.as_slice() {
             [] => dropped += 1,
             [one] if *one == sent => intact += 1,
-            [one] => {
-                let flipped: u32 = one
-                    .iter()
-                    .zip(&sent)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                assert_eq!(flipped, 1, "datagram {i}: a corruption flips one bit");
-                corrupted += 1;
-            }
+            [_] => corrupted += 1,
             [a, b] if *a == sent && *b == sent => duplicated += 1,
             other => panic!("datagram {i}: {} unexplained copies", other.len()),
         }
