@@ -3,32 +3,34 @@
 //!
 //! The harness owns everything that used to be copy-pasted across the
 //! four per-application `driver.rs` files: lifecycle ordering, uniform
-//! instruction/transition metering around each step, the batched-ecall
+//! op-count/transition metering around each step, the batched-ecall
 //! marginal-cost measurement for switchless calibration, and assembly of
-//! the final [`Calibration`].
+//! the final [`Calibration`]. It is also the one place a calibration is
+//! priced: services report op counts, and the harness prices the setup
+//! and every op under its backend's cost model.
 
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::{CostModel, OpCounts};
 use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode, TransitionStats};
 
 use crate::profile::{Calibration, OpProfile};
 use crate::service::{
-    AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepOutcome, StepRequest,
-    StepSpec,
+    AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepRequest, StepSpec,
 };
 
-/// Point-in-time snapshot of a service's cumulative meters.
+/// Point-in-time snapshot of a service's cumulative meters, or what one
+/// step spent on them.
 #[derive(Debug, Clone, Copy)]
 struct Meters {
-    server: Counters,
-    client: Counters,
+    server: OpCounts,
+    client: OpCounts,
     transitions: TransitionStats,
 }
 
 impl Meters {
     fn read<S: EnclaveService>(svc: &S) -> Result<Meters, S::Error> {
         Ok(Meters {
-            server: svc.server_counters()?,
-            client: svc.client_counters()?,
+            server: svc.server_counts()?,
+            client: svc.client_counts()?,
             transitions: svc.transition_stats()?,
         })
     }
@@ -36,8 +38,8 @@ impl Meters {
     /// The delta accumulated since `earlier`.
     fn since(&self, earlier: &Meters) -> Meters {
         Meters {
-            server: self.server.since(earlier.server),
-            client: self.client.since(earlier.client),
+            server: self.server.since(&earlier.server),
+            client: self.client.since(&earlier.client),
             transitions: self.transitions.since(earlier.transitions),
         }
     }
@@ -66,12 +68,13 @@ impl AppHarness {
 
     /// Runs the full lifecycle — deploy, provision, mode switch, setup
     /// metering, per-step calibration, teardown — and returns the
-    /// calibration.
+    /// calibration, priced under the backend's cost model.
     pub fn calibrate<S: EnclaveService>(&mut self, svc: &mut S) -> Result<Calibration, S::Error> {
         svc.deploy(&mut self.env)?;
         svc.provision(&mut self.env)?;
         svc.set_transition_mode(self.env.mode, self.env.switchless)?;
-        let setup = svc.setup_counters()?;
+        let model = self.env.backend.cost_model();
+        let setup = svc.setup_counts()?.price(&model);
 
         let script = svc.session_script(&self.env)?;
         if script.is_empty() {
@@ -81,17 +84,10 @@ impl AppHarness {
         let mut ops = Vec::new();
         for spec in &script {
             match spec.kind {
-                StepKind::Repeat(n) => self.repeat_step(svc, spec, n, &mut ops)?,
-                StepKind::AmortisedBatch(n) => self.amortised_step(svc, spec, n, &mut ops)?,
-                StepKind::Computed => match svc.run_step(spec, StepRequest::Once, &mut self.env)? {
-                    StepOutcome::Computed(op) => ops.push(op),
-                    StepOutcome::Executed(_) => {
-                        return Err(AppError::Harness(
-                            "computed step returned an executed outcome",
-                        )
-                        .into());
-                    }
-                },
+                StepKind::Repeat(n) => self.repeat_step(svc, spec, n, &model, &mut ops)?,
+                StepKind::AmortisedBatch(n) => {
+                    self.amortised_step(svc, spec, n, &model, &mut ops)?
+                }
             }
         }
 
@@ -114,15 +110,14 @@ impl AppHarness {
         svc: &mut S,
         spec: &StepSpec,
         n: u32,
+        model: &CostModel,
         ops: &mut Vec<OpProfile>,
     ) -> Result<(), S::Error> {
         if n == 0 {
             return Err(AppError::Calibration("step repeat must be at least 1").into());
         }
-        let before = Meters::read(svc)?;
-        let exec = self.executed(svc, spec, StepRequest::Once)?;
-        let delta = Meters::read(svc)?.since(&before);
-        let op = assemble(spec, &delta, &exec)?;
+        let (spent, exec) = self.measure(svc, spec, StepRequest::Once)?;
+        let op = assemble(spec, &spent, &exec, model)?;
         for _ in 0..n {
             ops.push(op);
         }
@@ -138,73 +133,57 @@ impl AppHarness {
         svc: &mut S,
         spec: &StepSpec,
         n: u32,
+        model: &CostModel,
         ops: &mut Vec<OpProfile>,
     ) -> Result<(), S::Error> {
         if n == 0 {
             return Err(AppError::Calibration("step repeat must be at least 1").into());
         }
-        let before_one = Meters::read(svc)?;
-        let exec_one = self.executed(svc, spec, StepRequest::Batch(1))?;
-        let delta_one = Meters::read(svc)?.since(&before_one);
-        let first = assemble(spec, &delta_one, &exec_one)?;
-
-        let before_two = Meters::read(svc)?;
-        let exec_two = self.executed(svc, spec, StepRequest::Batch(2))?;
-        let delta_two = Meters::read(svc)?.since(&before_two);
-
+        let (one, exec_one) = self.measure(svc, spec, StepRequest::Batch(1))?;
+        let (two, exec_two) = self.measure(svc, spec, StepRequest::Batch(2))?;
         // Marginal cost of one more operation inside the same batch:
-        // batch-of-two minus batch-of-one, on every meter.
-        // batch-of-two minus batch-of-one, on every meter.
-        let marginal = OpProfile {
-            name: spec.name,
-            client: {
-                let mut two = delta_two.client;
-                two.merge(exec_two.client);
-                let mut one = delta_one.client;
-                one.merge(exec_one.client);
-                two.since(one)
-            },
-            server: delta_two.server.since(delta_one.server),
-            request_bytes: wire_bytes(exec_two.request_bytes)?,
-            response_bytes: wire_bytes(exec_two.response_bytes)?,
-            transitions: delta_two.transitions.since(delta_one.transitions),
-        };
-
-        ops.push(first);
+        // batch-of-two minus batch-of-one, on every side.
+        let marginal = assemble(spec, &two.since(&one), &exec_two, model)?;
+        ops.push(assemble(spec, &one, &exec_one, model)?);
         for _ in 1..n {
             ops.push(marginal);
         }
         Ok(())
     }
 
-    /// Runs one metered step and unwraps the executed outcome.
-    fn executed<S: EnclaveService>(
+    /// Runs one step and returns what it spent — the metered delta around
+    /// it plus what it reported outside the meters — with its report.
+    fn measure<S: EnclaveService>(
         &mut self,
         svc: &mut S,
         spec: &StepSpec,
         request: StepRequest,
-    ) -> Result<StepExecution, S::Error> {
-        match svc.run_step(spec, request, &mut self.env)? {
-            StepOutcome::Executed(exec) => Ok(exec),
-            StepOutcome::Computed(_) => {
-                Err(AppError::Harness("executed step returned a computed outcome").into())
-            }
-        }
+    ) -> Result<(Meters, StepExecution), S::Error> {
+        let before = Meters::read(svc)?;
+        let exec = svc.run_step(spec, request, &mut self.env)?;
+        let mut spent = Meters::read(svc)?.since(&before);
+        spent.server.merge(&exec.server);
+        spent.client.merge(&exec.client);
+        spent.transitions.merge(exec.transitions);
+        Ok((spent, exec))
     }
 }
 
-/// Builds a calibrated op from a metered delta plus the service's
-/// execution report.
-fn assemble(spec: &StepSpec, delta: &Meters, exec: &StepExecution) -> Result<OpProfile, AppError> {
-    let mut client = delta.client;
-    client.merge(exec.client);
+/// Prices what a step spent under `model` into a calibrated op, with the
+/// wire sizes from its report.
+fn assemble(
+    spec: &StepSpec,
+    spent: &Meters,
+    exec: &StepExecution,
+    model: &CostModel,
+) -> Result<OpProfile, AppError> {
     Ok(OpProfile {
         name: spec.name,
-        client,
-        server: delta.server,
+        client: spent.client.price(model),
+        server: spent.server.price(model),
         request_bytes: wire_bytes(exec.request_bytes)?,
         response_bytes: wire_bytes(exec.response_bytes)?,
-        transitions: delta.transitions,
+        transitions: spent.transitions,
     })
 }
 
@@ -216,20 +195,23 @@ fn wire_bytes(bytes: usize) -> Result<u32, AppError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teenet_sgx::cost::{Op, OpCounts};
+    use teenet_sgx::cost::Op;
     use teenet_sgx::SgxError;
 
-    /// A synthetic service whose meters advance by fixed amounts per
+    /// A synthetic service whose meters advance by fixed op counts per
     /// operation, so the harness arithmetic is checkable exactly.
     struct FakeService {
         deployed: bool,
         provisioned: bool,
         mode: Option<TransitionMode>,
-        server: Counters,
-        client: Counters,
+        server: OpCounts,
+        client: OpCounts,
         transitions: TransitionStats,
         script: Vec<StepSpec>,
         request_bytes: usize,
+        /// AES blocks and elided crossings per operation a step reports
+        /// in its [`StepExecution`] instead of on the meters.
+        unmetered: u64,
         torn_down: bool,
     }
 
@@ -239,23 +221,39 @@ mod tests {
                 deployed: false,
                 provisioned: false,
                 mode: None,
-                server: Counters::new(),
-                client: Counters::new(),
+                server: OpCounts::new(),
+                client: OpCounts::new(),
                 transitions: TransitionStats::new(),
                 script,
                 request_bytes: 16,
+                unmetered: 0,
                 torn_down: false,
             }
         }
 
-        fn advance(&mut self, ops: u64) {
-            // Per operation: 100 sgx + 10 normal server-side, 5 normal
-            // client-side, one transition pair; plus a per-batch fixed
-            // boundary cost of 40 sgx.
-            self.server.sgx_instr += 40 + 100 * ops;
-            self.server.normal_instr += 10 * ops;
-            self.client.normal_instr += 5 * ops;
+        /// Runs a batch of `ops` operations. On the paper row, per
+        /// operation: 100 sgx + 10 normal server-side and 5 normal
+        /// client-side; per batch: one transition pair and a fixed
+        /// boundary cost of 20 ecall pairs (40 sgx, free on a VM TEE).
+        fn run(&mut self, ops: u64) -> StepExecution {
+            self.server.charge(Op::EcallPair, 20);
+            self.server.charge(Op::Ereport, 100 * ops);
+            self.server.charge(Op::MarshalWord, 10 * ops);
+            self.client.charge(Op::MarshalWord, 5 * ops);
             self.transitions.taken += 1;
+            let mut exec = StepExecution {
+                request_bytes: self.request_bytes,
+                response_bytes: 8,
+                transitions: TransitionStats {
+                    elided: self.unmetered * ops,
+                    ..TransitionStats::new()
+                },
+                ..StepExecution::default()
+            };
+            // The modelled client side: one HMAC per operation.
+            exec.client.charge(Op::HmacShort, ops);
+            exec.server.charge(Op::AesBlock, self.unmetered * ops);
+            exec
         }
     }
 
@@ -272,13 +270,14 @@ mod tests {
 
         fn deploy(&mut self, _env: &mut ServiceEnv) -> Result<(), SgxError> {
             self.deployed = true;
-            self.server.sgx_instr += 1000; // enclave load cost
+            self.server.charge(Op::Ereport, 1000); // enclave load cost
             Ok(())
         }
 
         fn provision(&mut self, _env: &mut ServiceEnv) -> Result<(), SgxError> {
             self.provisioned = true;
-            self.server.sgx_instr += 500;
+            // 500 sgx on the paper row, 250 on the VM-TEE row.
+            self.server.charge(Op::ChallengerEntry, 125);
             Ok(())
         }
 
@@ -291,11 +290,11 @@ mod tests {
             Ok(())
         }
 
-        fn server_counters(&self) -> Result<Counters, SgxError> {
+        fn server_counts(&self) -> Result<OpCounts, SgxError> {
             Ok(self.server)
         }
 
-        fn client_counters(&self) -> Result<Counters, SgxError> {
+        fn client_counts(&self) -> Result<OpCounts, SgxError> {
             Ok(self.client)
         }
 
@@ -309,54 +308,20 @@ mod tests {
 
         fn run_step(
             &mut self,
-            spec: &StepSpec,
+            _spec: &StepSpec,
             request: StepRequest,
-            env: &mut ServiceEnv,
-        ) -> Result<StepOutcome, SgxError> {
-            match request {
-                StepRequest::Once => {
-                    if spec.kind == StepKind::Computed {
-                        return Ok(StepOutcome::Computed(OpProfile {
-                            name: spec.name,
-                            client: Counters::new(),
-                            server: Counters {
-                                sgx_instr: spec.arg,
-                                normal_instr: 0,
-                            },
-                            request_bytes: 7,
-                            response_bytes: 7,
-                            transitions: TransitionStats::new(),
-                        }));
-                    }
-                    self.advance(1);
-                    Ok(StepOutcome::Executed(StepExecution {
-                        request_bytes: self.request_bytes,
-                        response_bytes: 8,
-                        client: hmacs(1, env),
-                    }))
-                }
-                StepRequest::Batch(k) => {
-                    self.advance(u64::from(k));
-                    Ok(StepOutcome::Executed(StepExecution {
-                        request_bytes: self.request_bytes,
-                        response_bytes: 8,
-                        client: hmacs(u64::from(k), env),
-                    }))
-                }
-            }
+            _env: &mut ServiceEnv,
+        ) -> Result<StepExecution, SgxError> {
+            Ok(match request {
+                StepRequest::Once => self.run(1),
+                StepRequest::Batch(k) => self.run(u64::from(k)),
+            })
         }
 
         fn teardown(&mut self, _env: &mut ServiceEnv) -> Result<(), SgxError> {
             self.torn_down = true;
             Ok(())
         }
-    }
-
-    /// The modelled client side of `n` operations: one HMAC each.
-    fn hmacs(n: u64, env: &ServiceEnv) -> Counters {
-        let mut counts = OpCounts::new();
-        counts.charge(Op::HmacShort, n);
-        counts.price(&env.model)
     }
 
     fn harness(mode: TransitionMode) -> AppHarness {
@@ -375,10 +340,12 @@ mod tests {
         assert_eq!(cal.setup.sgx_instr, 1500);
         assert_eq!(cal.ops.len(), 3);
         // Each repeated step carries the single real measurement:
-        // per-batch 40 + per-op 100 sgx server-side.
+        // per-batch 40 + per-op 100 sgx server-side, and the metered
+        // client's 5 plus the reported HMAC's 1 500 normal client-side.
         for s in &cal.ops {
             assert_eq!(s.server.sgx_instr, 140);
             assert_eq!(s.server.normal_instr, 10);
+            assert_eq!(s.client.normal_instr, 1505);
             assert_eq!(s.transitions.taken, 1);
             assert_eq!(s.request_bytes, 16);
         }
@@ -398,18 +365,46 @@ mod tests {
         for s in &cal.ops[1..] {
             assert_eq!(s.server.sgx_instr, 100);
             assert_eq!(s.server.normal_instr, 10);
+            assert_eq!(s.client.normal_instr, 1505);
             assert_eq!(s.transitions.taken, 0);
         }
     }
 
     #[test]
-    fn computed_steps_pass_through() {
-        let mut svc = FakeService::new(vec![StepSpec::computed("model", 42)]);
-        let cal = harness(TransitionMode::Classic)
-            .calibrate(&mut svc)
-            .unwrap();
-        assert_eq!(cal.ops.len(), 1);
-        assert_eq!(cal.ops[0].server.sgx_instr, 42);
+    fn reported_counts_and_crossings_add_to_the_metered_delta() {
+        for (mode, script) in [
+            (TransitionMode::Classic, StepSpec::repeat("op", 2)),
+            (TransitionMode::Switchless, StepSpec::amortised("op", 3)),
+        ] {
+            let mut svc = FakeService::new(vec![script]);
+            svc.unmetered = 3;
+            let cal = harness(mode).calibrate(&mut svc).unwrap();
+            // Metered 10 normal plus three reported AES blocks (81 each),
+            // and three reported elided crossings, in every op: the
+            // batch-of-one and, for the amortised step, the marginal.
+            for (i, s) in cal.ops.iter().enumerate() {
+                assert_eq!(s.server.normal_instr, 10 + 3 * 81, "{mode:?} op {i}");
+                assert_eq!(s.transitions.elided, 3, "{mode:?} op {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn vmtee_calibration_prices_at_the_vmtee_row() {
+        let mut svc = FakeService::new(vec![StepSpec::amortised("rec", 2)]);
+        let cal = AppHarness::new(
+            7,
+            TransitionMode::Switchless,
+            TeeBackend::VmTee,
+            SwitchlessConfig::default(),
+        )
+        .calibrate(&mut svc)
+        .unwrap();
+        // An ecall pair costs 0 on the VM-TEE row, so the batch's 20 pairs
+        // add nothing; a challenger entry is 2, not 4.
+        assert_eq!(cal.setup.sgx_instr, 1000 + 250);
+        assert_eq!(cal.ops[0].server.sgx_instr, 100);
+        assert_eq!(cal.ops[1].server.sgx_instr, 100);
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //!
 //! * [`service::EnclaveService`] — the trait contract: name, deploy,
 //!   provision, typed step execution ([`service::StepRequest`] →
-//!   [`service::StepOutcome`]), metering accessors, teardown.
+//!   [`service::StepExecution`], which carries the wire sizes and
+//!   whatever the step spent outside the meters), op-count metering
+//!   accessors, teardown.
 //! * [`harness::AppHarness`] — owns the cross-cutting flow: deploy →
 //!   provision → transition-mode switch → setup metering → per-step
 //!   calibration (including the batched-ecall marginal-cost measurement
-//!   used under [`teenet_sgx::TransitionMode::Switchless`]).
+//!   used under [`teenet_sgx::TransitionMode::Switchless`]), and the one
+//!   place a calibration's op counts are priced.
 //! * [`profile`] — [`Calibration`]/[`OpProfile`], what
 //!   [`AppHarness::calibrate`] returns and every load scenario replays
 //!   (here, below both the attestation core and the load driver, so an
@@ -40,6 +43,5 @@ pub use harness::AppHarness;
 pub use ledger::{AttestKind, AttestLedger};
 pub use profile::{Calibration, OpProfile};
 pub use service::{
-    AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepOutcome, StepRequest,
-    StepSpec,
+    AppError, EnclaveService, ServiceEnv, StepExecution, StepKind, StepRequest, StepSpec,
 };

@@ -7,16 +7,16 @@
 //! [`crate::Calibration`]. The trait splits that lifecycle into the parts
 //! only the application knows (what to deploy, how to provision, how to
 //! run one step) and leaves the cross-cutting parts — ordering, metering,
-//! the switchless marginal-cost measurement, calibration assembly — to
-//! the harness.
+//! the switchless marginal-cost measurement, pricing, calibration
+//! assembly — to the harness. A service reports op counts, never cycles:
+//! the harness prices them once, under its backend's cost model.
 
 use core::fmt;
 
-use teenet_sgx::cost::{CostModel, Counters};
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::{SwitchlessConfig, TeeBackend, TransitionMode, TransitionStats};
 
 use crate::ledger::AttestLedger;
-use crate::profile::OpProfile;
 
 /// Harness-side failures surfaced through a service's own error type
 /// (every [`EnclaveService::Error`] must be `From<AppError>`).
@@ -26,8 +26,7 @@ pub enum AppError {
     /// session of zero records).
     Calibration(&'static str),
     /// The harness and the service disagreed about the protocol (empty
-    /// session script, wrong step-outcome kind, accessor use before
-    /// deployment).
+    /// session script, accessor use before deployment).
     Harness(&'static str),
 }
 
@@ -61,8 +60,8 @@ impl From<AppError> for teenet_sgx::SgxError {
 }
 
 /// Cross-cutting state the harness wires into every calibration: the
-/// seed, the transition mode under test, the backend's cost model, and a
-/// fresh attestation ledger for provisioning accounting.
+/// seed, the transition mode under test, the backend, and a fresh
+/// attestation ledger for provisioning accounting.
 #[derive(Debug)]
 pub struct ServiceEnv {
     /// Seed for all service-side randomness (services derive their own
@@ -76,9 +75,6 @@ pub struct ServiceEnv {
     /// steady-state enclaves (pool size, spin budget, scaling policy).
     /// Irrelevant under [`TransitionMode::Classic`].
     pub switchless: SwitchlessConfig,
-    /// The backend's cost model: prices the op counts a service models
-    /// outside the metered platforms into its op profiles.
-    pub model: CostModel,
     /// Attestation accounting for the provisioning phase.
     pub ledger: AttestLedger,
 }
@@ -97,7 +93,6 @@ impl ServiceEnv {
             mode,
             backend,
             switchless,
-            model: backend.cost_model(),
             ledger: AttestLedger::new(),
         }
     }
@@ -116,10 +111,6 @@ pub enum StepKind {
     /// lone transition pair), and the marginal cost (batch-of-two minus
     /// batch-of-one) is emitted `n - 1` times.
     AmortisedBatch(u32),
-    /// The service derives the full [`OpProfile`] from the cost model
-    /// itself (for paths that run outside the counter-instrumented
-    /// platform, e.g. Tor's per-cell relay loop).
-    Computed,
 }
 
 /// One entry of a service's session script.
@@ -151,49 +142,38 @@ impl StepSpec {
             arg: 0,
         }
     }
-
-    /// A model-derived step with a service-defined argument.
-    pub fn computed(name: &'static str, arg: u64) -> Self {
-        StepSpec {
-            name,
-            kind: StepKind::Computed,
-            arg,
-        }
-    }
 }
 
 /// The typed request the harness hands to [`EnclaveService::run_step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepRequest {
-    /// Run the step once ([`StepKind::Repeat`] and [`StepKind::Computed`]).
+    /// Run the step once ([`StepKind::Repeat`]).
     Once,
     /// Run `n` identical operations as one batched ecall
     /// ([`StepKind::AmortisedBatch`]).
     Batch(u32),
 }
 
-/// The typed response of one executed (harness-metered) step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one step reported: its wire sizes and whatever it spent outside
+/// the service's meters. The harness adds the three spends to the metered
+/// delta around the step; for [`StepRequest::Batch`] they cover the whole
+/// batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepExecution {
     /// Request size on the wire, per operation.
     pub request_bytes: usize,
     /// Response size on the wire, per operation.
     pub response_bytes: usize,
-    /// Client-side cost *not* captured by [`EnclaveService::client_counters`]
-    /// (model-derived or challenger-measured). For [`StepRequest::Batch`]
-    /// this is the cost of the whole batch.
-    pub client: Counters,
-}
-
-/// What running one step produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// The step ran against real enclaves; the harness meters the
-    /// server/client deltas around it.
-    Executed(StepExecution),
-    /// The service computed the full step from the cost model
-    /// ([`StepKind::Computed`] only).
-    Computed(OpProfile),
+    /// Client-side op counts *not* captured by
+    /// [`EnclaveService::client_counts`] (modelled or challenger-measured).
+    pub client: OpCounts,
+    /// Server-side op counts *not* captured by
+    /// [`EnclaveService::server_counts`] (work modelled outside the
+    /// metered platforms, e.g. Tor's relay cell loop).
+    pub server: OpCounts,
+    /// Boundary crossings *not* captured by
+    /// [`EnclaveService::transition_stats`].
+    pub transitions: TransitionStats,
 }
 
 /// An enclave application the [`crate::AppHarness`] can deploy,
@@ -208,11 +188,11 @@ pub enum StepOutcome {
 /// 3. [`set_transition_mode`](EnclaveService::set_transition_mode) — put
 ///    steady-state paths into the calibration's mode (setup always runs
 ///    classic, as the paper excludes it from steady state).
-/// 4. [`setup_counters`](EnclaveService::setup_counters) — one-time cost.
+/// 4. [`setup_counts`](EnclaveService::setup_counts) — one-time cost.
 /// 5. [`session_script`](EnclaveService::session_script) +
 ///    [`run_step`](EnclaveService::run_step) — per-step calibration, with
-///    the harness reading [`server_counters`](EnclaveService::server_counters),
-///    [`client_counters`](EnclaveService::client_counters) and
+///    the harness reading [`server_counts`](EnclaveService::server_counts),
+///    [`client_counts`](EnclaveService::client_counts) and
 ///    [`transition_stats`](EnclaveService::transition_stats) around each
 ///    execution.
 /// 6. [`teardown`](EnclaveService::teardown).
@@ -255,28 +235,32 @@ pub trait EnclaveService: Send {
         switchless: SwitchlessConfig,
     ) -> Result<(), Self::Error>;
 
-    /// One-time setup cost (enclave load, provisioning, admission),
+    /// One-time setup op counts (enclave load, provisioning, admission),
     /// read by the harness after provisioning. Default: everything the
     /// server and client meters have accumulated so far.
-    fn setup_counters(&self) -> Result<Counters, Self::Error> {
-        let mut total = self.server_counters()?;
-        total.merge(self.client_counters()?);
+    fn setup_counts(&self) -> Result<OpCounts, Self::Error> {
+        let mut total = self.server_counts()?;
+        total.merge(&self.client_counts()?);
         Ok(total)
     }
 
-    /// Cumulative server-side counters (all server platforms), read by
-    /// the harness around each executed step.
-    fn server_counters(&self) -> Result<Counters, Self::Error>;
+    /// Cumulative server-side op counts (all server platforms), read by
+    /// the harness around each step.
+    fn server_counts(&self) -> Result<OpCounts, Self::Error>;
 
-    /// Cumulative client-side *platform* counters; services whose client
-    /// is unmetered (modelled in [`StepExecution::client`]) keep the
-    /// zero default.
-    fn client_counters(&self) -> Result<Counters, Self::Error> {
-        Ok(Counters::new())
+    /// Cumulative client-side *platform* op counts; services whose client
+    /// is unmetered (reported in [`StepExecution::client`]) keep the zero
+    /// default.
+    fn client_counts(&self) -> Result<OpCounts, Self::Error> {
+        Ok(OpCounts::new())
     }
 
-    /// Cumulative boundary-crossing statistics of the metered enclaves.
-    fn transition_stats(&self) -> Result<TransitionStats, Self::Error>;
+    /// Cumulative boundary-crossing statistics of the metered enclaves;
+    /// services whose crossings are unmetered (reported in
+    /// [`StepExecution::transitions`]) keep the zero default.
+    fn transition_stats(&self) -> Result<TransitionStats, Self::Error> {
+        Ok(TransitionStats::new())
+    }
 
     /// The per-session step script for this calibration.
     fn session_script(&self, env: &ServiceEnv) -> Result<Vec<StepSpec>, Self::Error>;
@@ -287,7 +271,7 @@ pub trait EnclaveService: Send {
         spec: &StepSpec,
         request: StepRequest,
         env: &mut ServiceEnv,
-    ) -> Result<StepOutcome, Self::Error>;
+    ) -> Result<StepExecution, Self::Error>;
 
     /// Releases deployment resources. Default: dropping the service is
     /// enough.

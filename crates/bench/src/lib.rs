@@ -121,8 +121,8 @@ impl AttestBench {
     /// (target counters delta, quoting counters delta, challenger counters),
     /// all priced by the target platform's model.
     pub fn run_once(&mut self, config: &AttestConfig) -> (Counters, Counters, Counters) {
-        let target_before = self.platform.counters_of(self.enclave).expect("counters");
-        let quoting_before = self.platform.attestor_counters();
+        let target_before = self.platform.counts_of(self.enclave).expect("counts");
+        let quoting_before = self.platform.attestor_counts();
         let (outcome, _) = attest_enclave(
             IdentityPolicy::AcceptAny,
             config.clone(),
@@ -137,12 +137,16 @@ impl AttestBench {
         .expect("attestation");
         let target = self
             .platform
-            .counters_of(self.enclave)
-            .expect("counters")
-            .since(target_before);
-        let quoting = self.platform.attestor_counters().since(quoting_before);
-        let challenger = outcome.counts.price(self.platform.model());
-        (target, quoting, challenger)
+            .counts_of(self.enclave)
+            .expect("counts")
+            .since(&target_before);
+        let quoting = self.platform.attestor_counts().since(&quoting_before);
+        let model = self.platform.model();
+        (
+            target.price(model),
+            quoting.price(model),
+            outcome.counts.price(model),
+        )
     }
 }
 

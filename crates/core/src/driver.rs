@@ -11,12 +11,10 @@
 //! calibrate by driving [`AttestService`] through
 //! [`AppHarness`](teenet_app::AppHarness).
 
-use teenet_app::{
-    AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
-};
+use teenet_app::{AppError, EnclaveService, ServiceEnv, StepExecution, StepRequest, StepSpec};
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::{
     deploy_platform, EnclaveCtx, EnclaveId, EnclaveProgram, EpidGroup, Report, SgxError,
     SwitchlessConfig, TeePlatform, TransitionMode, TransitionStats,
@@ -146,23 +144,23 @@ impl EnclaveService for AttestService {
 
     /// Setup is the target enclave's load cost alone: the quoting enclave
     /// only works during sessions, and the challenger is unmetered.
-    fn setup_counters(&self) -> Result<Counters> {
+    fn setup_counts(&self) -> Result<OpCounts> {
         let state = self.state()?;
         state
             .platform
-            .counters_of(state.enclave)
+            .counts_of(state.enclave)
             .map_err(TeenetError::Sgx)
     }
 
     /// The server side of an attestation is the target enclave plus its
     /// platform's quoting enclave.
-    fn server_counters(&self) -> Result<Counters> {
+    fn server_counts(&self) -> Result<OpCounts> {
         let state = self.state()?;
         let mut total = state
             .platform
-            .counters_of(state.enclave)
+            .counts_of(state.enclave)
             .map_err(TeenetError::Sgx)?;
-        total.merge(state.platform.attestor_counters());
+        total.merge(&state.platform.attestor_counts());
         Ok(total)
     }
 
@@ -182,8 +180,8 @@ impl EnclaveService for AttestService {
         &mut self,
         _spec: &StepSpec,
         _request: StepRequest,
-        env: &mut ServiceEnv,
-    ) -> Result<StepOutcome> {
+        _env: &mut ServiceEnv,
+    ) -> Result<StepExecution> {
         let config = self.config.clone();
         let state = self
             .deployed
@@ -213,11 +211,12 @@ impl EnclaveService for AttestService {
         let response = AttestResponse::from_bytes(&response_wire)?;
         let outcome = challenger.verify(&response, &state.epid.public_key(), None)?;
 
-        Ok(StepOutcome::Executed(StepExecution {
+        Ok(StepExecution {
             request_bytes: request_wire.len(),
             response_bytes: response_wire.len(),
-            client: outcome.counts.price(&env.model),
-        }))
+            client: outcome.counts,
+            ..StepExecution::default()
+        })
     }
 }
 

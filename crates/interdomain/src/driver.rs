@@ -16,11 +16,9 @@
 use std::collections::HashMap;
 
 use teenet::AttestConfig;
-use teenet_app::{
-    AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
-};
+use teenet_app::{AppError, EnclaveService, ServiceEnv, StepExecution, StepRequest, StepSpec};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::{SgxError, SwitchlessConfig, TransitionMode, TransitionStats};
 
 use crate::deployment::{Result, SdnDeployment};
@@ -109,17 +107,17 @@ impl EnclaveService for BgpService {
             .set_transition_mode(mode, switchless)
     }
 
-    fn server_counters(&self) -> Result<Counters> {
-        Ok(self.state()?.controller_platform.total_counters())
+    fn server_counts(&self) -> Result<OpCounts> {
+        Ok(self.state()?.controller_platform.total_counts())
     }
 
     /// The session's client is AS 0; steady-state steps only touch that
     /// platform, so the fleet-wide sum meters exactly the subject AS.
-    fn client_counters(&self) -> Result<Counters> {
+    fn client_counts(&self) -> Result<OpCounts> {
         let dep = self.state()?;
-        let mut total = Counters::new();
+        let mut total = OpCounts::new();
         for p in &dep.as_platforms {
-            total.merge(p.total_counters());
+            total.merge(&p.total_counts());
         }
         Ok(total)
     }
@@ -140,7 +138,7 @@ impl EnclaveService for BgpService {
         spec: &StepSpec,
         _request: StepRequest,
         _env: &mut ServiceEnv,
-    ) -> Result<StepOutcome> {
+    ) -> Result<StepExecution> {
         let dep = self
             .deployed
             .as_mut()
@@ -151,12 +149,12 @@ impl EnclaveService for BgpService {
             "announce" => {
                 let announce_wire = dep.submit_one(subject)?;
                 dep.compute()?;
-                Ok(StepOutcome::Executed(StepExecution {
+                Ok(StepExecution {
                     request_bytes: announce_wire,
                     // Message 5 is the controller's short sealed ack.
                     response_bytes: 64,
-                    client: Counters::new(),
-                }))
+                    ..StepExecution::default()
+                })
             }
             "pull" => {
                 let (pull_wire, installed) = dep.pull_one(subject)?;
@@ -165,12 +163,12 @@ impl EnclaveService for BgpService {
                         "calibration AS must install routes",
                     ));
                 }
-                Ok(StepOutcome::Executed(StepExecution {
+                Ok(StepExecution {
                     // Message 6 is the AS's nonce-bearing pull request.
                     request_bytes: 32,
                     response_bytes: pull_wire,
-                    client: Counters::new(),
-                }))
+                    ..StepExecution::default()
+                })
             }
             _ => Err(SgxError::EcallRejected("unknown bgp step")),
         }

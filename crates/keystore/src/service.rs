@@ -24,12 +24,10 @@
 use teenet::attest::AttestRequest;
 use teenet::AttestConfig;
 use teenet_app::ledger::AttestKind;
-use teenet_app::{
-    AttestLedger, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
-};
+use teenet_app::{AttestLedger, EnclaveService, ServiceEnv, StepExecution, StepRequest, StepSpec};
 use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::Counters;
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::{
     deploy_platform, EnclaveId, EpidGroup, Report, SgxError, SwitchlessConfig, TeePlatform,
     TransitionMode, TransitionStats,
@@ -318,12 +316,12 @@ impl EnclaveService for KeystoreService {
         Ok(())
     }
 
-    fn server_counters(&self) -> Result<Counters> {
-        Ok(self.state()?.worker_platform.total_counters())
+    fn server_counts(&self) -> Result<OpCounts> {
+        Ok(self.state()?.worker_platform.total_counts())
     }
 
-    fn client_counters(&self) -> Result<Counters> {
-        Ok(self.state()?.coordinator_platform.total_counters())
+    fn client_counts(&self) -> Result<OpCounts> {
+        Ok(self.state()?.coordinator_platform.total_counts())
     }
 
     fn transition_stats(&self) -> Result<TransitionStats> {
@@ -356,7 +354,7 @@ impl EnclaveService for KeystoreService {
         spec: &StepSpec,
         request: StepRequest,
         env: &mut ServiceEnv,
-    ) -> Result<StepOutcome> {
+    ) -> Result<StepExecution> {
         let payload_bytes = self.job_payload_bytes;
         let state = self
             .deployed
@@ -413,13 +411,13 @@ impl EnclaveService for KeystoreService {
             }
             _ => return Err(KeystoreError::Protocol("unknown keystore step")),
         };
-        Ok(StepOutcome::Executed(StepExecution {
+        // Both sides run on metered platforms; nothing is spent outside
+        // the meters.
+        Ok(StepExecution {
             request_bytes,
             response_bytes,
-            // Both sides run on metered platforms; there is no modelled
-            // client remainder.
-            client: Counters::new(),
-        }))
+            ..StepExecution::default()
+        })
     }
 }
 

@@ -16,11 +16,9 @@
 //! paper's Table 2.
 
 use teenet::AttestConfig;
-use teenet_app::{
-    AppError, EnclaveService, ServiceEnv, StepExecution, StepOutcome, StepRequest, StepSpec,
-};
+use teenet_app::{AppError, EnclaveService, ServiceEnv, StepExecution, StepRequest, StepSpec};
 use teenet_crypto::SecureRng;
-use teenet_sgx::cost::{Counters, OpCounts};
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::{EpidGroup, SwitchlessConfig, TransitionMode, TransitionStats};
 use teenet_tls::handshake::{handshake, TlsConfig};
 use teenet_tls::TlsSession;
@@ -153,8 +151,8 @@ impl EnclaveService for TlsMboxService {
             .map_err(MboxError::Sgx)
     }
 
-    fn server_counters(&self) -> Result<Counters> {
-        Ok(self.state()?.gateway.platform.total_counters())
+    fn server_counts(&self) -> Result<OpCounts> {
+        Ok(self.state()?.gateway.platform.total_counts())
     }
 
     fn transition_stats(&self) -> Result<TransitionStats> {
@@ -180,8 +178,8 @@ impl EnclaveService for TlsMboxService {
         &mut self,
         _spec: &StepSpec,
         request: StepRequest,
-        env: &mut ServiceEnv,
-    ) -> Result<StepOutcome> {
+        _env: &mut ServiceEnv,
+    ) -> Result<StepExecution> {
         let payload = vec![0x61u8; self.record_bytes];
         let state = self
             .deployed
@@ -234,13 +232,14 @@ impl EnclaveService for TlsMboxService {
         for _ in 0..count {
             client.aes_hmac(record_len);
         }
-        Ok(StepOutcome::Executed(StepExecution {
+        Ok(StepExecution {
             request_bytes: record_len,
             // The middlebox forwards the record onward; model the
             // ack/continue signal back to the sender as a bare status byte.
             response_bytes: 1,
-            client: client.price(&env.model),
-        }))
+            client,
+            ..StepExecution::default()
+        })
     }
 }
 

@@ -306,11 +306,6 @@ impl Network {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.inboxes.len()
-    }
-
     /// Configures the unidirectional link `src → dst`, replacing any
     /// link already configured between the two.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
@@ -336,18 +331,6 @@ impl Network {
     pub fn add_duplex_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         self.add_link(a, b, config.clone());
         self.add_link(b, a, config);
-    }
-
-    /// Fully connects all current nodes with `config` links.
-    pub fn connect_all(&mut self, config: LinkConfig) {
-        let n = self.inboxes.len() as u32;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    self.add_link(NodeId(i), NodeId(j), config.clone());
-                }
-            }
-        }
     }
 
     /// Current simulated time.
@@ -985,24 +968,6 @@ mod tests {
         net.send(b, a, &b"pong"[..]);
         net.run_to_idle();
         assert_eq!(&net.recv(a).unwrap().payload[..], b"pong");
-    }
-
-    #[test]
-    fn connect_all_creates_full_mesh() {
-        let mut net = Network::new(1);
-        let nodes: Vec<NodeId> = (0..4).map(|_| net.add_node()).collect();
-        net.connect_all(LinkConfig::default());
-        for &x in &nodes {
-            for &y in &nodes {
-                if x != y {
-                    assert!(net.send(x, y, &b"m"[..]).is_some());
-                }
-            }
-        }
-        net.run_to_idle();
-        for &n in &nodes {
-            assert_eq!(drain(&mut net, n).len(), 3);
-        }
     }
 
     #[test]

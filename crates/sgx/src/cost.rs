@@ -17,9 +17,11 @@
 //! OpenSGX counted instructions of real x86 binaries; we execute Rust, so
 //! each component **counts** the primitive operations it performs — one
 //! [`Op`] per priced primitive, tallied in an [`OpCounts`] by
-//! [`OpCounts::charge`] — and the counts are **priced** into [`Counters`]
-//! only where they leave a component (`counters_of`, an op profile, a
-//! table row). A [`CostModel`] is the two cycle factors plus one price
+//! [`OpCounts::charge`]. Counts, not cycles, cross component boundaries:
+//! they are **priced** into [`Counters`] once, by [`OpCounts::price`],
+//! where a result leaves the model — a calibration's ops and setup (in
+//! the application harness), a paper table row, or one enclave's
+//! `counters_of`. A [`CostModel`] is the two cycle factors plus one price
 //! per op: [`CostModel::paper`] is calibrated once against the paper's
 //! micro-measurements (Tables 1 and 2) and then held fixed for the macro
 //! experiments (Tables 3–4, Figure 3), which therefore are *predictions*
@@ -359,8 +361,8 @@ impl CostModel {
 
 /// How many times a component performed each [`Op`]: the meter every
 /// enclave, attestation component, challenger and model-side driver
-/// keeps. Priced into [`Counters`] by [`OpCounts::price`] where the counts
-/// leave the component.
+/// keeps. Priced into [`Counters`] by [`OpCounts::price`] where a result
+/// leaves the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCounts([u64; Op::COUNT]);
 
@@ -391,6 +393,22 @@ impl OpCounts {
         for (mine, theirs) in self.0.iter_mut().zip(other.0) {
             *mine += theirs;
         }
+    }
+
+    /// Difference since an earlier snapshot (`self - earlier`), per op.
+    ///
+    /// Saturating, like [`Counters::since`]: a snapshot ahead of the
+    /// meter degrades to zero in release builds and trips a
+    /// `debug_assert!` in debug builds.
+    pub fn since(&self, earlier: &OpCounts) -> OpCounts {
+        debug_assert!(
+            self.0.iter().zip(earlier.0).all(|(now, then)| *now >= then),
+            "OpCounts::since snapshot is ahead of the meter (taken across a reset?): \
+             now={self:?} earlier={earlier:?}"
+        );
+        OpCounts(std::array::from_fn(|i| {
+            self.0[i].saturating_sub(earlier.0[i])
+        }))
     }
 
     /// The counts priced under `model`: each op's count times its price,
@@ -478,6 +496,34 @@ mod tests {
         let mut m = Counters::new();
         m.merge(c);
         assert_eq!(m, c);
+    }
+
+    #[test]
+    fn op_counts_diff_per_op() {
+        let earlier = counts(&[(Op::HostCrossing, 3), (Op::AesBlock, 10)]);
+        let mut now = earlier;
+        now.merge(&counts(&[(Op::AesBlock, 4), (Op::Ereport, 1)]));
+        assert_eq!(
+            now.since(&earlier),
+            counts(&[(Op::AesBlock, 4), (Op::Ereport, 1)])
+        );
+        assert_eq!(now.since(&now), OpCounts::new());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn op_counts_since_ahead_trips_debug_assert() {
+        let ahead = counts(&[(Op::EcallPair, 1)]);
+        assert!(std::panic::catch_unwind(|| OpCounts::new().since(&ahead)).is_err());
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn op_counts_since_ahead_saturates_in_release() {
+        // Only the op that ran ahead saturates; the others still diff.
+        let now = counts(&[(Op::AesBlock, 5)]);
+        let ahead = counts(&[(Op::EcallPair, 1), (Op::AesBlock, 2)]);
+        assert_eq!(now.since(&ahead), counts(&[(Op::AesBlock, 3)]));
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub struct EpcmEntry {
 ///
 /// When the pool is full, pages can be evicted (EWB) to encrypted main
 /// memory: the page leaves the EPC but stays logically owned by its
-/// enclave; touching it again would fault it back in (ELDU). The emulator
-/// tracks eviction counts so the cost model can charge the paging crypto.
+/// enclave; touching it again would fault it back in (ELDU). The caller
+/// charges each evicted page to the evicting enclave's op meter.
 #[derive(Debug)]
 pub struct Epc {
     total_pages: usize,
@@ -53,7 +53,6 @@ pub struct Epc {
     used: usize,
     /// FIFO of (enclave, offset) in allocation order — the eviction queue.
     fifo: Vec<(u64, usize)>,
-    evicted: u64,
 }
 
 impl Epc {
@@ -67,13 +66,7 @@ impl Epc {
             entries: HashMap::new(),
             used: 0,
             fifo: Vec::new(),
-            evicted: 0,
         }
-    }
-
-    /// Total pages evicted to main memory so far (EWB events).
-    pub fn evicted_pages(&self) -> u64 {
-        self.evicted
     }
 
     /// EWB: evicts up to `count` of the oldest resident pages to encrypted
@@ -92,7 +85,6 @@ impl Epc {
                 {
                     entry.resident = false;
                     self.used -= 1;
-                    self.evicted += 1;
                     done += 1;
                 }
             }

@@ -224,19 +224,24 @@ pub trait TeePlatform: Send {
     /// Sum of all enclaves' crossing statistics.
     fn total_transition_stats(&self) -> TransitionStats;
 
-    /// Counters of one enclave.
-    fn counters_of(&self, id: EnclaveId) -> Result<Counters>;
+    /// Op counts of one enclave.
+    fn counts_of(&self, id: EnclaveId) -> Result<OpCounts>;
 
-    /// Counters of the attestation component (quoting enclave on SGX,
+    /// Counters of one enclave, priced under [`TeePlatform::model`].
+    fn counters_of(&self, id: EnclaveId) -> Result<Counters> {
+        Ok(self.counts_of(id)?.price(self.model()))
+    }
+
+    /// Op counts of the attestation component (quoting enclave on SGX,
     /// security processor on a VM TEE).
-    fn attestor_counters(&self) -> Counters;
+    fn attestor_counts(&self) -> OpCounts;
 
     /// Resets the counters of one enclave (e.g. to exclude setup phases,
     /// as the paper does for Table 4).
     fn reset_counters(&mut self, id: EnclaveId) -> Result<()>;
 
-    /// Sum of all enclave counters plus the attestation component.
-    fn total_counters(&self) -> Counters;
+    /// Sum of all enclaves' op counts plus the attestation component's.
+    fn total_counts(&self) -> OpCounts;
 
     /// The identity (measurement) of a loaded enclave.
     fn measurement_of(&self, id: EnclaveId) -> Result<Measurement>;
@@ -403,7 +408,7 @@ mod tests {
             crate::quote::quoting_enclave_measurement()
         );
         assert_eq!(boxed.epc_free_pages(), crate::platform::DEFAULT_EPC_PAGES);
-        assert_eq!(boxed.attestor_counters(), Counters::new());
+        assert_eq!(boxed.attestor_counts(), OpCounts::new());
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl SecurityProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostModel, Counters};
+    use crate::cost::CostModel;
     use crate::platform::Platform;
     use crate::report::{ereport, report_data_from};
     use crate::tee::{Evidence, TeeBackend, TeePlatform};
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(p.model(), &CostModel::vmtee());
         assert_eq!(p.attestation_target_info().mrenclave, psp_measurement());
         assert_eq!(p.epc_free_pages(), VMTEE_EPC_PAGES);
-        assert_eq!(p.attestor_counters(), Counters::new());
+        assert_eq!(p.attestor_counts(), OpCounts::new());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! Admission (the attestation-heavy part, paper Table 3's FullSgx row) is
 //! measured for real against the deployed platforms. Steady-state cell
-//! costs are derived from the paper's cost model, because relay cell
-//! processing in this codebase runs outside the counter-instrumented
-//! platform ecall path — the session script is therefore all
-//! [`StepKind::Computed`] steps.
+//! work is counted by the service itself, because relay cell processing
+//! in this codebase runs outside the counter-instrumented platform ecall
+//! path: each step reports its server op counts and crossings in its
+//! [`StepExecution`], which the harness prices like any metered step.
 //!
 //! Under [`TransitionMode::Switchless`] each relay's per-cell enclave
 //! crossing is serviced through the shared call ring: the EENTER/EEXIT
@@ -15,18 +15,13 @@
 //! always runs classic — it is one-time cost the paper excludes from
 //! steady state anyway.
 
-use teenet_app::{
-    AppError, EnclaveService, OpProfile, ServiceEnv, StepKind, StepOutcome, StepRequest, StepSpec,
-};
-use teenet_sgx::cost::{Counters, Op, OpCounts};
+use teenet_app::{AppError, EnclaveService, ServiceEnv, StepExecution, StepRequest, StepSpec};
+use teenet_sgx::cost::{Op, OpCounts};
 use teenet_sgx::{SwitchlessConfig, TransitionMode, TransitionStats};
 
 use crate::cell::CELL_LEN;
 use crate::deployment::{Phase, TorDeployment, TorSpec};
 use crate::error::{Result, TorError};
-
-/// A cell's size on the wire, as a calibrated op carries it.
-const CELL_WIRE: u32 = CELL_LEN as u32;
 
 /// Number of hops in the calibrated circuit (guard, middle, exit).
 pub const HOPS: u64 = 3;
@@ -41,7 +36,7 @@ pub const HOPS: u64 = 3;
 #[derive(Default)]
 pub struct TorService {
     deployed: Option<TorDeployment>,
-    setup: Counters,
+    setup: OpCounts,
     mode: TransitionMode,
     switchless: SwitchlessConfig,
 }
@@ -81,14 +76,7 @@ impl EnclaveService for TorService {
             .ok_or(TorError::CircuitState("tor service not deployed"))?;
         let admission = dep.run_admission()?;
 
-        let mut setup = Counters::new();
-        for (platform, _) in dep.relay_platforms.iter().flatten() {
-            setup.merge(platform.total_counters());
-        }
-        for (platform, _) in dep.authority_platforms.iter().flatten() {
-            setup.merge(platform.total_counters());
-        }
-        self.setup = setup;
+        self.setup = platform_counts(dep);
 
         let path = dep.select_path(&admission, None)?;
         let reply = dep.exchange(path, b"calibrate")?;
@@ -98,9 +86,9 @@ impl EnclaveService for TorService {
         Ok(())
     }
 
-    /// The relay cell loop is modelled, not metered, so the mode and the
-    /// switchless worker configuration are only recorded here and applied
-    /// when computing each step.
+    /// The relay cell loop is counted by the service, not metered, so the
+    /// mode and the switchless worker configuration are only recorded
+    /// here and applied when counting each step.
     fn set_transition_mode(
         &mut self,
         mode: TransitionMode,
@@ -113,38 +101,28 @@ impl EnclaveService for TorService {
 
     /// Admission cost, snapshotted before the validation exchange so the
     /// echo traffic never leaks into the profile.
-    fn setup_counters(&self) -> Result<Counters> {
+    fn setup_counts(&self) -> Result<OpCounts> {
         Ok(self.setup)
     }
 
-    fn server_counters(&self) -> Result<Counters> {
+    fn server_counts(&self) -> Result<OpCounts> {
         let dep = self
             .deployed
             .as_ref()
             .ok_or(TorError::CircuitState("tor service not deployed"))?;
-        let mut total = Counters::new();
-        for (platform, _) in dep.relay_platforms.iter().flatten() {
-            total.merge(platform.total_counters());
-        }
-        for (platform, _) in dep.authority_platforms.iter().flatten() {
-            total.merge(platform.total_counters());
-        }
-        Ok(total)
-    }
-
-    /// Steady-state cells run outside the instrumented ecall path; their
-    /// crossings are part of each computed step, not a platform meter.
-    fn transition_stats(&self) -> Result<TransitionStats> {
-        Ok(TransitionStats::new())
+        Ok(platform_counts(dep))
     }
 
     fn session_script(&self, _env: &ServiceEnv) -> Result<Vec<StepSpec>> {
         let mut script = Vec::with_capacity(HOPS as usize + 2);
         for hop in 0..HOPS {
-            script.push(StepSpec::computed("extend", hop));
+            script.push(StepSpec {
+                arg: hop,
+                ..StepSpec::repeat("extend", 1)
+            });
         }
-        script.push(StepSpec::computed("begin", 0));
-        script.push(StepSpec::computed("data", 0));
+        script.push(StepSpec::repeat("begin", 1));
+        script.push(StepSpec::repeat("data", 1));
         Ok(script)
     }
 
@@ -152,11 +130,11 @@ impl EnclaveService for TorService {
         &mut self,
         spec: &StepSpec,
         _request: StepRequest,
-        env: &mut ServiceEnv,
-    ) -> Result<StepOutcome> {
+        _env: &mut ServiceEnv,
+    ) -> Result<StepExecution> {
         let (mut client, mut server) = (OpCounts::new(), OpCounts::new());
-        let transitions = match spec.kind {
-            StepKind::Computed if spec.name == "extend" => {
+        let transitions = match spec.name {
+            "extend" => {
                 // Telescoping extend to hop N: the client runs a fresh DH
                 // exchange (two modexps) and onion-wraps the cell once per
                 // hop already in the circuit; the target relay runs its DH
@@ -169,7 +147,7 @@ impl EnclaveService for TorService {
                 server.aes(CELL_LEN);
                 cell_crossings(self.mode, self.switchless, &mut server, 1)
             }
-            StepKind::Computed => {
+            "begin" | "data" => {
                 // A relayed cell: the client adds all three onion layers;
                 // each of the three relays enters its enclave and strips
                 // one.
@@ -179,17 +157,26 @@ impl EnclaveService for TorService {
                 }
                 cell_crossings(self.mode, self.switchless, &mut server, HOPS)
             }
-            _ => return Err(TorError::CircuitState("tor steps are model-derived")),
+            _ => return Err(TorError::CircuitState("unknown tor step")),
         };
-        Ok(StepOutcome::Computed(OpProfile {
-            name: spec.name,
-            client: client.price(&env.model),
-            server: server.price(&env.model),
-            request_bytes: CELL_WIRE,
-            response_bytes: CELL_WIRE,
+        Ok(StepExecution {
+            request_bytes: CELL_LEN,
+            response_bytes: CELL_LEN,
+            client,
+            server,
             transitions,
-        }))
+        })
     }
+}
+
+/// Summed op counts of every relay and authority platform.
+fn platform_counts(dep: &TorDeployment) -> OpCounts {
+    let mut total = OpCounts::new();
+    let platforms = dep.relay_platforms.iter().chain(&dep.authority_platforms);
+    for (platform, _) in platforms.flatten() {
+        total.merge(&platform.total_counts());
+    }
+    total
 }
 
 /// Charges `crossings` per-cell enclave crossings (one host crossing
@@ -258,7 +245,10 @@ mod tests {
         assert!(profile.setup.normal_instr > profile.ops[0].server.normal_instr);
         // Extends carry DH work; data cells are symmetric-only and cheaper.
         assert!(profile.ops[0].server.normal_instr > profile.ops[4].server.normal_instr);
-        assert!(profile.ops.iter().all(|s| s.request_bytes == CELL_WIRE));
+        assert!(profile
+            .ops
+            .iter()
+            .all(|s| s.request_bytes as usize == CELL_LEN));
     }
 
     #[test]
