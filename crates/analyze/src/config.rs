@@ -154,7 +154,8 @@ impl AnalyzeConfig {
                 s("verify"),
                 // The host-side one-shot attestation driver.
                 s("attest_enclave"),
-                // The symmetric enclave-to-enclave handshake.
+                // A symmetric enclave-to-enclave handshake: the L5
+                // fixtures' shape (no function in the tree has this name).
                 s("mutual_attest"),
             ],
             unseal_idents: vec![s("unseal")],

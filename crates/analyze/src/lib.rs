@@ -6,8 +6,9 @@
 //!    (no `syn`, no network) enforcing the repo's enclave hygiene
 //!    rules: no aborts or data-dependent indexing in enclave-resident
 //!    code, no secret key material reaching egress sinks outside the
-//!    sealing API, no floating point in cycle-accounting paths, and no
-//!    wall-clock/ambient-entropy use outside the netsim virtual clock.
+//!    sealing API, no floating point in cycle-accounting paths, no
+//!    wall-clock/ambient-entropy use outside the netsim virtual clock,
+//!    and (workspace-wide) no public API that only tests name.
 //!    Findings are waivable in-source with an auditable reason
 //!    (`// teenet-analyze: allow(<rule>) -- <reason>`).
 //! 2. A **switchless-ring model checker** — a bounded
@@ -23,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod deadpub;
 pub mod flow;
 pub mod lexer;
 pub mod report;
@@ -43,10 +45,21 @@ pub fn scan_workspace(root: &Path, config: &AnalyzeConfig) -> io::Result<LintRep
     let mut files = Vec::new();
     collect_rs_files(root, root, config, &mut files)?;
     files.sort();
+    let mut sources = Vec::with_capacity(files.len());
+    for rel in files {
+        let src = fs::read_to_string(root.join(&rel))?;
+        sources.push((rel, src));
+    }
+    Ok(scan_sources(config, &sources))
+}
+
+/// Lints in-memory `(rel_path, source)` pairs as one workspace: the
+/// per-file rules plus the workspace-wide L8 pass. Findings are sorted
+/// by (file, line, rule, message).
+pub fn scan_sources(config: &AnalyzeConfig, files: &[(String, String)]) -> LintReport {
     let mut findings = Vec::new();
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        findings.extend(rules::scan_file(config, rel, &src));
+    for ((rel, src), dead) in files.iter().zip(deadpub::dead_pub(files)) {
+        findings.extend(rules::scan_file_with(config, rel, src, dead));
     }
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
@@ -56,10 +69,10 @@ pub fn scan_workspace(root: &Path, config: &AnalyzeConfig) -> io::Result<LintRep
             b.message.as_str(),
         ))
     });
-    Ok(LintReport {
+    LintReport {
         files_scanned: files.len(),
         findings,
-    })
+    }
 }
 
 fn collect_rs_files(

@@ -1,6 +1,6 @@
 //! The enclave-invariant rules and the waiver grammar.
 //!
-//! Eight rules, each defending a specific property the paper's argument
+//! Nine rules, each defending a specific property the paper's argument
 //! rests on (see DESIGN.md for the full rationale):
 //!
 //! * **`enclave-abort`** (L1a) — no `unwrap()` / `expect()` /
@@ -48,6 +48,10 @@
 //!   re-derivation in between (a reassignment or `&mut` refresh). CTR
 //!   keystreams XOR plaintext, so one nonce reuse under the same key
 //!   reveals the XOR of two plaintexts.
+//! * **`dead-pub`** (L8) — a `pub` item of a library crate that no
+//!   scanned file names outside test code and `use` declarations. The
+//!   only workspace-wide rule (see [`crate::deadpub`]): documented but
+//!   never-exercised API is where TEE code goes wrong.
 //!
 //! **Test code** (`#[cfg(test)]` modules, `#[test]` functions) is
 //! exempt from L1a/L1b by construction: a test aborting on a failed
@@ -93,13 +97,15 @@ pub mod rule {
     pub const SEAL_ROLLBACK: &str = "seal-rollback";
     /// L7: a nonce/IV reaching two seal/encrypt call sites.
     pub const SEAL_NONCE_REUSE: &str = "seal-nonce-reuse";
+    /// L8: a `pub` item nothing outside test code names.
+    pub const DEAD_PUB: &str = "dead-pub";
     /// A syntactically invalid waiver comment.
     pub const BAD_WAIVER: &str = "bad-waiver";
     /// A waiver that suppressed no finding.
     pub const UNUSED_WAIVER: &str = "unused-waiver";
 
     /// All waivable rule ids (the two meta rules are not waivable).
-    pub const WAIVABLE: [&str; 8] = [
+    pub const WAIVABLE: [&str; 9] = [
         ENCLAVE_ABORT,
         ENCLAVE_INDEX,
         SECRET_EGRESS,
@@ -108,6 +114,7 @@ pub mod rule {
         ATTEST_UNCHECKED,
         SEAL_ROLLBACK,
         SEAL_NONCE_REUSE,
+        DEAD_PUB,
     ];
 }
 
@@ -116,7 +123,7 @@ pub mod rule {
 pub struct RuleInfo {
     /// Stable rule id.
     pub id: &'static str,
-    /// Rule level (`L1a` … `L7`, or `meta` for the waiver rules).
+    /// Rule level (`L1a` … `L8`, or `meta` for the waiver rules).
     pub level: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -127,7 +134,7 @@ pub struct RuleInfo {
 }
 
 /// All rules, in level order (the `--list-rules` order).
-pub const RULES: [RuleInfo; 10] = [
+pub const RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: rule::ENCLAVE_ABORT,
         level: "L1a",
@@ -204,6 +211,16 @@ pub const RULES: [RuleInfo; 10] = [
         ),
     },
     RuleInfo {
+        id: rule::DEAD_PUB,
+        level: "L8",
+        summary: "a pub library item must be named outside test code",
+        rationale: "API that is documented but never exercised claims behaviour \
+                    nothing checks; delete it or move it into #[cfg(test)]. \
+                    Users are every scanned file (bins, examples, tests/, \
+                    benchmark/src) minus unit-test scopes and use declarations",
+        waiver: Some("// teenet-analyze: allow(dead-pub) -- <who calls this>"),
+    },
+    RuleInfo {
         id: rule::BAD_WAIVER,
         level: "meta",
         summary: "a syntactically invalid waiver comment",
@@ -268,9 +285,23 @@ impl Waiver {
     }
 }
 
+/// A finding before waiver resolution: line, rule id, message.
+pub(crate) type RawFinding = (u32, &'static str, String);
+
 /// Scans one file's source, returning all findings (waived ones carry
 /// their reason). `rel_path` selects which rules apply per the config.
 pub fn scan_file(config: &AnalyzeConfig, rel_path: &str, src: &str) -> Vec<Finding> {
+    scan_file_with(config, rel_path, src, Vec::new())
+}
+
+/// [`scan_file`] plus `workspace` findings (L8) computed across files,
+/// resolved against this file's waivers like every other rule.
+pub(crate) fn scan_file_with(
+    config: &AnalyzeConfig,
+    rel_path: &str,
+    src: &str,
+    workspace: Vec<RawFinding>,
+) -> Vec<Finding> {
     let tokens = lex(src);
     // Significant tokens (comments stripped) drive the rule patterns;
     // comments drive waivers and block/test scoping.
@@ -285,7 +316,7 @@ pub fn scan_file(config: &AnalyzeConfig, rel_path: &str, src: &str) -> Vec<Findi
 
     let in_tests = |line: u32| test_spans.iter().any(|&(a, b)| (a..=b).contains(&line));
 
-    let mut raw: Vec<(u32, &'static str, String)> = Vec::new();
+    let mut raw = workspace;
 
     let bodies = function_bodies(&sig);
 
@@ -494,7 +525,7 @@ fn block_after(sig: &[&Token], line: u32) -> Option<(u32, u32)> {
 // ---------------------------------------------------------------------
 
 /// Line spans of `#[cfg(test)]` / `#[test]`-gated items.
-fn test_scopes(sig: &[&Token]) -> Vec<(u32, u32)> {
+pub(crate) fn test_scopes(sig: &[&Token]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < sig.len() {

@@ -35,7 +35,6 @@ pub mod driver;
 pub mod error;
 pub mod fmt;
 pub mod identity;
-pub mod mutual;
 pub mod responder;
 
 pub use teenet_app::ledger;
@@ -48,5 +47,4 @@ pub use driver::AttestService;
 pub use error::{Result, TeenetError};
 pub use identity::{IdentityPolicy, SoftwareCertificate};
 pub use ledger::{AttestKind, AttestLedger};
-pub use mutual::{mutual_attest, MutualOutcome, Party};
 pub use responder::{attest_enclave, AttestResponder, SessionNonce};

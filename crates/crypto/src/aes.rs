@@ -1,9 +1,9 @@
-//! AES-128 (FIPS 197) with ECB and CTR modes.
+//! AES-128 (FIPS 197) in CTR mode.
 //!
 //! The paper's prototype "use\[s\] AES-ECB mode as a symmetric key operation
-//! with 128-bit key using polarssl" (§5). ECB is kept for fidelity with the
-//! paper's measurements; everything security-relevant in the workspace uses
-//! CTR + HMAC instead.
+//! with 128-bit key using polarssl" (§5). Nothing in the workspace encrypts
+//! in ECB mode: every symmetric operation is CTR + HMAC, which runs the
+//! same forward block function once per 16 bytes.
 
 use crate::error::CryptoError;
 use crate::Result;
@@ -32,34 +32,10 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
-}
-
-fn gmul(a: u8, b: u8) -> u8 {
-    let mut result = 0u8;
-    let mut a = a;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 == 1 {
-            result ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    result
 }
 
 /// An AES-128 cipher instance with an expanded key schedule.
@@ -118,55 +94,6 @@ impl Aes128 {
         add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Decrypts a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[10]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for round in (1..10).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
-    }
-
-    /// ECB-mode encryption. `data` length must be a multiple of 16.
-    ///
-    /// Present for fidelity with the paper's prototype; prefer
-    /// [`Aes128::ctr_apply`] for anything real.
-    pub fn ecb_encrypt(&self, data: &mut [u8]) -> Result<()> {
-        if !data.len().is_multiple_of(BLOCK_LEN) {
-            return Err(CryptoError::InvalidLength {
-                what: "ECB plaintext",
-                got: data.len(),
-                expected: data.len().next_multiple_of(BLOCK_LEN),
-            });
-        }
-        for chunk in data.chunks_exact_mut(BLOCK_LEN) {
-            let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
-            self.encrypt_block(block);
-        }
-        Ok(())
-    }
-
-    /// ECB-mode decryption. `data` length must be a multiple of 16.
-    pub fn ecb_decrypt(&self, data: &mut [u8]) -> Result<()> {
-        if !data.len().is_multiple_of(BLOCK_LEN) {
-            return Err(CryptoError::InvalidLength {
-                what: "ECB ciphertext",
-                got: data.len(),
-                expected: data.len().next_multiple_of(BLOCK_LEN),
-            });
-        }
-        for chunk in data.chunks_exact_mut(BLOCK_LEN) {
-            let block: &mut [u8; BLOCK_LEN] = chunk.try_into().expect("exact chunk");
-            self.decrypt_block(block);
-        }
-        Ok(())
-    }
-
     /// CTR-mode keystream application (encrypt == decrypt).
     ///
     /// `nonce` is the 16-byte initial counter block; the low 32 bits are
@@ -200,27 +127,12 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 // State is column-major: state[col * 4 + row].
 fn shift_rows(state: &mut [u8; 16]) {
     let s = *state;
     for row in 1..4 {
         for col in 0..4 {
             state[col * 4 + row] = s[((col + row) % 4) * 4 + row];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[((col + row) % 4) * 4 + row] = s[col * 4 + row];
         }
     }
 }
@@ -240,28 +152,87 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let a = [
-            state[col * 4],
-            state[col * 4 + 1],
-            state[col * 4 + 2],
-            state[col * 4 + 3],
-        ];
-        state[col * 4] = gmul(a[0], 0x0e) ^ gmul(a[1], 0x0b) ^ gmul(a[2], 0x0d) ^ gmul(a[3], 0x09);
-        state[col * 4 + 1] =
-            gmul(a[0], 0x09) ^ gmul(a[1], 0x0e) ^ gmul(a[2], 0x0b) ^ gmul(a[3], 0x0d);
-        state[col * 4 + 2] =
-            gmul(a[0], 0x0d) ^ gmul(a[1], 0x09) ^ gmul(a[2], 0x0e) ^ gmul(a[3], 0x0b);
-        state[col * 4 + 3] =
-            gmul(a[0], 0x0b) ^ gmul(a[1], 0x0d) ^ gmul(a[2], 0x09) ^ gmul(a[3], 0x0e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    // The inverse cipher: no production path decrypts a block (CTR
+    // only runs the forward one), so it lives here, for the FIPS-197
+    // round trips.
+    const INV_SBOX: [u8; 256] = {
+        let mut inv = [0u8; 256];
+        let mut i = 0;
+        while i < 256 {
+            inv[SBOX[i] as usize] = i as u8;
+            i += 1;
+        }
+        inv
+    };
+
+    fn gmul(a: u8, b: u8) -> u8 {
+        let mut result = 0u8;
+        let mut a = a;
+        let mut b = b;
+        while b != 0 {
+            if b & 1 == 1 {
+                result ^= a;
+            }
+            a = xtime(a);
+            b >>= 1;
+        }
+        result
+    }
+
+    impl Aes128 {
+        /// Decrypts a single 16-byte block in place.
+        fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+            add_round_key(block, &self.round_keys[10]);
+            inv_shift_rows(block);
+            inv_sub_bytes(block);
+            for round in (1..10).rev() {
+                add_round_key(block, &self.round_keys[round]);
+                inv_mix_columns(block);
+                inv_shift_rows(block);
+                inv_sub_bytes(block);
+            }
+            add_round_key(block, &self.round_keys[0]);
+        }
+    }
+
+    fn inv_sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = INV_SBOX[*b as usize];
+        }
+    }
+
+    fn inv_shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for row in 1..4 {
+            for col in 0..4 {
+                state[((col + row) % 4) * 4 + row] = s[col * 4 + row];
+            }
+        }
+    }
+
+    fn inv_mix_columns(state: &mut [u8; 16]) {
+        for col in 0..4 {
+            let a = [
+                state[col * 4],
+                state[col * 4 + 1],
+                state[col * 4 + 2],
+                state[col * 4 + 3],
+            ];
+            state[col * 4] =
+                gmul(a[0], 0x0e) ^ gmul(a[1], 0x0b) ^ gmul(a[2], 0x0d) ^ gmul(a[3], 0x09);
+            state[col * 4 + 1] =
+                gmul(a[0], 0x09) ^ gmul(a[1], 0x0e) ^ gmul(a[2], 0x0b) ^ gmul(a[3], 0x0d);
+            state[col * 4 + 2] =
+                gmul(a[0], 0x0d) ^ gmul(a[1], 0x09) ^ gmul(a[2], 0x0e) ^ gmul(a[3], 0x0b);
+            state[col * 4 + 3] =
+                gmul(a[0], 0x0b) ^ gmul(a[1], 0x0d) ^ gmul(a[2], 0x09) ^ gmul(a[3], 0x0e);
+        }
+    }
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -296,22 +267,25 @@ mod tests {
         assert_eq!(block.to_vec(), unhex("69c4e0d86a7b0430d8cdb78070b4c55a"));
     }
 
-    // NIST SP 800-38A F.1.1 (ECB-AES128 encrypt, first two blocks).
+    // NIST SP 800-38A F.1.1 (ECB-AES128 encrypt, first two blocks): ECB
+    // is the block function applied per block.
     #[test]
     fn sp800_38a_ecb() {
         let key = unhex("2b7e151628aed2a6abf7158809cf4f3c");
         let cipher = Aes128::new(&key).unwrap();
-        let mut data = unhex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
-        cipher.ecb_encrypt(&mut data).unwrap();
+        let plain = unhex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
+        let mut data = plain.clone();
+        for block in data.chunks_exact_mut(BLOCK_LEN) {
+            cipher.encrypt_block(block.try_into().unwrap());
+        }
         assert_eq!(
             data,
             unhex("3ad77bb40d7a3660a89ecaf32466ef97f5d3d58503b9699de785895a96fdbaaf")
         );
-        cipher.ecb_decrypt(&mut data).unwrap();
-        assert_eq!(
-            data,
-            unhex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51")
-        );
+        for block in data.chunks_exact_mut(BLOCK_LEN) {
+            cipher.decrypt_block(block.try_into().unwrap());
+        }
+        assert_eq!(data, plain);
     }
 
     // NIST SP 800-38A F.5.1 (CTR-AES128 encrypt, first two blocks).
@@ -341,14 +315,6 @@ mod tests {
     fn rejects_bad_key_length() {
         assert!(Aes128::new(&[0u8; 15]).is_err());
         assert!(Aes128::new(&[0u8; 32]).is_err());
-    }
-
-    #[test]
-    fn ecb_rejects_partial_blocks() {
-        let cipher = Aes128::new(&[0u8; 16]).unwrap();
-        let mut data = vec![0u8; 17];
-        assert!(cipher.ecb_encrypt(&mut data).is_err());
-        assert!(cipher.ecb_decrypt(&mut data).is_err());
     }
 
     #[test]

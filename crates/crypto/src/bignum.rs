@@ -28,8 +28,8 @@
 //! block per *column* of its exponent. A comb can be built for any base:
 //! the generator 2's, one per built-in prime, lives in its `Montgomery`
 //! (see [`crate::dh`]); a Schnorr key's `y^-1` gets one of its own.
-//! [`BigUint::modexp`] and [`BigUint::modexp2`] are the one- and two-term
-//! cases under constants computed per call (no comb).
+//! [`BigUint::modexp`] is the one-term case under constants computed per
+//! call (no comb).
 //!
 //! Even moduli fall back to divide-and-reduce square-and-multiply
 //! (`modexp_generic`), which is also the oracle the engine is tested
@@ -459,15 +459,6 @@ impl BigUint {
         }
     }
 
-    /// Modular subtraction `(self - other) mod m`. Inputs must be `< m`.
-    pub fn mod_sub(&self, other: &BigUint, m: &BigUint) -> Result<BigUint> {
-        if self.cmp_to(other) != Ordering::Less {
-            self.checked_sub(other)
-        } else {
-            self.add(m).checked_sub(other)
-        }
-    }
-
     /// Modular multiplication `(self * other) mod m`.
     pub fn mod_mul(&self, other: &BigUint, m: &BigUint) -> Result<BigUint> {
         self.mul(other).rem(m)
@@ -480,18 +471,6 @@ impl BigUint {
     /// square-and-multiply with explicit reduction.
     pub fn modexp(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
         Self::multi_exp(&[(self, exp)], modulus)
-    }
-
-    /// Double exponentiation `a^ea * b^eb mod modulus` in about the time
-    /// of one: both powers ride the same squarings.
-    pub fn modexp2(
-        a: &BigUint,
-        ea: &BigUint,
-        b: &BigUint,
-        eb: &BigUint,
-        modulus: &BigUint,
-    ) -> Result<BigUint> {
-        Self::multi_exp(&[(a, ea), (b, eb)], modulus)
     }
 
     /// The product of `base^exp mod modulus` over `terms`, with every
@@ -588,61 +567,6 @@ impl BigUint {
         let t = m.mod_inv(&a)?;
         let k = m.mul(&t).checked_sub(&Self::one())?.div_rem(&a)?.0;
         m.checked_sub(&k)
-    }
-
-    /// Miller–Rabin probabilistic primality test with `rounds` random
-    /// witnesses drawn from `fill`.
-    ///
-    /// A composite survives one round with probability ≤ 1/4, so 16 rounds
-    /// give a false-positive bound of 2^-32 — ample for validating the
-    /// built-in group parameters (the safe-prime property the Schnorr
-    /// construction rests on).
-    pub fn is_probable_prime(&self, rounds: u32, mut fill: impl FnMut(&mut [u8])) -> Result<bool> {
-        // Small cases and even numbers.
-        if self.cmp_to(&BigUint::from_u64(2)) == Ordering::Less {
-            return Ok(false);
-        }
-        if *self == BigUint::from_u64(2) || *self == BigUint::from_u64(3) {
-            return Ok(true);
-        }
-        if self.is_even() {
-            return Ok(false);
-        }
-        // Quick trial division by small primes.
-        for &p in &[3u64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47] {
-            let d = BigUint::from_u64(p);
-            if *self == d {
-                return Ok(true);
-            }
-            if self.rem(&d)?.is_zero() {
-                return Ok(false);
-            }
-        }
-        // Write n-1 = d * 2^r with d odd.
-        let n_minus_1 = self.checked_sub(&BigUint::one())?;
-        let mut d = n_minus_1.clone();
-        let mut r = 0usize;
-        while d.is_even() {
-            d = d.shr(1);
-            r += 1;
-        }
-        let two = BigUint::from_u64(2);
-        let upper = self.checked_sub(&BigUint::from_u64(3))?; // witnesses in [2, n-2]
-        'witness: for _ in 0..rounds {
-            let a = BigUint::random_below(&upper, &mut fill)?.add(&two);
-            let mut x = a.modexp(&d, self)?;
-            if x.is_one() || x == n_minus_1 {
-                continue 'witness;
-            }
-            for _ in 0..r.saturating_sub(1) {
-                x = x.mod_mul(&x, self)?;
-                if x == n_minus_1 {
-                    continue 'witness;
-                }
-            }
-            return Ok(false);
-        }
-        Ok(true)
     }
 
     /// Generates a uniformly random integer in `[0, bound)` using rejection
@@ -1414,6 +1338,88 @@ fn add_limbs_in_place(a: &mut [u64], b: &[u64]) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BigUint {
+        /// Modular subtraction `(self - other) mod m`. Inputs must be `< m`.
+        pub(crate) fn mod_sub(&self, other: &BigUint, m: &BigUint) -> Result<BigUint> {
+            if self.cmp_to(other) != Ordering::Less {
+                self.checked_sub(other)
+            } else {
+                self.add(m).checked_sub(other)
+            }
+        }
+
+        /// Double exponentiation `a^ea * b^eb mod modulus` in about the time
+        /// of one: both powers ride the same squarings.
+        pub(crate) fn modexp2(
+            a: &BigUint,
+            ea: &BigUint,
+            b: &BigUint,
+            eb: &BigUint,
+            modulus: &BigUint,
+        ) -> Result<BigUint> {
+            Self::multi_exp(&[(a, ea), (b, eb)], modulus)
+        }
+
+        /// Miller–Rabin probabilistic primality test with `rounds` random
+        /// witnesses drawn from `fill`.
+        ///
+        /// A composite survives one round with probability ≤ 1/4, so 16 rounds
+        /// give a false-positive bound of 2^-32 — ample for validating the
+        /// built-in group parameters (the safe-prime property the Schnorr
+        /// construction rests on).
+        pub(crate) fn is_probable_prime(
+            &self,
+            rounds: u32,
+            mut fill: impl FnMut(&mut [u8]),
+        ) -> Result<bool> {
+            // Small cases and even numbers.
+            if self.cmp_to(&BigUint::from_u64(2)) == Ordering::Less {
+                return Ok(false);
+            }
+            if *self == BigUint::from_u64(2) || *self == BigUint::from_u64(3) {
+                return Ok(true);
+            }
+            if self.is_even() {
+                return Ok(false);
+            }
+            // Quick trial division by small primes.
+            for &p in &[3u64, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47] {
+                let d = BigUint::from_u64(p);
+                if *self == d {
+                    return Ok(true);
+                }
+                if self.rem(&d)?.is_zero() {
+                    return Ok(false);
+                }
+            }
+            // Write n-1 = d * 2^r with d odd.
+            let n_minus_1 = self.checked_sub(&BigUint::one())?;
+            let mut d = n_minus_1.clone();
+            let mut r = 0usize;
+            while d.is_even() {
+                d = d.shr(1);
+                r += 1;
+            }
+            let two = BigUint::from_u64(2);
+            let upper = self.checked_sub(&BigUint::from_u64(3))?; // witnesses in [2, n-2]
+            'witness: for _ in 0..rounds {
+                let a = BigUint::random_below(&upper, &mut fill)?.add(&two);
+                let mut x = a.modexp(&d, self)?;
+                if x.is_one() || x == n_minus_1 {
+                    continue 'witness;
+                }
+                for _ in 0..r.saturating_sub(1) {
+                    x = x.mod_mul(&x, self)?;
+                    if x == n_minus_1 {
+                        continue 'witness;
+                    }
+                }
+                return Ok(false);
+            }
+            Ok(true)
+        }
+    }
 
     pub(super) fn b(v: u64) -> BigUint {
         BigUint::from_u64(v)

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation sets "the DH parameter as 1024-bit" (§5); we use
 //! the 1024-bit MODP group from RFC 2409 (Oakley Group 2) by default and
-//! also expose the 768/1536/2048-bit MODP groups for the key-size ablation
-//! benchmarks.
+//! also expose the 768-bit Oakley Group 1. The 1536/2048-bit MODP groups
+//! are test moduli only.
 //!
 //! Each built-in group is parsed once per process and carries one shared
 //! `Montgomery` context for its prime — reduction constants plus a comb
@@ -30,24 +30,6 @@ const MODP_1024: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E0
 4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
 EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
 
-/// RFC 3526 Group 5 (1536-bit) prime.
-const MODP_1536: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
-98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
-9ED529077096966D670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF";
-
-/// RFC 3526 Group 14 (2048-bit) prime.
-const MODP_2048: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
-020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
-4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
-EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
-98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
-9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
-E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
-3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
-
 /// A Diffie–Hellman group: safe prime `p` with generator `g = 2`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DhGroup {
@@ -70,16 +52,6 @@ impl DhGroup {
     /// The 1024-bit Oakley Group 2 — the paper's evaluation parameter.
     pub fn modp1024() -> Self {
         Self::builtin(1, MODP_1024, 1024)
-    }
-
-    /// The 1536-bit MODP Group 5.
-    pub fn modp1536() -> Self {
-        Self::builtin(2, MODP_1536, 1536)
-    }
-
-    /// The 2048-bit MODP Group 14.
-    pub fn modp2048() -> Self {
-        Self::builtin(3, MODP_2048, 2048)
     }
 
     /// Built-in group number `slot`, parsed and given its context once.
@@ -156,11 +128,6 @@ impl DhKeyPair {
         secret.to_bytes_be_padded(self.group.element_len())
     }
 
-    /// Parses a peer public value from bytes and computes the shared secret.
-    pub fn shared_secret_from_bytes(&self, peer_public: &[u8]) -> Result<Vec<u8>> {
-        self.shared_secret(&BigUint::from_bytes_be(peer_public))
-    }
-
     /// The group this keypair lives in.
     pub fn group(&self) -> &DhGroup {
         &self.group
@@ -172,6 +139,44 @@ mod tests {
     use super::*;
     use crate::hostile::truncations_and_flips;
     use proptest::prelude::*;
+
+    /// RFC 3526 Group 5 (1536-bit) prime: with Group 14 below, a test
+    /// modulus for the engines' wide paths.
+    const MODP_1536: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
+020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
+4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
+EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
+98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
+9ED529077096966D670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF";
+
+    /// RFC 3526 Group 14 (2048-bit) prime.
+    const MODP_2048: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
+020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
+4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
+EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05\
+98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB\
+9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B\
+E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
+3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF";
+
+    impl DhKeyPair {
+        /// Parses a peer public value from bytes and computes the shared secret.
+        fn shared_secret_from_bytes(&self, peer_public: &[u8]) -> Result<Vec<u8>> {
+            self.shared_secret(&BigUint::from_bytes_be(peer_public))
+        }
+    }
+
+    impl DhGroup {
+        /// The 1536-bit MODP Group 5.
+        pub(crate) fn modp1536() -> Self {
+            Self::builtin(2, MODP_1536, 1536)
+        }
+
+        /// The 2048-bit MODP Group 14.
+        pub(crate) fn modp2048() -> Self {
+            Self::builtin(3, MODP_2048, 2048)
+        }
+    }
 
     #[test]
     fn groups_have_expected_sizes() {

@@ -9,8 +9,8 @@
 //!
 //! The paper's OpenSGX prototype used polarssl with 1024-bit Diffie–Hellman,
 //! AES-128 in ECB mode, and SHA-256. This crate provides the same primitives
-//! (plus a few the rest of the workspace needs), implemented from first
-//! principles with no external dependencies:
+//! (AES in CTR mode rather than ECB, plus a few the rest of the workspace
+//! needs), implemented from first principles with no external dependencies:
 //!
 //! * [`bignum::BigUint`] — arbitrary-precision unsigned integers with modular
 //!   exponentiation (the workhorse of DH and Schnorr).
@@ -18,7 +18,7 @@
 //!   prime (the parameter size the paper's evaluation uses).
 //! * [`sha256`], [`hmac`], [`hkdf`] — hashing, authentication and key
 //!   derivation.
-//! * [`aes`] — AES-128 block cipher with ECB and CTR modes.
+//! * [`aes`] — AES-128 block cipher in CTR mode.
 //! * [`chacha20`] — stream cipher, also backing the deterministic CSPRNG.
 //! * [`schnorr`] — Schnorr signatures over a Schnorr group; stands in for the
 //!   EPID group signature used by the SGX quoting enclave (the paper itself

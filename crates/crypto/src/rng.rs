@@ -6,8 +6,8 @@
 //! the paper's instruction-count tables.
 //!
 //! The stream is RFC 7539's keystream, generated sixteen blocks (1 KiB)
-//! per refill by `chacha20::blocks16`; `next_u64` and `next_u32` read
-//! straight out of that buffer and reach `fill_bytes` only across a refill.
+//! per refill by `chacha20::blocks16`; `next_u64` reads straight out of
+//! that buffer and reaches `fill_bytes` only across a refill.
 //! The last sixteen blocks before `u32::MAX`, where sixteen would wrap the
 //! counter under the old nonce, are refilled one block at a time, so the
 //! nonce rolls after exactly block `u32::MAX`.
@@ -118,11 +118,6 @@ impl SecureRng {
         u64::from_le_bytes(self.take())
     }
 
-    /// Returns a uniformly random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take())
-    }
-
     /// Returns a uniformly random value in `[0, bound)` (Lemire-style
     /// rejection to avoid modulo bias). `bound` must be nonzero.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
@@ -151,23 +146,6 @@ impl SecureRng {
         }
         (self.next_u64() as f64 / u64::MAX as f64) < p
     }
-
-    /// Fisher–Yates shuffles a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_range(slice.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,6 +160,11 @@ mod tests {
             rng.state[COUNTER] = counter;
             (rng.state[13], rng.state[14]) = (nonce as u32, (nonce >> 32) as u32);
             rng
+        }
+
+        /// Returns a uniformly random `u32`.
+        fn next_u32(&mut self) -> u32 {
+            u32::from_le_bytes(self.take())
         }
     }
 
@@ -363,28 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SecureRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
     fn gen_bool_extremes() {
         let mut rng = SecureRng::seed_from_u64(6);
         assert!(!rng.gen_bool(0.0));
         assert!(rng.gen_bool(1.0));
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = SecureRng::seed_from_u64(8);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let v = [1, 2, 3];
-        assert!(v.contains(rng.choose(&v).unwrap()));
     }
 }

@@ -105,8 +105,8 @@ struct Session {
 ///
 /// Its [`code_image`](EnclaveProgram::code_image) covers the version string
 /// and configuration — the "common code base for the inter-domain
-/// controller that they agree upon"; any behavioural modification (see
-/// [`InterdomainController::leaky_variant`]) changes the measurement and is
+/// controller that they agree upon"; any behavioural modification (the
+/// tests build a tampered `leaky_variant`) changes the measurement and is
 /// caught by attestation.
 pub struct InterdomainController {
     attest_config: AttestConfig,
@@ -131,15 +131,6 @@ impl InterdomainController {
             outcome: None,
             verifier: VerificationModule::new(),
             leaky: false,
-        }
-    }
-
-    /// A tampered controller (e.g. one that would exfiltrate policies).
-    /// Identical interface, different code image → different MRENCLAVE.
-    pub fn leaky_variant(config: AttestConfig) -> Self {
-        InterdomainController {
-            leaky: true,
-            ..Self::new(config)
         }
     }
 
@@ -502,6 +493,17 @@ impl EnclaveProgram for AsLocalController {
 mod tests {
     use super::*;
     use teenet_crypto::dh::DhGroup;
+
+    impl InterdomainController {
+        /// A tampered controller (e.g. one that would exfiltrate policies).
+        /// Identical interface, different code image → different MRENCLAVE.
+        fn leaky_variant(config: AttestConfig) -> Self {
+            InterdomainController {
+                leaky: true,
+                ..Self::new(config)
+            }
+        }
+    }
 
     #[test]
     fn controller_images_differ_when_tampered() {

@@ -76,7 +76,6 @@ pub struct SdnDeployment {
     as_nonces: Vec<Option<[u8; 32]>>,
     /// Attestation accounting (Table 3).
     pub ledger: AttestLedger,
-    topology: Topology,
 }
 
 impl SdnDeployment {
@@ -150,7 +149,6 @@ impl SdnDeployment {
             as_enclaves,
             as_nonces: vec![None; topology.len()],
             ledger: AttestLedger::new(),
-            topology: topology.clone(),
         })
     }
 
@@ -242,31 +240,6 @@ impl SdnDeployment {
         self.controller_platform
             .ecall_nohost(self.controller_enclave, ic_fn::SUBMIT, &input)?;
         Ok(wire)
-    }
-
-    /// Submits the policies of several ASes as **one announcement batch**:
-    /// each AS seals its policy locally, then all sealed blobs enter the
-    /// controller under a single EENTER/EEXIT pair
-    /// ([`teenet_sgx::TeePlatform::ecall_batch`]). Returns each
-    /// sealed blob's wire size.
-    pub fn submit_batch(&mut self, indices: &[usize]) -> Result<Vec<usize>> {
-        let mut calls = Vec::with_capacity(indices.len());
-        let mut wires = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let sealed = self.as_platforms[i].ecall_nohost(
-                self.as_enclaves[i],
-                alc_fn::SUBMIT_POLICY,
-                &[],
-            )?;
-            wires.push(sealed.len());
-            let nonce = self.as_nonces[i].expect("attested");
-            let mut input = nonce.to_vec();
-            input.extend_from_slice(&sealed);
-            calls.push((ic_fn::SUBMIT, input));
-        }
-        self.controller_platform
-            .ecall_batch_nohost(self.controller_enclave, &calls)?;
-        Ok(wires)
     }
 
     /// Sets the transition mode of the controller enclave and every
@@ -392,11 +365,6 @@ impl SdnDeployment {
             attestations,
         })
     }
-
-    /// The number of ASes.
-    pub fn as_count(&self) -> usize {
-        self.topology.len()
-    }
 }
 
 /// Counters for the native (non-SGX) baseline of Table 4.
@@ -447,6 +415,33 @@ mod tests {
     use std::thread;
     use std::time::Duration;
     use teenet_sgx::{EnclaveCtx, EnclaveProgram, Measurement};
+
+    impl SdnDeployment {
+        /// Submits the policies of several ASes as **one announcement batch**:
+        /// each AS seals its policy locally, then all sealed blobs enter the
+        /// controller under a single EENTER/EEXIT pair
+        /// ([`teenet_sgx::TeePlatform::ecall_batch`]). Returns each
+        /// sealed blob's wire size.
+        pub(crate) fn submit_batch(&mut self, indices: &[usize]) -> Result<Vec<usize>> {
+            let mut calls = Vec::with_capacity(indices.len());
+            let mut wires = Vec::with_capacity(indices.len());
+            for &i in indices {
+                let sealed = self.as_platforms[i].ecall_nohost(
+                    self.as_enclaves[i],
+                    alc_fn::SUBMIT_POLICY,
+                    &[],
+                )?;
+                wires.push(sealed.len());
+                let nonce = self.as_nonces[i].expect("attested");
+                let mut input = nonce.to_vec();
+                input.extend_from_slice(&sealed);
+                calls.push((ic_fn::SUBMIT, input));
+            }
+            self.controller_platform
+                .ecall_batch_nohost(self.controller_enclave, &calls)?;
+            Ok(wires)
+        }
+    }
 
     const SEED: u64 = 42;
 

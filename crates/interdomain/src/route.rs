@@ -29,11 +29,6 @@ impl Route {
         self.path.first().copied()
     }
 
-    /// AS-path length.
-    pub fn path_len(&self) -> usize {
-        self.path.len()
-    }
-
     /// True if `asn` appears on the path (loop detection).
     pub fn contains(&self, asn: AsId) -> bool {
         self.path.contains(&asn)
@@ -102,6 +97,13 @@ impl Route {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Route {
+        /// AS-path length.
+        fn path_len(&self) -> usize {
+            self.path.len()
+        }
+    }
 
     fn r(dst: u32, path: &[u32], pref: u32) -> Route {
         Route {

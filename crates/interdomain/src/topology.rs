@@ -104,14 +104,6 @@ impl Topology {
         out
     }
 
-    /// Relationship of `neighbor` to `asn`, if adjacent.
-    pub fn relationship(&self, asn: AsId, neighbor: AsId) -> Option<Relationship> {
-        self.neighbors(asn)
-            .into_iter()
-            .find(|&(id, _)| id == neighbor)
-            .map(|(_, rel)| rel)
-    }
-
     /// Generates a random three-tier topology with `n ≥ 3` ASes.
     ///
     /// Tier sizes: ~10% tier-1 (min 2), ~30% middle, the rest stubs.
@@ -170,6 +162,16 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// Relationship of `neighbor` to `asn`, if adjacent.
+        pub(crate) fn relationship(&self, asn: AsId, neighbor: AsId) -> Option<Relationship> {
+            self.neighbors(asn)
+                .into_iter()
+                .find(|&(id, _)| id == neighbor)
+                .map(|(_, rel)| rel)
+        }
+    }
 
     fn diamond() -> Topology {
         // 0 and 1 are tier-1 peers; both sell transit to 2; 2 sells to 3.

@@ -94,11 +94,6 @@ impl VerificationModule {
             Ok(VerifyStatus::AwaitingCounterparty)
         }
     }
-
-    /// Number of agreements awaiting a counterparty.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -106,6 +101,13 @@ mod tests {
     use super::*;
     use crate::compute::{compute_routes, default_policies};
     use crate::topology::{EdgeKind, Topology};
+
+    impl VerificationModule {
+        /// Number of agreements awaiting a counterparty.
+        fn pending_count(&self) -> usize {
+            self.pending.len()
+        }
+    }
 
     fn outcome() -> RoutingOutcome {
         let t = Topology::from_edges(

@@ -89,18 +89,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` observations of the same value.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.bucket_mut(value) += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -178,6 +166,20 @@ impl Histogram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Histogram {
+        /// Records `n` observations of the same value.
+        fn record_n(&mut self, value: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            *self.bucket_mut(value) += n;
+            self.count += n;
+            self.sum += value as u128 * n as u128;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+    }
 
     #[test]
     fn empty_histogram_reports_zeros() {

@@ -1,7 +1,7 @@
-//! Metrics core: monotonic counters, gauges with high-watermarks,
-//! per-phase SGX instruction/cycle rollups folding in
-//! [`teenet_sgx::cost::Counters`], and the mergeable [`RunMetrics`]
-//! accumulator the sharded runner combines across worker threads.
+//! Metrics core: monotonic counters, per-phase SGX instruction/cycle
+//! rollups folding in [`teenet_sgx::cost::Counters`], and the mergeable
+//! [`RunMetrics`] accumulator the sharded runner combines across worker
+//! threads.
 //!
 //! Every `merge` in this module is associative and commutative (sums,
 //! histogram bucket adds, min/max), so metrics accumulated per shard and
@@ -25,11 +25,6 @@ impl Counter {
         Counter(0)
     }
 
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
     /// Adds `n`.
     pub fn add(&mut self, n: u64) {
         self.0 += n;
@@ -38,46 +33,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0
-    }
-}
-
-/// A gauge tracking a current level and its high-watermark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge {
-    current: u64,
-    max: u64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the level, updating the high-watermark.
-    pub fn set(&mut self, v: u64) {
-        self.current = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Raises the level by `n`.
-    pub fn rise(&mut self, n: u64) {
-        self.set(self.current + n);
-    }
-
-    /// Lowers the level by `n` (saturating).
-    pub fn fall(&mut self, n: u64) {
-        self.current = self.current.saturating_sub(n);
-    }
-
-    /// Current level.
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// Highest level ever set.
-    pub fn high_watermark(&self) -> u64 {
-        self.max
     }
 }
 
@@ -108,15 +63,6 @@ impl PhaseRollup {
     pub fn fold(&mut self, c: Counters) {
         self.counters.merge(c);
         self.ops += 1;
-    }
-
-    /// Folds `n` operations that each cost `c` (replayed profiles).
-    pub fn fold_n(&mut self, c: Counters, n: u64) {
-        self.counters.merge(Counters {
-            sgx_instr: c.sgx_instr * n,
-            normal_instr: c.normal_instr * n,
-        });
-        self.ops += n;
     }
 
     /// Merges another rollup of the same phase into this one.
@@ -222,24 +168,30 @@ impl Default for RunMetrics {
 mod tests {
     use super::*;
 
+    impl PhaseRollup {
+        /// Folds `n` operations that each cost `c` (replayed profiles).
+        pub(crate) fn fold_n(&mut self, c: Counters, n: u64) {
+            self.counters.merge(Counters {
+                sgx_instr: c.sgx_instr * n,
+                normal_instr: c.normal_instr * n,
+            });
+            self.ops += n;
+        }
+    }
+
+    impl Counter {
+        /// Increments by one.
+        fn inc(&mut self) {
+            self.0 += 1;
+        }
+    }
+
     #[test]
     fn counter_is_monotonic() {
         let mut c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_tracks_high_watermark() {
-        let mut g = Gauge::new();
-        g.rise(3);
-        g.rise(4);
-        g.fall(6);
-        assert_eq!(g.current(), 1);
-        assert_eq!(g.high_watermark(), 7);
-        g.fall(10);
-        assert_eq!(g.current(), 0);
     }
 
     use proptest::prelude::*;

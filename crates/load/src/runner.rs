@@ -1033,7 +1033,7 @@ mod tests {
     #[test]
     fn a_timeout_of_the_longest_duration_saturates() {
         let mut cfg = LoadConfig::new(1, 1, LoadMode::Closed { concurrency: 1 });
-        cfg.timeout = Some(SimDuration::from_secs(u64::MAX));
+        cfg.timeout = Some(SimDuration(u64::MAX));
         let report = LoadRunner::new(cfg).run("patient", &toy_calibration());
         assert_eq!((report.completed, report.failed, report.retries), (1, 0, 0));
         assert_eq!(report.net.sent, 4);
@@ -1123,7 +1123,7 @@ mod tests {
             cfg.mode = LoadMode::Open {
                 rate_per_sec: Some(capacity * rate_scale),
             };
-            cfg.timeout = Some(SimDuration::from_secs(3600)); // isolate queueing
+            cfg.timeout = Some(SimDuration::from_millis(3_600_000)); // isolate queueing
             LoadRunner::new(cfg).run("toy", &cal)
         };
         let light = run(0.3);

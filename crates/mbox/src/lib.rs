@@ -16,10 +16,7 @@
 //!   or unilateral enterprise mode), in-enclave record processing.
 //! * [`scenarios`] — deployable hosts plus the enterprise-outbound and
 //!   cloud-DPI flows end to end; [`chain`] — multi-box paths.
-//! * [`baseline`] — the out-of-band key-passing baseline the paper
-//!   mentions, for comparing against the attested design.
 
-pub mod baseline;
 pub mod chain;
 pub mod dpi;
 pub mod driver;
@@ -28,7 +25,6 @@ pub mod middlebox;
 pub mod provision;
 pub mod scenarios;
 
-pub use baseline::{compare_key_release_designs, ComparisonReport, ReleaseOutcome};
 pub use chain::MiddleboxChain;
 pub use dpi::{Action, DpiEngine, Rule, Verdict};
 pub use driver::TlsMboxService;

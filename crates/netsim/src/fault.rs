@@ -67,16 +67,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// A lossy link configuration (the smoltcp README's "good starting
-    /// value" of 15% drop/corrupt).
-    pub fn lossy() -> Self {
-        FaultConfig {
-            drop_chance: 0.15,
-            corrupt_chance: 0.15,
-            ..Default::default()
-        }
-    }
-
     /// True if every fault mechanism is disabled.
     pub fn is_clean(&self) -> bool {
         self.drop_chance == 0.0
@@ -163,6 +153,18 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultConfig {
+        /// A lossy link configuration (the smoltcp README's "good starting
+        /// value" of 15% drop/corrupt).
+        pub(crate) fn lossy() -> Self {
+            FaultConfig {
+                drop_chance: 0.15,
+                corrupt_chance: 0.15,
+                ..Default::default()
+            }
+        }
+    }
 
     fn injector(config: FaultConfig) -> FaultInjector {
         FaultInjector::new(config, SecureRng::seed_from_u64(7))

@@ -42,11 +42,6 @@ impl SimDuration {
         SimDuration(ms.saturating_mul(1_000_000))
     }
 
-    /// From seconds (saturating, see [`SimDuration::from_micros`]).
-    pub fn from_secs(s: u64) -> Self {
-        SimDuration(s.saturating_mul(1_000_000_000))
-    }
-
     /// Nanoseconds in this duration.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -97,6 +92,13 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimDuration {
+        /// From seconds (saturating, see [`SimDuration::from_micros`]).
+        pub(crate) fn from_secs(s: u64) -> Self {
+            SimDuration(s.saturating_mul(1_000_000_000))
+        }
+    }
 
     #[test]
     fn arithmetic() {

@@ -3,14 +3,14 @@
 //! "Memory content of the enclave is stored inside Enclave Page Cache
 //! (EPC), which is protected memory [...] The processor maintains enclave
 //! page cache map (EPCM) to keep meta-data associated with each EPC page
-//! for access protection" (paper §2.1). We model page accounting and
-//! ownership checks; page *contents* live with the enclave program (Rust
+//! for access protection" (paper §2.1). We model page accounting and EWB
+//! eviction; page *contents* live with the enclave program (Rust
 //! state), which is what the encryption by the MEE guarantees anyway —
 //! the host can never observe it.
 
 use crate::error::{Result, SgxError};
 use crate::measurement::PAGE_SIZE;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Types of EPC pages, as recorded in the EPCM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +52,7 @@ pub struct Epc {
     entries: HashMap<u64, Vec<EpcmEntry>>,
     used: usize,
     /// FIFO of (enclave, offset) in allocation order — the eviction queue.
-    fifo: Vec<(u64, usize)>,
+    fifo: VecDeque<(u64, usize)>,
 }
 
 impl Epc {
@@ -65,7 +65,7 @@ impl Epc {
             total_pages,
             entries: HashMap::new(),
             used: 0,
-            fifo: Vec::new(),
+            fifo: VecDeque::new(),
         }
     }
 
@@ -74,10 +74,9 @@ impl Epc {
     pub fn evict_pages(&mut self, count: usize) -> usize {
         let mut done = 0;
         while done < count {
-            let Some((enclave_id, offset)) = self.fifo.first().copied() else {
+            let Some((enclave_id, offset)) = self.fifo.pop_front() else {
                 break;
             };
-            self.fifo.remove(0);
             if let Some(list) = self.entries.get_mut(&enclave_id) {
                 if let Some(entry) = list
                     .iter_mut()
@@ -95,18 +94,6 @@ impl Epc {
     /// Number of free pages.
     pub fn free_pages(&self) -> usize {
         self.total_pages - self.used
-    }
-
-    /// Number of pages currently allocated.
-    pub fn used_pages(&self) -> usize {
-        self.used
-    }
-
-    /// Pages allocated to one enclave.
-    pub fn pages_of(&self, enclave_id: u64) -> usize {
-        self.entries
-            .get(&enclave_id)
-            .map_or(0, |v| v.iter().filter(|e| e.valid).count())
     }
 
     /// EADD/EAUG: allocates `count` pages of `page_type` to `enclave_id`
@@ -133,7 +120,7 @@ impl Epc {
                 valid: true,
                 resident: true,
             });
-            self.fifo.push((enclave_id, offset + i * PAGE_SIZE));
+            self.fifo.push_back((enclave_id, offset + i * PAGE_SIZE));
         }
         self.used += count;
         Ok(())
@@ -146,23 +133,26 @@ impl Epc {
         }
         self.fifo.retain(|&(id, _)| id != enclave_id);
     }
-
-    /// Access check: does `enclave_id` own a valid page at `offset`?
-    ///
-    /// Models the EPCM check the processor performs on every enclave-mode
-    /// access; other enclaves (or the host) asking for the page get denied.
-    pub fn check_access(&self, enclave_id: u64, offset: usize) -> bool {
-        let page_base = offset - offset % PAGE_SIZE;
-        self.entries.get(&enclave_id).is_some_and(|list| {
-            list.iter()
-                .any(|e| e.valid && e.offset == page_base && e.enclave_id == enclave_id)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    impl Epc {
+        /// Number of pages currently allocated.
+        fn used_pages(&self) -> usize {
+            self.used
+        }
+
+        /// Pages allocated to one enclave.
+        fn pages_of(&self, enclave_id: u64) -> usize {
+            self.entries
+                .get(&enclave_id)
+                .map_or(0, |v| v.iter().filter(|e| e.valid).count())
+        }
+    }
 
     #[test]
     fn allocation_and_accounting() {
@@ -200,18 +190,30 @@ mod tests {
     }
 
     #[test]
-    fn access_control_per_enclave() {
+    fn eviction_takes_the_oldest_allocation_first_across_enclaves() {
         let mut epc = Epc::new(8);
         epc.add_pages(1, 0, 2, PageType::Regular).unwrap();
-        epc.add_pages(2, PAGE_SIZE * 2, 1, PageType::Regular)
+        epc.add_pages(2, 0, 2, PageType::Regular).unwrap();
+        epc.add_pages(3, 0, 1, PageType::Regular).unwrap();
+        epc.add_pages(1, 2 * PAGE_SIZE, 1, PageType::Regular)
             .unwrap();
-        // Enclave 1 can touch its own pages (any offset within them).
-        assert!(epc.check_access(1, 0));
-        assert!(epc.check_access(1, PAGE_SIZE + 123));
-        // Enclave 1 cannot touch enclave 2's page; enclave 2 can.
-        assert!(!epc.check_access(1, PAGE_SIZE * 2));
-        assert!(epc.check_access(2, PAGE_SIZE * 2 + 1));
-        // Nobody can touch unallocated space.
-        assert!(!epc.check_access(1, PAGE_SIZE * 7));
+        epc.remove_enclave(2);
+        let resident = |epc: &Epc| -> BTreeSet<(u64, usize)> {
+            let pages = epc.entries.values().flatten().filter(|e| e.resident);
+            pages
+                .map(|e| (e.enclave_id, e.offset / PAGE_SIZE))
+                .collect()
+        };
+        let mut order = Vec::new();
+        loop {
+            let before = resident(&epc);
+            if epc.evict_pages(1) == 0 {
+                break;
+            }
+            order.extend(before.difference(&resident(&epc)).copied());
+        }
+        // Allocation order, enclave 2's pages gone from the queue with it.
+        assert_eq!(order, [(1, 0), (1, 1), (3, 0), (1, 2)]);
+        assert_eq!(epc.free_pages(), 8);
     }
 }

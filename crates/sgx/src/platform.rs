@@ -100,25 +100,6 @@ impl Platform {
         })
     }
 
-    /// Loads and initialises an enclave: ECREATE → EADD/EEXTEND per page →
-    /// EINIT with `sigstruct` verification.
-    ///
-    /// Launch cost is deliberately not charged to the enclave counters: the
-    /// paper "exclude\[s\] the cost launching an SGX application [...]
-    /// because it is a one-time cost" (§5).
-    pub fn create_enclave(
-        &mut self,
-        program: Box<dyn EnclaveProgram>,
-        sigstruct: &Sigstruct,
-    ) -> Result<EnclaveId> {
-        let image = program.code_image();
-        // EINIT: the measured identity must match what the author signed.
-        if measure_image(&image) != sigstruct.mrenclave {
-            return Err(SgxError::InitFailed("measurement != SIGSTRUCT.mrenclave"));
-        }
-        self.init_enclave(program, image.len(), sigstruct)
-    }
-
     /// The rest of EINIT for a program whose `image_len`-byte image
     /// measures `sigstruct.mrenclave`: the author's signature, then the
     /// EPC pages.
@@ -375,6 +356,24 @@ mod tests {
     use crate::report::{report_data_from, ReportBody};
     use crate::tee::deploy_platform;
     use teenet_crypto::schnorr::SchnorrGroup;
+
+    impl Platform {
+        /// EINIT against a SIGSTRUCT signed elsewhere. `create_signed` signs
+        /// the image it loads, so only this path can present a tampered
+        /// binary: one that does not measure `sigstruct.mrenclave`.
+        fn create_enclave(
+            &mut self,
+            program: Box<dyn EnclaveProgram>,
+            sigstruct: &Sigstruct,
+        ) -> Result<EnclaveId> {
+            let image = program.code_image();
+            // EINIT: the measured identity must match what the author signed.
+            if measure_image(&image) != sigstruct.mrenclave {
+                return Err(SgxError::InitFailed("measurement != SIGSTRUCT.mrenclave"));
+            }
+            self.init_enclave(program, image.len(), sigstruct)
+        }
+    }
 
     /// A trivial program: fn 0 echoes, fn 1 seals input, fn 2 allocates.
     struct Echo {

@@ -274,16 +274,6 @@ impl SwitchlessState {
         self.posted_this_ecall = false;
     }
 
-    /// Whether any host worker is currently spinning on the ring.
-    pub fn worker_awake(&self) -> bool {
-        self.awake > 0
-    }
-
-    /// Number of host workers currently spinning on the ring.
-    pub fn workers_awake(&self) -> usize {
-        self.awake
-    }
-
     /// Called at every EENTER: the host ran between ecalls, so the pool
     /// has drained the ring.
     pub(crate) fn on_ecall_start(&mut self) {
@@ -368,6 +358,18 @@ impl SwitchlessState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SwitchlessState {
+        /// Whether any host worker is currently spinning on the ring.
+        fn worker_awake(&self) -> bool {
+            self.awake > 0
+        }
+
+        /// Number of host workers currently spinning on the ring.
+        fn workers_awake(&self) -> usize {
+            self.awake
+        }
+    }
 
     fn switchless(ring: usize, spin: u32) -> SwitchlessState {
         switchless_pool(ring, spin, 1)

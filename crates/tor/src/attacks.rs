@@ -6,8 +6,6 @@
 //! stops directory subversion, SGX ORs stop the bad apple, and the fully
 //! SGX-enabled design stops everything.
 
-use teenet::ledger::AttestKind;
-
 use crate::deployment::{Phase, TorDeployment, TorSpec, PHANTOM_RELAY};
 use crate::error::Result;
 
@@ -104,15 +102,6 @@ pub fn defense_matrix(seed: u64) -> Result<Vec<AttackOutcome>> {
         }
     }
     Ok(out)
-}
-
-/// Count of attestations a deployment performed, for Table 3 reporting.
-pub fn attestation_counts(dep: &TorDeployment) -> (u64, u64, u64) {
-    (
-        dep.ledger.count(AttestKind::TorAuthorityPeer),
-        dep.ledger.count(AttestKind::TorRouterAdmission),
-        dep.ledger.count(AttestKind::TorClientCircuit),
-    )
 }
 
 #[cfg(test)]

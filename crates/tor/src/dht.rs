@@ -74,13 +74,6 @@ impl ChordRing {
         self.rebuild_fingers();
     }
 
-    /// Removes a relay (churn / exclusion after failed attestation).
-    pub fn leave(&mut self, relay_id: u32) {
-        let key = ring_key(&relay_id.to_le_bytes());
-        self.nodes.remove(&key);
-        self.rebuild_fingers();
-    }
-
     /// All member relay ids.
     pub fn members(&self) -> Vec<u32> {
         self.nodes.values().map(|n| n.relay_id).collect()
@@ -155,6 +148,15 @@ impl ChordRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChordRing {
+        /// Removes a relay (churn / exclusion after failed attestation).
+        fn leave(&mut self, relay_id: u32) {
+            let key = ring_key(&relay_id.to_le_bytes());
+            self.nodes.remove(&key);
+            self.rebuild_fingers();
+        }
+    }
 
     fn ring(n: u32) -> ChordRing {
         let mut r = ChordRing::new();

@@ -101,11 +101,6 @@ impl OnionRouter {
         }
     }
 
-    /// Number of live circuits through this relay.
-    pub fn circuit_count(&self) -> usize {
-        self.states.len()
-    }
-
     /// Processes one inbound link message; returns messages to transmit.
     pub fn handle(&mut self, from: NodeId, msg: &[u8]) -> Vec<(NodeId, Vec<u8>)> {
         match msg.first() {
@@ -397,6 +392,13 @@ mod tests {
     use super::*;
     use crate::cell::{Cell, CellCmd};
     use crate::network::frame_cell;
+
+    impl OnionRouter {
+        /// Number of live circuits through this relay.
+        pub(crate) fn circuit_count(&self) -> usize {
+            self.states.len()
+        }
+    }
 
     fn relay(id: u32) -> OnionRouter {
         OnionRouter::new(

@@ -3,11 +3,16 @@
 //! enclave program must verify/sanity check the return values and output
 //! parameters of system calls").
 
-use teenet_crypto::schnorr::{SchnorrGroup, SigningKey};
+use teenet_crypto::hostile::truncations_and_flips;
+use teenet_crypto::schnorr::{SchnorrGroup, SigningKey, VerifyingKey};
 use teenet_crypto::SecureRng;
+use teenet_sgx::cost::OpCounts;
 use teenet_sgx::ocall::{checked, validate_len_le, HostCalls};
+use teenet_sgx::report::{ereport, report_data_from};
+use teenet_sgx::vmtee::{psp_measurement, SecurityProcessor};
 use teenet_sgx::{
-    deploy_platform, EnclaveCtx, EnclaveProgram, EpidGroup, SgxError, TeeBackend, TeePlatform,
+    deploy_platform, EnclaveCtx, EnclaveProgram, EpidGroup, Evidence, Measurement, Quote,
+    QuotingEnclave, ReportBody, SgxError, TargetInfo, TeeBackend, TeePlatform, VmEvidence,
 };
 
 /// An enclave that reads data from the host through a *checked* recv: the
@@ -178,4 +183,61 @@ fn malicious_host_cannot_break_attestation() {
         outcome.channel.is_some(),
         "attestation unaffected by ocall lies"
     );
+}
+
+/// Every truncation and bit flip of valid EPID and VM-TEE evidence goes
+/// through all three decoders. None panics; `Evidence` parses exactly
+/// what the decoder of its kind parses; and what parses verifies, under
+/// a root with its comb and a signing key on its second verification,
+/// exactly as fresh keys verifying for the first time (through a
+/// window, without a comb) decide.
+#[test]
+fn damaged_evidence_never_panics_and_verifies_as_the_window_path_decides() {
+    let mut rng = SecureRng::seed_from_u64(21);
+    let group = EpidGroup::new(1, &mut rng).unwrap();
+    let device_key = [5u8; 32];
+    let body = ReportBody {
+        mrenclave: Measurement([1u8; 32]),
+        mrsigner: Measurement([2u8; 32]),
+        isv_svn: 3,
+        report_data: report_data_from(b"hostile"),
+    };
+    let mut qe = QuotingEnclave::new(&group, rng.fork(b"qe"));
+    let report = ereport(&device_key, qe.target_info(), body.clone());
+    let epid = Evidence::Epid(qe.quote(&device_key, &report).unwrap());
+    let mut psp = SecurityProcessor::new(&group, rng.fork(b"psp")).unwrap();
+    let target = TargetInfo {
+        mrenclave: psp_measurement(),
+    };
+    let report = ereport(&device_key, target, body);
+    let vm = Evidence::VmTee(psp.attest(&device_key, &report).unwrap());
+
+    let root = group.public_key();
+    let verify = |ev: &Evidence, root: &VerifyingKey| ev.verify(root, &mut OpCounts::new()).is_ok();
+    assert!(
+        verify(&epid, &root) && verify(&vm, &root),
+        "the root has its comb"
+    );
+    let mut verified = 0;
+    for valid in [epid.to_bytes(), vm.to_bytes()] {
+        for bytes in truncations_and_flips(&valid) {
+            let (quote, vm) = (Quote::from_bytes(&bytes), VmEvidence::from_bytes(&bytes));
+            let Ok(evidence) = Evidence::from_bytes(&bytes) else {
+                assert!(quote.is_err() && vm.is_err());
+                continue;
+            };
+            match &evidence {
+                Evidence::Epid(q) => assert_eq!(q.to_bytes(), quote.unwrap().to_bytes()),
+                Evidence::VmTee(e) => assert_eq!(e.to_bytes(), vm.unwrap().to_bytes()),
+            }
+            let fresh_root = VerifyingKey::from_bytes(&SchnorrGroup::standard(), &root.to_bytes());
+            let fresh = Evidence::from_bytes(&bytes).unwrap();
+            let window = verify(&fresh, &fresh_root.unwrap());
+            assert!(!window, "damaged evidence verified");
+            assert_eq!(verify(&evidence, &root), window);
+            assert_eq!(verify(&evidence, &root), window);
+            verified += 1;
+        }
+    }
+    assert!(verified > 4_000, "{verified} damaged encodings parsed");
 }
