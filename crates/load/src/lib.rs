@@ -14,7 +14,7 @@
 //! distributions plus SGX instruction/cycle rollups:
 //!
 //! * [`hist`] — log-bucketed latency histograms (p50/p90/p99/p999).
-//! * [`metrics`] — monotonic counters, per-phase SGX cost rollups.
+//! * [`metrics`] — per-phase SGX cost rollups.
 //! * [`arrival`] — seeded open-loop (Poisson) and closed-loop arrival
 //!   processes.
 //! * [`scenario`] — the workload abstraction: a [`Scenario`] calibrates
@@ -51,7 +51,7 @@ pub mod shard;
 
 pub use arrival::{Arrival, ArrivalProcess};
 pub use hist::Histogram;
-pub use metrics::{Counter, PhaseRollup, RunMetrics};
+pub use metrics::{PhaseRollup, RunMetrics};
 pub use report::RunReport;
 pub use runner::{EngineStats, LoadConfig, LoadMode, LoadRunner};
 pub use scenario::{Calibration, OpProfile, Scenario};

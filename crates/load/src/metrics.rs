@@ -1,7 +1,6 @@
-//! Metrics core: monotonic counters, per-phase SGX instruction/cycle
-//! rollups folding in [`teenet_sgx::cost::Counters`], and the mergeable
-//! [`RunMetrics`] accumulator the sharded runner combines across worker
-//! threads.
+//! Metrics core: per-phase SGX instruction/cycle rollups folding in
+//! [`teenet_sgx::cost::Counters`], and the mergeable [`RunMetrics`]
+//! accumulator the sharded runner combines across worker threads.
 //!
 //! Every `merge` in this module is associative and commutative (sums,
 //! histogram bucket adds, min/max), so metrics accumulated per shard and
@@ -14,27 +13,6 @@ use teenet_sgx::cost::{CostModel, Counters};
 use teenet_sgx::TransitionStats;
 
 use crate::hist::Histogram;
-
-/// A monotonic event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Accumulated SGX/normal-instruction cost of one named phase of a load
 /// run (e.g. `calibration`, `steady.server`, `steady.client`), with the
@@ -177,21 +155,6 @@ mod tests {
             });
             self.ops += n;
         }
-    }
-
-    impl Counter {
-        /// Increments by one.
-        fn inc(&mut self) {
-            self.0 += 1;
-        }
-    }
-
-    #[test]
-    fn counter_is_monotonic() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     use proptest::prelude::*;

@@ -33,8 +33,6 @@ pub struct EpcmEntry {
     pub page_type: PageType,
     /// Offset of the page within the enclave's linear range.
     pub offset: usize,
-    /// Whether the page is valid (EREMOVE clears this).
-    pub valid: bool,
     /// Whether the page currently resides in the EPC (false = evicted to
     /// encrypted main memory by EWB).
     pub resident: bool,
@@ -80,7 +78,7 @@ impl Epc {
             if let Some(list) = self.entries.get_mut(&enclave_id) {
                 if let Some(entry) = list
                     .iter_mut()
-                    .find(|e| e.offset == offset && e.valid && e.resident)
+                    .find(|e| e.offset == offset && e.resident)
                 {
                     entry.resident = false;
                     self.used -= 1;
@@ -117,7 +115,6 @@ impl Epc {
                 enclave_id,
                 page_type,
                 offset: offset + i * PAGE_SIZE,
-                valid: true,
                 resident: true,
             });
             self.fifo.push_back((enclave_id, offset + i * PAGE_SIZE));
@@ -129,7 +126,7 @@ impl Epc {
     /// EREMOVE: releases all pages of an enclave (teardown).
     pub fn remove_enclave(&mut self, enclave_id: u64) {
         if let Some(list) = self.entries.remove(&enclave_id) {
-            self.used -= list.iter().filter(|e| e.valid && e.resident).count();
+            self.used -= list.iter().filter(|e| e.resident).count();
         }
         self.fifo.retain(|&(id, _)| id != enclave_id);
     }
@@ -150,7 +147,7 @@ mod tests {
         fn pages_of(&self, enclave_id: u64) -> usize {
             self.entries
                 .get(&enclave_id)
-                .map_or(0, |v| v.iter().filter(|e| e.valid).count())
+                .map_or(0, Vec::len)
         }
     }
 
