@@ -72,6 +72,11 @@ impl SchnorrGroup {
         Self::from_dh_group(&DhGroup::modp768())
     }
 
+    /// Bytes of an element of `[0, p)`: a public key or a response scalar.
+    fn element_len(&self) -> usize {
+        self.p.bit_len().div_ceil(8)
+    }
+
     /// Hashes a message (and nonce commitment) into a challenge scalar in
     /// `[0, q)`.
     fn challenge(&self, r: &BigUint, public: &BigUint, msg: &[u8]) -> Result<BigUint> {
@@ -159,39 +164,50 @@ pub struct Signature {
     pub e: BigUint,
     /// Response scalar.
     pub s: BigUint,
+    /// Bytes `to_bytes` writes `e` and `s` in: 32 (a challenge's
+    /// `CHALLENGE_BITS`) and the group's byte width out of `sign`, the
+    /// widths read by `from_bytes`. A signature's length then depends on its group, not
+    /// on whether a scalar happens to start with a zero byte.
+    widths: [u16; 2],
 }
 
 impl Signature {
-    /// Serialises the signature (length-prefixed scalars).
+    /// Serialises the signature: each scalar as a 16-bit length and that
+    /// many big-endian bytes, zero-padded to its width.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let e = self.e.to_bytes_be();
-        let s = self.s.to_bytes_be();
-        let mut out = Vec::with_capacity(4 + e.len() + s.len());
-        out.extend_from_slice(&(e.len() as u16).to_be_bytes());
-        out.extend_from_slice(&e);
-        out.extend_from_slice(&(s.len() as u16).to_be_bytes());
-        out.extend_from_slice(&s);
+        let mut out = Vec::new();
+        for (scalar, width) in [(&self.e, self.widths[0]), (&self.s, self.widths[1])] {
+            let bytes = scalar.to_bytes_be();
+            let len = bytes.len().max(width.into());
+            out.extend_from_slice(&(len as u16).to_be_bytes());
+            out.resize(out.len() + len - bytes.len(), 0);
+            out.extend_from_slice(&bytes);
+        }
         out
     }
 
     /// Parses a signature serialised by [`Signature::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let read = |b: &[u8]| -> Result<(BigUint, usize)> {
+        let read = |b: &[u8]| -> Result<(BigUint, u16)> {
             if b.len() < 2 {
                 return Err(CryptoError::Malformed("signature truncated"));
             }
-            let len = u16::from_be_bytes([b[0], b[1]]) as usize;
-            if b.len() < 2 + len {
+            let len = u16::from_be_bytes([b[0], b[1]]);
+            if b.len() < 2 + usize::from(len) {
                 return Err(CryptoError::Malformed("signature scalar truncated"));
             }
-            Ok((BigUint::from_bytes_be(&b[2..2 + len]), 2 + len))
+            Ok((BigUint::from_bytes_be(&b[2..2 + usize::from(len)]), len))
         };
-        let (e, n) = read(bytes)?;
-        let (s, n2) = read(&bytes[n..])?;
-        if n + n2 != bytes.len() {
+        let (e, e_len) = read(bytes)?;
+        let (s, s_len) = read(&bytes[2 + usize::from(e_len)..])?;
+        if 4 + usize::from(e_len) + usize::from(s_len) != bytes.len() {
             return Err(CryptoError::Malformed("trailing bytes after signature"));
         }
-        Ok(Signature { e, s })
+        Ok(Signature {
+            e,
+            s,
+            widths: [e_len, s_len],
+        })
     }
 }
 
@@ -225,7 +241,8 @@ impl SigningKey {
         let e = g.challenge(&r, &self.public.y, msg)?;
         // s = k + e*x mod q
         let s = k.mod_add(&e.mod_mul(&self.x, &g.q)?, &g.q)?;
-        Ok(Signature { e, s })
+        let widths = [CHALLENGE_BITS / 8, g.element_len()].map(|w| w as u16);
+        Ok(Signature { e, s, widths })
     }
 
     /// Returns the verification key.
@@ -273,7 +290,7 @@ impl VerifyingKey {
 
     /// Serialises the public element, padded to the group size.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let len = self.group.p.bit_len().div_ceil(8);
+        let len = self.group.element_len();
         self.y.to_bytes_be_padded(len).expect("y < p")
     }
 
@@ -362,6 +379,48 @@ mod tests {
         key.public.verify(b"serialise me", &parsed).unwrap();
     }
 
+    /// 4 + 32 + 96 bytes in the 768-bit group and 4 + 32 + 128 in the
+    /// 1 024-bit one, whatever the scalars: a challenge or response that
+    /// starts with a zero byte, or is zero, is padded to its width.
+    #[test]
+    fn a_signatures_length_depends_only_on_its_group() {
+        let mut rng = SecureRng::seed_from_u64(71);
+        for (group, len) in [
+            (SchnorrGroup::small(), 132),
+            (SchnorrGroup::standard(), 164),
+        ] {
+            let key = SigningKey::generate(&group, &mut rng).unwrap();
+            let sig = key.sign(b"msg", &mut rng).unwrap();
+            let (e, s) = (sig.e.clone(), sig.s.clone());
+            for forced in [
+                sig.clone(),
+                Signature {
+                    e: e.shr(8),
+                    ..sig.clone()
+                },
+                Signature {
+                    s: s.shr(8),
+                    ..sig.clone()
+                },
+                Signature {
+                    e: e.shr(200),
+                    s: s.shr(700),
+                    ..sig.clone()
+                },
+                Signature {
+                    e: BigUint::zero(),
+                    s: BigUint::zero(),
+                    ..sig.clone()
+                },
+            ] {
+                let bytes = forced.to_bytes();
+                assert_eq!(bytes.len(), len, "{forced:?}");
+                assert_eq!(bytes[..2], [0, 32]);
+                assert_eq!(Signature::from_bytes(&bytes).unwrap(), forced);
+            }
+        }
+    }
+
     #[test]
     fn signature_parse_rejects_garbage() {
         assert!(Signature::from_bytes(&[]).is_err());
@@ -424,6 +483,7 @@ mod tests {
         let expected = Signature {
             e: hex(E),
             s: hex(S),
+            widths: [32, 128],
         };
         assert_eq!(sig, expected);
         key.public.verify(b"teenet known answer", &sig).unwrap();
@@ -469,7 +529,8 @@ mod tests {
     fn inverse_holds(key: &VerifyingKey) -> bool {
         if key.inverse.y_inv.get().is_none() {
             let (e, s) = (BigUint::one(), BigUint::one());
-            assert!(key.verify(b"", &Signature { e, s }).is_err());
+            let widths = [1, 1];
+            assert!(key.verify(b"", &Signature { e, s, widths }).is_err());
         }
         let y_inv = key.inverse.y_inv.get().expect("inverted by verify");
         key.y.mod_mul(y_inv, &key.group.p).unwrap().is_one()
@@ -656,8 +717,8 @@ mod tests {
 
             let noise = BigUint::from_bytes_be(&noise).rem(&group.q).unwrap();
             let q_minus_1 = group.q.checked_sub(&BigUint::one()).unwrap();
-            let with_s = |s: &BigUint| Signature { e: sig.e.clone(), s: s.clone() };
-            let with_e = |e: &BigUint| Signature { e: e.clone(), s: sig.s.clone() };
+            let with_s = |s: &BigUint| Signature { s: s.clone(), ..sig.clone() };
+            let with_e = |e: &BigUint| Signature { e: e.clone(), ..sig.clone() };
             let forgeries = [
                 with_s(&noise),
                 with_s(&BigUint::zero()),
@@ -667,7 +728,7 @@ mod tests {
                 with_e(&BigUint::zero()),
                 with_e(&q_minus_1),
                 with_e(&group.q),
-                Signature { e: BigUint::zero(), s: BigUint::zero() },
+                Signature { e: BigUint::zero(), s: BigUint::zero(), ..sig.clone() },
             ];
             for forged in forgeries.iter().filter(|forged| **forged != sig) {
                 let verdict = parsed.verify(&msg, forged).is_ok();
@@ -704,8 +765,8 @@ mod tests {
                 (parse(&group.p.checked_sub(y).unwrap()), false),
             ];
             let one = BigUint::one();
-            let with_e = |e: BigUint| Signature { e, s: sig.s.clone() };
-            let with_s = |s: BigUint| Signature { e: sig.e.clone(), s };
+            let with_e = |e: BigUint| Signature { e, ..sig.clone() };
+            let with_s = |s: BigUint| Signature { s, ..sig.clone() };
             let signatures = [
                 sig.clone(),
                 with_e(one.shl(256).checked_sub(&one).unwrap()),

@@ -10,7 +10,8 @@
 //!   queue to wait in, no sharded latency percentile exceeds the serial
 //!   one;
 //! - R3: the sharded report is byte-identical for 1, 2 and 4 OS threads,
-//!   faults or not.
+//!   faults or not;
+//! - R4: a calibration's per-session ops do not depend on its seed.
 
 use teenet_load::scenarios::{by_name_switchless, NAMES};
 use teenet_load::{Calibration, LoadConfig, LoadMode, LoadRunner};
@@ -151,6 +152,24 @@ fn sharded_and_serial_models_share_per_session_costs() {
                         assert!(p.quantile(q) <= s.quantile(q), "{label}: p{q}");
                     }
                     assert!(p.max() <= s.max(), "{label}: max");
+                }
+            }
+        }
+    }
+}
+
+/// R4: every op of a calibration (client and server counts, transitions,
+/// wire sizes) is the same at seeds 1–8. bgp is left out: its calibration
+/// topology is seeded (ROADMAP item 12).
+#[test]
+fn calibrated_ops_are_seed_independent() {
+    for name in NAMES.into_iter().filter(|name| *name != "bgp") {
+        for backend in BACKENDS {
+            for transition in &TRANSITIONS[..2] {
+                let (first, _) = calibrate(name, 1, backend, *transition);
+                for seed in 2..=8 {
+                    let (calibration, label) = calibrate(name, seed, backend, *transition);
+                    assert_eq!(calibration.ops, first.ops, "{label} vs seed 1");
                 }
             }
         }
