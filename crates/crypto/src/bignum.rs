@@ -515,7 +515,7 @@ impl BigUint {
         Ok(context(modulus).multi_exp(&reduced))
     }
 
-    fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
+    pub(crate) fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
         let mut result = Self::one();
         let mut base = self.clone();
         for i in 0..exp.bit_len() {

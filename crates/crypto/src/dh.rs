@@ -12,6 +12,18 @@
 //! `g^x` walks the columns of both blocks at once, `bits / 16` squarings
 //! and twice as many multiplications (the same operations whatever `x`),
 //! and only `peer^x` still pays a squaring per exponent bit.
+//!
+//! A private exponent is 256 bits wide (plus 2), not the group's width:
+//! `peer^x` takes 256 squarings instead of 767 or 1 023. This is the
+//! length RFC 3526 §8 and NIST SP 800-56A Rev. 3 give a safe-prime group:
+//! twice its strength. `p` is a safe prime, so van Oorschot–Wiener's
+//! attack on short exponents, which needs small factors of `p - 1`, has
+//! none to use. What is left is Pollard's kangaroo at 2^128 operations,
+//! more than the number field sieve costs against any built-in group
+//! (about 2^80 at 1 024 bits, 2^112 at 2 048). The length is fixed, not a
+//! setting. The model still prices every power at the paper's
+//! full-exponent figures (`Op::Modexp1024`, `Op::DhParamGen`, Table 1),
+//! so it moves no modelled count.
 
 use crate::bignum::{Base, BigUint, Montgomery};
 use crate::error::CryptoError;
@@ -29,6 +41,10 @@ const MODP_1024: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E0
 020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\
 4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
 EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
+
+/// Bits of a private exponent (before the `+ 2`): twice the 128-bit
+/// strength that bounds every built-in group (see the module doc).
+const EXPONENT_BITS: usize = 256;
 
 /// A Diffie–Hellman group: safe prime `p` with generator `g = 2`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,10 +104,14 @@ pub struct DhKeyPair {
 impl DhKeyPair {
     /// Generates an ephemeral keypair in `group` using `rng`.
     pub fn generate(group: &DhGroup, rng: &mut SecureRng) -> Result<Self> {
-        // Private exponent in [2, p-2].
+        // The low EXPONENT_BITS of a draw below p - 3, plus 2. The draw is
+        // the one a full-width exponent in [2, p-2] took, so the RNG
+        // stream after a key does not depend on the exponent's length.
         let upper = group.p.checked_sub(&BigUint::from_u64(3))?;
-        let private =
-            BigUint::random_below(&upper, |buf| rng.fill_bytes(buf))?.add(&BigUint::from_u64(2));
+        let draw = BigUint::random_below(&upper, |buf| rng.fill_bytes(buf))?
+            .to_bytes_be_padded(group.element_len())?;
+        let private = BigUint::from_bytes_be(&draw[draw.len() - EXPONENT_BITS / 8..])
+            .add(&BigUint::from_u64(2));
         let public = group
             .ctx
             .multi_exp(&[(Base::Comb(group.ctx.comb()), &private)]);
@@ -198,27 +218,78 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
         assert_eq!(s1.len(), group.element_len());
     }
 
-    /// Public value and shared secret for this seed, generated with the
-    /// binary square-and-multiply `modexp` that the windowed engine
-    /// replaced: how a power is computed changes no number.
+    /// Public value and shared secret for this seed, derived from the two
+    /// private exponents by the square-and-multiply oracle
+    /// `modexp_generic`, not by the engine under test.
     #[test]
     fn known_answer_1024() {
-        const PUBLIC: &str = "cfc124945e2ccc0fcb31a0b5f8a5eff54d6b9421a5c054db7d7bdd14b956578f\
-            33ac0a1e539235ee0933bd985023d0fa4e609591c00e81b7a254dfcc0caf2d0f\
-            90bca18a9f78664a1fcb871507652ad5d1587ba5a117a18a9af0eeb8c0890cb1\
-            21b07f91506756b92aab238db72579bf81180d7d4a0082977757f0ce785fedd5";
-        const SHARED: &str = "aa0c754f9d6bfc4088119e2e2c9b66edf5d21a6a41fcc2e4d44c1cc04eed4186\
-            ec2be30a9b77fd57f67f863a24cdf79d8369f97fe2d694d6dd82c836fc5b4ed2\
-            ae7aa70a7ac564573306e67a5799f2fa5d85bba0c59bc34d3a5a9348d81074d2\
-            041b31e53ac6750ac7a26c8e898f9fc03e58f1ee07b70f69683adfa039e43d2d";
+        const PUBLIC: &str = "aa2432f170018ec13168b5356f746d38607eeb09089729d2ac47c6b33af8ac84\
+            2ff4f780c5a478d3d6e6866c71f5d20abd1501aba9a44422d0a0b302475e1284\
+            2db722586c3bed10d130b502b6c90945bf9ae1830ccc7a3c6137a5f2baafe720\
+            627339d736f274c42216b47b2db95ec0717679f16e25e6edc84cbb0237b99c9e";
+        const SHARED: &str = "9c469f3fbb48d86bb98d749dbdf1e6073850ba4df18d7a6ab35acd921bebfeb3\
+            5fc14ed37f31d5249b17dc3543774be0de941beb526b18313b71b3f415e99a53\
+            77f0682ee611116ec4331b234eae4b0f5ecd1eac45a5b91df5da895782544393\
+            5b1713fe49f0589d09af993422137994d2006d1e298fb21c5737c056d3c51d07";
         let group = DhGroup::modp1024();
         let mut rng = SecureRng::seed_from_u64(13);
         let alice = DhKeyPair::generate(&group, &mut rng).unwrap();
         let bob = DhKeyPair::generate(&group, &mut rng).unwrap();
-        let shared = BigUint::from_hex(SHARED).unwrap().to_bytes_be();
-        assert_eq!(alice.public, BigUint::from_hex(PUBLIC).unwrap());
-        assert_eq!(alice.shared_secret(&bob.public).unwrap(), shared);
-        assert_eq!(bob.shared_secret(&alice.public).unwrap(), shared);
+        let public = BigUint::from_hex(PUBLIC).unwrap();
+        let shared = BigUint::from_hex(SHARED).unwrap();
+        let oracle = |base: &BigUint, x: &BigUint| base.modexp_generic(x, &group.p).unwrap();
+        assert_eq!(oracle(&group.g, &alice.private), public);
+        assert_eq!(oracle(&bob.public, &alice.private), shared);
+        assert_eq!(alice.public, public);
+        assert_eq!(
+            alice.shared_secret(&bob.public).unwrap(),
+            shared.to_bytes_be()
+        );
+        assert_eq!(
+            bob.shared_secret(&alice.public).unwrap(),
+            shared.to_bytes_be()
+        );
+    }
+
+    /// In every group an exponent is the low 256 bits of a draw below
+    /// `p - 3`, plus 2: at least 2 and below `2^256 + 2`.
+    #[test]
+    fn exponents_are_256_bits_of_the_full_width_draw_plus_2() {
+        let two = BigUint::from_u64(2);
+        let bound = BigUint::one().shl(EXPONENT_BITS).add(&two);
+        let groups = [
+            DhGroup::modp768(),
+            DhGroup::modp1024(),
+            DhGroup::modp1536(),
+            DhGroup::modp2048(),
+        ];
+        for group in groups {
+            let upper = group.p.checked_sub(&BigUint::from_u64(3)).unwrap();
+            for seed in 0..16 {
+                let mut rng = SecureRng::seed_from_u64(seed);
+                let kp = DhKeyPair::generate(&group, &mut rng).unwrap();
+                assert!(kp.private >= two && kp.private < bound, "{}", group.bits);
+                let mut rng = SecureRng::seed_from_u64(seed);
+                let draw = BigUint::random_below(&upper, |buf| rng.fill_bytes(buf)).unwrap();
+                let low = draw.rem(&BigUint::one().shl(EXPONENT_BITS)).unwrap();
+                assert_eq!(kp.private, low.add(&two), "{} seed {seed}", group.bits);
+            }
+        }
+    }
+
+    /// A key takes from its RNG what a full-width exponent took: the
+    /// draw after it is the one it was before exponents were shortened.
+    #[test]
+    fn generate_leaves_the_rng_where_the_full_width_draw_did() {
+        let groups = [
+            (DhGroup::modp768(), 0x0c6b_299d_40e4_79a2),
+            (DhGroup::modp1024(), 0x1ad1_c6d8_d03c_c9c3),
+        ];
+        for (group, next) in groups {
+            let mut rng = SecureRng::seed_from_u64(21);
+            DhKeyPair::generate(&group, &mut rng).unwrap();
+            assert_eq!(rng.next_u64(), next, "{}", group.bits);
+        }
     }
 
     #[test]

@@ -76,10 +76,7 @@ impl Epc {
                 break;
             };
             if let Some(list) = self.entries.get_mut(&enclave_id) {
-                if let Some(entry) = list
-                    .iter_mut()
-                    .find(|e| e.offset == offset && e.resident)
-                {
+                if let Some(entry) = list.iter_mut().find(|e| e.offset == offset && e.resident) {
                     entry.resident = false;
                     self.used -= 1;
                     done += 1;
@@ -145,9 +142,7 @@ mod tests {
 
         /// Pages allocated to one enclave.
         fn pages_of(&self, enclave_id: u64) -> usize {
-            self.entries
-                .get(&enclave_id)
-                .map_or(0, Vec::len)
+            self.entries.get(&enclave_id).map_or(0, Vec::len)
         }
     }
 
