@@ -14,16 +14,17 @@
 //! and only `peer^x` still pays a squaring per exponent bit.
 //!
 //! A private exponent is 256 bits wide (plus 2), not the group's width:
-//! `peer^x` takes 256 squarings instead of 767 or 1 023. This is the
-//! length RFC 3526 §8 and NIST SP 800-56A Rev. 3 give a safe-prime group:
-//! twice its strength. `p` is a safe prime, so van Oorschot–Wiener's
-//! attack on short exponents, which needs small factors of `p - 1`, has
-//! none to use. What is left is Pollard's kangaroo at 2^128 operations,
-//! more than the number field sieve costs against any built-in group
-//! (about 2^80 at 1 024 bits, 2^112 at 2 048). The length is fixed, not a
-//! setting. The model still prices every power at the paper's
-//! full-exponent figures (`Op::Modexp1024`, `Op::DhParamGen`, Table 1),
-//! so it moves no modelled count.
+//! `peer^x` takes 256 squarings instead of 767 or 1 023. RFC 3526 §8 and
+//! NIST SP 800-56A Rev. 3 size a safe-prime group's exponent at twice the
+//! group's strength, and 256 bits is at least that for every built-in
+//! group. `p` is a safe prime, so van Oorschot–Wiener's attack on short
+//! exponents, which needs small factors of `p - 1`, has none to use. What
+//! is left is Pollard's kangaroo at 2^128 operations, more than the
+//! number field sieve costs against any built-in group (about 2^80 at
+//! 1 024 bits, 2^112 at 2 048). The length is fixed, not a setting. The
+//! model still prices every power at the paper's full-exponent figures
+//! (`Op::Modexp1024`, `Op::DhParamGen`, Table 1), so it moves no
+//! modelled count.
 
 use crate::bignum::{Base, BigUint, Montgomery};
 use crate::error::CryptoError;
@@ -42,8 +43,9 @@ const MODP_1024: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E0
 4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
 EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
 
-/// Bits of a private exponent (before the `+ 2`): twice the 128-bit
-/// strength that bounds every built-in group (see the module doc).
+/// Bits of a private exponent (before the `+ 2`): a kangaroo search
+/// costs 2^128, more than the NFS against any built-in group (see the
+/// module doc).
 const EXPONENT_BITS: usize = 256;
 
 /// A Diffie–Hellman group: safe prime `p` with generator `g = 2`.
@@ -256,7 +258,7 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
     #[test]
     fn exponents_are_256_bits_of_the_full_width_draw_plus_2() {
         let two = BigUint::from_u64(2);
-        let bound = BigUint::one().shl(EXPONENT_BITS).add(&two);
+        let bound = BigUint::one().shl(256).add(&two);
         let groups = [
             DhGroup::modp768(),
             DhGroup::modp1024(),
@@ -271,7 +273,7 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
                 assert!(kp.private >= two && kp.private < bound, "{}", group.bits);
                 let mut rng = SecureRng::seed_from_u64(seed);
                 let draw = BigUint::random_below(&upper, |buf| rng.fill_bytes(buf)).unwrap();
-                let low = draw.rem(&BigUint::one().shl(EXPONENT_BITS)).unwrap();
+                let low = draw.rem(&BigUint::one().shl(256)).unwrap();
                 assert_eq!(kp.private, low.add(&two), "{} seed {seed}", group.bits);
             }
         }

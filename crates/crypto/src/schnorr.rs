@@ -166,8 +166,8 @@ pub struct Signature {
     pub s: BigUint,
     /// Bytes `to_bytes` writes `e` and `s` in: 32 (a challenge's
     /// `CHALLENGE_BITS`) and the group's byte width out of `sign`, the
-    /// widths read by `from_bytes`. A signature's length then depends on its group, not
-    /// on whether a scalar happens to start with a zero byte.
+    /// widths read by `from_bytes`. A signature's length then depends on
+    /// its group, not on whether a scalar starts with a zero byte.
     widths: [u16; 2],
 }
 
@@ -188,26 +188,24 @@ impl Signature {
 
     /// Parses a signature serialised by [`Signature::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let read = |b: &[u8]| -> Result<(BigUint, u16)> {
+        let read = |b: &[u8]| -> Result<(BigUint, usize)> {
             if b.len() < 2 {
                 return Err(CryptoError::Malformed("signature truncated"));
             }
-            let len = u16::from_be_bytes([b[0], b[1]]);
-            if b.len() < 2 + usize::from(len) {
+            let len = u16::from_be_bytes([b[0], b[1]]) as usize;
+            if b.len() < 2 + len {
                 return Err(CryptoError::Malformed("signature scalar truncated"));
             }
-            Ok((BigUint::from_bytes_be(&b[2..2 + usize::from(len)]), len))
+            Ok((BigUint::from_bytes_be(&b[2..2 + len]), 2 + len))
         };
-        let (e, e_len) = read(bytes)?;
-        let (s, s_len) = read(&bytes[2 + usize::from(e_len)..])?;
-        if 4 + usize::from(e_len) + usize::from(s_len) != bytes.len() {
+        let (e, n) = read(bytes)?;
+        let (s, n2) = read(&bytes[n..])?;
+        if n + n2 != bytes.len() {
             return Err(CryptoError::Malformed("trailing bytes after signature"));
         }
-        Ok(Signature {
-            e,
-            s,
-            widths: [e_len, s_len],
-        })
+        // Each width came from a 16-bit prefix.
+        let widths = [n - 2, n2 - 2].map(|w| w as u16);
+        Ok(Signature { e, s, widths })
     }
 }
 
@@ -385,33 +383,25 @@ mod tests {
     #[test]
     fn a_signatures_length_depends_only_on_its_group() {
         let mut rng = SecureRng::seed_from_u64(71);
-        for (group, len) in [
+        let groups = [
             (SchnorrGroup::small(), 132),
             (SchnorrGroup::standard(), 164),
-        ] {
+        ];
+        for (group, len) in groups {
             let key = SigningKey::generate(&group, &mut rng).unwrap();
             let sig = key.sign(b"msg", &mut rng).unwrap();
-            let (e, s) = (sig.e.clone(), sig.s.clone());
+            let with = |e: BigUint, s: BigUint| Signature {
+                e,
+                s,
+                ..sig.clone()
+            };
+            let (e, s) = (&sig.e, &sig.s);
             for forced in [
                 sig.clone(),
-                Signature {
-                    e: e.shr(8),
-                    ..sig.clone()
-                },
-                Signature {
-                    s: s.shr(8),
-                    ..sig.clone()
-                },
-                Signature {
-                    e: e.shr(200),
-                    s: s.shr(700),
-                    ..sig.clone()
-                },
-                Signature {
-                    e: BigUint::zero(),
-                    s: BigUint::zero(),
-                    ..sig.clone()
-                },
+                with(e.shr(8), s.clone()),
+                with(e.clone(), s.shr(8)),
+                with(e.shr(200), s.shr(700)),
+                with(BigUint::zero(), BigUint::zero()),
             ] {
                 let bytes = forced.to_bytes();
                 assert_eq!(bytes.len(), len, "{forced:?}");
