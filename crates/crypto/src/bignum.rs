@@ -27,7 +27,9 @@
 //! doublings per set bit, and a `Comb` base through one table entry per
 //! block per *column* of its exponent. A comb can be built for any base:
 //! the generator 2's, one per built-in prime, lives in its `Montgomery`
-//! (see [`crate::dh`]); a Schnorr key's `y^-1` gets one of its own.
+//! (see [`crate::dh`]) beside two short combs, of 2 and of `2^-1`, that
+//! raise the 258-bit exponents of DH and Schnorr keys; a Schnorr key's
+//! `y^-1` gets one of its own.
 //! [`BigUint::modexp`] is the one-term case under constants computed per
 //! call (no comb).
 //!
@@ -44,6 +46,7 @@ use crate::error::CryptoError;
 use crate::Result;
 use core::cmp::Ordering;
 use core::fmt;
+use std::sync::OnceLock;
 
 #[allow(unsafe_code)]
 mod ifma;
@@ -613,6 +616,23 @@ impl PartialOrd for BigUint {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `[products, squarings]` this thread's [`Montgomery`] contexts have
+    /// run, tables included.
+    static WORK: core::cell::Cell<[u64; 2]> = const { core::cell::Cell::new([0; 2]) };
+}
+
+/// `f`'s result and the `[products, squarings]` it ran on this thread:
+/// the work budgets of the DH and Schnorr tests.
+#[cfg(test)]
+pub(crate) fn work<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
+    let before = WORK.get();
+    let out = f();
+    let after = WORK.get();
+    (out, [after[0] - before[0], after[1] - before[1]])
+}
+
 /// Runs `$body` with the const `$w` at `$len` when that is 12 or 16 limbs
 /// (768 or 1 024 bits: every power a workload raises), else at 0.
 macro_rules! at_width {
@@ -678,6 +698,9 @@ pub(crate) struct Montgomery {
     ifma: Option<ifma::Modulus>,
     /// The comb of the generator 2, when built by [`Self::with_comb`].
     comb: Option<Comb>,
+    /// The short combs of 2 and of `2^-1` ([`Self::short_comb`]), each
+    /// built on first use.
+    short: [OnceLock<Comb>; 2],
 }
 
 /// A Lim–Lee fixed-base comb for `base`. An exponent below
@@ -755,6 +778,7 @@ impl Montgomery {
             r2: Vec::new(),
             ifma,
             comb: None,
+            short: Default::default(),
         };
         let r2 = BigUint::one()
             .shl(2 * mont.r_bits())
@@ -788,6 +812,28 @@ impl Montgomery {
     /// The comb of the generator 2.
     pub(crate) fn comb(&self) -> &Comb {
         self.comb.as_ref().expect("context built with_comb")
+    }
+
+    /// The short comb of 2, built on first use.
+    pub(crate) fn short_comb_of_two(&self) -> &Comb {
+        self.short_comb(0, || BigUint::from_u64(2))
+    }
+
+    /// The short comb of `2^-1 = (n + 1) / 2`, built on first use.
+    pub(crate) fn short_comb_of_half(&self) -> &Comb {
+        let n = || BigUint {
+            limbs: self.n.clone(),
+        };
+        self.short_comb(1, || n().shr(1).add(&BigUint::one()))
+    }
+
+    /// Short comb `slot`, of `base()`, over [`SHORT_BITS`]: 6 rows of 43
+    /// columns in blocks of 22 and 21, so a power is 22 squarings and 43
+    /// products. Its 2 × 2^6 entries are 16 KB at 1 024 bits (24 on the
+    /// IFMA engine), a quarter of the generator comb's. 8 rows would take
+    /// 17 squarings and 33 products for four times the table.
+    fn short_comb(&self, slot: usize, base: impl FnOnce() -> BigUint) -> &Comb {
+        self.short[slot].get_or_init(|| Comb::new(self, &base(), SHORT_BITS, 6, 2))
     }
 
     /// The engine this context runs on.
@@ -839,6 +885,8 @@ impl Montgomery {
 
     /// `acc = acc * b * R^-1 mod n`.
     fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        #[cfg(test)]
+        WORK.with(|work| work.set([work.get()[0] + 1, work.get()[1]]));
         match &self.ifma {
             Some(ifma) => ifma.mul(acc, b),
             None => at_shape!(self, W, ONES => {
@@ -850,6 +898,8 @@ impl Montgomery {
 
     /// `acc = acc^2 * R^-1 mod n`.
     fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
+        #[cfg(test)]
+        WORK.with(|work| work.set([work.get()[0], work.get()[1] + 1]));
         match &self.ifma {
             Some(ifma) => ifma.sqr(acc),
             None => at_shape!(self, W, ONES => {
@@ -1043,6 +1093,11 @@ impl Comb {
         }
     }
 }
+
+/// Bits a [`Montgomery::short_comb`] covers, 258: `2x` for a Schnorr
+/// key `x <= 2^256`, and so a DH exponent below `2^256 + 2` (see
+/// [`crate::dh`] and [`crate::schnorr`]).
+const SHORT_BITS: usize = crate::dh::EXPONENT_BITS + 2;
 
 /// How one base of [`Montgomery::multi_exp`] is multiplied in.
 enum Powers<'a> {
@@ -2338,11 +2393,11 @@ mod engine_tests {
         );
     }
 
-    /// `2^(2^c) mod m` for `c <= bits` and `2^(2^c - 1) mod m` for
-    /// `c <= bits`, by repeated `mod_mul`: the comb's exponents of one set
-    /// bit and of all bits below one, `bits` of each in one pass.
-    fn powers_of_two(m: &BigUint, bits: usize) -> (Vec<BigUint>, Vec<BigUint>) {
-        let (mut bit, mut below) = (vec![b(2).rem(m).unwrap()], vec![BigUint::one()]);
+    /// `base^(2^c) mod m` and `base^(2^c - 1) mod m` for `c <= bits`, by
+    /// repeated `mod_mul`: a comb's exponents of one set bit and of all
+    /// bits below one, `bits` of each in one pass.
+    fn powers_of(base: &BigUint, m: &BigUint, bits: usize) -> (Vec<BigUint>, Vec<BigUint>) {
+        let (mut bit, mut below) = (vec![base.rem(m).unwrap()], vec![BigUint::one()]);
         for c in 0..bits {
             below.push(below[c].mod_mul(&bit[c], m).unwrap());
             bit.push(bit[c].mod_mul(&bit[c], m).unwrap());
@@ -2350,18 +2405,57 @@ mod engine_tests {
         (bit, below)
     }
 
-    /// `2^E` off a comb of one and of two blocks at 6, 7 and 8 rows, with
-    /// `E` a single bit or all bits below one at every seam of the layout
-    /// — where a bit changes row (`j * cols`) or block (`j * cols + k *
-    /// span`) — and one either side. 13 limbs at 7 rows (and 1 024 bits at
-    /// 6 and 7) leave the second block one column short.
+    /// `base^E` off `comb` under `mont`, with `E` a single bit or all bits
+    /// below one at every seam of the layout — where a bit changes row
+    /// (`j * cols`) or block (`j * cols + k * span`) — and one either
+    /// side, all the bits it covers, and each of `general` cut to the bits
+    /// it covers. `powers` are `powers_of` the comb's base.
+    fn assert_every_seam(
+        mont: &Montgomery,
+        comb: &Comb,
+        (bit, below): &(Vec<BigUint>, Vec<BigUint>),
+        general: &[BigUint],
+        m: &BigUint,
+    ) {
+        let one = BigUint::one();
+        let (rows, cols, span) = (comb.rows, comb.cols, comb.span);
+        let seams = (0..rows).flat_map(|j| (0..cols).step_by(span).map(move |k| j * cols + k));
+        let mut exps = vec![(BigUint::zero(), one.clone())];
+        for c in seams.flat_map(|s| [s.saturating_sub(1), s, s + 1]) {
+            exps.push((one.shl(c), bit[c].clone()));
+            exps.push((one.shl(c).checked_sub(&one).unwrap(), below[c].clone()));
+        }
+        let all = rows * cols;
+        exps.push((one.shl(all).checked_sub(&one).unwrap(), below[all].clone()));
+        for e in general {
+            let e = e.shr(e.bit_len().saturating_sub(all));
+            exps.push((e.clone(), oracle(&comb.base, &e, m)));
+        }
+        for (exp, expected) in &exps {
+            assert_eq!(
+                mont.multi_exp(&[(Base::Comb(comb), exp)]),
+                *expected,
+                "{:?}: {:?} ^ {exp:?} mod {m:?}, {comb:?}",
+                mont.engine(),
+                comb.base
+            );
+        }
+    }
+
+    /// Every seam (`assert_every_seam`) of the combs of 2 of one and of
+    /// two blocks at 6, 7 and 8 rows, and of each context's short combs
+    /// of 2 and `2^-1` (6 rows of 43 columns, blocks of 22 and 21). 13
+    /// limbs at 7 rows (and 1 024 bits at 6 and 7) leave the second block
+    /// one column short.
     #[test]
     fn comb_matches_the_oracle_at_every_row_and_block_seam() {
         let (one, two) = (BigUint::one(), b(2));
         let (mut partial, mut ran) = (0, Vec::new());
         for m in wide_moduli() {
             let bits = 64 * m.limbs.len();
-            let (bit, below) = powers_of_two(&m, bits + 8);
+            let half = m.add(&one).shr(1);
+            let of_two = powers_of(&two, &m, bits + 8);
+            let of_half = powers_of(&half, &m, SHORT_BITS + 8);
             let general = [
                 m.checked_sub(&two).unwrap(),
                 one.shl(bits - 3).add(&m.shr(5)),
@@ -2371,27 +2465,17 @@ mod engine_tests {
                     let mont = mont.and_comb(rows, blocks);
                     ran.push(mont.engine());
                     let comb = mont.comb();
-                    let (cols, span) = (comb.cols, comb.span);
-                    partial += usize::from(i == 0 && blocks * span > cols);
-                    let seams =
-                        (0..rows).flat_map(|j| (0..cols).step_by(span).map(move |k| j * cols + k));
-                    let mut exps = vec![(BigUint::zero(), one.clone())];
-                    for c in seams.flat_map(|s| [s.saturating_sub(1), s, s + 1]) {
-                        exps.push((one.shl(c), bit[c].clone()));
-                        exps.push((one.shl(c).checked_sub(&one).unwrap(), below[c].clone()));
-                    }
-                    let all = rows * cols;
-                    exps.push((one.shl(all).checked_sub(&one).unwrap(), below[all].clone()));
-                    exps.extend(general.iter().map(|e| (e.clone(), oracle(&two, e, &m))));
-                    for (exp, expected) in &exps {
-                        assert_eq!(
-                            mont.multi_exp(&[(Base::Comb(comb), exp)]),
-                            *expected,
-                            "{:?}: 2 ^ {exp:?} mod {m:?}, {rows} rows x {blocks} blocks",
-                            mont.engine()
-                        );
-                    }
+                    partial += usize::from(i == 0 && blocks * comb.span > comb.cols);
+                    assert_every_seam(&mont, comb, &of_two, &general, &m);
                 }
+            }
+            for mont in contexts(&m) {
+                ran.push(mont.engine());
+                let (short, of_half_comb) = (mont.short_comb_of_two(), mont.short_comb_of_half());
+                assert_eq!((short.rows, short.cols, short.span), (6, 43, 22));
+                assert_eq!(of_half_comb.base.mod_mul(&two, &m).unwrap(), one);
+                assert_every_seam(&mont, short, &of_two, &general, &m);
+                assert_every_seam(&mont, of_half_comb, &of_half, &general, &m);
             }
         }
         assert!(partial >= 3, "{partial} layouts with a partial block");
@@ -2399,9 +2483,11 @@ mod engine_tests {
     }
 
     /// An exponent the table does not cover is not truncated to the bits
-    /// it does: the term takes the general path (`Powers::Shift` for the
-    /// generator 2, `Powers::Table` for any other base), alone and beside
-    /// a second term.
+    /// it does: the term takes the general path (`Powers::Shift` for 2,
+    /// `Powers::Table` for any other base), alone and beside a second
+    /// term. The combs are the generator's at three shapes, one of a
+    /// value `y` and the context's short combs of 2 and `2^-1`, which
+    /// refuse a 259-bit exponent.
     #[test]
     fn comb_leaves_a_wider_exponent_to_the_general_path() {
         let (two, e, mut ran) = (b(2), b(0xfeed_f00d), Vec::new());
@@ -2412,7 +2498,8 @@ mod engine_tests {
                     let mont = mont.and_comb(rows, blocks);
                     ran.push(mont.engine());
                     let of_y = Comb::new(&mont, &y, 256, rows, blocks);
-                    for comb in [mont.comb(), &of_y] {
+                    let short = [mont.short_comb_of_two(), mont.short_comb_of_half()];
+                    for comb in [mont.comb(), &of_y].into_iter().chain(short) {
                         let capacity = comb.rows * comb.cols;
                         let fits = BigUint::one().shl(capacity - 1);
                         let wide = BigUint::one().shl(capacity);

@@ -8,10 +8,13 @@
 //! Each built-in group is parsed once per process and carries one shared
 //! `Montgomery` context for its prime — reduction constants plus a comb
 //! of powers of 2, 8 rows in 2 blocks — under which every copy of the
-//! group, the Schnorr group built on it and all their keys raise powers:
-//! `g^x` walks the columns of both blocks at once, `bits / 16` squarings
-//! and twice as many multiplications (the same operations whatever `x`),
-//! and only `peer^x` still pays a squaring per exponent bit.
+//! group, the Schnorr group built on it and all their keys raise powers.
+//! A full-width `g^x` (a Schnorr nonce's) walks the columns of both
+//! blocks at once, `bits / 16` squarings and twice as many
+//! multiplications, the same operations whatever `x`. The context's
+//! short combs, of 2 and of `2^-1`, cover 258 bits: a private exponent's
+//! `g^x` there is 22 squarings and 43 multiplications at every width, and
+//! only `peer^x` still pays a squaring per exponent bit.
 //!
 //! A private exponent is 256 bits wide (plus 2), not the group's width:
 //! `peer^x` takes 256 squarings instead of 767 or 1 023. RFC 3526 §8 and
@@ -43,10 +46,10 @@ const MODP_1024: &str = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E0
 4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED\
 EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381FFFFFFFFFFFFFFFF";
 
-/// Bits of a private exponent (before the `+ 2`): a kangaroo search
-/// costs 2^128, more than the NFS against any built-in group (see the
-/// module doc).
-const EXPONENT_BITS: usize = 256;
+/// Bits of a private exponent (before the `+ 2`) and of a Schnorr
+/// signing key (before its `+ 1`): a kangaroo search costs 2^128, more
+/// than the NFS against any built-in group (see the module doc).
+pub(crate) const EXPONENT_BITS: usize = 256;
 
 /// A Diffie–Hellman group: safe prime `p` with generator `g = 2`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,7 +119,7 @@ impl DhKeyPair {
             .add(&BigUint::from_u64(2));
         let public = group
             .ctx
-            .multi_exp(&[(Base::Comb(group.ctx.comb()), &private)]);
+            .multi_exp(&[(Base::Comb(group.ctx.short_comb_of_two()), &private)]);
         Ok(DhKeyPair {
             group: group.clone(),
             private,
@@ -291,6 +294,29 @@ E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718\
             let mut rng = SecureRng::seed_from_u64(21);
             DhKeyPair::generate(&group, &mut rng).unwrap();
             assert_eq!(rng.next_u64(), next, "{}", group.bits);
+        }
+    }
+
+    /// Montgomery `[products, squarings]` per operation, the group's
+    /// tables built beforehand. `generate` is the short comb of 2: 43 +
+    /// 22 at every width, where the generator comb cost `bits / 8` +
+    /// `bits / 16`. `shared_secret` builds the peer's window table (15
+    /// products), then squares once per bit of `x` and multiplies once
+    /// per nonzero 4-bit window of it.
+    #[test]
+    fn each_operation_runs_its_budget_of_products() {
+        use crate::bignum::work;
+        let budgets = [
+            (DhGroup::modp768(), [[43, 22], [70, 255]]),
+            (DhGroup::modp1024(), [[43, 22], [76, 255]]),
+        ];
+        for (group, [generate, shared]) in budgets {
+            let mut rng = SecureRng::seed_from_u64(5);
+            let peer = DhKeyPair::generate(&group, &mut rng).unwrap();
+            let (kp, work_done) = work(|| DhKeyPair::generate(&group, &mut rng).unwrap());
+            assert_eq!(work_done, generate, "generate at {}", group.bits);
+            let (_, work_done) = work(|| kp.shared_secret(&peer.public).unwrap());
+            assert_eq!(work_done, shared, "shared_secret at {}", group.bits);
         }
     }
 

@@ -16,11 +16,21 @@
 //! correct by construction, no trusted group constants needed beyond the
 //! well-known primes.
 //!
+//! A signing key `x` is the low 256 bits of a draw in `[1, q)`, plus 1,
+//! for the reason a DH exponent is 256 bits (see [`crate::dh`]): `g` has
+//! prime order `q`, so van Oorschot–Wiener has no small factor of the
+//! order to use, and Pollard's kangaroo costs 2^128, above the NFS cost
+//! of `p`. A nonce `k` stays uniform in `[1, q)`: `s = k + e*x mod q`
+//! hides `x` only while `k` does, and short or biased nonces give `x` up
+//! to lattice reduction (Howgrave-Graham & Smart 2001; Nguyen &
+//! Shparlinski 2002).
+//!
 //! Powers are raised under the DH group's shared `Montgomery` context.
 //! `g = 4 = 2^2`, so `g^k` is the comb's `2^(2k)` and never squares for
 //! the generator. `verify` is the textbook `g^s * y^(-e)`. Every clone of
-//! a verifying key shares one `Arc` holding `y^-1` — `g^(q-x)` out of
-//! `generate`, one [`BigUint::mod_inv`] at a parsed key's first
+//! a verifying key shares one `Arc` holding `y^-1` — `(2^-1)^(2x)` off
+//! the context's short comb in `generate` (as `y` is `2^(2x)` off the
+//! short comb of 2), one [`BigUint::mod_inv`] at a parsed key's first
 //! verification (a binary extended GCD in place, 15–20 µs at 1 024 bits,
 //! variable-time, as a public key allows) — and, from its second
 //! verification on, a comb of `y^-1` over the 256 bits of a challenge:
@@ -29,7 +39,7 @@
 //! the comb, take a 4-bit window instead.
 
 use crate::bignum::{Base, BigUint, Comb, Montgomery};
-use crate::dh::DhGroup;
+use crate::dh::{DhGroup, EXPONENT_BITS};
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::sha256::Sha256;
@@ -90,7 +100,8 @@ impl SchnorrGroup {
     }
 
     /// `g^k mod p` for `k < q`, times `y^e` if a `y` in `[1, p)` is given.
-    /// `g^k` is the comb's `2^(2k)`: `2k < 2q = p - 1` fits its table.
+    /// `g^k` is the generator comb's `2^(2k)`: `2k < 2q = p - 1` fits its
+    /// table.
     fn g_pow(&self, k: &BigUint, times: Option<(Base<'_>, &BigUint)>) -> BigUint {
         let k2 = k.shl(1);
         let mut terms = vec![(Base::Comb(self.ctx.comb()), &k2)];
@@ -212,14 +223,25 @@ impl Signature {
 impl SigningKey {
     /// Generates a keypair in `group`.
     pub fn generate(group: &SchnorrGroup, rng: &mut SecureRng) -> Result<Self> {
-        // x ∈ [1, q): x = 0 is the key y = 1 that `from_bytes` refuses.
-        let x = group.nonzero_scalar(rng)?;
+        // A full-width draw in [1, q), so the RNG stream after a key does
+        // not depend on the key's length. x = 0 is the key y = 1 that
+        // `from_bytes` refuses; x = draw mod 2^256 + 1 is in [1, 2^256].
+        // A group too small for the cut (q of at most 257 bits) keeps it.
+        let draw = group.nonzero_scalar(rng)?;
+        let x = match group.q.bit_len() > EXPONENT_BITS + 1 {
+            true => draw
+                .rem(&BigUint::one().shl(EXPONENT_BITS))?
+                .add(&BigUint::one()),
+            false => draw,
+        };
+        // g^x = 2^(2x) and g^-x = (2^-1)^(2x), each off a short comb.
+        let (ctx, two_x) = (&group.ctx, x.shl(1));
+        let of = |comb| ctx.multi_exp(&[(Base::Comb(comb), &two_x)]);
         let public = VerifyingKey {
             group: group.clone(),
-            y: group.g_pow(&x, None),
+            y: of(ctx.short_comb_of_two()),
             inverse: Arc::new(Inverse {
-                // g^(q-x) = g^-x, since g has order q.
-                y_inv: group.g_pow(&group.q.checked_sub(&x)?, None).into(),
+                y_inv: of(ctx.short_comb_of_half()).into(),
                 ..Inverse::default()
             }),
         };
@@ -451,24 +473,32 @@ mod tests {
         assert!(VerifyingKey::from_bytes(&group, &y.to_bytes_be()).is_ok());
     }
 
-    /// Key and signature for this seed and message, generated with the
-    /// binary square-and-multiply `modexp` (two exponentiations and a
-    /// `mod_mul` per `verify`) that the windowed engine replaced.
+    /// Key and signature for this seed and message. `y = g^x` is derived
+    /// by the square-and-multiply oracle `modexp_generic`, not by the
+    /// engine under test, and the oracle recovers the `r` that `e` hashes
+    /// as `g^s * y^(q-e)`.
     #[test]
     fn known_answer_1024() {
-        const Y: &str = "88aea92b59b48a50c22493fa941be83849dd5e571cb910279db3036d1817566e\
-            17177329f828c56887a6c60eb224271018878c01df172b079530ef51ced76829\
-            cdfdcaf9044f20ab40fbbe1e768b3076cf19262c4b5a807779be070d9c8a1f20\
-            03e952c963ce3a1659bcdbb63fabed76bf06ac9eff8200d0bdb7e03bc50b9ba3";
-        const E: &str = "edf8d0b879024d0d2757216cdfd383762bdaf29bb9ce8e9760a0b9c0f8dacd30";
-        const S: &str = "5d7a7a3024f550355d4f7921c6616af6378127a4e4a26c6ed165d6cee288dcc0\
-            873d36097301ca6c6cd8d60c3ff3bf7d6893b3367699e82c6b7b1259032bb1eb\
-            8b72ee94b2517efabdce3eb378ef16d9ab34c7d3654da63f1594305cfe4c8145\
-            ad86ed891d21e9942b73f1ff75e76bec01b2c8223c04a20f7073ef32e74bcb64";
+        const Y: &str = "f1ad99dcde0fba40b37e185980fde245a637cc1293f6e4e83ecd11c6db3dfbfe\
+            c4f506614f1060efb59ef2c8a78c06fc30b7574691860ce8341033da50323e44\
+            825a0519d4ebc52ae9571a7ea95ac64bd3321f60ba0418affed05501f0727688\
+            d3b0081f4141950098677aed4c634809ee15980da17ad6fda2bef28f25674023";
+        const E: &str = "bf79ff8298a618b9376536674fa5e05074d4214ee72ce49fc8cd6c7ac6fc0a0b";
+        const S: &str = "31d1a46c9c458bc4753db75a3d108163d0c3e6e0df3f1e90a407bec678e81957\
+            9c3a3e3a3bfeea09bfd342d6675d66a3a1a379fa4fbbc7ffccb46d19b8629868\
+            c4cd5563157fef7920f08e0e7eac0d404cd6bd941d1d94465be18cbbb27ea5e0\
+            a72eff148b750b5437a9a43339760b8c3ccd5d3902b1cda735484e04913f819d";
+        const MSG: &[u8] = b"teenet known answer";
+        let group = SchnorrGroup::standard();
         let mut rng = SecureRng::seed_from_u64(13);
-        let key = SigningKey::generate(&SchnorrGroup::standard(), &mut rng).unwrap();
-        let sig = key.sign(b"teenet known answer", &mut rng).unwrap();
+        let key = SigningKey::generate(&group, &mut rng).unwrap();
+        let sig = key.sign(MSG, &mut rng).unwrap();
         let hex = |digits: &str| BigUint::from_hex(digits).unwrap();
+        let oracle = |base: &BigUint, x: &BigUint| base.modexp_generic(x, &group.p).unwrap();
+        assert_eq!(oracle(&group.g, &key.x), hex(Y));
+        let neg_e = group.q.checked_sub(&hex(E)).unwrap();
+        let r = oracle(&group.g, &hex(S)).mod_mul(&oracle(&hex(Y), &neg_e), &group.p);
+        assert_eq!(group.challenge(&r.unwrap(), &hex(Y), MSG).unwrap(), hex(E));
         assert_eq!(key.public.y, hex(Y));
         let expected = Signature {
             e: hex(E),
@@ -476,8 +506,82 @@ mod tests {
             widths: [32, 128],
         };
         assert_eq!(sig, expected);
-        key.public.verify(b"teenet known answer", &sig).unwrap();
+        key.public.verify(MSG, &sig).unwrap();
         assert!(key.public.verify(b"teenet unknown answer", &sig).is_err());
+    }
+
+    /// In both built-in groups a key is the low 256 bits of the draw a
+    /// full-width key in `[1, q)` took, plus 1: in `[1, 2^256]`. Its `y`
+    /// and `y^-1`, each off a short comb, are `g^x` and its inverse.
+    #[test]
+    fn keys_are_256_bits_of_the_full_width_draw_plus_1() {
+        let (one, bound) = (BigUint::one(), BigUint::one().shl(256));
+        for group in [SchnorrGroup::small(), SchnorrGroup::standard()] {
+            for seed in 0..16 {
+                let mut rng = SecureRng::seed_from_u64(seed);
+                let key = SigningKey::generate(&group, &mut rng).unwrap();
+                assert!(key.x >= one && key.x <= bound, "{seed}");
+                let mut rng = SecureRng::seed_from_u64(seed);
+                let draw = group.nonzero_scalar(&mut rng).unwrap();
+                assert_eq!(key.x, draw.rem(&bound).unwrap().add(&one), "{seed}");
+                assert_eq!(key.public.y, group.g_pow(&key.x, None));
+                assert!(inverse_holds(&key.public));
+            }
+        }
+    }
+
+    /// A key takes from its RNG what a full-width key took: the draw
+    /// after it is the one it was before keys were shortened.
+    #[test]
+    fn generate_leaves_the_rng_where_the_full_width_draw_did() {
+        let groups = [
+            (SchnorrGroup::small(), 0x0c6b_299d_40e4_79a2),
+            (SchnorrGroup::standard(), 0x1ad1_c6d8_d03c_c9c3),
+        ];
+        for (group, next) in groups {
+            let mut rng = SecureRng::seed_from_u64(21);
+            SigningKey::generate(&group, &mut rng).unwrap();
+            assert_eq!(rng.next_u64(), next, "{}", group.p.bit_len());
+        }
+    }
+
+    /// Montgomery `[products, squarings]` per operation, its group's
+    /// tables built beforehand. `generate` raises `y` and `y^-1` off the
+    /// short combs, 43 + 22 each (off the generator comb they would cost
+    /// `bits / 8` + `bits / 16` each). `sign` raises one full-width nonce
+    /// off the generator comb. The first `verify` adds to that `y^-1`'s
+    /// window table (15 products), a product per nonzero window of `e`
+    /// and a squaring per bit of `e`; a combed one adds 37 products and
+    /// no squaring. A generated key and its parsed twin cost the same.
+    #[test]
+    fn each_operation_runs_its_budget_of_products() {
+        use crate::bignum::work;
+        let budgets = [
+            (
+                SchnorrGroup::small(),
+                [[86, 44], [96, 48], [170, 254], [133, 48]],
+            ),
+            (
+                SchnorrGroup::standard(),
+                [[86, 44], [128, 64], [200, 256], [165, 64]],
+            ),
+        ];
+        for (group, [generate, sign, first, combed]) in budgets {
+            let bits = group.p.bit_len();
+            let mut rng = SecureRng::seed_from_u64(5);
+            SigningKey::generate(&group, &mut rng).unwrap();
+            let (key, work_done) = work(|| SigningKey::generate(&group, &mut rng).unwrap());
+            assert_eq!(work_done, generate, "generate at {bits}");
+            let (sig, work_done) = work(|| key.sign(b"msg", &mut rng).unwrap());
+            assert_eq!(work_done, sign, "sign at {bits}");
+            let parsed = VerifyingKey::from_bytes(&group, &key.public.to_bytes()).unwrap();
+            for key in [key.public, parsed] {
+                let accept = || key.verify(b"msg", &sig).unwrap();
+                assert_eq!(work(accept).1, first, "first verify at {bits}");
+                accept();
+                assert_eq!(work(accept).1, combed, "combed verify at {bits}");
+            }
+        }
     }
 
     #[test]
